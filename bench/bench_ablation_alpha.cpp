@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("waves", 16, "learning waves");
   flags.DefineDouble("noise", 0.05, "rating noise stddev");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   const int m = static_cast<int>(flags.GetInt64("workers"));
   const int n = static_cast<int>(flags.GetInt64("tasks"));

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("workers", 1000, "workers (m)");
   flags.DefineInt64("tasks", 400, "tasks (n)");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   casc::SyntheticInstanceConfig config;

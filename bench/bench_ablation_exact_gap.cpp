@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("workers", 10, "workers per instance (kept small!)");
   flags.DefineInt64("tasks", 3, "tasks per instance");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   const int instances = static_cast<int>(flags.GetInt64("instances"));
   casc::SyntheticInstanceConfig config;

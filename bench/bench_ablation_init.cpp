@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   casc::FlagParser flags;
   flags.DefineInt64("seed", 42, "master seed");
   flags.DefineInt64("instances", 5, "instances per scale");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::TablePrinter table({"m", "n", "init", "rounds", "moves", "score",
                             "time ms"});

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   casc::FlagParser flags;
   flags.DefineInt64("tasks", 300, "tasks per instance (n)");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::TablePrinter table({"m", "GT evals", "LUB evals", "LUB skips",
                             "evals saved", "score ratio", "GT ms",

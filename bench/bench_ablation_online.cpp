@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("tasks", 300, "tasks per instance (n)");
   flags.DefineInt64("rounds", 5, "instances per scale");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::TablePrinter table(
       {"m", "ONLINE", "TPG", "GT", "online/GT", "ONLINE ms", "GT ms"});

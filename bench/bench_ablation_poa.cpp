@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("tasks", 120, "tasks (n)");
   flags.DefineInt64("equilibria", 25, "random starts to sample");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
   casc::SyntheticInstanceConfig config;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("tasks", 200, "tasks (n)");
   flags.DefineInt64("rounds", 5, "instances to average");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   const int rounds = static_cast<int>(flags.GetInt64("rounds"));
   std::vector<Row> rows(4);

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("workers", 800, "workers (m)");
   flags.DefineInt64("tasks", 400, "tasks (n)");
   flags.DefineInt64("seed", 42, "master seed");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::TablePrinter table({"[r-,r+]%", "GT score", "UPPER literal",
                             "UPPER co-cand", "GT/literal", "GT/co-cand"});

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("rounds", 10, "rounds (R)");
   flags.DefineInt64("seed", 42, "master seed");
   flags.DefineString("csv", "", "optional CSV output path prefix");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::ExperimentSettings base;
   base.num_workers = static_cast<int>(flags.GetInt64("workers"));

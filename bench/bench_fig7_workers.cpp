@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("seed", 42, "master seed");
   flags.DefineString("csv", "", "optional CSV output path prefix");
   flags.DefineInt64("max_workers", 5000, "cap on the sweep (memory bound)");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::ExperimentSettings base;
   base.num_tasks = static_cast<int>(flags.GetInt64("tasks"));

@@ -107,12 +107,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("tasks", 400, "GT pruning bench: tasks");
   flags.DefineInt64("seed", 42, "generator seed");
   flags.DefineString("json", "BENCH_PR5.json", "JSON output path");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("bench_micro_kernels").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("matrix"));
   const int ops = static_cast<int>(flags.GetInt64("ops"));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed"));

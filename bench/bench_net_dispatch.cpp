@@ -70,12 +70,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("reps", 5, "timed repetitions per configuration");
   flags.DefineInt64("seed", 42, "instance seed");
   flags.DefineString("json", "BENCH_PR7.json", "JSON output path");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("bench_net_dispatch").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   // Measure the configured paths, not whatever the ambient environment
   // left switched off.
   ::unsetenv("CASC_NO_DISTRIBUTED");

@@ -131,12 +131,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("skills", 8, "skill categories for the skilled twin");
   flags.DefineInt64("seed", 42, "generator seed");
   flags.DefineString("json", "BENCH_PR8.json", "JSON output path");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("bench_objective").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   const int skills = static_cast<int>(flags.GetInt64("skills"));
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   flags.DefineBool("meetup", false, "use the Meetup-like dataset");
   flags.DefineInt64("threads", 1,
                     "thread-pool size for the replication fan-out");
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  flags.ParseOrExit(argc, argv);
 
   casc::ExperimentSettings settings;
   settings.num_workers = static_cast<int>(flags.GetInt64("workers"));

@@ -78,12 +78,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("threads", 8, "threads for the sharded engine");
   flags.DefineInt64("seed", 42, "generator seed");
   flags.DefineString("json", "BENCH_PR2.json", "JSON output path");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("bench_sharded_dispatch").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const int threads = static_cast<int>(flags.GetInt64("threads"));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed"));
 

@@ -17,7 +17,7 @@
 #include "common/flags.h"
 #include "common/histogram.h"
 #include "gen/trace.h"
-#include "sim/batch_runner.h"
+#include "service/dispatch_service.h"
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
@@ -26,12 +26,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("hours", 12, "length of the simulated day (batches)");
   flags.DefineString("approach", "gt", "gt or tpg");
   flags.DefineInt64("seed", 7, "generator seed");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("city_simulation").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
 
   casc::Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
 
@@ -66,23 +61,28 @@ int main(int argc, char** argv) {
   }
   const casc::EventStream stream(trace.workers, trace.tasks);
 
-  std::unique_ptr<casc::Assigner> assigner;
+  casc::AssignerFactory factory;
   if (flags.GetString("approach") == "tpg") {
-    assigner = std::make_unique<casc::TpgAssigner>();
+    factory = [] { return std::make_unique<casc::TpgAssigner>(); };
   } else {
     casc::GtOptions options;
     options.use_tsi = true;
     options.use_lub = true;
-    assigner = std::make_unique<casc::GtAssigner>(options);
+    factory = [options] {
+      return std::make_unique<casc::GtAssigner>(options);
+    };
   }
+  const std::string solver_name = factory()->Name();
 
-  casc::BatchRunnerConfig config;
+  // One shard and no admission budget: the plain Algorithm 1 loop, each
+  // batch solved exactly as the assigner would solve it alone.
+  casc::DispatchConfig config;
+  config.sharded.shards_per_side = 1;
   config.batch_interval = 1.0;  // one batch per "hour"
   config.task_duration = 1.0;
   config.min_group_size = 3;
-  const casc::BatchRunner runner(config);
-  const casc::RunSummary summary =
-      runner.RunStreaming(stream, coop, assigner.get());
+  casc::DispatchService service(config, &coop, factory);
+  const casc::RunSummary summary = service.Run(stream);
 
   casc::SummaryStats batch_scores;
   std::printf("\nhour  workers  open-tasks  started  score    ms\n");
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       summary.TotalScore(),
       static_cast<long long>(summary.TotalCompletedTasks()),
       static_cast<long long>(summary.TotalAssignedWorkers()),
-      assigner->Name().c_str());
+      solver_name.c_str());
   std::printf("per-batch score: %s\n", batch_scores.ToString(2).c_str());
   return 0;
 }

@@ -38,12 +38,7 @@ int main(int argc, char** argv) {
                      "never); the virtual clock spans batches and "
                      "advances ~0.5s per batch");
   flags.DefineInt64("seed", 11, "generator + network seed");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("distributed_city").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));
   const int n = static_cast<int>(flags.GetInt64("tasks"));
   const double horizon = static_cast<double>(flags.GetInt64("hours"));

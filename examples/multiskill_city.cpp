@@ -54,12 +54,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("categories", 8, "certification categories");
   flags.DefineInt64("shards", 2, "shards per side (S)");
   flags.DefineInt64("seed", 19, "generator seed");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("multiskill_city").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));
   const int n = static_cast<int>(flags.GetInt64("tasks"));
   const int categories = static_cast<int>(flags.GetInt64("categories"));

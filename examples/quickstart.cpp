@@ -20,12 +20,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("workers", 200, "workers in the batch (m)");
   flags.DefineInt64("tasks", 80, "tasks in the batch (n)");
   flags.DefineInt64("seed", 42, "generator seed");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("quickstart").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
 
   // 1) Generate one batch: m workers, n tasks, uniform locations in the
   //    unit square, pairwise cooperation qualities in [0, 1].

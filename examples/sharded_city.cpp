@@ -25,12 +25,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("threads", 4, "threads for per-shard assignment");
   flags.DefineInt64("budget", 300, "admission budget per batch (0 = off)");
   flags.DefineInt64("seed", 11, "generator seed");
-  const casc::Status status = flags.Parse(argc, argv);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage("sharded_city").c_str());
-    return 1;
-  }
+  flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));
   const int n = static_cast<int>(flags.GetInt64("tasks"));
   const double horizon = static_cast<double>(flags.GetInt64("hours"));

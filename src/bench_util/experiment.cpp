@@ -16,7 +16,6 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "model/objective.h"
 
 namespace casc {
 
@@ -150,9 +149,6 @@ std::vector<ApproachResult> RunComparison(
       BatchMetrics metrics;
       metrics.round = round;
       metrics.now = now;
-      metrics.num_workers = instance.num_workers();
-      metrics.num_tasks = instance.num_tasks();
-      metrics.valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
       metrics.upper_bound = upper;
 
       Stopwatch watch;
@@ -161,13 +157,7 @@ std::vector<ApproachResult> RunComparison(
 
       CASC_CHECK(assignment.Validate(instance).ok())
           << results[a].name << " produced an invalid assignment";
-      metrics.score = TotalScore(instance, assignment);
-      metrics.assigned_workers = assignment.NumAssigned();
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        if (assignment.GroupSize(t) >= instance.min_group_size()) {
-          ++metrics.completed_tasks;
-        }
-      }
+      RecordBatchOutcome(instance, assignment, &metrics);
       metrics.gt_rounds = assigners[a]->stats().rounds;
       results[a].summary.batches.push_back(metrics);
     }

@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/check.h"
 #include "common/strings.h"
 
@@ -94,6 +97,17 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     if (!status.ok()) return status;
   }
   return Status::Ok();
+}
+
+void FlagParser::ParseOrExit(int argc, const char* const* argv) {
+  const Status status = Parse(argc, argv);
+  if (status.ok()) return;
+  std::string program = argc > 0 ? argv[0] : "program";
+  const size_t slash = program.find_last_of('/');
+  if (slash != std::string::npos) program = program.substr(slash + 1);
+  std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
+               Usage(program).c_str());
+  std::exit(1);
 }
 
 Status FlagParser::SetValue(const std::string& name,

@@ -18,7 +18,7 @@ namespace casc {
 ///   FlagParser flags;
 ///   flags.DefineInt64("workers", 1000, "workers per batch");
 ///   flags.DefineDouble("epsilon", 0.05, "TSI stop threshold");
-///   CASC_CHECK(flags.Parse(argc, argv).ok());
+///   flags.ParseOrExit(argc, argv);
 ///   int64_t m = flags.GetInt64("workers");
 class FlagParser {
  public:
@@ -41,6 +41,11 @@ class FlagParser {
   /// Parses argv. Unknown flags and malformed values produce an error.
   /// Positional (non `--`) arguments are collected into positional().
   Status Parse(int argc, const char* const* argv);
+
+  /// Parse() for a binary's main(): on error, prints the Status message
+  /// and Usage() (named after argv[0]'s basename) to stderr and exits the
+  /// process with status 1.
+  void ParseOrExit(int argc, const char* const* argv);
 
   int64_t GetInt64(const std::string& name) const;
   double GetDouble(const std::string& name) const;

@@ -31,7 +31,7 @@ struct TraceConfig {
 };
 
 /// A generated trace. Worker ids are 0..workers.size()-1 (the contract
-/// BatchRunner::RunStreaming expects for cooperation-matrix indexing);
+/// DispatchService::Run expects for cooperation-matrix indexing);
 /// task ids are 0..tasks.size()-1. Both are sorted by arrival time.
 struct Trace {
   std::vector<Worker> workers;

@@ -16,7 +16,7 @@ namespace casc {
 
 /// Pools the per-batch scratch state of the hot data plane — CSR
 /// valid-pair indexes, slab-backed assignments, score keepers and spatial
-/// scratch — so streaming loops and per-shard solvers stop paying
+/// scratch — so the streaming loop and per-shard solvers stop paying
 /// allocation churn on every batch. Acquire hands out a recycled object
 /// (or a fresh one on first use); Recycle returns it once the batch is
 /// committed. After the warm-up batch a steady-state stream performs

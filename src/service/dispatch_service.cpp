@@ -1,7 +1,6 @@
 #include "service/dispatch_service.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -35,6 +34,18 @@ void AppendDoubleArray(std::ostringstream& out, const char* key,
     out << values[i];
   }
   out << "]";
+}
+
+/// Copies the solver's convergence telemetry into the batch record. It is
+/// invariant across thread counts and pipeline modes (the delta is
+/// mode-independent and the shard solves deterministic), so the
+/// combo-identity tests may compare it.
+void CopySolveTelemetry(const ServiceMetrics& metrics, BatchMetrics* batch) {
+  batch->gt_rounds = metrics.solve_rounds;
+  batch->solve_moves = metrics.solve_moves;
+  batch->dirty_workers = metrics.dirty_workers;
+  batch->dirty_fraction = metrics.dirty_fraction;
+  batch->warm_started = metrics.warm_started;
 }
 
 }  // namespace
@@ -204,6 +215,7 @@ DispatchService::DispatchService(DispatchConfig config,
       sharded_(config.sharded, std::move(factory)) {
   CASC_CHECK(global_coop_ != nullptr);
   CASC_CHECK_GE(config_.max_tasks_per_batch, 0);
+  CASC_CHECK_GE(config_.ingest_threads, 0);
   CASC_CHECK_GT(config_.batch_interval, 0.0);
   if (config_.objective.empty()) {
     objective_ = &ProcessDefaultObjective();
@@ -259,31 +271,17 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
 
   BatchMetrics batch;
   batch.now = now;
-  batch.num_workers = instance.num_workers();
-  batch.num_tasks = instance.num_tasks();
-  batch.valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
+  batch.index_build_seconds = index_build_seconds;
   Stopwatch watch;
   // One-shot batches have no previous equilibrium to seed from; clear any
   // delta a prior streaming Run() left attached.
   solver_->SetSolveDelta(nullptr);
   Assignment assignment = solver_->Solve(instance);
   batch.seconds = watch.ElapsedSeconds();
-  batch.score = TotalScore(instance, assignment);
-  batch.assigned_workers = assignment.NumAssigned();
-  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-    if (assignment.GroupSize(t) >= instance.min_group_size()) {
-      ++batch.completed_tasks;
-    }
-  }
-
-  batch.index_build_seconds = index_build_seconds;
+  RecordBatchOutcome(instance, assignment, &batch);
 
   ServiceMetrics metrics = solver_->metrics();
-  batch.gt_rounds = metrics.solve_rounds;
-  batch.solve_moves = metrics.solve_moves;
-  batch.dirty_workers = metrics.dirty_workers;
-  batch.dirty_fraction = metrics.dirty_fraction;
-  batch.warm_started = metrics.warm_started;
+  CopySolveTelemetry(metrics, &batch);
   metrics.admitted_tasks = num_admitted;
   metrics.deferred_tasks = static_cast<int>(deferred.size());
   metrics.queue_depth = static_cast<int>(deferred.size());
@@ -306,23 +304,21 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   batch_metrics_.clear();
   run_latency_ = RunLatencyStats{};
 
-  // Effective streaming-plane knobs: config anded with the process-wide
-  // kill switches, so either side can force the baseline path.
+  // Effective streaming-plane knobs: config combined with the remaining
+  // process-wide switches (audit, warm start, retry epoch).
   StreamingPlaneConfig plane_config = StreamingPlaneConfig::FromEnv();
-  plane_config.incremental &= config_.enable_incremental;
   plane_config.audit |= config_.audit_streaming;
   plane_config.warm_start &= config_.enable_warm_start;
-  const bool pipeline = config_.enable_pipeline &&
-                        std::getenv("CASC_NO_PIPELINE") == nullptr;
   // Pool-slice policy: when the pipeline is on, ingest runs concurrently
   // with the shard solvers, so the plane gets its own slice of the host
   // (what the shard executor does not use) instead of competing for the
-  // same cores. An explicit CASC_INGEST_THREADS always wins.
-  if (plane_config.incremental && plane_config.parallel_ingest &&
-      plane_config.ingest_threads <= 0) {
+  // same cores. An explicit ingest_threads always wins.
+  plane_config.ingest_threads = config_.ingest_threads;
+  if (plane_config.ingest_threads == 0) {
     const int hw = ThreadPool::DefaultThreads();
     plane_config.ingest_threads =
-        pipeline ? std::max(1, hw - config_.sharded.num_threads) : hw;
+        config_.enable_pipeline ? std::max(1, hw - config_.sharded.num_threads)
+                                : hw;
   }
 
   // Cross-batch pools and delta-maintained valid-pair rows.
@@ -333,7 +329,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   // its Instance and the solve-side workspace; the ingest only mutates
   // the plane, the cursor and the arrival buffers — no shared state, so
   // the join makes Commit() deterministic.
-  ThreadPool pipeline_pool(pipeline ? 2 : 1);
+  ThreadPool pipeline_pool(config_.enable_pipeline ? 2 : 1);
 
   std::vector<Worker> arrived_workers;
   std::vector<Task> arrived_tasks;
@@ -407,7 +403,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       solver_->SetSolveDelta(plane.BuildSolveDelta(instance));
 
       const double next_now = now + config_.batch_interval;
-      const bool overlap = pipeline && next_now < end;
+      const bool overlap = config_.enable_pipeline && next_now < end;
       Assignment assignment;
       double solve_seconds = 0.0;
       if (overlap) {
@@ -439,17 +435,8 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       BatchMetrics batch;
       batch.round = round;
       batch.now = now;
-      batch.num_workers = instance.num_workers();
-      batch.num_tasks = instance.num_tasks();
-      batch.valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
       batch.seconds = solve_seconds;
-      batch.score = TotalScore(instance, assignment);
-      batch.assigned_workers = assignment.NumAssigned();
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        if (assignment.GroupSize(t) >= instance.min_group_size()) {
-          ++batch.completed_tasks;
-        }
-      }
+      RecordBatchOutcome(instance, assignment, &batch);
       batch.ingest_seconds = ingest_seconds;
       batch.index_build_seconds = index_build_seconds;
       batch.ingest_splice_seconds = ingest_stats.splice_seconds;
@@ -462,15 +449,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       plane.Commit(instance, assignment, now + config_.task_duration);
 
       ServiceMetrics metrics = solver_->metrics();
-      // Per-batch solver convergence telemetry: invariant across thread
-      // counts and pipeline modes (the delta is mode-independent and the
-      // shard solves deterministic), so the combo-identity tests may
-      // compare it.
-      batch.gt_rounds = metrics.solve_rounds;
-      batch.solve_moves = metrics.solve_moves;
-      batch.dirty_workers = metrics.dirty_workers;
-      batch.dirty_fraction = metrics.dirty_fraction;
-      batch.warm_started = metrics.warm_started;
+      CopySolveTelemetry(metrics, &batch);
       metrics.admitted_tasks = instance.num_tasks();
       metrics.deferred_tasks = plane.num_deferred();
       metrics.queue_depth = plane.queue_depth_after_commit();

@@ -78,12 +78,12 @@ struct ServiceMetrics {
   double batch_seconds = 0.0;
   bool pipelined = false;  ///< ingest ran overlapped with the prior solve
 
-  /// Split of the incremental data-plane work (all zero in scratch
-  /// mode): delta splice into known rows, fresh rows for new workers and
-  /// the persistent spatial batch insert are parts of ingest_seconds;
+  /// Split of the streaming data-plane work (zero for RunBatch): delta
+  /// splice into known rows, fresh rows for new workers and the
+  /// persistent spatial batch insert are parts of ingest_seconds;
   /// csr_emit_seconds is the parallel CSR emission inside
   /// index_build_seconds. `ingest_threads` is the plane's resolved
-  /// fan-out width (1 = serial / CASC_NO_PARALLEL_INGEST).
+  /// fan-out width (1 = serial).
   double ingest_splice_seconds = 0.0;
   double ingest_fresh_rows_seconds = 0.0;
   double ingest_spatial_seconds = 0.0;
@@ -227,19 +227,18 @@ struct DispatchConfig {
   /// Admission budget: at most this many open tasks enter one batch
   /// (earliest deadline first; ties by task id). 0 = unlimited.
   /// Overflow tasks stay queued and carry to the next batch until their
-  /// deadlines expire, mirroring RunStreaming's carry-over.
+  /// deadlines expire.
   int max_tasks_per_batch = 0;
 
-  /// Delta-maintain the spatial index and valid-pair rows across the
-  /// streaming batches instead of rebuilding per batch. Anded with the
-  /// CASC_NO_INCREMENTAL kill switch at Run() time; either side can turn
-  /// it off. Never changes any output (differentially checked under
-  /// CASC_STREAM_AUDIT / audit_streaming).
-  bool enable_incremental = true;
+  /// Width of the streaming plane's ingest fan-out (splice, fresh rows,
+  /// CSR emission). 0 picks automatically: with the pipeline on, the
+  /// host's cores minus the shard threads (ingest then runs alongside the
+  /// solvers); with it off, all cores. 1 runs ingest serially. Outputs are
+  /// bit-identical at any width.
+  int ingest_threads = 0;
 
   /// Overlap batch N+1's ingest + incremental index maintenance with
-  /// batch N's solve on a two-slot pipeline. Anded with the
-  /// CASC_NO_PIPELINE kill switch at Run() time. The solved outputs are
+  /// batch N's solve on a two-slot pipeline. The solved outputs are
   /// bit-identical to the sequential loop (the solver never reads the
   /// mutating cross-batch state; see StreamingPlane's pipelining
   /// contract).
@@ -306,17 +305,19 @@ class DispatchService {
   DispatchResult RunBatch(std::vector<Worker> workers,
                           std::vector<Task> tasks, double now);
 
-  /// Streaming mode (Algorithm 1): drives batches over the stream's
-  /// arrivals with idle-worker/open-task carry-over, busy-worker
-  /// bookkeeping and the admission budget. Worker ids must be a
+  /// Streaming mode (Algorithm 1) — the library's one streaming loop:
+  /// drives batches over the stream's arrivals with idle-worker/open-task
+  /// carry-over, busy-worker bookkeeping and the admission budget; workers
+  /// of a started task return after task_duration. Worker ids must be a
   /// permutation of 0..num_workers-1 (EventStream::HasDenseWorkerIds).
+  /// With shards_per_side = 1 and no admission budget every batch is
+  /// solved exactly as the factory's assigner would solve it alone.
   ///
-  /// The cross-batch state lives in a StreamingPlane: incremental index
-  /// and valid-pair maintenance by default (enable_incremental /
-  /// CASC_NO_INCREMENTAL), and batch N+1's ingest overlapped with batch
-  /// N's solve (enable_pipeline / CASC_NO_PIPELINE). Assignments, scores
-  /// and carry-over are bit-identical across all four on/off
-  /// combinations and any thread count.
+  /// The cross-batch state lives in a StreamingPlane that delta-maintains
+  /// the spatial index and valid-pair rows; batch N+1's ingest overlaps
+  /// batch N's solve when enable_pipeline is set. Assignments, scores and
+  /// carry-over are bit-identical in both pipeline modes and at any
+  /// shard or ingest thread count.
   RunSummary Run(const EventStream& stream);
 
   /// Per-batch service metrics of the most recent Run()/RunBatch()

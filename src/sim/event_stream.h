@@ -63,14 +63,14 @@ class EventStream {
   /// smaller of the first worker arrival and the first task creation), or
   /// 0 when the stream is empty. A trace whose first event is a task
   /// therefore starts the batch clock at that task's creation time, not
-  /// at the first worker's arrival — the streaming loops rely on this to
+  /// at the first worker's arrival — the streaming loop relies on this to
   /// cover task-only leading intervals.
   double FirstEventTime() const;
 
   /// Latest event time over the merged worker-and-task timeline (the
   /// larger of the last worker arrival and the last task creation), or 0
   /// when the stream is empty. Task-only trailing intervals are covered:
-  /// the streaming loops run until LastEventTime() + one batch interval.
+  /// the streaming loop runs until LastEventTime() + one batch interval.
   double LastEventTime() const;
 
   size_t num_workers() const { return workers_.size(); }
@@ -78,8 +78,8 @@ class EventStream {
 
   /// True when the worker `.id` fields are exactly a permutation of
   /// 0..num_workers()-1 — the indexing invariant consumers that look up
-  /// cooperation qualities in a global matrix by `.id` (RunStreaming,
-  /// the dispatch service) rely on. O(num_workers).
+  /// cooperation qualities in a global matrix by `.id` (the dispatch
+  /// service's streaming loop) rely on. O(num_workers).
   bool HasDenseWorkerIds() const;
 
  private:

@@ -5,6 +5,10 @@
 #include <limits>
 #include <sstream>
 
+#include "model/assignment.h"
+#include "model/instance.h"
+#include "model/objective.h"
+
 namespace casc {
 namespace {
 
@@ -16,6 +20,21 @@ std::ostringstream MakeJsonStream() {
 }
 
 }  // namespace
+
+void RecordBatchOutcome(const Instance& instance, const Assignment& assignment,
+                        BatchMetrics* metrics) {
+  metrics->num_workers = instance.num_workers();
+  metrics->num_tasks = instance.num_tasks();
+  metrics->valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
+  metrics->score = TotalScore(instance, assignment);
+  metrics->assigned_workers = assignment.NumAssigned();
+  metrics->completed_tasks = 0;
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    if (assignment.GroupSize(t) >= instance.min_group_size()) {
+      ++metrics->completed_tasks;
+    }
+  }
+}
 
 std::string ToJson(const BatchMetrics& metrics) {
   std::ostringstream out = MakeJsonStream();

@@ -7,7 +7,10 @@
 
 namespace casc {
 
-/// Per-batch measurements collected by the runner.
+class Assignment;
+class Instance;
+
+/// Per-batch measurements of a streaming or round-protocol run.
 struct BatchMetrics {
   int round = 0;               ///< batch index
   double now = 0.0;            ///< batch timestamp phi
@@ -36,8 +39,8 @@ struct BatchMetrics {
   double ingest_seconds = 0.0;
   double index_build_seconds = 0.0;
 
-  /// Where the incremental plane spent the ingest/build time (all zero in
-  /// scratch mode): delta splice into known rows, fresh rows for new
+  /// Where the streaming plane spent the ingest/build time (zero outside
+  /// streaming runs): delta splice into known rows, fresh rows for new
   /// workers, the persistent spatial-index batch insert, and the CSR
   /// emission inside the valid-pair build. The first three are parts of
   /// ingest_seconds; csr_emit_seconds is part of index_build_seconds.
@@ -46,6 +49,13 @@ struct BatchMetrics {
   double ingest_spatial_seconds = 0.0;
   double csr_emit_seconds = 0.0;
 };
+
+/// Fills the outcome fields of one solved batch from its instance and
+/// assignment: num_workers, num_tasks, valid_pairs, score (Equation 3),
+/// assigned_workers and completed_tasks (groups of at least B). Every
+/// other field is left untouched.
+void RecordBatchOutcome(const Instance& instance, const Assignment& assignment,
+                        BatchMetrics* metrics);
 
 /// Aggregate of a multi-batch run.
 struct RunSummary {

@@ -1,8 +1,10 @@
 #include "sim/streaming_plane.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "model/objective.h"
 
@@ -29,15 +31,17 @@ StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
   config.backend = DefaultSpatialBackend();
   // Read at call time (not cached) so tests can flip the switches
   // between runs in one process.
-  config.incremental = std::getenv("CASC_NO_INCREMENTAL") == nullptr;
   config.audit = std::getenv("CASC_STREAM_AUDIT") != nullptr;
-  config.parallel_ingest = std::getenv("CASC_NO_PARALLEL_INGEST") == nullptr;
-  if (const char* threads = std::getenv("CASC_INGEST_THREADS")) {
-    config.ingest_threads = std::max(0, std::atoi(threads));
-  }
   config.warm_start = std::getenv("CASC_NO_WARM_START") == nullptr;
   if (const char* epoch = std::getenv("CASC_WARM_RETRY_EPOCH")) {
-    config.warm_retry_epoch = std::max(1, std::atoi(epoch));
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(epoch, &end, 10);
+    CASC_CHECK(end != epoch && *end == '\0' && errno == 0 && value >= 1 &&
+               value <= std::numeric_limits<int>::max())
+        << "CASC_WARM_RETRY_EPOCH must be a positive integer, got '" << epoch
+        << "'";
+    config.warm_retry_epoch = static_cast<int>(value);
   }
   return config;
 }
@@ -45,33 +49,29 @@ StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
 StreamingPlane::StreamingPlane(StreamingPlaneConfig config)
     : config_(config) {
   CASC_CHECK_GT(config_.rtree_rebuild_fraction, 0.0);
-  if (config_.incremental) {
-    switch (config_.backend) {
-      case SpatialBackend::kRTree: {
-        auto rtree = std::make_unique<RTree>();
-        task_rtree_ = rtree.get();
-        task_index_ = std::move(rtree);
-        break;
-      }
-      case SpatialBackend::kGridIndex:
-        task_index_ = std::make_unique<GridIndex>();
-        break;
-      case SpatialBackend::kLinearScan:
-        task_index_ = std::make_unique<LinearScan>();
-        break;
+  CASC_CHECK_GE(config_.ingest_threads, 0);
+  switch (config_.backend) {
+    case SpatialBackend::kRTree: {
+      auto rtree = std::make_unique<RTree>();
+      task_rtree_ = rtree.get();
+      task_index_ = std::move(rtree);
+      break;
     }
-    CASC_CHECK(task_index_ != nullptr);
-    if (config_.parallel_ingest) {
-      ingest_threads_ = config_.ingest_threads > 0
-                            ? config_.ingest_threads
-                            : ThreadPool::DefaultThreads();
-      ingest_threads_ = std::max(1, ingest_threads_);
-    }
-    if (ingest_threads_ > 1) {
-      ingest_pool_ = std::make_unique<ThreadPool>(ingest_threads_);
-    }
+    case SpatialBackend::kGridIndex:
+      task_index_ = std::make_unique<GridIndex>();
+      break;
+    case SpatialBackend::kLinearScan:
+      task_index_ = std::make_unique<LinearScan>();
+      break;
   }
-  slots_.resize(static_cast<size_t>(std::max(1, ingest_threads_)));
+  CASC_CHECK(task_index_ != nullptr);
+  ingest_threads_ = config_.ingest_threads > 0
+                        ? config_.ingest_threads
+                        : std::max(1, ThreadPool::DefaultThreads());
+  if (ingest_threads_ > 1) {
+    ingest_pool_ = std::make_unique<ThreadPool>(ingest_threads_);
+  }
+  slots_.resize(static_cast<size_t>(ingest_threads_));
 }
 
 StreamingPlane::~StreamingPlane() = default;
@@ -131,16 +131,6 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
     slot_of_handle_.push_back(static_cast<int32_t>(pool_tasks_.size()));
     pool_task_handles_.push_back(handle);
     pool_tasks_.push_back(task);
-  }
-
-  if (!config_.incremental) {
-    for (const Worker& worker : workers) {
-      const int32_t handle = static_cast<int32_t>(worker_store_.size());
-      worker_store_.push_back(worker);
-      rows_.emplace_back();
-      pool_worker_handles_.push_back(handle);
-    }
-    return;
   }
 
   Stopwatch phase;
@@ -234,11 +224,9 @@ void StreamingPlane::FlushReleases() {
 
 void StreamingPlane::RemoveTask(int32_t slot) {
   const int32_t handle = pool_task_handles_[static_cast<size_t>(slot)];
-  if (config_.incremental) {
-    const bool removed = task_index_->Remove(SpatialItem{
-        handle, pool_tasks_[static_cast<size_t>(slot)].location});
-    CASC_CHECK(removed) << "open task missing from the persistent index";
-  }
+  const bool removed = task_index_->Remove(
+      SpatialItem{handle, pool_tasks_[static_cast<size_t>(slot)].location});
+  CASC_CHECK(removed) << "open task missing from the persistent index";
   slot_of_handle_[static_cast<size_t>(handle)] = -1;
 }
 
@@ -377,11 +365,6 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   CASC_CHECK_EQ(instance->num_workers(),
                 static_cast<int>(pool_worker_handles_.size()));
   CASC_CHECK_EQ(instance->num_tasks(), admitted_count_);
-  if (!config_.incremental) {
-    // Scratch mode: the literal pre-existing rebuild-everything path.
-    instance->ComputeValidPairs(config_.backend, workspace);
-    return;
-  }
 
   const double now = instance->now();
   ValidPairIndex index = workspace != nullptr

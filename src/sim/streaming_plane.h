@@ -23,17 +23,10 @@ class ThreadPool;
 
 /// Configuration of the incremental streaming data plane.
 struct StreamingPlaneConfig {
-  /// Spatial backend for the persistent task index and the from-scratch
-  /// fallback. Every backend returns identical (id-sorted) query results,
-  /// so the choice never changes the produced valid-pair sets.
+  /// Spatial backend for the persistent task index and the audit's
+  /// from-scratch build. Every backend returns identical (id-sorted) query
+  /// results, so the choice never changes the produced valid-pair sets.
   SpatialBackend backend = SpatialBackend::kRTree;
-
-  /// Delta-maintain the valid-pair rows across batches (the whole point
-  /// of the plane). When false the plane only does pool bookkeeping and
-  /// BuildValidPairs() falls back to Instance::ComputeValidPairs() — the
-  /// exact pre-existing rebuild-everything path, used as the baseline and
-  /// reachable at runtime via CASC_NO_INCREMENTAL.
-  bool incremental = true;
 
   /// Differential self-check: after every incremental emission, also run
   /// the from-scratch build and CHECK the two CSR indexes are
@@ -47,24 +40,20 @@ struct StreamingPlaneConfig {
   /// rebuilds the persistent index from the live pool.
   double rtree_rebuild_fraction = 0.25;
 
-  /// Fan the per-worker splice, fresh-row and CSR-emission loops out over
-  /// an owned thread pool. Outputs are bit-identical on or off (the
-  /// partition only decides where a worker's row is processed, never what
-  /// it contains); kill switch: CASC_NO_PARALLEL_INGEST.
-  bool parallel_ingest = true;
-
-  /// Thread count for the ingest pool; 0 means pick automatically (the
-  /// dispatch service reserves the solver's shard threads and hands
-  /// ingest the rest; standalone planes use the hardware concurrency).
-  /// Ignored when parallel_ingest is false. Env: CASC_INGEST_THREADS.
+  /// Width of the owned pool the per-worker splice, fresh-row and
+  /// CSR-emission loops fan out over; 0 means the hardware concurrency.
+  /// 1 runs every loop inline without a pool. Outputs are bit-identical
+  /// at any width (the partition only decides where a worker's row is
+  /// processed, never what it contains). The dispatch service sets this
+  /// from DispatchConfig::ingest_threads.
   int ingest_threads = 0;
 
   /// Track the cross-batch assignment skeleton and publish a SolveDelta
   /// each batch (BuildSolveDelta) so warm-capable solvers seed from the
-  /// previous equilibrium. Works identically in incremental and scratch
-  /// modes — the delta is a pure function of the pool bookkeeping and the
-  /// built instance, never of how the valid pairs were computed, which is
-  /// what keeps warm runs bit-identical across every mode/thread combo.
+  /// previous equilibrium. The delta is a pure function of the pool
+  /// bookkeeping and the built instance, never of how the valid pairs
+  /// were computed or on how many threads, which is what keeps warm runs
+  /// bit-identical across every pipeline mode and thread count.
   /// Kill switch: CASC_NO_WARM_START (restores pre-warm behavior
   /// exactly: BuildSolveDelta returns null and solvers run cold).
   bool warm_start = true;
@@ -85,16 +74,14 @@ struct StreamingPlaneConfig {
   /// largest epoch that held solution quality within a few percent of
   /// cold on the pr10 feasibility-gap trace (longer epochs kept cutting
   /// solve time but delayed staffing enough to lose deadline-tight
-  /// tasks); override with CASC_WARM_RETRY_EPOCH.
+  /// tasks); override with CASC_WARM_RETRY_EPOCH (a positive integer;
+  /// anything else CHECK-fails).
   int warm_retry_epoch = 4;
 
   /// Defaults plus the process-wide runtime switches: backend from
-  /// DefaultSpatialBackend(), incremental off when CASC_NO_INCREMENTAL is
-  /// set, audit on when CASC_STREAM_AUDIT is set, parallel ingest off
-  /// when CASC_NO_PARALLEL_INGEST is set, thread count from
-  /// CASC_INGEST_THREADS when positive, warm start off when
-  /// CASC_NO_WARM_START is set, retry epoch from CASC_WARM_RETRY_EPOCH
-  /// when set.
+  /// DefaultSpatialBackend(), audit on when CASC_STREAM_AUDIT is set, warm
+  /// start off when CASC_NO_WARM_START is set, retry epoch from
+  /// CASC_WARM_RETRY_EPOCH when set.
   static StreamingPlaneConfig FromEnv();
 };
 
@@ -111,8 +98,8 @@ struct StreamingIngestStats {
   int64_t fresh_rejects = 0;     ///< splice-time deadline rejects (new)
 };
 
-/// Where one BuildValidPairs() call's emission time went (incremental
-/// mode only), plus its retention counters.
+/// Where one BuildValidPairs() call's emission time went, plus its
+/// retention counters.
 struct StreamingEmitStats {
   double csr_emit_seconds = 0.0;  ///< prune + sort + parallel CSR fill
   int64_t retained_entries = 0;   ///< row entries still alive
@@ -145,8 +132,7 @@ struct StreamingEmitStats {
 /// spells (rows of busy workers keep being spliced, so a returning worker
 /// needs no rebuild).
 ///
-/// One batch cycle, in order (matching the sequential loops of
-/// BatchRunner::RunStreaming and DispatchService::Run):
+/// One batch cycle, in order (DispatchService::Run's sequential loop):
 ///
 ///   Ingest(now, arrivals)        // appends workers, then tasks
 ///   StageReleases(now); FlushReleases();
@@ -168,7 +154,7 @@ struct StreamingEmitStats {
 /// [survivors][arrivals][earlier releases][just-returned workers]
 /// exactly; overlapping therefore never changes any output.
 ///
-/// Parallel ingest (config.parallel_ingest): the splice, fresh-row and
+/// Parallel ingest (config.ingest_threads): the splice, fresh-row and
 /// CSR-emission loops fan out over an owned pool, each thread processing
 /// a deterministic contiguous range of worker slots and writing only its
 /// own rows / flat ranges; counters merge in fixed chunk order after the
@@ -190,11 +176,11 @@ class StreamingPlane {
   StreamingPlane(const StreamingPlane&) = delete;
   StreamingPlane& operator=(const StreamingPlane&) = delete;
 
-  /// Appends this window's arrivals to the pools at batch time `now`.
-  /// Incremental mode also inserts the tasks into the persistent spatial
-  /// index, splices them into every known worker's row (one probe-index
-  /// query per worker) and computes fresh rows for the new workers (one
-  /// persistent-index query each).
+  /// Appends this window's arrivals to the pools at batch time `now`,
+  /// inserts the tasks into the persistent spatial index, splices them
+  /// into every known worker's row (one probe-index query per worker) and
+  /// computes fresh rows for the new workers (one persistent-index query
+  /// each).
   void Ingest(double now, std::span<const Worker> workers,
               std::span<const Task> tasks);
 
@@ -246,12 +232,11 @@ class StreamingPlane {
   /// Copies the admitted tasks (in instance order) into `out`.
   void MaterializeAdmittedTasks(std::vector<Task>* out) const;
 
-  /// Fills `instance`'s valid pairs: incremental emission from the
-  /// maintained rows (audited against a from-scratch build when
-  /// configured), or Instance::ComputeValidPairs() in scratch mode. The
+  /// Fills `instance`'s valid pairs by emission from the maintained rows
+  /// (audited against Instance::ComputeValidPairs() when configured). The
   /// instance must have been materialized from this plane's current
   /// pools/admission. The emitted CSR is byte-identical to the
-  /// from-scratch build in either mode.
+  /// from-scratch build.
   void BuildValidPairs(Instance* instance, BatchWorkspace* workspace);
 
   /// Publishes the cross-batch warm-start delta for the instance about to
@@ -281,15 +266,13 @@ class StreamingPlane {
   /// Tombstone-triggered rebuilds of the persistent R-tree so far.
   int64_t spatial_rebuilds() const { return spatial_rebuilds_; }
 
-  /// Resolved ingest-pool width (1 when parallel ingest is off or the
-  /// plane is in scratch mode).
+  /// Resolved ingest-pool width (1 = every loop inline).
   int ingest_threads() const { return ingest_threads_; }
 
   /// Phase timings/counters of the most recent Ingest() call.
   const StreamingIngestStats& ingest_stats() const { return ingest_stats_; }
 
-  /// Emission timings/counters of the most recent BuildValidPairs() call
-  /// (zeroed in scratch mode).
+  /// Emission timings/counters of the most recent BuildValidPairs() call.
   const StreamingEmitStats& emit_stats() const { return emit_stats_; }
 
  private:
@@ -359,7 +342,6 @@ class StreamingPlane {
   std::vector<int32_t> staged_releases_;
 
   /// Persistent spatial index over the open tasks (keyed by handle).
-  /// Null in scratch mode.
   std::unique_ptr<SpatialIndex> task_index_;
   RTree* task_rtree_ = nullptr;  ///< downcast when backend == kRTree
   int64_t spatial_rebuilds_ = 0;

@@ -391,6 +391,33 @@ TEST(FlagParserTest, UsageListsFlags) {
   EXPECT_NE(usage.find("how many workers"), std::string::npos);
 }
 
+TEST(FlagParserTest, ParseOrExitReturnsOnValidFlags) {
+  FlagParser flags;
+  flags.DefineInt64("workers", 10, "how many workers");
+  const char* argv[] = {"prog", "--workers=5"};
+  flags.ParseOrExit(2, argv);
+  EXPECT_EQ(flags.GetInt64("workers"), 5);
+}
+
+TEST(FlagParserDeathTest, ParseOrExitReportsUnknownFlag) {
+  FlagParser flags;
+  flags.DefineInt64("workers", 10, "how many workers");
+  const char* argv[] = {"bench/bench_fig7", "--mystery=1"};
+  // The Status message, then the usage named after argv[0]'s basename.
+  EXPECT_EXIT(flags.ParseOrExit(2, argv), ::testing::ExitedWithCode(1),
+              "unknown flag --mystery\n"
+              "usage: bench_fig7 \\[flags\\]\n"
+              "  --workers \\(int64\\): how many workers");
+}
+
+TEST(FlagParserDeathTest, ParseOrExitReportsMalformedValue) {
+  FlagParser flags;
+  flags.DefineDouble("epsilon", 0.05, "TSI stop threshold");
+  const char* argv[] = {"prog", "--epsilon=fast"};
+  EXPECT_EXIT(flags.ParseOrExit(2, argv), ::testing::ExitedWithCode(1),
+              "flag --epsilon: bad double value 'fast'.*usage: prog");
+}
+
 // ---------------------------------------------------------------------------
 // Logging
 // ---------------------------------------------------------------------------

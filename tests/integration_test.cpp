@@ -136,9 +136,12 @@ TEST_P(ComparisonTest, AllBatchesValidatedAndTimed) {
   const auto results = RunComparison(settings, kind, AllApproaches());
   for (const auto& result : results) {
     ASSERT_EQ(result.summary.batches.size(), 3u) << result.name;
-    for (const auto& batch : result.summary.batches) {
+    for (size_t r = 0; r < result.summary.batches.size(); ++r) {
+      const BatchMetrics& batch = result.summary.batches[r];
+      EXPECT_EQ(batch.round, static_cast<int>(r));
       EXPECT_GE(batch.seconds, 0.0);
       EXPECT_GE(batch.score, 0.0);
+      EXPECT_LE(batch.score, batch.upper_bound + 1e-9) << result.name;
       EXPECT_EQ(batch.num_workers, 120);
       EXPECT_EQ(batch.num_tasks, 40);
     }

@@ -12,7 +12,6 @@
 #include "gen/synthetic.h"
 #include "model/objective.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
 
 namespace casc {
@@ -331,35 +330,63 @@ struct ServiceFixture {
   }
 };
 
-TEST(DispatchServiceTest, StreamingAtS1MatchesBatchRunner) {
-  // With one shard and no admission budget the service's streaming loop
-  // must reproduce BatchRunner::RunStreaming exactly, batch by batch.
+/// Batch solver for the service's seam that runs the built-in engine and,
+/// on the same instance and warm-start delta, the factory's assigner
+/// alone, counting the batches where the two assignments differ.
+class MonolithicCrossCheck : public ShardedBatchSolver {
+ public:
+  explicit MonolithicCrossCheck(ShardedAssigner* engine) : engine_(engine) {}
+
+  Assignment Solve(const Instance& instance) override {
+    GtAssigner monolithic;
+    monolithic.set_solve_delta(delta_);
+    const Assignment expected = monolithic.Run(instance);
+    Assignment actual = engine_->Solve(instance);
+    if (actual.Pairs() != expected.Pairs()) ++mismatches;
+    if (delta_ != nullptr) ++warm_batches;
+    ++batches;
+    return actual;
+  }
+  const ServiceMetrics& metrics() const override {
+    return engine_->metrics();
+  }
+  void AttachWorkspace(BatchWorkspace* workspace) override {
+    engine_->AttachWorkspace(workspace);
+  }
+  void SetSolveDelta(const SolveDelta* delta) override {
+    delta_ = delta;
+    engine_->SetSolveDelta(delta);
+  }
+
+  int batches = 0;
+  int warm_batches = 0;
+  int mismatches = 0;
+
+ private:
+  ShardedAssigner* engine_;
+  const SolveDelta* delta_ = nullptr;
+};
+
+TEST(DispatchServiceTest, StreamingAtS1SolvesEachBatchLikeTheAssignerAlone) {
+  // With one shard and no admission budget the streaming loop is the
+  // plain Algorithm 1 loop: every batch, warm-started or cold, must get
+  // exactly the assignment the factory's assigner produces on its own.
   const ServiceFixture fixture(50, 16, 4.0, 101);
   const EventStream stream(fixture.workers, fixture.tasks);
-
-  GtAssigner monolithic;
-  BatchRunnerConfig runner_config;
-  runner_config.min_group_size = 3;
-  const BatchRunner runner(runner_config);
-  const RunSummary expected =
-      runner.RunStreaming(stream, fixture.coop, &monolithic);
 
   DispatchConfig config;
   config.sharded = MakeOptions(1, 2);
   config.min_group_size = 3;
   DispatchService service(config, &fixture.coop, GtFactory());
-  const RunSummary actual = service.Run(stream);
+  MonolithicCrossCheck check(&service.sharded_assigner());
+  service.set_batch_solver(&check);
+  const RunSummary summary = service.Run(stream);
 
-  ASSERT_EQ(actual.batches.size(), expected.batches.size());
-  for (size_t i = 0; i < expected.batches.size(); ++i) {
-    EXPECT_EQ(actual.batches[i].round, expected.batches[i].round);
-    EXPECT_DOUBLE_EQ(actual.batches[i].score, expected.batches[i].score);
-    EXPECT_EQ(actual.batches[i].assigned_workers,
-              expected.batches[i].assigned_workers);
-    EXPECT_EQ(actual.batches[i].completed_tasks,
-              expected.batches[i].completed_tasks);
-  }
-  EXPECT_EQ(service.batch_metrics().size(), actual.batches.size());
+  ASSERT_FALSE(summary.batches.empty());
+  EXPECT_EQ(check.batches, static_cast<int>(summary.batches.size()));
+  EXPECT_GT(check.warm_batches, 0);
+  EXPECT_EQ(check.mismatches, 0);
+  EXPECT_EQ(service.batch_metrics().size(), summary.batches.size());
 }
 
 TEST(DispatchServiceTest, StreamingCarriesAdmissionOverflow) {
@@ -489,15 +516,26 @@ TEST(DispatchServiceDeathTest, StreamingRejectsNonDenseWorkerIds) {
   EXPECT_DEATH({ (void)service.Run(stream); }, "permutation");
 }
 
-TEST(BatchRunnerDeathTest, StreamingRejectsNonDenseWorkerIds) {
+TEST(DispatchServiceDeathTest, StreamingRejectsDuplicateWorkerIds) {
   std::vector<Worker> workers = {Worker{1, {0.5, 0.5}, 1.0, 1.0, 0.0},
                                  Worker{1, {0.5, 0.5}, 1.0, 1.0, 0.0}};
   const EventStream stream(std::move(workers), {});
   const CooperationMatrix coop(2, 0.5);
-  GtAssigner gt;
-  const BatchRunner runner(BatchRunnerConfig{});
-  EXPECT_DEATH({ (void)runner.RunStreaming(stream, coop, &gt); },
-               "permutation");
+  DispatchConfig config;
+  config.sharded = MakeOptions(1, 1);
+  DispatchService service(config, &coop, GtFactory());
+  EXPECT_DEATH({ (void)service.Run(stream); }, "permutation");
+}
+
+TEST(DispatchServiceDeathTest, StreamingRejectsTooSmallCooperationMatrix) {
+  std::vector<Worker> workers = {Worker{0, {0.5, 0.5}, 1.0, 1.0, 0.0},
+                                 Worker{1, {0.5, 0.5}, 1.0, 1.0, 0.0}};
+  const EventStream stream(std::move(workers), {});
+  const CooperationMatrix coop(1, 0.5);
+  DispatchConfig config;
+  config.sharded = MakeOptions(1, 1);
+  DispatchService service(config, &coop, GtFactory());
+  EXPECT_DEATH({ (void)service.Run(stream); }, "smaller than the stream");
 }
 
 }  // namespace

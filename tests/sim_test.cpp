@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
-#include "algo/gt_assigner.h"
 #include "algo/tpg_assigner.h"
 #include "common/rng.h"
-#include "gen/synthetic.h"
-#include "gen/workload.h"
-#include "sim/batch_runner.h"
+#include "model/objective.h"
+#include "service/dispatch_service.h"
 #include "sim/event_stream.h"
 #include "sim/metrics.h"
 #include "sim/rating_model.h"
@@ -48,6 +48,40 @@ TEST(MetricsTest, EmptySummary) {
   EXPECT_DOUBLE_EQ(summary.TotalScore(), 0.0);
   EXPECT_DOUBLE_EQ(summary.AvgBatchSeconds(), 0.0);
   EXPECT_DOUBLE_EQ(summary.MaxBatchSeconds(), 0.0);
+}
+
+TEST(MetricsTest, RecordBatchOutcomeFillsOnlyOutcomeFields) {
+  // Four co-located workers and two tasks: task 0 gets a full group of
+  // three, task 1 a lone worker (below B = 3, so not completed).
+  std::vector<Worker> workers;
+  for (int i = 0; i < 4; ++i) {
+    workers.push_back(Worker{i, {0.5, 0.5}, 1.0, 1.0, 0.0});
+  }
+  std::vector<Task> tasks = {Task{0, {0.5, 0.5}, 0.0, 9.0, 3},
+                             Task{1, {0.5, 0.5}, 0.0, 9.0, 3}};
+  Instance instance(std::move(workers), std::move(tasks),
+                    CooperationMatrix(4, 0.5), 0.0, 3);
+  instance.ComputeValidPairs();
+  Assignment assignment(instance);
+  assignment.Assign(0, 0);
+  assignment.Assign(1, 0);
+  assignment.Assign(2, 0);
+  assignment.Assign(3, 1);
+
+  BatchMetrics metrics;
+  metrics.round = 7;
+  metrics.seconds = 0.25;
+  metrics.completed_tasks = 99;  // overwritten, not accumulated
+  RecordBatchOutcome(instance, assignment, &metrics);
+  EXPECT_EQ(metrics.num_workers, 4);
+  EXPECT_EQ(metrics.num_tasks, 2);
+  EXPECT_EQ(metrics.valid_pairs, 8);
+  EXPECT_EQ(metrics.assigned_workers, 4);
+  EXPECT_EQ(metrics.completed_tasks, 1);
+  EXPECT_EQ(metrics.score, TotalScore(instance, assignment));
+  EXPECT_GT(metrics.score, 0.0);
+  EXPECT_EQ(metrics.round, 7);
+  EXPECT_EQ(metrics.seconds, 0.25);
 }
 
 TEST(MetricsTest, MeanAndStdDev) {
@@ -173,46 +207,23 @@ TEST(MetricsTest, SummaryToJsonHasAggregatesAndBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchRunner: round mode
+// Streaming mode (Algorithm 1): the dispatch service at one shard with no
+// admission budget
 // ---------------------------------------------------------------------------
 
-TEST(BatchRunnerTest, RoundModeRunsConfiguredRounds) {
-  SyntheticInstanceConfig config;
-  config.num_workers = 40;
-  config.num_tasks = 12;
-  SyntheticSource source(config, 5);
-  TpgAssigner tpg;
-  BatchRunnerConfig runner_config;
-  runner_config.rounds = 4;
-  const BatchRunner runner(runner_config);
-  const RunSummary summary = runner.RunRounds(&source, &tpg);
-  ASSERT_EQ(summary.batches.size(), 4u);
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(summary.batches[static_cast<size_t>(r)].round, r);
-    EXPECT_EQ(summary.batches[static_cast<size_t>(r)].num_workers, 40);
-    EXPECT_GE(summary.batches[static_cast<size_t>(r)].score, 0.0);
-  }
+RunSummary RunStream(const EventStream& stream, const CooperationMatrix& coop,
+                     AssignerFactory factory, double task_duration = 1.0) {
+  DispatchConfig config;
+  config.sharded.shards_per_side = 1;
+  config.min_group_size = 3;
+  config.task_duration = task_duration;
+  DispatchService service(config, &coop, std::move(factory));
+  return service.Run(stream);
 }
 
-TEST(BatchRunnerTest, UpperBoundComputedOnRequest) {
-  SyntheticInstanceConfig config;
-  config.num_workers = 30;
-  config.num_tasks = 10;
-  SyntheticSource source(config, 6);
-  TpgAssigner tpg;
-  BatchRunnerConfig runner_config;
-  runner_config.rounds = 2;
-  runner_config.compute_upper_bound = true;
-  const BatchRunner runner(runner_config);
-  const RunSummary summary = runner.RunRounds(&source, &tpg);
-  for (const auto& batch : summary.batches) {
-    EXPECT_GE(batch.upper_bound + 1e-9, batch.score);
-  }
+AssignerFactory Tpg() {
+  return [] { return std::make_unique<TpgAssigner>(); };
 }
-
-// ---------------------------------------------------------------------------
-// BatchRunner: streaming mode (Algorithm 1)
-// ---------------------------------------------------------------------------
 
 /// Builds a streaming scenario: `m` workers arriving across [0, horizon),
 /// `n` tasks likewise, on a single global cooperation matrix.
@@ -226,7 +237,7 @@ struct StreamingFixture {
     Rng rng(seed);
     for (int i = 0; i < m; ++i) {
       Worker worker;
-      worker.id = i;  // global index, required by RunStreaming
+      worker.id = i;  // global index, required by the streaming loop
       worker.location = {rng.Uniform(), rng.Uniform()};
       worker.speed = 0.2;
       worker.radius = 0.5;
@@ -250,15 +261,10 @@ struct StreamingFixture {
   }
 };
 
-TEST(BatchRunnerTest, StreamingProcessesArrivals) {
+TEST(StreamingLoopTest, ProcessesArrivals) {
   const StreamingFixture fixture(60, 20, 5.0, 77);
   const EventStream stream(fixture.workers, fixture.tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  const BatchRunner runner(config);
-  const RunSummary summary =
-      runner.RunStreaming(stream, fixture.coop, &tpg);
+  const RunSummary summary = RunStream(stream, fixture.coop, Tpg());
   EXPECT_GT(summary.batches.size(), 0u);
   EXPECT_GT(summary.TotalScore(), 0.0);
   // A worker can serve at most one task per batch; totals stay bounded.
@@ -266,7 +272,7 @@ TEST(BatchRunnerTest, StreamingProcessesArrivals) {
             static_cast<int64_t>(summary.batches.size()) * 60);
 }
 
-TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
+TEST(StreamingLoopTest, RespectsDeadlinesAcrossBatches) {
   // One task with a deadline before the second batch: it must never be
   // assigned after expiring.
   std::vector<Worker> workers = {Worker{0, {0.5, 0.5}, 0.001, 1.0, 0.0},
@@ -277,11 +283,7 @@ TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
                              Task{1, {0.9, 0.9}, 0.0, 10.0, 3}};
   CooperationMatrix coop(3, 0.8);
   const EventStream stream(workers, tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary = RunStream(stream, coop, Tpg());
   // Task 0 (deadline 0.5) is assignable only in the first batch (t=0).
   for (const auto& batch : summary.batches) {
     if (batch.now > 0.5) {
@@ -290,7 +292,7 @@ TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
   }
 }
 
-TEST(BatchRunnerTest, StreamingWorkersReturnAfterTaskDuration) {
+TEST(StreamingLoopTest, WorkersReturnAfterTaskDuration) {
   // 3 workers, 2 identical tasks appearing at t=0 and t=2. With task
   // duration 1 and batch interval 1, the same workers can serve both.
   std::vector<Worker> workers = {Worker{0, {0.5, 0.5}, 1.0, 1.0, 0.0},
@@ -300,12 +302,8 @@ TEST(BatchRunnerTest, StreamingWorkersReturnAfterTaskDuration) {
                              Task{1, {0.5, 0.5}, 2.0, 12.0, 3}};
   CooperationMatrix coop(3, 0.9);
   const EventStream stream(workers, tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 1.0;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary =
+      RunStream(stream, coop, Tpg(), /*task_duration=*/1.0);
   EXPECT_EQ(summary.TotalCompletedTasks(), 2);
 }
 
@@ -395,12 +393,10 @@ TEST(LearningLoopTest, BelievedQualitiesStartAtOmega) {
   }
 }
 
-TEST(BatchRunnerTest, StreamingEmptyStream) {
+TEST(StreamingLoopTest, EmptyStream) {
   const EventStream stream({}, {});
-  TpgAssigner tpg;
-  const BatchRunner runner(BatchRunnerConfig{});
-  const RunSummary summary =
-      runner.RunStreaming(stream, CooperationMatrix(0), &tpg);
+  const CooperationMatrix coop(0);
+  const RunSummary summary = RunStream(stream, coop, Tpg());
   EXPECT_DOUBLE_EQ(summary.TotalScore(), 0.0);
 }
 

@@ -1,11 +1,12 @@
 // Bit-identity tests for the incremental streaming data plane: the
-// delta-maintained StreamingPlane and the pipelined dispatch loop must
-// produce exactly the outputs of the rebuild-everything sequential path,
-// across every {incremental, pipeline} combination and thread count.
+// delta-maintained StreamingPlane must emit exactly the valid pairs of a
+// from-scratch build on every batch (audited), and the dispatch loop must
+// produce identical outputs in both pipeline modes and at any shard or
+// ingest thread count.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,39 +16,10 @@
 #include "gen/trace.h"
 #include "model/cooperation_matrix.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
 
 namespace casc {
 namespace {
-
-// Scoped environment override; restores the prior state on destruction
-// so env-driven kill switches never leak across tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_;
-  std::string old_;
-};
 
 struct StreamFixture {
   Trace trace;
@@ -84,8 +56,8 @@ StreamFixture MakeLongFixture(uint64_t seed, double horizon = 270.0,
   return fixture;
 }
 
-/// Exact equality over everything except wall times: if the incremental
-/// or pipelined path diverges by one ULP anywhere, this fails.
+/// Exact equality over everything except wall times: if a pipelined or
+/// multi-threaded run diverges by one ULP anywhere, this fails.
 void ExpectIdenticalBatches(const RunSummary& expected,
                             const RunSummary& actual,
                             const std::string& label) {
@@ -197,42 +169,40 @@ TEST(EventStreamTest, FirstAndLastEventTimeCoverTaskOnlyIntervals) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchRunner::RunStreaming: incremental vs. scratch (200+ batches)
+// Audited monolithic stream: the delta-maintained CSR equals the scratch
+// build on every one of 200+ batches
 // ---------------------------------------------------------------------------
 
-TEST(StreamingIncrementalTest, RunStreamingIdenticalAcrossIncrementalOnOff) {
+TEST(StreamingIncrementalTest, AuditedStreamMatchesScratchBuildEveryBatch) {
   const StreamFixture fixture = MakeLongFixture(601);
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
 
-  RunSummary scratch;
-  {
-    ScopedEnv off("CASC_NO_INCREMENTAL", "1");
-    TpgAssigner tpg;
-    scratch = runner.RunStreaming(stream, fixture.coop, &tpg);
-  }
-  ASSERT_GE(scratch.batches.size(), 200u) << "trace too short for the test";
+  auto run = [&](bool audit) {
+    DispatchConfig config;
+    config.sharded.shards_per_side = 1;
+    config.min_group_size = 3;
+    config.task_duration = 2.0;
+    config.audit_streaming = audit;
+    DispatchService service(config, &fixture.coop,
+                            [] { return std::make_unique<TpgAssigner>(); });
+    return service.Run(stream);
+  };
 
-  RunSummary incremental;
-  {
-    ScopedEnv on("CASC_NO_INCREMENTAL", nullptr);
-    // The audit mode additionally CHECKs every incrementally-built CSR
-    // index byte-for-byte against a from-scratch build inside the run.
-    ScopedEnv audit("CASC_STREAM_AUDIT", "1");
-    TpgAssigner tpg;
-    incremental = runner.RunStreaming(stream, fixture.coop, &tpg);
-  }
-  ExpectIdenticalBatches(scratch, incremental, "incremental-vs-scratch");
-  EXPECT_GT(incremental.TotalScore(), 0.0);
+  // The audit CHECKs every incrementally-built CSR index byte-for-byte
+  // against Instance::ComputeValidPairs() inside the run, so a pass means
+  // every batch solved exactly the instance a per-batch rebuild would
+  // have produced.
+  const RunSummary audited = run(true);
+  ASSERT_GE(audited.batches.size(), 200u) << "trace too short for the test";
+  EXPECT_GT(audited.TotalScore(), 0.0);
+  // The audit only reads: the audited run's outputs equal a plain run's.
+  ExpectIdenticalBatches(run(false), audited, "audited-vs-plain");
 }
 
 // ---------------------------------------------------------------------------
-// DispatchService::Run: {incremental} x {pipeline} x threads (200+ batches)
+// DispatchService::Run: {pipeline} x shard threads (200+ batches)
 // ---------------------------------------------------------------------------
 
 TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
@@ -240,20 +210,15 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  // Make sure the env kill switches don't mask the config flags we are
-  // exercising.
-  ScopedEnv no_inc("CASC_NO_INCREMENTAL", nullptr);
-  ScopedEnv no_pipe("CASC_NO_PIPELINE", nullptr);
 
-  auto run = [&](bool incremental, bool pipeline, int threads,
-                 bool audit, std::vector<ServiceMetrics>* service_out) {
+  auto run = [&](bool pipeline, int threads, bool audit,
+                 std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
     config.sharded.num_threads = threads;
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.enable_incremental = incremental;
     config.enable_pipeline = pipeline;
     config.audit_streaming = audit;
     DispatchService service(
@@ -264,32 +229,27 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
     return summary;
   };
 
+  // Sequential, single-threaded and audited against the scratch build.
   std::vector<ServiceMetrics> baseline_service;
-  const RunSummary baseline =
-      run(false, false, 1, false, &baseline_service);
+  const RunSummary baseline = run(false, 1, true, &baseline_service);
   ASSERT_GE(baseline.batches.size(), 200u) << "trace too short";
 
   struct Combo {
-    bool incremental;
     bool pipeline;
     int threads;
-    bool audit;
   };
   const std::vector<Combo> combos = {
-      {true, false, 1, true},   // incremental alone, audited
-      {false, true, 1, false},  // pipeline alone
-      {true, true, 1, false},   // both
-      {true, true, 4, false},   // both, multi-threaded shards
+      {true, 1},   // pipeline alone
+      {false, 4},  // multi-threaded shards alone
+      {true, 4},   // both
   };
   for (const Combo& combo : combos) {
     const std::string label =
-        std::string("inc=") + (combo.incremental ? "1" : "0") +
-        " pipe=" + (combo.pipeline ? "1" : "0") +
+        std::string("pipe=") + (combo.pipeline ? "1" : "0") +
         " threads=" + std::to_string(combo.threads);
     std::vector<ServiceMetrics> service_metrics;
     const RunSummary actual =
-        run(combo.incremental, combo.pipeline, combo.threads,
-            combo.audit, &service_metrics);
+        run(combo.pipeline, combo.threads, false, &service_metrics);
     ExpectIdenticalBatches(baseline, actual, label);
     // Admission-queue state must also carry over identically.
     ASSERT_EQ(service_metrics.size(), baseline_service.size()) << label;
@@ -307,27 +267,30 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
   }
 }
 
-TEST(StreamingIncrementalTest, KillSwitchesDisablePipelineAndIncremental) {
+TEST(StreamingIncrementalTest, PipelineFlagControlsOverlap) {
   const StreamFixture fixture = MakeLongFixture(603, /*horizon=*/30.0);
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  DispatchConfig config;
-  config.sharded.shards_per_side = 1;
-  config.min_group_size = 3;
-  config.enable_incremental = true;
-  config.enable_pipeline = true;
 
-  ScopedEnv no_inc("CASC_NO_INCREMENTAL", "1");
-  ScopedEnv no_pipe("CASC_NO_PIPELINE", "1");
-  DispatchService service(config, &fixture.coop,
-                          [] { return std::make_unique<GtAssigner>(); });
-  const RunSummary summary = service.Run(stream);
-  EXPECT_FALSE(summary.batches.empty());
-  // With the pipeline killed, no batch may report overlapped ingest.
-  for (const ServiceMetrics& metrics : service.batch_metrics()) {
-    EXPECT_FALSE(metrics.pipelined);
-  }
+  auto overlapped_batches = [&](bool pipeline) {
+    DispatchConfig config;
+    config.sharded.shards_per_side = 1;
+    config.min_group_size = 3;
+    config.enable_pipeline = pipeline;
+    DispatchService service(config, &fixture.coop,
+                            [] { return std::make_unique<GtAssigner>(); });
+    EXPECT_FALSE(service.Run(stream).batches.empty());
+    int overlapped = 0;
+    for (const ServiceMetrics& metrics : service.batch_metrics()) {
+      if (metrics.pipelined) ++overlapped;
+    }
+    return overlapped;
+  };
+  // With the pipeline off, no batch may report overlapped ingest; with it
+  // on, the carry-over-heavy trace overlaps most batches.
+  EXPECT_EQ(overlapped_batches(false), 0);
+  EXPECT_GT(overlapped_batches(true), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,21 +302,20 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  ScopedEnv no_inc("CASC_NO_INCREMENTAL", nullptr);
-  ScopedEnv no_pipe("CASC_NO_PIPELINE", nullptr);
-  // Audit mode CHECKs every incrementally-built CSR index byte-for-byte
+
+  // The audit CHECKs every incrementally-built CSR index byte-for-byte
   // against a from-scratch build inside each run, so a sweep pass means
   // the parallel emission produced the exact serial bytes.
-  ScopedEnv audit("CASC_STREAM_AUDIT", "1");
-
-  auto run = [&](bool pipeline, std::vector<ServiceMetrics>* service_out) {
+  auto run = [&](int ingest_threads, bool pipeline,
+                 std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.enable_incremental = true;
+    config.ingest_threads = ingest_threads;
     config.enable_pipeline = pipeline;
+    config.audit_streaming = true;
     DispatchService service(config, &fixture.coop,
                             [] { return std::make_unique<GtAssigner>(); });
     RunSummary summary = service.Run(stream);
@@ -361,27 +323,17 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
     return summary;
   };
 
-  // Serial reference: the fan-out disabled outright by the kill switch.
-  RunSummary serial;
+  // Serial reference: width 1 runs every ingest loop inline, no pool.
   std::vector<ServiceMetrics> serial_service;
-  {
-    ScopedEnv off("CASC_NO_PARALLEL_INGEST", "1");
-    serial = run(false, &serial_service);
-  }
+  const RunSummary serial = run(1, false, &serial_service);
   ASSERT_GE(serial.batches.size(), 200u) << "trace too short for the test";
-  for (const ServiceMetrics& metrics : serial_service) {
-    ASSERT_EQ(metrics.ingest_threads, 1);
-  }
 
-  ScopedEnv on("CASC_NO_PARALLEL_INGEST", nullptr);
   for (const int threads : {1, 2, 4, 8}) {
-    const std::string value = std::to_string(threads);
-    ScopedEnv thread_env("CASC_INGEST_THREADS", value.c_str());
     for (const bool pipeline : {false, true}) {
-      const std::string label =
-          "ingest_threads=" + value + " pipe=" + (pipeline ? "1" : "0");
+      const std::string label = "ingest_threads=" + std::to_string(threads) +
+                                " pipe=" + (pipeline ? "1" : "0");
       std::vector<ServiceMetrics> service_metrics;
-      const RunSummary actual = run(pipeline, &service_metrics);
+      const RunSummary actual = run(threads, pipeline, &service_metrics);
       ExpectIdenticalBatches(serial, actual, label);
       ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
       for (const ServiceMetrics& metrics : service_metrics) {
@@ -396,14 +348,11 @@ TEST(ParallelIngestTest, IngestPhaseSplitReported) {
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  ScopedEnv no_inc("CASC_NO_INCREMENTAL", nullptr);
-  ScopedEnv parallel("CASC_NO_PARALLEL_INGEST", nullptr);
-  ScopedEnv threads("CASC_INGEST_THREADS", "4");
 
   DispatchConfig config;
   config.sharded.shards_per_side = 1;
   config.min_group_size = 3;
-  config.enable_incremental = true;
+  config.ingest_threads = 4;
   config.enable_pipeline = false;  // splits nest inside ingest_seconds
   DispatchService service(config, &fixture.coop,
                           [] { return std::make_unique<GtAssigner>(); });

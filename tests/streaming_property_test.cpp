@@ -1,9 +1,12 @@
-// Property tests for the streaming batch framework (Algorithm 1) driven
-// by generated Poisson traces: conservation of workers, deadline and
-// capacity discipline, and consistency between metrics and commitments.
+// Property tests for the streaming batch framework (Algorithm 1) — the
+// dispatch service's streaming loop at one shard with no admission budget
+// — driven by generated Poisson traces: conservation of workers, deadline
+// and capacity discipline, and consistency between metrics and
+// commitments.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,10 +15,25 @@
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "gen/trace.h"
-#include "sim/batch_runner.h"
+#include "service/dispatch_service.h"
 
 namespace casc {
 namespace {
+
+RunSummary RunStream(const EventStream& stream, const CooperationMatrix& coop,
+                     AssignerFactory factory, int min_group = 3,
+                     double task_duration = 1.0) {
+  DispatchConfig config;
+  config.sharded.shards_per_side = 1;
+  config.min_group_size = min_group;
+  config.task_duration = task_duration;
+  DispatchService service(config, &coop, std::move(factory));
+  return service.Run(stream);
+}
+
+AssignerFactory Tpg() {
+  return [] { return std::make_unique<TpgAssigner>(); };
+}
 
 struct StreamCase {
   std::string name;
@@ -67,12 +85,8 @@ TEST_P(StreamingPropertyTest, ConservationAndDiscipline) {
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC0);
   const EventStream stream(trace.workers, trace.tasks);
 
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = param.min_group;
-  config.task_duration = param.task_duration;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary = RunStream(stream, coop, Tpg(), param.min_group,
+                                       param.task_duration);
 
   int64_t total_started_tasks = 0;
   for (const auto& batch : summary.batches) {
@@ -107,12 +121,8 @@ TEST_P(StreamingPropertyTest, BusyWorkersNeverDoubleBook) {
   const CooperationMatrix coop =
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC1);
   const EventStream stream(trace.workers, trace.tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = param.min_group;
-  config.task_duration = param.task_duration;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary = RunStream(stream, coop, Tpg(), param.min_group,
+                                       param.task_duration);
 
   // Reconstruct the busy ledger from the metrics: workers assigned at
   // batch time T are busy for ceil(task_duration) subsequent batches.
@@ -164,12 +174,11 @@ TEST(StreamingGtTest, GtAndTpgBothRunTheFramework) {
     }
   }
   const EventStream stream(trace.workers, trace.tasks);
-  const BatchRunner runner(BatchRunnerConfig{});
 
-  TpgAssigner tpg;
-  GtAssigner gt;
-  const double tpg_score = runner.RunStreaming(stream, coop, &tpg).TotalScore();
-  const double gt_score = runner.RunStreaming(stream, coop, &gt).TotalScore();
+  const double tpg_score = RunStream(stream, coop, Tpg()).TotalScore();
+  const double gt_score =
+      RunStream(stream, coop, [] { return std::make_unique<GtAssigner>(); })
+          .TotalScore();
   EXPECT_GT(tpg_score, 0.0);
   // GT's per-batch refinement can shift carry-over between batches, so
   // day totals are close but not strictly ordered; allow a small band.

@@ -2,13 +2,15 @@
 // must produce a certified Nash equilibrium, zero-churn batches must make
 // no moves and repeat the previous commit, zero-carry-over batches must be
 // bit-identical to a cold run, and the warm path must be bit-identical
-// across solver threads, shard threads and both pipeline modes. The
-// CASC_NO_WARM_START kill switch must restore cold behavior exactly.
+// across solver threads, shard threads, ingest threads and both pipeline
+// modes. The CASC_NO_WARM_START kill switch must restore cold behavior
+// exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +21,8 @@
 #include "gen/trace.h"
 #include "model/cooperation_matrix.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
+#include "sim/streaming_plane.h"
 
 namespace casc {
 namespace {
@@ -56,7 +58,8 @@ class ScopedEnv {
 /// GtAssigner wrapper that certifies every returned batch assignment
 /// with the full Nash-equilibrium check and records the assignment as
 /// stable (worker id, task id) pairs, so batches of different runs and
-/// different instances can be compared exactly.
+/// different instances can be compared exactly. The service creates one
+/// solver per shard and batch, so records go to caller-owned storage.
 class RecordingGtAssigner : public Assigner {
  public:
   struct Record {
@@ -70,7 +73,8 @@ class RecordingGtAssigner : public Assigner {
     std::vector<std::pair<int64_t, int64_t>> pairs;  // (worker id, task id)
   };
 
-  explicit RecordingGtAssigner(GtOptions options = {}) : inner_(options) {}
+  RecordingGtAssigner(GtOptions options, std::vector<Record>* records)
+      : inner_(options), records_(records) {}
 
   std::string Name() const override { return inner_.Name(); }
 
@@ -97,16 +101,36 @@ class RecordingGtAssigner : public Assigner {
           instance.workers()[static_cast<size_t>(w)].id,
           t == kNoTask ? -1 : instance.tasks()[static_cast<size_t>(t)].id);
     }
-    records_.push_back(std::move(record));
+    records_->push_back(std::move(record));
     return result;
   }
 
-  const std::vector<Record>& records() const { return records_; }
-
  private:
   GtAssigner inner_;
-  std::vector<Record> records_;
+  std::vector<Record>* records_;
 };
+
+using Records = std::vector<RecordingGtAssigner::Record>;
+
+/// The monolithic streaming loop: one shard, no admission budget, B = 3.
+DispatchConfig MonolithicConfig(double task_duration) {
+  DispatchConfig config;
+  config.sharded.shards_per_side = 1;
+  config.min_group_size = 3;
+  config.task_duration = task_duration;
+  return config;
+}
+
+/// Streams through the service with recording GT solvers: one record per
+/// solved batch, in batch order.
+RunSummary RunRecorded(const DispatchConfig& config, const EventStream& stream,
+                       const CooperationMatrix& coop, Records* records,
+                       GtOptions options = {}) {
+  DispatchService service(config, &coop, [options, records] {
+    return std::make_unique<RecordingGtAssigner>(options, records);
+  });
+  return service.Run(stream);
+}
 
 struct StreamFixture {
   Trace trace;
@@ -194,21 +218,19 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
   }
   const EventStream stream(workers, tasks);
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 100.0;  // cluster A never returns in this run
-  const BatchRunner runner(config);
-  RecordingGtAssigner recorder;
-  const RunSummary summary = runner.RunStreaming(stream, coop, &recorder);
+  // Cluster A never returns in this run.
+  Records records;
+  const RunSummary summary = RunRecorded(
+      MonolithicConfig(/*task_duration=*/100.0), stream, coop, &records);
 
   ASSERT_GE(summary.batches.size(), 8u);
-  ASSERT_EQ(summary.batches.size(), recorder.records().size());
+  ASSERT_EQ(summary.batches.size(), records.size());
 
   // Batch 0 is cold and starts cluster A.
   EXPECT_FALSE(summary.batches[0].warm_started);
   EXPECT_EQ(summary.batches[0].completed_tasks, 1);
   EXPECT_EQ(summary.batches[0].assigned_workers, 3);
-  EXPECT_TRUE(recorder.records()[0].nash);
+  EXPECT_TRUE(records[0].nash);
 
   // Every later batch sees the identical cluster-B pool: warm, no dirty
   // workers, no moves, one (verification-only) round, and the committed
@@ -219,11 +241,11 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
     EXPECT_EQ(batch.solve_moves, 0) << "batch " << i;
     EXPECT_EQ(batch.dirty_workers, 0) << "batch " << i;
     EXPECT_EQ(batch.gt_rounds, 1) << "batch " << i;
-    const RecordingGtAssigner::Record& record = recorder.records()[i];
+    const RecordingGtAssigner::Record& record = records[i];
     EXPECT_TRUE(record.nash) << "batch " << i;
     EXPECT_TRUE(record.converged) << "batch " << i;
     if (i >= 2) {
-      EXPECT_EQ(record.pairs, recorder.records()[i - 1].pairs)
+      EXPECT_EQ(record.pairs, records[i - 1].pairs)
           << "batch " << i << " diverged from the previous commit";
       EXPECT_EQ(batch.score, summary.batches[i - 1].score) << "batch " << i;
     }
@@ -232,7 +254,7 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
 
 // ---------------------------------------------------------------------------
 // (b) All-fresh batches: zero carry-over falls back to the literal cold
-// path, bit-identical to CASC_NO_WARM_START.
+// path, bit-identical to the warm start switched off.
 // ---------------------------------------------------------------------------
 
 TEST(WarmStartTest, AllFreshBatchesAreBitIdenticalToCold) {
@@ -260,32 +282,25 @@ TEST(WarmStartTest, AllFreshBatchesAreBitIdenticalToCold) {
   }
   const EventStream stream(workers, tasks);
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 1000.0;  // started workers never come back
-  const BatchRunner runner(config);
+  // Started workers never come back.
+  DispatchConfig config = MonolithicConfig(/*task_duration=*/1000.0);
 
-  RecordingGtAssigner warm_recorder;
-  const RunSummary warm = runner.RunStreaming(stream, coop, &warm_recorder);
+  Records warm_records;
+  const RunSummary warm = RunRecorded(config, stream, coop, &warm_records);
   ASSERT_GE(warm.batches.size(), static_cast<size_t>(kWaves));
   for (size_t i = 0; i < warm.batches.size(); ++i) {
     // Zero carry-over: the delta is never published, every batch is cold.
     EXPECT_FALSE(warm.batches[i].warm_started) << "batch " << i;
-    EXPECT_TRUE(warm_recorder.records()[i].nash) << "batch " << i;
+    EXPECT_TRUE(warm_records[i].nash) << "batch " << i;
   }
 
-  RecordingGtAssigner cold_recorder;
-  RunSummary cold;
-  {
-    ScopedEnv off("CASC_NO_WARM_START", "1");
-    cold = runner.RunStreaming(stream, coop, &cold_recorder);
-  }
+  config.enable_warm_start = false;
+  Records cold_records;
+  const RunSummary cold = RunRecorded(config, stream, coop, &cold_records);
   ExpectIdenticalBatches(cold, warm, "all-fresh warm vs cold");
-  ASSERT_EQ(cold_recorder.records().size(), warm_recorder.records().size());
-  for (size_t i = 0; i < cold_recorder.records().size(); ++i) {
-    EXPECT_EQ(cold_recorder.records()[i].pairs,
-              warm_recorder.records()[i].pairs)
-        << "batch " << i;
+  ASSERT_EQ(cold_records.size(), warm_records.size());
+  for (size_t i = 0; i < cold_records.size(); ++i) {
+    EXPECT_EQ(cold_records[i].pairs, warm_records[i].pairs) << "batch " << i;
   }
 }
 
@@ -300,24 +315,20 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  // The audit mode additionally CHECKs every incrementally-built CSR
-  // index byte-for-byte against a from-scratch build inside the run.
-  ScopedEnv audit("CASC_STREAM_AUDIT", "1");
+  DispatchConfig config = MonolithicConfig(/*task_duration=*/2.0);
+  // The audit additionally CHECKs every incrementally-built CSR index
+  // byte-for-byte against a from-scratch build inside the run.
+  config.audit_streaming = true;
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
-
-  RecordingGtAssigner warm_recorder;
+  Records warm_records;
   const RunSummary warm =
-      runner.RunStreaming(stream, fixture.coop, &warm_recorder);
+      RunRecorded(config, stream, fixture.coop, &warm_records);
   ASSERT_GE(warm.batches.size(), 200u) << "trace too short for the test";
 
   int64_t warm_evals = 0;
   int warm_batches = 0;
-  for (size_t i = 0; i < warm_recorder.records().size(); ++i) {
-    const RecordingGtAssigner::Record& record = warm_recorder.records()[i];
+  for (size_t i = 0; i < warm_records.size(); ++i) {
+    const RecordingGtAssigner::Record& record = warm_records[i];
     ASSERT_TRUE(record.nash) << "batch " << i << " is not an equilibrium";
     ASSERT_TRUE(record.converged) << "batch " << i;
     warm_evals += record.evals;
@@ -326,15 +337,12 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   // The carry-over-heavy trace must actually exercise the warm path.
   EXPECT_GT(warm_batches, static_cast<int>(warm.batches.size()) / 2);
 
-  RecordingGtAssigner cold_recorder;
-  RunSummary cold;
-  {
-    ScopedEnv off("CASC_NO_WARM_START", "1");
-    cold = runner.RunStreaming(stream, fixture.coop, &cold_recorder);
-  }
+  config.enable_warm_start = false;
+  Records cold_records;
+  const RunSummary cold =
+      RunRecorded(config, stream, fixture.coop, &cold_records);
   int64_t cold_evals = 0;
-  for (const RecordingGtAssigner::Record& record :
-       cold_recorder.records()) {
+  for (const RecordingGtAssigner::Record& record : cold_records) {
     ASSERT_TRUE(record.nash);
     cold_evals += record.evals;
     EXPECT_FALSE(record.warm);
@@ -353,57 +361,52 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
 TEST(WarmStartTest, SolverThreadSweepBitIdenticalWhileWarm) {
   const StreamFixture fixture = MakeLongFixture(702, /*horizon=*/80.0);
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
+  const DispatchConfig config = MonolithicConfig(/*task_duration=*/2.0);
 
-  std::vector<RecordingGtAssigner::Record> baseline;
+  Records baseline;
   RunSummary baseline_summary;
   for (const int threads : {1, 2, 4, 8}) {
     GtOptions options;
     options.num_threads = threads;
-    RecordingGtAssigner recorder(options);
+    Records records;
     const RunSummary summary =
-        runner.RunStreaming(stream, fixture.coop, &recorder);
+        RunRecorded(config, stream, fixture.coop, &records, options);
     int warm_batches = 0;
-    for (const RecordingGtAssigner::Record& record : recorder.records()) {
+    for (const RecordingGtAssigner::Record& record : records) {
       ASSERT_TRUE(record.nash);
       if (record.warm) ++warm_batches;
     }
     EXPECT_GT(warm_batches, 0) << "threads=" << threads;
     if (threads == 1) {
-      baseline = recorder.records();
+      baseline = std::move(records);
       baseline_summary = summary;
       continue;
     }
     const std::string label = "threads=" + std::to_string(threads);
     ExpectIdenticalBatches(baseline_summary, summary, label);
-    ASSERT_EQ(baseline.size(), recorder.records().size()) << label;
+    ASSERT_EQ(baseline.size(), records.size()) << label;
     for (size_t i = 0; i < baseline.size(); ++i) {
-      ASSERT_EQ(baseline[i].pairs, recorder.records()[i].pairs)
+      ASSERT_EQ(baseline[i].pairs, records[i].pairs)
           << label << " batch " << i;
-      ASSERT_EQ(baseline[i].rounds, recorder.records()[i].rounds)
+      ASSERT_EQ(baseline[i].rounds, records[i].rounds)
           << label << " batch " << i;
-      ASSERT_EQ(baseline[i].moves, recorder.records()[i].moves)
+      ASSERT_EQ(baseline[i].moves, records[i].moves)
           << label << " batch " << i;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// (d) Dispatch sweep: {incremental, pipeline} x shard threads {1,2,4,8}
+// (d) Dispatch sweep: pipeline x shard threads {1,2,4,8} x ingest threads
 // x {warm on, warm off} — bit-identical within each warm mode.
 // ---------------------------------------------------------------------------
 
 TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   const StreamFixture fixture = MakeLongFixture(703, /*horizon=*/140.0);
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  ScopedEnv no_inc("CASC_NO_INCREMENTAL", nullptr);
-  ScopedEnv no_pipe("CASC_NO_PIPELINE", nullptr);
   ScopedEnv no_warm("CASC_NO_WARM_START", nullptr);
 
-  auto run = [&](bool warm, bool incremental, bool pipeline, int threads,
+  auto run = [&](bool warm, bool pipeline, int threads, int ingest_threads,
                  std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
@@ -411,7 +414,7 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.enable_incremental = incremental;
+    config.ingest_threads = ingest_threads;
     config.enable_pipeline = pipeline;
     config.enable_warm_start = warm;
     DispatchService service(
@@ -423,19 +426,18 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   };
 
   struct Combo {
-    bool incremental;
     bool pipeline;
     int threads;
+    int ingest_threads;
   };
   const std::vector<Combo> combos = {
-      {true, true, 1}, {false, false, 2}, {true, false, 4},
-      {false, true, 4}, {true, true, 8},
+      {true, 1, 1}, {false, 2, 2}, {false, 4, 4}, {true, 4, 1}, {true, 8, 8},
   };
 
   for (const bool warm : {true, false}) {
     std::vector<ServiceMetrics> baseline_service;
     const RunSummary baseline =
-        run(warm, /*incremental=*/true, /*pipeline=*/false, 1,
+        run(warm, /*pipeline=*/false, /*threads=*/1, /*ingest_threads=*/1,
             &baseline_service);
     ASSERT_GE(baseline.batches.size(), 80u) << "trace too short";
 
@@ -452,12 +454,12 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
     for (const Combo& combo : combos) {
       const std::string label =
           std::string("warm=") + (warm ? "1" : "0") +
-          " inc=" + (combo.incremental ? "1" : "0") +
           " pipe=" + (combo.pipeline ? "1" : "0") +
-          " threads=" + std::to_string(combo.threads);
+          " threads=" + std::to_string(combo.threads) +
+          " ingest_threads=" + std::to_string(combo.ingest_threads);
       std::vector<ServiceMetrics> service_metrics;
-      const RunSummary actual = run(warm, combo.incremental, combo.pipeline,
-                                    combo.threads, &service_metrics);
+      const RunSummary actual = run(warm, combo.pipeline, combo.threads,
+                                    combo.ingest_threads, &service_metrics);
       ExpectIdenticalBatches(baseline, actual, label);
       ASSERT_EQ(service_metrics.size(), baseline_service.size()) << label;
       for (size_t i = 0; i < service_metrics.size(); ++i) {
@@ -511,6 +513,26 @@ TEST(WarmStartTest, KillSwitchMatchesConfigOff) {
     EXPECT_FALSE(batch.warm_started);
   }
   ExpectIdenticalBatches(config_off, env_off, "env kill switch vs config");
+}
+
+// ---------------------------------------------------------------------------
+// CASC_WARM_RETRY_EPOCH: a positive integer or a CHECK failure naming it.
+// ---------------------------------------------------------------------------
+
+TEST(WarmStartTest, RetryEpochParsedFromEnv) {
+  ScopedEnv epoch("CASC_WARM_RETRY_EPOCH", "7");
+  EXPECT_EQ(StreamingPlaneConfig::FromEnv().warm_retry_epoch, 7);
+}
+
+TEST(WarmStartDeathTest, MalformedRetryEpochIsRejected) {
+  for (const char* bad : {"abc", "4x", "", "0", "-3", "99999999999"}) {
+    ScopedEnv epoch("CASC_WARM_RETRY_EPOCH", bad);
+    EXPECT_DEATH((void)StreamingPlaneConfig::FromEnv(),
+                 std::string("CASC_WARM_RETRY_EPOCH must be a positive "
+                             "integer, got '") +
+                     bad + "'")
+        << "value '" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@
 #        CooperationMatrix path at group sizes 2-16) and bound-based
 #        candidate pruning (pruned vs unpruned GT wall time + prune-rate
 #        counters; the binary aborts if pruning changes the score)
-#   PR6  incremental streaming data plane (rebuild-everything vs
-#        delta-maintained valid-pair rows, sequential vs pipelined
-#        ingest, on a carry-over-heavy rush-hour trace: steady-state
-#        per-batch build+solve seconds plus p50/p99 batch latency; the
-#        binary aborts if any combination changes a batch output)
+#   pr6  incremental streaming data plane (delta-maintained valid-pair
+#        rows, sequential vs pipelined ingest, on a carry-over-heavy
+#        rush-hour trace: steady-state per-batch build+solve seconds
+#        plus p50/p99 batch latency; the binary aborts if the two modes
+#        disagree on a batch output; --ingest_threads pins the fan-out)
 #   PR7  distributed dispatch over the simulated network (protocol
 #        overhead vs the in-process engine at zero faults -- the binary
 #        aborts unless the two are bit-identical -- plus retention,
@@ -32,10 +32,10 @@
 #        aborts unless the warm family is bit-identical batch for batch
 #        and warm quality stays within 20% of cold)
 #   PR9  parallel incremental ingest (sustained 1M-worker rush-hour
-#        trace: serial PR-6 ingest vs CASC_INGEST_THREADS in {1,2,4,8}
-#        plus a pipelined run, per-phase ingest split and per-batch
-#        p50/p99; the binary aborts if any configuration changes a
-#        batch output)
+#        trace: DispatchConfig::ingest_threads in {1,2,4,8} plus a
+#        pipelined run, against the serial width-1 run; per-phase ingest
+#        split and per-batch p50/p99; the binary aborts if any
+#        configuration changes a batch output)
 #
 # Usage: tools/run_bench.sh [pr1|pr2|pr3|pr5|pr6|pr7|pr8|pr9|pr10|all] [OUT_JSON]
 #   pr1|pr2|all  which suite to run (default all)
