@@ -70,7 +70,7 @@ void BM_ValidPairsPooledCsr(benchmark::State& state) {
     Instance instance(seed_batch.workers(), seed_batch.tasks(),
                       seed_batch.coop(), seed_batch.now(),
                       seed_batch.min_group_size());
-    instance.ComputeValidPairs(DefaultSpatialBackend(), &workspace);
+    instance.ComputeValidPairs(&workspace);
     benchmark::DoNotOptimize(instance.NumValidPairs());
     workspace.Recycle(instance.ReleaseValidPairs());
   }
@@ -135,7 +135,7 @@ void BM_StreamingBatchSteadyState(benchmark::State& state) {
     Instance instance(seed_batch.workers(), seed_batch.tasks(),
                       seed_batch.coop(), seed_batch.now(),
                       seed_batch.min_group_size());
-    instance.ComputeValidPairs(DefaultSpatialBackend(), &workspace);
+    instance.ComputeValidPairs(&workspace);
     Assignment assignment = assigner.Run(instance);
     benchmark::DoNotOptimize(assignment.NumAssigned());
     workspace.Recycle(std::move(assignment));

@@ -1,13 +1,11 @@
-// PR5 micro-benchmark: the SIMD affinity kernels against the scalar
-// kernel and the legacy CooperationMatrix path, plus the bound-based
-// candidate pruning against the unpruned best-response scan.
+// PR5 micro-benchmark: the tile affinity kernels against the legacy
+// CooperationMatrix path, plus the bound-based candidate pruning against
+// the unpruned best-response scan.
 //
-// Section 1 sweeps RowSum/PairSum over group sizes {2,4,8,16} for every
-// available backend (scalar / sse2 / avx2) and the pre-kernel
-// CooperationMatrix::RowSum/PairSum baseline, asserting along the way
-// that all backends produce identical bits. Section 2 runs GT+ALL with
-// pruning on and off on one dense instance and reports wall time and the
-// prune-rate counters.
+// Section 1 times RowSum/PairSum over group sizes {2,4,8,16} for the
+// CoopTile kernels and the pre-kernel CooperationMatrix::RowSum/PairSum
+// baseline. Section 2 runs GT+ALL with pruning on and off on one dense
+// instance and reports wall time and the prune-rate counters.
 //
 //   ./bench_micro_kernels [--matrix 768] [--ops 200000] [--workers 1200]
 //                         [--tasks 400] [--seed 42]
@@ -31,7 +29,6 @@
 #include "gen/synthetic.h"
 #include "kernel/affinity_kernels.h"
 #include "kernel/coop_tile.h"
-#include "kernel/kernel_dispatch.h"
 #include "model/batch_workspace.h"
 #include "model/cooperation_matrix.h"
 #include "model/objective.h"
@@ -40,11 +37,6 @@ namespace {
 
 using casc::CooperationMatrix;
 using casc::CoopTile;
-using casc::KernelBackend;
-
-constexpr KernelBackend kBackends[] = {
-    KernelBackend::kScalar, KernelBackend::kSse2, KernelBackend::kAvx2};
-
 CooperationMatrix DenseMatrix(int m, uint64_t seed) {
   casc::Rng rng(seed);
   CooperationMatrix coop(m, 0.0);
@@ -82,12 +74,12 @@ std::vector<std::vector<int>> MakeGroups(int m, int size, int count,
 
 struct KernelTiming {
   double ns_per_op = 0.0;
-  double checksum = 0.0;  ///< anti-DCE + cross-backend bit check
+  double checksum = 0.0;  ///< keeps the timed calls from being elided
 };
 
 template <typename Fn>
 KernelTiming Time(int ops, Fn&& fn) {
-  // Warm-up pass (pulls the tile into cache, resolves dispatch).
+  // Warm-up pass (pulls the tile into cache).
   double sink = 0.0;
   for (int i = 0; i < ops / 10 + 1; ++i) sink += fn(i % 64);
   casc::Stopwatch watch;
@@ -115,26 +107,17 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json.precision(std::numeric_limits<double>::max_digits10);
   json << "{\"bench\":\"micro_kernels\",\"matrix\":" << m
-       << ",\"ops\":" << ops << ",\"seed\":" << seed << ",\"backends\":[";
-  bool first = true;
-  for (const KernelBackend backend : kBackends) {
-    if (!casc::KernelBackendAvailable(backend)) continue;
-    if (!first) json << ",";
-    first = false;
-    json << "\"" << casc::KernelBackendName(backend) << "\"";
-  }
-  json << "],\"kernels\":[";
+       << ",\"ops\":" << ops << ",\"seed\":" << seed << ",\"kernels\":[";
 
   std::printf("building %dx%d dense matrix + tile...\n", m, m);
   const CooperationMatrix coop = DenseMatrix(m, seed);
   CoopTile tile;
   CASC_CHECK(tile.BuildFrom(coop, m)) << "tile gated unexpectedly";
   casc::Rng rng(seed ^ 0xF00D);
-  const KernelBackend entry_backend = casc::ActiveKernelBackend();
 
-  std::printf("%-9s %5s  %9s  %12s  %10s  %10s\n", "kernel", "group",
-              "backend", "ns/op", "vs_scalar", "vs_legacy");
-  first = true;
+  std::printf("%-9s %5s  %12s  %12s  %10s\n", "kernel", "group", "ns/op",
+              "legacy ns/op", "vs_legacy");
+  bool first = true;
   for (const int group_size : {2, 4, 8, 16}) {
     const std::vector<std::vector<int>> groups =
         MakeGroups(m, group_size, 256, &rng);
@@ -153,41 +136,28 @@ int main(int argc, char** argv) {
                    : coop.PairSum(group);
       });
 
-      double scalar_ns = 0.0;
-      for (const KernelBackend backend : kBackends) {
-        if (!casc::KernelBackendAvailable(backend)) continue;
-        casc::SetKernelBackend(backend);
-        const KernelTiming timing = Time(ops, [&](int i) {
-          const std::vector<int>& group = group_of(i);
-          return row ? casc::RowSumKernel(tile.PairRow(group[0]),
-                                          group.data() + 1,
-                                          static_cast<int>(group.size()) - 1)
-                     : casc::PairSumKernel(tile.pair_plane(), tile.stride(),
-                                           group.data(),
-                                           static_cast<int>(group.size()));
-        });
-        if (backend == KernelBackend::kScalar) scalar_ns = timing.ns_per_op;
-        const double vs_scalar =
-            timing.ns_per_op > 0.0 ? scalar_ns / timing.ns_per_op : 0.0;
-        const double vs_legacy =
-            timing.ns_per_op > 0.0 ? legacy.ns_per_op / timing.ns_per_op
-                                   : 0.0;
-        std::printf("%-9s %5d  %9s  %10.1fns  %9.2fx  %9.2fx\n", kernel,
-                    group_size, casc::KernelBackendName(backend),
-                    timing.ns_per_op, vs_scalar, vs_legacy);
-        if (!first) json << ",";
-        first = false;
-        json << "{\"kernel\":\"" << kernel << "\",\"group\":" << group_size
-             << ",\"backend\":\"" << casc::KernelBackendName(backend)
-             << "\",\"ns_per_op\":" << timing.ns_per_op
-             << ",\"legacy_ns_per_op\":" << legacy.ns_per_op
-             << ",\"speedup_vs_scalar\":" << vs_scalar
-             << ",\"speedup_vs_legacy\":" << vs_legacy
-             << ",\"checksum\":" << timing.checksum << "}";
-      }
+      const KernelTiming timing = Time(ops, [&](int i) {
+        const std::vector<int>& group = group_of(i);
+        return row ? casc::RowSumKernel(tile.PairRow(group[0]),
+                                        group.data() + 1,
+                                        static_cast<int>(group.size()) - 1)
+                   : casc::PairSumKernel(tile.pair_plane(), tile.stride(),
+                                         group.data(),
+                                         static_cast<int>(group.size()));
+      });
+      const double vs_legacy =
+          timing.ns_per_op > 0.0 ? legacy.ns_per_op / timing.ns_per_op : 0.0;
+      std::printf("%-9s %5d  %10.1fns  %10.1fns  %9.2fx\n", kernel,
+                  group_size, timing.ns_per_op, legacy.ns_per_op, vs_legacy);
+      if (!first) json << ",";
+      first = false;
+      json << "{\"kernel\":\"" << kernel << "\",\"group\":" << group_size
+           << ",\"ns_per_op\":" << timing.ns_per_op
+           << ",\"legacy_ns_per_op\":" << legacy.ns_per_op
+           << ",\"speedup_vs_legacy\":" << vs_legacy
+           << ",\"checksum\":" << timing.checksum << "}";
     }
   }
-  casc::SetKernelBackend(entry_backend);
   json << "],";
 
   // -------------------------------------------------------------------

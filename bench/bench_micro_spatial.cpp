@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "spatial/grid_index.h"
-#include "spatial/kd_tree.h"
 #include "spatial/linear_scan.h"
 #include "spatial/rtree.h"
 
@@ -41,10 +40,6 @@ template <>
 std::unique_ptr<SpatialIndex> MakeIndex<RTree>() {
   return std::make_unique<RTree>();
 }
-template <>
-std::unique_ptr<SpatialIndex> MakeIndex<KdTree>() {
-  return std::make_unique<KdTree>();
-}
 
 template <typename Index>
 void BM_Build(benchmark::State& state) {
@@ -69,32 +64,13 @@ void BM_CircleQuery(benchmark::State& state) {
   }
 }
 
-template <typename Index>
-void BM_Knn(benchmark::State& state) {
-  const auto items = MakeItems(static_cast<int>(state.range(0)));
-  auto index = MakeIndex<Index>();
-  index->Build(items);
-  Rng rng(7);
-  for (auto _ : state) {
-    const Point center{rng.Uniform(), rng.Uniform()};
-    benchmark::DoNotOptimize(index->Knn(center, 16));
-  }
-}
-
 BENCHMARK_TEMPLATE(BM_Build, LinearScan)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Build, GridIndex)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Build, RTree)->Arg(1000)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Build, KdTree)->Arg(1000)->Arg(10000);
 
 BENCHMARK_TEMPLATE(BM_CircleQuery, LinearScan)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_CircleQuery, GridIndex)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_CircleQuery, RTree)->Arg(1000)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_CircleQuery, KdTree)->Arg(1000)->Arg(10000);
-
-BENCHMARK_TEMPLATE(BM_Knn, LinearScan)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Knn, GridIndex)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Knn, RTree)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Knn, KdTree)->Arg(10000);
 
 }  // namespace
 }  // namespace casc

@@ -98,7 +98,7 @@ class Assigner {
 
   /// Keeper synced to `assignment`, pooled when a workspace is set. The
   /// workspace also contributes its CoopTile (built or cache-hit here),
-  /// routing the keeper's marginals through the SIMD kernels; without a
+  /// routing the keeper's marginals through the affinity kernels; without a
   /// workspace the keeper runs the bit-identical tile-less path.
   ScoreKeeper MakeScoreKeeper(const Instance& instance,
                               const Assignment& assignment) {

@@ -58,7 +58,7 @@ struct Rect {
   void Extend(const Point& p);
 
   /// Minimum squared distance from `p` to any point of the rectangle
-  /// (0 when inside); used for kNN pruning.
+  /// (0 when inside); used for circle-query pruning.
   double MinSquaredDistance(const Point& p) const;
 
   Point Center() const;

@@ -3,23 +3,9 @@
 #include <cmath>
 #include <limits>
 
-#include "kernel/kernel_dispatch.h"
-
-#if defined(__x86_64__) && !defined(CASC_DISABLE_SIMD)
-#define CASC_KERNEL_X86 1
-#include <immintrin.h>
-#endif
-
 namespace casc {
-namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar backend. This is the reference implementation of the canonical
-// lane order; the SIMD backends below are transliterations of it, not
-// reassociations.
-// ---------------------------------------------------------------------------
-
-double RowSumScalar(const double* row, const int* idx, int count) {
+double RowSumKernel(const double* row, const int* idx, int count) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int j = 0;
   for (; j + 4 <= count; j += 4) {
@@ -35,24 +21,24 @@ double RowSumScalar(const double* row, const int* idx, int count) {
   return (l0 + l2) + (l1 + l3);
 }
 
-double PairSumScalar(const double* tile, int64_t stride, const int* idx,
+double PairSumKernel(const double* tile, int64_t stride, const int* idx,
                      int count) {
   double total = 0.0;
   for (int a = 0; a + 1 < count; ++a) {
     const double* row = tile + static_cast<int64_t>(idx[a]) * stride;
-    total += RowSumScalar(row, idx + a + 1, count - a - 1);
+    total += RowSumKernel(row, idx + a + 1, count - a - 1);
   }
   return total;
 }
 
-void RowSumManyScalar(const double* row, const int* const* group_ptrs,
-                      const int* group_lens, int num_groups, double* out) {
+void RowSumMany(const double* row, const int* const* group_ptrs,
+                const int* group_lens, int num_groups, double* out) {
   for (int g = 0; g < num_groups; ++g) {
-    out[g] = RowSumScalar(row, group_ptrs[g], group_lens[g]);
+    out[g] = RowSumKernel(row, group_ptrs[g], group_lens[g]);
   }
 }
 
-double RowSumFloatUpScalar(const float* row, const int* idx, int count) {
+double RowSumFloatUp(const float* row, const int* idx, int count) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int j = 0;
   for (; j + 4 <= count; j += 4) {
@@ -65,199 +51,6 @@ double RowSumFloatUpScalar(const float* row, const int* idx, int count) {
   if (j + 1 < count) l1 += static_cast<double>(row[idx[j + 1]]);
   if (j + 2 < count) l2 += static_cast<double>(row[idx[j + 2]]);
   return (l0 + l2) + (l1 + l3);
-}
-
-#ifdef CASC_KERNEL_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 backend (baseline on every x86-64; no target attribute needed).
-// Lanes 0/1 live in one 128-bit accumulator, lanes 2/3 in the other —
-// vector lane adds are exactly the scalar lane adds.
-// ---------------------------------------------------------------------------
-
-double RowSumSse2(const double* row, const int* idx, int count) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  int j = 0;
-  for (; j + 4 <= count; j += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_set_pd(row[idx[j + 1]], row[idx[j]]));
-    acc23 = _mm_add_pd(acc23, _mm_set_pd(row[idx[j + 3]], row[idx[j + 2]]));
-  }
-  alignas(16) double lanes[4];
-  _mm_store_pd(lanes, acc01);
-  _mm_store_pd(lanes + 2, acc23);
-  if (j < count) lanes[0] += row[idx[j]];
-  if (j + 1 < count) lanes[1] += row[idx[j + 1]];
-  if (j + 2 < count) lanes[2] += row[idx[j + 2]];
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
-double PairSumSse2(const double* tile, int64_t stride, const int* idx,
-                   int count) {
-  double total = 0.0;
-  for (int a = 0; a + 1 < count; ++a) {
-    const double* row = tile + static_cast<int64_t>(idx[a]) * stride;
-    total += RowSumSse2(row, idx + a + 1, count - a - 1);
-  }
-  return total;
-}
-
-void RowSumManySse2(const double* row, const int* const* group_ptrs,
-                    const int* group_lens, int num_groups, double* out) {
-  for (int g = 0; g < num_groups; ++g) {
-    out[g] = RowSumSse2(row, group_ptrs[g], group_lens[g]);
-  }
-}
-
-double RowSumFloatUpSse2(const float* row, const int* idx, int count) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  int j = 0;
-  for (; j + 4 <= count; j += 4) {
-    acc01 = _mm_add_pd(
-        acc01, _mm_set_pd(static_cast<double>(row[idx[j + 1]]),
-                          static_cast<double>(row[idx[j]])));
-    acc23 = _mm_add_pd(
-        acc23, _mm_set_pd(static_cast<double>(row[idx[j + 3]]),
-                          static_cast<double>(row[idx[j + 2]])));
-  }
-  alignas(16) double lanes[4];
-  _mm_store_pd(lanes, acc01);
-  _mm_store_pd(lanes + 2, acc23);
-  if (j < count) lanes[0] += static_cast<double>(row[idx[j]]);
-  if (j + 1 < count) lanes[1] += static_cast<double>(row[idx[j + 1]]);
-  if (j + 2 < count) lanes[2] += static_cast<double>(row[idx[j + 2]]);
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 backend. One 256-bit accumulator holds all four lanes; gathers
-// pull four row elements per step. Compiled with a function-level target
-// so the base build (no -mavx2) still links it, guarded at runtime by
-// KernelBackendAvailable.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2,fma"))) double RowSumAvx2(const double* row,
-                                                      const int* idx,
-                                                      int count) {
-  __m256d acc = _mm256_setzero_pd();
-  // Explicit element loads instead of vpgatherdpd: on Skylake-class
-  // server parts the gather is microcoded at ~4 cycles/element, slower
-  // than four plain loads feeding one 256-bit add.
-  int j = 0;
-  for (; j + 4 <= count; j += 4) {
-    acc = _mm256_add_pd(acc,
-                        _mm256_set_pd(row[idx[j + 3]], row[idx[j + 2]],
-                                      row[idx[j + 1]], row[idx[j]]));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  if (j < count) lanes[0] += row[idx[j]];
-  if (j + 1 < count) lanes[1] += row[idx[j + 1]];
-  if (j + 2 < count) lanes[2] += row[idx[j + 2]];
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
-__attribute__((target("avx2,fma"))) double PairSumAvx2(const double* tile,
-                                                       int64_t stride,
-                                                       const int* idx,
-                                                       int count) {
-  double total = 0.0;
-  for (int a = 0; a + 1 < count; ++a) {
-    const double* row = tile + static_cast<int64_t>(idx[a]) * stride;
-    total += RowSumAvx2(row, idx + a + 1, count - a - 1);
-  }
-  return total;
-}
-
-__attribute__((target("avx2,fma"))) void RowSumManyAvx2(
-    const double* row, const int* const* group_ptrs, const int* group_lens,
-    int num_groups, double* out) {
-  for (int g = 0; g < num_groups; ++g) {
-    out[g] = RowSumAvx2(row, group_ptrs[g], group_lens[g]);
-  }
-}
-
-__attribute__((target("avx2,fma"))) double RowSumFloatUpAvx2(
-    const float* row, const int* idx, int count) {
-  __m256d acc = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 4 <= count; j += 4) {
-    const __m128 gathered =
-        _mm_set_ps(row[idx[j + 3]], row[idx[j + 2]], row[idx[j + 1]],
-                   row[idx[j]]);
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(gathered));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  if (j < count) lanes[0] += static_cast<double>(row[idx[j]]);
-  if (j + 1 < count) lanes[1] += static_cast<double>(row[idx[j + 1]]);
-  if (j + 2 < count) lanes[2] += static_cast<double>(row[idx[j + 2]]);
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
-#endif  // CASC_KERNEL_X86
-
-}  // namespace
-
-double RowSumKernel(const double* row, const int* idx, int count) {
-#ifdef CASC_KERNEL_X86
-  switch (ActiveKernelBackend()) {
-    case KernelBackend::kAvx2:
-      return RowSumAvx2(row, idx, count);
-    case KernelBackend::kSse2:
-      return RowSumSse2(row, idx, count);
-    case KernelBackend::kScalar:
-      break;
-  }
-#endif
-  return RowSumScalar(row, idx, count);
-}
-
-double PairSumKernel(const double* tile, int64_t stride, const int* idx,
-                     int count) {
-#ifdef CASC_KERNEL_X86
-  switch (ActiveKernelBackend()) {
-    case KernelBackend::kAvx2:
-      return PairSumAvx2(tile, stride, idx, count);
-    case KernelBackend::kSse2:
-      return PairSumSse2(tile, stride, idx, count);
-    case KernelBackend::kScalar:
-      break;
-  }
-#endif
-  return PairSumScalar(tile, stride, idx, count);
-}
-
-void RowSumMany(const double* row, const int* const* group_ptrs,
-                const int* group_lens, int num_groups, double* out) {
-#ifdef CASC_KERNEL_X86
-  switch (ActiveKernelBackend()) {
-    case KernelBackend::kAvx2:
-      RowSumManyAvx2(row, group_ptrs, group_lens, num_groups, out);
-      return;
-    case KernelBackend::kSse2:
-      RowSumManySse2(row, group_ptrs, group_lens, num_groups, out);
-      return;
-    case KernelBackend::kScalar:
-      break;
-  }
-#endif
-  RowSumManyScalar(row, group_ptrs, group_lens, num_groups, out);
-}
-
-double RowSumFloatUp(const float* row, const int* idx, int count) {
-#ifdef CASC_KERNEL_X86
-  switch (ActiveKernelBackend()) {
-    case KernelBackend::kAvx2:
-      return RowSumFloatUpAvx2(row, idx, count);
-    case KernelBackend::kSse2:
-      return RowSumFloatUpSse2(row, idx, count);
-    case KernelBackend::kScalar:
-      break;
-  }
-#endif
-  return RowSumFloatUpScalar(row, idx, count);
 }
 
 float RowMaxFloat(const float* row, int count) {

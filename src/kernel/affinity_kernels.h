@@ -6,15 +6,13 @@
 namespace casc {
 
 /// Gathered affinity reductions over rows of a CoopTile-style matrix.
-/// All kernels implement one canonical reduction order regardless of the
-/// active backend:
+/// Every kernel implements one canonical reduction order:
 ///
 ///   lanes[j % 4] += v_j   for j = 0..count-1 ascending,
 ///   result = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 ///
-/// Lane-wise double adds are what SSE2/AVX2 vector adds compute, so the
-/// scalar, SSE2 and AVX2 backends return bit-identical doubles for any
-/// input. Callers that mix kernel and non-kernel paths (ScoreKeeper's
+/// Four independent accumulators keep the adds off one serial dependency
+/// chain. Callers that mix kernel and non-kernel paths (ScoreKeeper's
 /// no-tile fallback) must reproduce this exact order themselves.
 
 /// Sum of row[idx[j]] for j in [0, count). `row` is one (double) tile
@@ -33,7 +31,7 @@ double PairSumKernel(const double* tile, int64_t stride, const int* idx,
 /// Batched RowSumKernel over one shared row: out[g] =
 /// RowSumKernel(row, group_ptrs[g], group_lens[g]) for g in
 /// [0, num_groups). Exists so ScoreKeeper can score every candidate
-/// group of one worker with a single dispatched call.
+/// group of one worker with a single call.
 void RowSumMany(const double* row, const int* const* group_ptrs,
                 const int* group_lens, int num_groups, double* out);
 

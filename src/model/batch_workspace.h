@@ -1,10 +1,13 @@
 #ifndef CASC_MODEL_BATCH_WORKSPACE_H_
 #define CASC_MODEL_BATCH_WORKSPACE_H_
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "kernel/coop_tile.h"
 #include "model/assignment.h"
 #include "model/objective_model.h"
@@ -108,14 +111,21 @@ class BatchWorkspace {
   }
 
  private:
-  /// Tile worker-count ceiling: CASC_TILE_MAX_WORKERS (0 disables
-  /// tiling), default 2048. Read once per process.
+  /// Tile worker-count ceiling: CASC_TILE_MAX_WORKERS (a non-negative
+  /// integer, 0 disables tiling; anything else CHECK-fails), default
+  /// 2048. Read once per process.
   static int TileMaxWorkers() {
     static const int kMax = [] {
-      if (const char* env = std::getenv("CASC_TILE_MAX_WORKERS")) {
-        return std::atoi(env);
-      }
-      return 2048;
+      const char* env = std::getenv("CASC_TILE_MAX_WORKERS");
+      if (env == nullptr) return 2048;
+      char* end = nullptr;
+      errno = 0;
+      const long value = std::strtol(env, &end, 10);
+      CASC_CHECK(end != env && *end == '\0' && errno == 0 && value >= 0 &&
+                 value <= std::numeric_limits<int>::max())
+          << "CASC_TILE_MAX_WORKERS must be a non-negative integer, got '"
+          << env << "'";
+      return static_cast<int>(value);
     }();
     return kMax;
   }

@@ -1,31 +1,12 @@
 #include "model/instance.h"
 
-#include <atomic>
-
 #include "common/check.h"
 #include "geo/reachability.h"
 #include "model/batch_workspace.h"
 #include "model/objective_model.h"
-#include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
-#include "spatial/probe_index.h"
 #include "spatial/rtree.h"
 
 namespace casc {
-namespace {
-
-std::atomic<SpatialBackend> g_default_backend{SpatialBackend::kRTree};
-
-}  // namespace
-
-void SetDefaultSpatialBackend(SpatialBackend backend) {
-  g_default_backend.store(backend, std::memory_order_relaxed);
-}
-
-SpatialBackend DefaultSpatialBackend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
-
 Instance::Instance(std::vector<Worker> workers, std::vector<Task> tasks,
                    CooperationMatrix coop, double now, int min_group_size)
     : workers_(std::move(workers)),
@@ -88,12 +69,7 @@ bool Instance::IsValidPair(WorkerIndex w, TaskIndex t) const {
                              task_locations_[ti], now_, task_deadlines_[ti]);
 }
 
-void Instance::ComputeValidPairs() {
-  ComputeValidPairs(DefaultSpatialBackend(), nullptr);
-}
-
-void Instance::ComputeValidPairs(SpatialBackend backend,
-                                 BatchWorkspace* workspace) {
+void Instance::ComputeValidPairs(BatchWorkspace* workspace) {
   if (valid_pairs_ready_) return;
 
   if (workspace != nullptr) {
@@ -102,27 +78,7 @@ void Instance::ComputeValidPairs(SpatialBackend backend,
   pairs_.BeginBuild(num_workers(), num_tasks());
 
   // Index task locations once, then answer one working-area circle query
-  // per worker (Algorithm 1 lines 4-5). The grid backend sizes itself
-  // with the same documented heuristic as the streaming splice's probe
-  // index (spatial/probe_index.h) instead of a second ad-hoc constant;
-  // cell count never changes query results, only speed.
-  RTree rtree;
-  GridIndex grid(ProbeGridCells(tasks_.size()));
-  LinearScan linear;
-  SpatialIndex* task_index = nullptr;
-  switch (backend) {
-    case SpatialBackend::kRTree:
-      task_index = &rtree;
-      break;
-    case SpatialBackend::kGridIndex:
-      task_index = &grid;
-      break;
-    case SpatialBackend::kLinearScan:
-      task_index = &linear;
-      break;
-  }
-  CASC_CHECK(task_index != nullptr);
-
+  // per worker (Algorithm 1 lines 4-5).
   std::vector<SpatialItem> local_items;
   std::vector<SpatialItem>& items =
       workspace != nullptr ? workspace->spatial_items() : local_items;
@@ -132,16 +88,18 @@ void Instance::ComputeValidPairs(SpatialBackend backend,
     items.push_back(
         SpatialItem{static_cast<int64_t>(t), task_locations_[t]});
   }
-  task_index->Build(items);
+  RTree task_index;
+  task_index.Build(items);
 
+  std::vector<int64_t> in_range;
   for (int w = 0; w < num_workers(); ++w) {
     const size_t wi = static_cast<size_t>(w);
     if (worker_arrivals_[wi] > now_) {
       pairs_.FinishWorker();
       continue;
     }
-    const std::vector<int64_t> in_range =
-        task_index->CircleQuery(worker_locations_[wi], worker_radii_[wi]);
+    task_index.CircleQueryInto(worker_locations_[wi], worker_radii_[wi],
+                               &in_range);
     for (const int64_t raw_t : in_range) {
       const TaskIndex t = static_cast<TaskIndex>(raw_t);
       const size_t ti = static_cast<size_t>(t);

@@ -15,21 +15,6 @@ namespace casc {
 class BatchWorkspace;
 class ObjectiveModel;
 
-/// Spatial index backend used by ComputeValidPairs() for the
-/// working-area range queries. All backends produce identical valid-pair
-/// sets (CircleQuery returns ascending ids for every implementation);
-/// they differ only in build/query cost.
-enum class SpatialBackend {
-  kRTree,       ///< bulk-loaded R-tree (default; best at batch scale)
-  kGridIndex,   ///< uniform grid (best under uniform task density)
-  kLinearScan,  ///< O(n) reference scan (baseline / tiny batches)
-};
-
-/// Process-wide default backend for ComputeValidPairs() callers that do
-/// not pass one explicitly (the single selection flag of the data plane).
-void SetDefaultSpatialBackend(SpatialBackend backend);
-SpatialBackend DefaultSpatialBackend();
-
 /// One batch of the CA-SC problem (Definition 4): the available workers
 /// W(phi), available tasks T(phi), their pairwise cooperation qualities,
 /// the batch timestamp phi, and the platform-wide minimum group size B.
@@ -98,15 +83,12 @@ class Instance {
   /// Direct geometric/temporal validity check for one pair (Definition 3).
   bool IsValidPair(WorkerIndex w, TaskIndex t) const;
 
-  /// Computes the valid-pair lists for every worker and task with the
-  /// process default backend (Algorithm 1 lines 4-5). Idempotent.
-  void ComputeValidPairs();
-
-  /// Same, with an explicit spatial backend and an optional workspace
-  /// whose pooled CSR index and scratch buffers are reused (steady-state
+  /// Computes the valid-pair lists for every worker and task (Algorithm
+  /// 1 lines 4-5): one working-area circle query per worker against an
+  /// R-tree over the task locations. Idempotent. With a workspace, its
+  /// pooled CSR index and scratch buffers are reused (steady-state
   /// streaming batches then allocate nothing for the pair lists).
-  void ComputeValidPairs(SpatialBackend backend,
-                         BatchWorkspace* workspace = nullptr);
+  void ComputeValidPairs(BatchWorkspace* workspace = nullptr);
 
   /// Installs a precomputed CSR index instead of running
   /// ComputeValidPairs(). The dispatch service uses this to derive a

@@ -35,6 +35,13 @@ bool ReadInt(std::istream* in, int64_t* out) {
   return static_cast<bool>(*in >> *out);
 }
 
+/// True when `value` fits the `int` the model stores counts and
+/// capacities in.
+bool FitsInt(int64_t value) {
+  return value >= std::numeric_limits<int>::min() &&
+         value <= std::numeric_limits<int>::max();
+}
+
 }  // namespace
 
 Status SaveInstance(const Instance& instance, std::ostream* out) {
@@ -85,17 +92,18 @@ Result<Instance> LoadInstance(std::istream* in) {
   if (!ReadDouble(in, &now)) return Status::InvalidArgument("bad now");
   if (Status s = ExpectToken(in, "min_group"); !s.ok()) return s;
   int64_t min_group = 0;
-  if (!ReadInt(in, &min_group) || min_group < 2) {
+  if (!ReadInt(in, &min_group) || min_group < 2 || !FitsInt(min_group)) {
     return Status::InvalidArgument("bad min_group");
   }
 
   if (Status s = ExpectToken(in, "workers"); !s.ok()) return s;
   int64_t m = 0;
-  if (!ReadInt(in, &m) || m < 0) {
+  if (!ReadInt(in, &m) || m < 0 || !FitsInt(m)) {
     return Status::InvalidArgument("bad worker count");
   }
+  // No reserve() from the header: the count is untrusted until the
+  // records behind it have actually been read.
   std::vector<Worker> workers;
-  workers.reserve(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     Worker worker;
     if (!ReadInt(in, &worker.id) || !ReadDouble(in, &worker.location.x) ||
@@ -105,16 +113,23 @@ Result<Instance> LoadInstance(std::istream* in) {
       return Status::InvalidArgument("bad worker record " +
                                      std::to_string(i));
     }
+    if (!(worker.speed >= 0.0)) {
+      return Status::InvalidArgument("worker record " + std::to_string(i) +
+                                     ": speed must be non-negative");
+    }
+    if (!(worker.radius >= 0.0)) {
+      return Status::InvalidArgument("worker record " + std::to_string(i) +
+                                     ": radius must be non-negative");
+    }
     workers.push_back(worker);
   }
 
   if (Status s = ExpectToken(in, "tasks"); !s.ok()) return s;
   int64_t n = 0;
-  if (!ReadInt(in, &n) || n < 0) {
+  if (!ReadInt(in, &n) || n < 0 || !FitsInt(n)) {
     return Status::InvalidArgument("bad task count");
   }
   std::vector<Task> tasks;
-  tasks.reserve(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
     Task task;
     int64_t capacity = 0;
@@ -123,6 +138,10 @@ Result<Instance> LoadInstance(std::istream* in) {
         !ReadDouble(in, &task.create_time) ||
         !ReadDouble(in, &task.deadline) || !ReadInt(in, &capacity)) {
       return Status::InvalidArgument("bad task record " + std::to_string(j));
+    }
+    if (!FitsInt(capacity)) {
+      return Status::InvalidArgument("task record " + std::to_string(j) +
+                                     ": capacity does not fit an int");
     }
     if (capacity < min_group) {
       return Status::InvalidArgument("task capacity below min_group");

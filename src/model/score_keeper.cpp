@@ -19,7 +19,7 @@ constexpr int64_t kNoTileTicks = int64_t{1} << 33;
 /// scalar form: element j lands in lane j % 4, skipped elements do not
 /// advance j, and the lanes combine as (l0 + l2) + (l1 + l3). Keeping
 /// the tile-less paths on this exact order is what makes attaching a
-/// tile (and switching SIMD backends) bit-neutral.
+/// tile bit-neutral.
 struct LaneAcc {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   int j = 0;
@@ -242,7 +242,7 @@ void ScoreKeeper::GainsIfJoined(WorkerIndex w,
     for (int i = 0; i < n; ++i) out[i] = GainIfJoined(w, tasks[i]);
     return;
   }
-  // One gathered RowSumMany dispatch covers every candidate group that
+  // One gathered RowSumMany call covers every candidate group that
   // does not contain w (the common case — a worker is a member of at
   // most one group); the rest fall back to the skip-aware scalar path.
   thread_local std::vector<const int*> ptrs;

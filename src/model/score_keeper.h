@@ -41,8 +41,8 @@ class CoopTile;
 ///
 /// Affinity sums are accumulated in the canonical 4-lane order of
 /// src/kernel/affinity_kernels.h whether or not a CoopTile is attached
-/// (AttachTile): the tile routes them through the runtime-dispatched
-/// SIMD kernels over its exact double pair plane, the tile-less path
+/// (AttachTile): the tile routes them through the affinity kernels
+/// over its exact double pair plane, the tile-less path
 /// replicates the same order over CooperationMatrix::Quality — so
 /// attaching a tile changes speed, never a single result bit.
 class ScoreKeeper {
@@ -111,7 +111,7 @@ class ScoreKeeper {
 
   /// Batched GainIfJoined over many candidate tasks of one worker:
   /// out[i] = GainIfJoined(w, tasks[i]), bit-identical to the one-task
-  /// calls but gathered through one RowSumMany kernel dispatch when a
+  /// calls but gathered through one RowSumMany kernel call when a
   /// tile is attached. Same preconditions per task.
   void GainsIfJoined(WorkerIndex w, std::span<const TaskIndex> tasks,
                      double* out) const;
@@ -177,7 +177,7 @@ class ScoreKeeper {
   /// Canonical-lane two-way affinity of `w` to `group`, skipping
   /// elements equal to `w` or `skip` (skipped elements do not advance
   /// the lane index). `*others` receives the number of contributing
-  /// members. Kernel-dispatched over the tile when one is attached and
+  /// members. Runs the tile kernel when a tile is attached and
   /// nothing needs skipping; bit-identical scalar order otherwise.
   double AffinityOverGroup(std::span<const WorkerIndex> group,
                            WorkerIndex w, WorkerIndex skip,

@@ -12,10 +12,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "geo/reachability.h"
-#include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
 #include "spatial/probe_index.h"
-#include "spatial/rtree.h"
 
 namespace casc {
 namespace {
@@ -28,7 +25,6 @@ constexpr size_t kMinRowsPerChunk = 256;
 
 StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
   StreamingPlaneConfig config;
-  config.backend = DefaultSpatialBackend();
   // Read at call time (not cached) so tests can flip the switches
   // between runs in one process.
   config.audit = std::getenv("CASC_STREAM_AUDIT") != nullptr;
@@ -50,21 +46,6 @@ StreamingPlane::StreamingPlane(StreamingPlaneConfig config)
     : config_(config) {
   CASC_CHECK_GT(config_.rtree_rebuild_fraction, 0.0);
   CASC_CHECK_GE(config_.ingest_threads, 0);
-  switch (config_.backend) {
-    case SpatialBackend::kRTree: {
-      auto rtree = std::make_unique<RTree>();
-      task_rtree_ = rtree.get();
-      task_index_ = std::move(rtree);
-      break;
-    }
-    case SpatialBackend::kGridIndex:
-      task_index_ = std::make_unique<GridIndex>();
-      break;
-    case SpatialBackend::kLinearScan:
-      task_index_ = std::make_unique<LinearScan>();
-      break;
-  }
-  CASC_CHECK(task_index_ != nullptr);
   ingest_threads_ = config_.ingest_threads > 0
                         ? config_.ingest_threads
                         : std::max(1, ThreadPool::DefaultThreads());
@@ -141,7 +122,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
           static_cast<int32_t>(slot_of_handle_.size() - tasks.size() + i);
       rebuild_items_.push_back(SpatialItem{handle, tasks[i].location});
     }
-    task_index_->InsertBatch(rebuild_items_, ingest_pool_.get());
+    task_index_.InsertBatch(rebuild_items_);
   }
   ingest_stats_.spatial_insert_seconds = phase.ElapsedSeconds();
 
@@ -188,7 +169,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
       scratch.appended = 0;
       scratch.rejects = 0;
       for (size_t i = begin; i < end; ++i) {
-        SpliceRow(static_cast<int32_t>(known_workers + i), *task_index_, now,
+        SpliceRow(static_cast<int32_t>(known_workers + i), task_index_, now,
                   &scratch);
       }
     });
@@ -224,7 +205,7 @@ void StreamingPlane::FlushReleases() {
 
 void StreamingPlane::RemoveTask(int32_t slot) {
   const int32_t handle = pool_task_handles_[static_cast<size_t>(slot)];
-  const bool removed = task_index_->Remove(
+  const bool removed = task_index_.Remove(
       SpatialItem{handle, pool_tasks_[static_cast<size_t>(slot)].location});
   CASC_CHECK(removed) << "open task missing from the persistent index";
   slot_of_handle_[static_cast<size_t>(handle)] = -1;
@@ -238,12 +219,11 @@ void StreamingPlane::RefreshSlots() {
 }
 
 void StreamingPlane::MaybeRebuildSpatialIndex() {
-  if (task_rtree_ == nullptr) return;
-  CASC_CHECK_EQ(task_rtree_->Size(), pool_tasks_.size());
+  CASC_CHECK_EQ(task_index_.Size(), pool_tasks_.size());
   const double threshold =
       config_.rtree_rebuild_fraction *
       static_cast<double>(std::max<size_t>(pool_tasks_.size(), 1));
-  if (static_cast<double>(task_rtree_->removed_since_build()) <= threshold) {
+  if (static_cast<double>(task_index_.removed_since_build()) <= threshold) {
     return;
   }
   rebuild_items_.clear();
@@ -252,7 +232,7 @@ void StreamingPlane::MaybeRebuildSpatialIndex() {
     rebuild_items_.push_back(SpatialItem{pool_task_handles_[slot],
                                          pool_tasks_[slot].location});
   }
-  task_rtree_->Build(rebuild_items_);
+  task_index_.Build(rebuild_items_);
   ++spatial_rebuilds_;
 }
 
@@ -419,7 +399,7 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   emit_stats_.csr_emit_seconds = emit_watch.ElapsedSeconds();
 
   if (config_.audit) {
-    instance->ComputeValidPairs(config_.backend, nullptr);
+    instance->ComputeValidPairs();
     ValidPairIndex scratch = instance->ReleaseValidPairs();
     CASC_CHECK(index.SameAs(scratch))
         << "CASC_STREAM_AUDIT: delta-maintained valid pairs differ from "

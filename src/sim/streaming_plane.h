@@ -14,20 +14,14 @@
 #include "model/solve_delta.h"
 #include "model/task.h"
 #include "model/worker.h"
-#include "spatial/spatial_index.h"
+#include "spatial/rtree.h"
 
 namespace casc {
 
-class RTree;
 class ThreadPool;
 
 /// Configuration of the incremental streaming data plane.
 struct StreamingPlaneConfig {
-  /// Spatial backend for the persistent task index and the audit's
-  /// from-scratch build. Every backend returns identical (id-sorted) query
-  /// results, so the choice never changes the produced valid-pair sets.
-  SpatialBackend backend = SpatialBackend::kRTree;
-
   /// Differential self-check: after every incremental emission, also run
   /// the from-scratch build and CHECK the two CSR indexes are
   /// byte-identical (ValidPairIndex::SameAs). Debug/CI tool, enabled at
@@ -78,10 +72,9 @@ struct StreamingPlaneConfig {
   /// anything else CHECK-fails).
   int warm_retry_epoch = 4;
 
-  /// Defaults plus the process-wide runtime switches: backend from
-  /// DefaultSpatialBackend(), audit on when CASC_STREAM_AUDIT is set, warm
-  /// start off when CASC_NO_WARM_START is set, retry epoch from
-  /// CASC_WARM_RETRY_EPOCH when set.
+  /// Defaults plus the process-wide runtime switches: audit on when
+  /// CASC_STREAM_AUDIT is set, warm start off when CASC_NO_WARM_START is
+  /// set, retry epoch from CASC_WARM_RETRY_EPOCH when set.
   static StreamingPlaneConfig FromEnv();
 };
 
@@ -341,9 +334,8 @@ class StreamingPlane {
   std::vector<std::pair<double, int32_t>> busy_;
   std::vector<int32_t> staged_releases_;
 
-  /// Persistent spatial index over the open tasks (keyed by handle).
-  std::unique_ptr<SpatialIndex> task_index_;
-  RTree* task_rtree_ = nullptr;  ///< downcast when backend == kRTree
+  /// Persistent R-tree over the open tasks (keyed by handle).
+  RTree task_index_;
   int64_t spatial_rebuilds_ = 0;
 
   /// Admission state of the current batch.

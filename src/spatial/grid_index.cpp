@@ -1,10 +1,9 @@
 #include "spatial/grid_index.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "geo/rect.h"
 
 namespace casc {
 
@@ -29,86 +28,10 @@ void GridIndex::Insert(const SpatialItem& item) {
   ++size_;
 }
 
-bool GridIndex::Remove(const SpatialItem& item) {
-  const int cx = CellOf(item.location.x);
-  const int cy = CellOf(item.location.y);
-  std::vector<SpatialItem>& cell =
-      cells_[static_cast<size_t>(cy) * cells_per_side_ + cx];
-  for (size_t i = 0; i < cell.size(); ++i) {
-    if (cell[i].id == item.id && cell[i].location.x == item.location.x &&
-        cell[i].location.y == item.location.y) {
-      cell[i] = cell.back();
-      cell.pop_back();
-      --size_;
-      return true;
-    }
-  }
-  return false;
-}
-
 void GridIndex::Build(const std::vector<SpatialItem>& items) {
   for (auto& cell : cells_) cell.clear();
   size_ = 0;
   for (const auto& item : items) Insert(item);
-}
-
-void GridIndex::InsertBatch(const std::vector<SpatialItem>& items,
-                            ThreadPool* pool) {
-  const int threads = pool != nullptr ? pool->num_threads() : 1;
-  if (threads <= 1 || items.size() < 1024) {
-    for (const auto& item : items) Insert(item);
-    return;
-  }
-  // Two-pass fan-out: precompute each item's cell, then give every thread
-  // a contiguous range of cells; each thread scans the whole batch and
-  // appends only the items landing in its own cells, in batch order. No
-  // two threads touch the same cell, and in-cell order equals the serial
-  // Insert loop's, so the layout (not just query results) is identical on
-  // any thread count.
-  batch_cells_.resize(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    const int cx = CellOf(items[i].location.x);
-    const int cy = CellOf(items[i].location.y);
-    batch_cells_[i] = static_cast<int32_t>(cy * cells_per_side_ + cx);
-  }
-  const int64_t num_cells =
-      static_cast<int64_t>(cells_per_side_) * cells_per_side_;
-  pool->ParallelFor(threads, [&](int64_t chunk) {
-    const auto [cell_begin, cell_end] =
-        ThreadPool::ChunkBounds(num_cells, threads, static_cast<int>(chunk));
-    for (size_t i = 0; i < items.size(); ++i) {
-      const int32_t cell = batch_cells_[i];
-      if (cell >= cell_begin && cell < cell_end) {
-        cells_[static_cast<size_t>(cell)].push_back(items[i]);
-      }
-    }
-  });
-  size_ += items.size();
-}
-
-std::vector<int64_t> GridIndex::RangeQuery(const Rect& rect) const {
-  std::vector<int64_t> out;
-  if (rect.IsEmpty()) return out;
-  const int x_lo = CellOf(rect.min_x);
-  const int x_hi = CellOf(rect.max_x);
-  const int y_lo = CellOf(rect.min_y);
-  const int y_hi = CellOf(rect.max_y);
-  for (int cy = y_lo; cy <= y_hi; ++cy) {
-    for (int cx = x_lo; cx <= x_hi; ++cx) {
-      for (const auto& item : Cell(cx, cy)) {
-        if (rect.Contains(item.location)) out.push_back(item.id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<int64_t> GridIndex::CircleQuery(const Point& center,
-                                            double radius) const {
-  std::vector<int64_t> out;
-  CircleQueryInto(center, radius, &out);
-  return out;
 }
 
 void GridIndex::CircleQueryInto(const Point& center, double radius,
@@ -131,43 +54,6 @@ void GridIndex::CircleQueryInto(const Point& center, double radius,
     }
   }
   std::sort(out->begin(), out->end());
-}
-
-std::vector<int64_t> GridIndex::Knn(const Point& center, size_t k) const {
-  // Expanding-ring search: examine cells in growing square rings around
-  // the center cell until the k-th best distance is covered by the ring.
-  std::vector<std::pair<double, int64_t>> best;
-  if (k == 0 || size_ == 0) return {};
-  const int ccx = CellOf(center.x);
-  const int ccy = CellOf(center.y);
-  const double cell_width = 1.0 / cells_per_side_;
-  for (int ring = 0; ring < cells_per_side_; ++ring) {
-    // Cells whose Chebyshev cell-distance from the center cell is `ring`.
-    for (int cy = ccy - ring; cy <= ccy + ring; ++cy) {
-      if (cy < 0 || cy >= cells_per_side_) continue;
-      for (int cx = ccx - ring; cx <= ccx + ring; ++cx) {
-        if (cx < 0 || cx >= cells_per_side_) continue;
-        if (std::max(std::abs(cx - ccx), std::abs(cy - ccy)) != ring) continue;
-        for (const auto& item : Cell(cx, cy)) {
-          best.emplace_back(SquaredDistance(center, item.location), item.id);
-        }
-      }
-    }
-    if (best.size() >= k) {
-      std::nth_element(best.begin(), best.begin() + (k - 1), best.end());
-      const double kth = best[k - 1].first;
-      // Every unexplored cell is at least `ring * cell_width` away from the
-      // center point; stop when that bound exceeds the current k-th result.
-      const double ring_lower_bound = ring * cell_width;
-      if (ring_lower_bound * ring_lower_bound >= kth) break;
-    }
-  }
-  const size_t count = std::min(k, best.size());
-  std::partial_sort(best.begin(), best.begin() + count, best.end());
-  std::vector<int64_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(best[i].second);
-  return out;
 }
 
 }  // namespace casc

@@ -13,16 +13,8 @@ namespace casc {
 ///
 /// Cell resolution is fixed at construction; a resolution near
 /// 1 / expected_query_radius keeps candidate lists short for the working-
-/// area queries issued by the batch framework.
-///
-/// The grid is fully mutation-capable: Insert/Remove touch exactly one
-/// cell each, so a streaming caller maintaining the index across batches
-/// pays O(delta) per batch instead of an O(n) rebuild. Cell order is not
-/// part of the contract (queries sort their results by id), which lets
-/// Remove use swap-with-last eviction. InsertBatch fans a large batch out
-/// over a pool with each thread owning a contiguous cell range, appending
-/// its items in batch order — the resulting cell contents are exactly
-/// those of a serial Insert loop, on any thread count.
+/// area queries issued by the batch framework. Built once per batch as a
+/// throwaway probe index (MakeProbeIndex), never mutated afterwards.
 class GridIndex : public SpatialIndex {
  public:
   /// Creates a `cells_per_side` x `cells_per_side` grid.
@@ -30,16 +22,9 @@ class GridIndex : public SpatialIndex {
   explicit GridIndex(int cells_per_side = 32);
 
   void Insert(const SpatialItem& item) override;
-  bool Remove(const SpatialItem& item) override;
   void Build(const std::vector<SpatialItem>& items) override;
-  void InsertBatch(const std::vector<SpatialItem>& items,
-                   ThreadPool* pool) override;
-  std::vector<int64_t> RangeQuery(const Rect& rect) const override;
-  std::vector<int64_t> CircleQuery(const Point& center,
-                                   double radius) const override;
   void CircleQueryInto(const Point& center, double radius,
                        std::vector<int64_t>* out) const override;
-  std::vector<int64_t> Knn(const Point& center, size_t k) const override;
   size_t Size() const override { return size_; }
 
  private:
@@ -49,7 +34,6 @@ class GridIndex : public SpatialIndex {
   int cells_per_side_;
   std::vector<std::vector<SpatialItem>> cells_;
   size_t size_ = 0;
-  std::vector<int32_t> batch_cells_;  // InsertBatch scratch: cell per item
 };
 
 }  // namespace casc

@@ -6,36 +6,8 @@ namespace casc {
 
 void LinearScan::Insert(const SpatialItem& item) { items_.push_back(item); }
 
-bool LinearScan::Remove(const SpatialItem& item) {
-  for (size_t i = 0; i < items_.size(); ++i) {
-    if (items_[i].id == item.id && items_[i].location.x == item.location.x &&
-        items_[i].location.y == item.location.y) {
-      items_[i] = items_.back();
-      items_.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
 void LinearScan::Build(const std::vector<SpatialItem>& items) {
   items_ = items;
-}
-
-std::vector<int64_t> LinearScan::RangeQuery(const Rect& rect) const {
-  std::vector<int64_t> out;
-  for (const auto& item : items_) {
-    if (rect.Contains(item.location)) out.push_back(item.id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<int64_t> LinearScan::CircleQuery(const Point& center,
-                                             double radius) const {
-  std::vector<int64_t> out;
-  CircleQueryInto(center, radius, &out);
-  return out;
 }
 
 void LinearScan::CircleQueryInto(const Point& center, double radius,
@@ -46,20 +18,6 @@ void LinearScan::CircleQueryInto(const Point& center, double radius,
     if (SquaredDistance(center, item.location) <= r2) out->push_back(item.id);
   }
   std::sort(out->begin(), out->end());
-}
-
-std::vector<int64_t> LinearScan::Knn(const Point& center, size_t k) const {
-  std::vector<std::pair<double, int64_t>> scored;
-  scored.reserve(items_.size());
-  for (const auto& item : items_) {
-    scored.emplace_back(SquaredDistance(center, item.location), item.id);
-  }
-  const size_t count = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + count, scored.end());
-  std::vector<int64_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(scored[i].second);
-  return out;
 }
 
 }  // namespace casc

@@ -8,19 +8,15 @@
 namespace casc {
 
 /// Brute-force SpatialIndex: O(n) per query. Serves as the correctness
-/// reference for GridIndex and RTree in tests, and as the honest baseline
-/// in the spatial micro-benchmark.
+/// reference for GridIndex and RTree in tests, as the probe index for tiny
+/// per-batch deltas, and as the honest baseline in the spatial
+/// micro-benchmark.
 class LinearScan : public SpatialIndex {
  public:
   void Insert(const SpatialItem& item) override;
-  bool Remove(const SpatialItem& item) override;
   void Build(const std::vector<SpatialItem>& items) override;
-  std::vector<int64_t> RangeQuery(const Rect& rect) const override;
-  std::vector<int64_t> CircleQuery(const Point& center,
-                                   double radius) const override;
   void CircleQueryInto(const Point& center, double radius,
                        std::vector<int64_t>* out) const override;
-  std::vector<int64_t> Knn(const Point& center, size_t k) const override;
   size_t Size() const override { return items_.size(); }
 
  private:

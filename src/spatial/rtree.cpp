@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "common/check.h"
+#include "geo/rect.h"
 
 namespace casc {
 
@@ -226,11 +226,7 @@ void RTree::CollectInto(const RTree::Node* node,
   for (const auto& child : node->children) CollectInto(child.get(), out);
 }
 
-void RTree::InsertBatch(const std::vector<SpatialItem>& items,
-                        ThreadPool* pool) {
-  (void)pool;  // Guttman descents are inherently serial; the rebuild path
-               // is already bulk. Parallel spatial ingest happens one
-               // level up (GridIndex fan-out / per-worker row splice).
+void RTree::InsertBatch(const std::vector<SpatialItem>& items) {
   if (items.empty()) return;
   if (size_ > 0 && items.size() < size_ / 2) {
     for (const auto& item : items) Insert(item);
@@ -373,33 +369,6 @@ void RTree::Build(const std::vector<SpatialItem>& items) {
   root_ = std::move(level.front());
 }
 
-std::vector<int64_t> RTree::RangeQuery(const Rect& rect) const {
-  std::vector<int64_t> out;
-  if (!root_ || rect.IsEmpty()) return out;
-  std::vector<const RTree::Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const RTree::Node* node = stack.back();
-    stack.pop_back();
-    if (!node->bounds.Intersects(rect)) continue;
-    if (node->is_leaf) {
-      for (const auto& item : node->items) {
-        if (rect.Contains(item.location)) out.push_back(item.id);
-      }
-    } else {
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<int64_t> RTree::CircleQuery(const Point& center,
-                                        double radius) const {
-  std::vector<int64_t> out;
-  CircleQueryInto(center, radius, &out);
-  return out;
-}
-
 void RTree::CircleQueryInto(const Point& center, double radius,
                             std::vector<int64_t>* out) const {
   out->clear();
@@ -428,50 +397,6 @@ void RTree::CircleQueryInto(const Point& center, double radius,
     }
   }
   std::sort(out->begin(), out->end());
-}
-
-std::vector<int64_t> RTree::Knn(const Point& center, size_t k) const {
-  if (!root_ || k == 0) return {};
-  // Best-first search over nodes and items, keyed by min distance.
-  struct QueueEntry {
-    double dist2;
-    bool is_item;
-    int64_t item_id;
-    const RTree::Node* node;
-    bool operator>(const QueueEntry& other) const {
-      if (dist2 != other.dist2) return dist2 > other.dist2;
-      // Visit items before nodes at equal distance so equal-distance ties
-      // resolve deterministically by id below.
-      return item_id > other.item_id;
-    }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
-  queue.push({root_->bounds.MinSquaredDistance(center), false, -1,
-              root_.get()});
-  std::vector<int64_t> out;
-  while (!queue.empty() && out.size() < k) {
-    const QueueEntry entry = queue.top();
-    queue.pop();
-    if (entry.is_item) {
-      out.push_back(entry.item_id);
-      continue;
-    }
-    const RTree::Node* node = entry.node;
-    if (node->is_leaf) {
-      for (const auto& item : node->items) {
-        queue.push({SquaredDistance(center, item.location), true, item.id,
-                    nullptr});
-      }
-    } else {
-      for (const auto& child : node->children) {
-        queue.push({child->bounds.MinSquaredDistance(center), false, -1,
-                    child.get()});
-      }
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -24,7 +24,10 @@ namespace casc {
 ///   Build() cheaper than continuing to query the degraded tree — the
 ///   streaming plane rebuilds at removed_since_build() >
 ///   fraction * Size().
-/// * Queries: rectangle, circle (working area), and best-first kNN.
+/// * Queries: circle (the working area).
+///
+/// The streaming plane's persistent task index is the only mutated one,
+/// so Remove() and InsertBatch() live here rather than on SpatialIndex.
 class RTree : public SpatialIndex {
  public:
   /// Tree node; opaque to callers, public so internal helpers can name it.
@@ -41,22 +44,22 @@ class RTree : public SpatialIndex {
   RTree& operator=(RTree&&) = default;
 
   void Insert(const SpatialItem& item) override;
-  bool Remove(const SpatialItem& item) override;
   void Build(const std::vector<SpatialItem>& items) override;
+
+  /// Removes one item previously inserted with exactly this (id, location)
+  /// pair; returns false (and changes nothing) when no such item exists.
+  /// With duplicates, removes one arbitrary matching copy.
+  bool Remove(const SpatialItem& item);
+
   /// Guttman-inserts small batches; once the batch reaches half the live
   /// size, collects the tree and STR-rebuilds over old + new instead
   /// (cheaper than n/2 one-by-one descents, and it resets any loose
   /// bounds accumulated by removals). Either path yields the same query
   /// results — all queries sort by id — so callers never observe which
   /// one ran.
-  void InsertBatch(const std::vector<SpatialItem>& items,
-                   ThreadPool* pool) override;
-  std::vector<int64_t> RangeQuery(const Rect& rect) const override;
-  std::vector<int64_t> CircleQuery(const Point& center,
-                                   double radius) const override;
+  void InsertBatch(const std::vector<SpatialItem>& items);
   void CircleQueryInto(const Point& center, double radius,
                        std::vector<int64_t>* out) const override;
-  std::vector<int64_t> Knn(const Point& center, size_t k) const override;
   size_t Size() const override { return size_; }
 
   /// Removals applied since the last Build() (or construction). Loose

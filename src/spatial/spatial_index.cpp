@@ -2,20 +2,11 @@
 
 namespace casc {
 
-void SpatialIndex::Build(const std::vector<SpatialItem>& items) {
-  for (const auto& item : items) Insert(item);
-}
-
-void SpatialIndex::InsertBatch(const std::vector<SpatialItem>& items,
-                               ThreadPool* pool) {
-  (void)pool;
-  for (const auto& item : items) Insert(item);
-}
-
-void SpatialIndex::CircleQueryInto(const Point& center, double radius,
-                                   std::vector<int64_t>* out) const {
-  const std::vector<int64_t> ids = CircleQuery(center, radius);
-  out->assign(ids.begin(), ids.end());
+std::vector<int64_t> SpatialIndex::CircleQuery(const Point& center,
+                                               double radius) const {
+  std::vector<int64_t> out;
+  CircleQueryInto(center, radius, &out);
+  return out;
 }
 
 }  // namespace casc

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "algo/tpg_assigner.h"
 #include "common/rng.h"
@@ -134,6 +135,77 @@ TEST(InstanceIoTest, RejectsCapacityBelowMinGroup) {
       "coop\n"
       "end\n");
   EXPECT_FALSE(LoadInstance(&stream).ok());
+}
+
+TEST(InstanceIoTest, RejectsWorkerCountBeyondInt) {
+  std::stringstream stream(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 3000000000\n");
+  const Result<Instance> loaded = LoadInstance(&stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("worker count"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST(InstanceIoTest, HugeHeaderCountWithoutRecordsFailsCleanly) {
+  // Fits an int, so only the missing records can reject it; the reader
+  // must not allocate from the header first.
+  std::stringstream stream(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 2000000000\n"
+      "0 0.1 0.1 0.5 0.5 0\n");
+  const Result<Instance> loaded = LoadInstance(&stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("bad worker record 1"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST(InstanceIoTest, RejectsCapacityBeyondInt) {
+  // 4294967298 = 2^32 + 2 would truncate to a valid-looking 2.
+  std::stringstream stream(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 0\n"
+      "tasks 1\n"
+      "0 0.15 0.15 0 5 4294967298\n"
+      "coop\n"
+      "end\n");
+  const Result<Instance> loaded = LoadInstance(&stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("task record 0"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST(InstanceIoTest, RejectsNegativeSpeedAndRadius) {
+  const std::string header =
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 1\n";
+  const std::string footer =
+      "tasks 0\n"
+      "coop\n"
+      "0\n"
+      "end\n";
+  const auto load = [&](const std::string& worker) {
+    std::stringstream stream(header + worker + footer);
+    return LoadInstance(&stream);
+  };
+  ASSERT_TRUE(load("0 0.1 0.1 0.5 0.5 0\n").ok());
+  const Result<Instance> bad_speed = load("0 0.1 0.1 -1 0.5 0\n");
+  ASSERT_FALSE(bad_speed.ok());
+  EXPECT_NE(bad_speed.status().message().find("worker record 0: speed"),
+            std::string::npos)
+      << bad_speed.status().message();
+  const Result<Instance> bad_radius = load("0 0.1 0.1 0.5 -0.3 0\n");
+  ASSERT_FALSE(bad_radius.ok());
+  EXPECT_NE(bad_radius.status().message().find("worker record 0: radius"),
+            std::string::npos)
+      << bad_radius.status().message();
 }
 
 TEST(InstanceIoTest, EmptyInstanceRoundTrips) {

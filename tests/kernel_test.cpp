@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -9,7 +10,6 @@
 #include "gen/synthetic.h"
 #include "kernel/affinity_kernels.h"
 #include "kernel/coop_tile.h"
-#include "kernel/kernel_dispatch.h"
 #include "model/batch_workspace.h"
 #include "model/cooperation_matrix.h"
 #include "model/score_keeper.h"
@@ -17,21 +17,30 @@
 namespace casc {
 namespace {
 
-constexpr KernelBackend kAllBackends[] = {
-    KernelBackend::kScalar, KernelBackend::kSse2, KernelBackend::kAvx2};
+/// The canonical reduction order, spelled out independently of the
+/// kernels: value j lands in lane j % 4 (ascending j), and the lanes
+/// combine as (l0 + l2) + (l1 + l3). `value(j)` yields the j-th element
+/// already widened to double.
+template <typename Value>
+double CanonicalLaneSum(int count, Value value) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (int j = 0; j < count; ++j) lanes[j % 4] += value(j);
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
 
-/// Runs `fn` once per available backend with that backend active, then
-/// restores the entry backend. The differential contract under test:
-/// every backend returns the same bits.
-template <typename Fn>
-void ForEachAvailableBackend(Fn&& fn) {
-  const KernelBackend entry = ActiveKernelBackend();
-  for (const KernelBackend backend : kAllBackends) {
-    if (!KernelBackendAvailable(backend)) continue;
-    SetKernelBackend(backend);
-    fn(backend);
+double ReferenceRowSum(const std::vector<double>& row,
+                       const std::vector<int>& idx) {
+  return CanonicalLaneSum(static_cast<int>(idx.size()), [&](int j) {
+    return row[static_cast<size_t>(idx[static_cast<size_t>(j)])];
+  });
+}
+
+std::vector<int> RandomIndices(int count, size_t range, Rng* rng) {
+  std::vector<int> idx;
+  for (int j = 0; j < count; ++j) {
+    idx.push_back(static_cast<int>(rng->UniformInt(range)));
   }
-  SetKernelBackend(entry);
+  return idx;
 }
 
 CooperationMatrix RandomDenseMatrix(int m, uint64_t seed) {
@@ -78,50 +87,22 @@ Assignment GreedyAssignment(const Instance& instance) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch plumbing
+// Raw kernels: bit-identical to the spelled-out canonical reference.
 // ---------------------------------------------------------------------------
 
-TEST(KernelDispatchTest, ScalarAlwaysAvailable) {
-  EXPECT_TRUE(KernelBackendAvailable(KernelBackend::kScalar));
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kSse2), "sse2");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
-}
-
-TEST(KernelDispatchTest, SetBackendSticks) {
-  const KernelBackend entry = ActiveKernelBackend();
-  EXPECT_TRUE(KernelBackendAvailable(entry));
-  SetKernelBackend(KernelBackend::kScalar);
-  EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
-  SetKernelBackend(entry);
-  EXPECT_EQ(ActiveKernelBackend(), entry);
-}
-
-// ---------------------------------------------------------------------------
-// Raw kernels: every backend returns the scalar backend's exact bits.
-// ---------------------------------------------------------------------------
-
-TEST(AffinityKernelsTest, RowSumBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, RowSumMatchesCanonicalReference) {
   Rng rng(11);
   std::vector<double> row(64);
   for (double& v : row) v = rng.Uniform();
   for (int count = 0; count <= 33; ++count) {
-    std::vector<int> idx;
-    for (int j = 0; j < count; ++j) {
-      idx.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(row.size()))));
-    }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference = RowSumKernel(row.data(), idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got = RowSumKernel(row.data(), idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
-    });
+    const std::vector<int> idx = RandomIndices(count, row.size(), &rng);
+    EXPECT_EQ(RowSumKernel(row.data(), idx.data(), count),
+              ReferenceRowSum(row, idx))
+        << "count=" << count;
   }
 }
 
-TEST(AffinityKernelsTest, PairSumBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, PairSumMatchesCanonicalReference) {
   Rng rng(12);
   constexpr int kWorkers = 24;
   constexpr int64_t kStride = 24;
@@ -132,35 +113,29 @@ TEST(AffinityKernelsTest, PairSumBitIdenticalAcrossBackends) {
     }
   }
   for (int count = 0; count <= 12; ++count) {
-    std::vector<int> idx;
-    for (int j = 0; j < count; ++j) {
-      idx.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(kWorkers))));
+    const std::vector<int> idx = RandomIndices(count, kWorkers, &rng);
+    // Outer index ascending; each suffix reduced in canonical lane order.
+    double reference = 0.0;
+    for (int a = 0; a + 1 < count; ++a) {
+      const int64_t base = idx[static_cast<size_t>(a)] * kStride;
+      reference += CanonicalLaneSum(count - a - 1, [&](int j) {
+        return tile[static_cast<size_t>(
+            base + idx[static_cast<size_t>(a + 1 + j)])];
+      });
     }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference =
-        PairSumKernel(tile.data(), kStride, idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got =
-          PairSumKernel(tile.data(), kStride, idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
-    });
+    EXPECT_EQ(PairSumKernel(tile.data(), kStride, idx.data(), count),
+              reference)
+        << "count=" << count;
   }
 }
 
-TEST(AffinityKernelsTest, RowSumManyMatchesSingleCalls) {
+TEST(AffinityKernelsTest, RowSumManyMatchesCanonicalReference) {
   Rng rng(13);
   std::vector<double> row(48);
   for (double& v : row) v = rng.Uniform();
   std::vector<std::vector<int>> groups;
   for (int g = 0; g < 9; ++g) {
-    std::vector<int> group;
-    for (int j = 0; j < g; ++j) {
-      group.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(row.size()))));
-    }
-    groups.push_back(std::move(group));
+    groups.push_back(RandomIndices(g, row.size(), &rng));
   }
   std::vector<const int*> ptrs;
   std::vector<int> lens;
@@ -168,34 +143,26 @@ TEST(AffinityKernelsTest, RowSumManyMatchesSingleCalls) {
     ptrs.push_back(group.data());
     lens.push_back(static_cast<int>(group.size()));
   }
-  ForEachAvailableBackend([&](KernelBackend backend) {
-    std::vector<double> out(groups.size(), -1.0);
-    RowSumMany(row.data(), ptrs.data(), lens.data(),
-               static_cast<int>(groups.size()), out.data());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      EXPECT_EQ(out[g], RowSumKernel(row.data(), ptrs[g], lens[g]))
-          << "group=" << g << " backend=" << KernelBackendName(backend);
-    }
-  });
+  std::vector<double> out(groups.size(), -1.0);
+  RowSumMany(row.data(), ptrs.data(), lens.data(),
+             static_cast<int>(groups.size()), out.data());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(out[g], ReferenceRowSum(row, groups[g])) << "group=" << g;
+  }
 }
 
-TEST(AffinityKernelsTest, RowSumFloatUpBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, RowSumFloatUpMatchesCanonicalReference) {
   Rng rng(14);
   std::vector<float> row(64);
   for (float& v : row) v = FloatUp(rng.Uniform());
   for (int count = 0; count <= 21; ++count) {
-    std::vector<int> idx;
-    for (int j = 0; j < count; ++j) {
-      idx.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(row.size()))));
-    }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference = RowSumFloatUp(row.data(), idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got = RowSumFloatUp(row.data(), idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
+    const std::vector<int> idx = RandomIndices(count, row.size(), &rng);
+    const double reference = CanonicalLaneSum(count, [&](int j) {
+      return static_cast<double>(
+          row[static_cast<size_t>(idx[static_cast<size_t>(j)])]);
     });
+    EXPECT_EQ(RowSumFloatUp(row.data(), idx.data(), count), reference)
+        << "count=" << count;
   }
 }
 
@@ -283,7 +250,7 @@ TEST(CoopTileTest, IdentityHashTracksMutation) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreKeeper: tile path == matrix path, bit for bit, on every backend.
+// ScoreKeeper: tile path == matrix path, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(ScoreKeeperTileTest, TileParityOnRandomInstances) {
@@ -295,42 +262,38 @@ TEST(ScoreKeeperTileTest, TileParityOnRandomInstances) {
     CoopTile tile;
     ASSERT_TRUE(tile.BuildFrom(instance.coop(), 2048));
 
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      ScoreKeeper tiled(instance);
-      tiled.AttachTile(&tile);
-      tiled.Sync(assignment);
-      EXPECT_EQ(tiled.TotalScore(), plain.TotalScore())
-          << KernelBackendName(backend);
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        EXPECT_EQ(tiled.TaskScore(t), plain.TaskScore(t));
-        EXPECT_EQ(tiled.TaskPairSum(t), plain.TaskPairSum(t));
+    ScoreKeeper tiled(instance);
+    tiled.AttachTile(&tile);
+    tiled.Sync(assignment);
+    EXPECT_EQ(tiled.TotalScore(), plain.TotalScore());
+    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+      EXPECT_EQ(tiled.TaskScore(t), plain.TaskScore(t));
+      EXPECT_EQ(tiled.TaskPairSum(t), plain.TaskPairSum(t));
+    }
+    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+      std::vector<TaskIndex> candidates;
+      for (const TaskIndex t : instance.ValidTasks(w)) {
+        const int capacity =
+            instance.tasks()[static_cast<size_t>(t)].capacity;
+        if (assignment.TaskOf(w) == t) continue;
+        if (assignment.GroupSize(t) >= capacity) continue;
+        candidates.push_back(t);
+        EXPECT_EQ(tiled.GainIfJoined(w, t), plain.GainIfJoined(w, t))
+            << "w=" << w << " t=" << t;
       }
-      for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-        std::vector<TaskIndex> candidates;
-        for (const TaskIndex t : instance.ValidTasks(w)) {
-          const int capacity =
-              instance.tasks()[static_cast<size_t>(t)].capacity;
-          if (assignment.TaskOf(w) == t) continue;
-          if (assignment.GroupSize(t) >= capacity) continue;
-          candidates.push_back(t);
-          EXPECT_EQ(tiled.GainIfJoined(w, t), plain.GainIfJoined(w, t))
-              << "w=" << w << " t=" << t << " "
-              << KernelBackendName(backend);
-        }
-        if (!candidates.empty()) {
-          std::vector<double> batched(candidates.size(), -1.0);
-          tiled.GainsIfJoined(w, candidates, batched.data());
-          for (size_t i = 0; i < candidates.size(); ++i) {
-            EXPECT_EQ(batched[i], plain.GainIfJoined(w, candidates[i]));
-          }
-        }
-        const TaskIndex current = assignment.TaskOf(w);
-        if (current != kNoTask) {
-          EXPECT_EQ(tiled.LossIfLeft(w, current),
-                    plain.LossIfLeft(w, current));
+      if (!candidates.empty()) {
+        std::vector<double> batched(candidates.size(), -1.0);
+        tiled.GainsIfJoined(w, candidates, batched.data());
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(batched[i], plain.GainIfJoined(w, candidates[i]));
         }
       }
-    });
+      const TaskIndex current = assignment.TaskOf(w);
+      if (current != kNoTask) {
+        EXPECT_EQ(tiled.LossIfLeft(w, current),
+                  plain.LossIfLeft(w, current));
+      }
+    }
   }
 }
 
@@ -428,6 +391,26 @@ TEST(BatchWorkspaceTileTest, CachesByMatrixIdentity) {
   EXPECT_EQ(tile_b->source_identity(), b.coop().IdentityHash());
   EXPECT_NE(tile_b->source_identity(), identity_a);
   ExpectTileMatches(b.coop(), *tile_b);
+}
+
+// The ceiling is cached once per process, so each case must run in a
+// freshly executed child: the threadsafe death-test style re-runs the
+// test from the top, where the cache is still empty.
+TEST(BatchWorkspaceTileDeathTest, MalformedTileCeilingIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Instance instance = RandomInstance(30, 10, 33);
+  for (const char* bad : {"abc", "12x", "", "-1", "99999999999"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("CASC_TILE_MAX_WORKERS", bad, 1);
+          BatchWorkspace workspace;
+          (void)workspace.PrepareCoopTile(instance);
+        },
+        std::string("CASC_TILE_MAX_WORKERS must be a non-negative "
+                    "integer, got '") +
+            bad + "'")
+        << "value '" << bad << "'";
+  }
 }
 
 }  // namespace

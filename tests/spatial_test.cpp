@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "spatial/grid_index.h"
-#include "spatial/kd_tree.h"
 #include "spatial/linear_scan.h"
 #include "spatial/rtree.h"
 
@@ -25,24 +23,28 @@ std::vector<SpatialItem> RandomItems(int count, uint64_t seed) {
   return items;
 }
 
+/// A circle query covering the whole unit square: every stored item.
+std::vector<int64_t> QueryUnitSquare(const SpatialIndex& index) {
+  return index.CircleQuery({0.5, 0.5}, 0.75);
+}
+
 // ---------------------------------------------------------------------------
 // LinearScan (the reference)
 // ---------------------------------------------------------------------------
 
 TEST(LinearScanTest, EmptyQueries) {
   LinearScan index;
-  EXPECT_TRUE(index.RangeQuery({0, 0, 1, 1}).empty());
   EXPECT_TRUE(index.CircleQuery({0.5, 0.5}, 10.0).empty());
-  EXPECT_TRUE(index.Knn({0.5, 0.5}, 3).empty());
   EXPECT_EQ(index.Size(), 0u);
 }
 
-TEST(LinearScanTest, BasicRange) {
+TEST(LinearScanTest, BasicCircle) {
   LinearScan index;
-  index.Insert({1, {0.1, 0.1}});
-  index.Insert({2, {0.9, 0.9}});
   index.Insert({3, {0.5, 0.5}});
-  const auto hits = index.RangeQuery({0.0, 0.0, 0.6, 0.6});
+  index.Insert({2, {0.9, 0.9}});
+  index.Insert({1, {0.1, 0.1}});
+  // Ascending ids regardless of insertion order.
+  const auto hits = index.CircleQuery({0.3, 0.3}, 0.3);
   EXPECT_EQ(hits, (std::vector<int64_t>{1, 3}));
 }
 
@@ -54,21 +56,6 @@ TEST(LinearScanTest, CircleBoundaryInclusive) {
   EXPECT_TRUE(index.CircleQuery({0.0, 0.0}, 0.4999).empty());
 }
 
-TEST(LinearScanTest, KnnOrderedByDistance) {
-  LinearScan index;
-  index.Insert({10, {0.9, 0.9}});
-  index.Insert({20, {0.1, 0.1}});
-  index.Insert({30, {0.5, 0.5}});
-  const auto knn = index.Knn({0.0, 0.0}, 2);
-  EXPECT_EQ(knn, (std::vector<int64_t>{20, 30}));
-}
-
-TEST(LinearScanTest, KnnMoreThanAvailable) {
-  LinearScan index;
-  index.Insert({1, {0.1, 0.1}});
-  EXPECT_EQ(index.Knn({0.0, 0.0}, 5).size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // RTree structure
 // ---------------------------------------------------------------------------
@@ -77,8 +64,7 @@ TEST(RTreeTest, EmptyTree) {
   RTree tree;
   EXPECT_EQ(tree.Size(), 0u);
   EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(tree.RangeQuery({0, 0, 1, 1}).empty());
-  EXPECT_TRUE(tree.Knn({0.5, 0.5}, 4).empty());
+  EXPECT_TRUE(QueryUnitSquare(tree).empty());
   tree.CheckInvariants();
 }
 
@@ -93,7 +79,7 @@ TEST(RTreeTest, InsertGrowsAndSplits) {
   EXPECT_EQ(tree.Size(), 100u);
   EXPECT_GT(tree.Height(), 1);
   // Everything is in the unit square.
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 100u);
+  EXPECT_EQ(QueryUnitSquare(tree).size(), 100u);
 }
 
 TEST(RTreeTest, BulkLoadPacksAllItems) {
@@ -101,7 +87,7 @@ TEST(RTreeTest, BulkLoadPacksAllItems) {
   tree.Build(RandomItems(1000, 99));
   EXPECT_EQ(tree.Size(), 1000u);
   tree.CheckInvariants();
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 1000u);
+  EXPECT_EQ(QueryUnitSquare(tree).size(), 1000u);
 }
 
 TEST(RTreeTest, BuildReplacesContents) {
@@ -127,7 +113,19 @@ TEST(RTreeTest, MixedBuildAndInsert) {
   }
   tree.CheckInvariants();
   EXPECT_EQ(tree.Size(), 400u);
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 400u);
+  EXPECT_EQ(QueryUnitSquare(tree).size(), 400u);
+}
+
+TEST(RTreeTest, DuplicateXCoordinateColumn) {
+  // All points share x = 0.5: the STR x-sort cannot separate them; a
+  // query centred on the column must still find everything.
+  RTree tree(4, 2);
+  std::vector<SpatialItem> items;
+  for (int i = 0; i < 40; ++i) items.push_back({i, {0.5, i / 40.0}});
+  tree.Build(items);
+  tree.CheckInvariants();
+  EXPECT_EQ(tree.CircleQuery({0.5, 0.5}, 0.5).size(), 40u);
+  EXPECT_EQ(tree.CircleQuery({0.6, 0.5}, 0.05).size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,20 +149,16 @@ TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
   reference.Build(items);
   GridIndex grid(16);
   RTree rtree(8, 3);
-  KdTree kdtree;
   if (param.bulk_load) {
     grid.Build(items);
     rtree.Build(items);
-    kdtree.Build(items);
   } else {
     for (const auto& item : items) {
       grid.Insert(item);
       rtree.Insert(item);
-      kdtree.Insert(item);
     }
   }
   rtree.CheckInvariants();
-  kdtree.CheckInvariants();
 
   Rng rng(param.seed ^ 0xABCD);
   for (int q = 0; q < 50; ++q) {
@@ -173,56 +167,6 @@ TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
     const auto expected_circle = reference.CircleQuery(center, radius);
     EXPECT_EQ(grid.CircleQuery(center, radius), expected_circle);
     EXPECT_EQ(rtree.CircleQuery(center, radius), expected_circle);
-    EXPECT_EQ(kdtree.CircleQuery(center, radius), expected_circle);
-
-    const double x1 = rng.Uniform(), x2 = rng.Uniform();
-    const double y1 = rng.Uniform(), y2 = rng.Uniform();
-    const Rect rect{std::min(x1, x2), std::min(y1, y2), std::max(x1, x2),
-                    std::max(y1, y2)};
-    const auto expected_range = reference.RangeQuery(rect);
-    EXPECT_EQ(grid.RangeQuery(rect), expected_range);
-    EXPECT_EQ(rtree.RangeQuery(rect), expected_range);
-    EXPECT_EQ(kdtree.RangeQuery(rect), expected_range);
-  }
-}
-
-TEST_P(SpatialEquivalenceTest, KnnDistancesAgree) {
-  const IndexCase& param = GetParam();
-  const auto items = RandomItems(param.item_count, param.seed);
-  LinearScan reference;
-  reference.Build(items);
-  GridIndex grid(16);
-  grid.Build(items);
-  RTree rtree;
-  rtree.Build(items);
-  KdTree kdtree;
-  kdtree.Build(items);
-
-  auto distance_of = [&](int64_t id, const Point& center) {
-    return SquaredDistance(items[static_cast<size_t>(id)].location, center);
-  };
-
-  Rng rng(param.seed ^ 0x1234);
-  for (int q = 0; q < 20; ++q) {
-    const Point center{rng.Uniform(), rng.Uniform()};
-    for (const size_t k : {size_t{1}, size_t{5}, size_t{17}}) {
-      const auto expected = reference.Knn(center, k);
-      const auto from_grid = grid.Knn(center, k);
-      const auto from_rtree = rtree.Knn(center, k);
-      const auto from_kdtree = kdtree.Knn(center, k);
-      ASSERT_EQ(from_grid.size(), expected.size());
-      ASSERT_EQ(from_rtree.size(), expected.size());
-      ASSERT_EQ(from_kdtree.size(), expected.size());
-      // Ties make id sequences ambiguous; distances must match exactly.
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_DOUBLE_EQ(distance_of(from_grid[i], center),
-                         distance_of(expected[i], center));
-        EXPECT_DOUBLE_EQ(distance_of(from_rtree[i], center),
-                         distance_of(expected[i], center));
-        EXPECT_DOUBLE_EQ(distance_of(from_kdtree[i], center),
-                         distance_of(expected[i], center));
-      }
-    }
   }
 }
 
@@ -244,90 +188,58 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(RemoveTest, RemoveMissingReturnsFalse) {
-  LinearScan scan;
-  GridIndex grid(8);
   RTree rtree(4, 2);
   const SpatialItem item{7, {0.5, 0.5}};
-  EXPECT_FALSE(scan.Remove(item));
-  EXPECT_FALSE(grid.Remove(item));
   EXPECT_FALSE(rtree.Remove(item));
-  scan.Insert(item);
-  grid.Insert(item);
   rtree.Insert(item);
   // Same id at a different location is not a match.
   const SpatialItem elsewhere{7, {0.1, 0.1}};
-  EXPECT_FALSE(scan.Remove(elsewhere));
-  EXPECT_FALSE(grid.Remove(elsewhere));
   EXPECT_FALSE(rtree.Remove(elsewhere));
-  EXPECT_TRUE(scan.Remove(item));
-  EXPECT_TRUE(grid.Remove(item));
   EXPECT_TRUE(rtree.Remove(item));
-  EXPECT_EQ(scan.Size(), 0u);
-  EXPECT_EQ(grid.Size(), 0u);
   EXPECT_EQ(rtree.Size(), 0u);
 }
 
-TEST(RemoveTest, KdTreeDoesNotSupportRemove) {
-  KdTree tree;
-  const SpatialItem item{1, {0.5, 0.5}};
-  tree.Insert(item);
-  EXPECT_FALSE(tree.Remove(item));
-  EXPECT_EQ(tree.Size(), 1u);
-}
-
-// Interleaves inserts and removals on every mutation-capable index and
-// checks each query against a LinearScan rebuilt from the live set — the
-// invariant the streaming plane's delta maintenance rests on.
+// Interleaves inserts and removals on the R-tree (the only mutated index:
+// the streaming plane's persistent task index) and checks each query
+// against a LinearScan rebuilt from the live set — the invariant the
+// plane's delta maintenance rests on.
 TEST(RemoveTest, FuzzInterleavedMutationsMatchRebuild) {
   for (const uint64_t seed : {41u, 42u, 43u}) {
     Rng rng(seed);
-    GridIndex grid(8);
     RTree rtree(6, 2);
-    LinearScan scan;
     // Seed with a bulk load so the R-tree starts from an STR packing.
     std::vector<SpatialItem> live = RandomItems(100, seed ^ 0xF00);
-    grid.Build(live);
     rtree.Build(live);
-    scan.Build(live);
     int64_t next_id = 100;
 
     for (int step = 0; step < 400; ++step) {
       if (live.empty() || rng.Uniform() < 0.5) {
         const SpatialItem item{next_id++, {rng.Uniform(), rng.Uniform()}};
         live.push_back(item);
-        grid.Insert(item);
         rtree.Insert(item);
-        scan.Insert(item);
       } else {
-        const size_t victim = static_cast<size_t>(
-            rng.Uniform() * static_cast<double>(live.size()));
-        const SpatialItem item = live[std::min(victim, live.size() - 1)];
-        live[std::min(victim, live.size() - 1)] = live.back();
+        const size_t victim = std::min(
+            static_cast<size_t>(rng.Uniform() *
+                                static_cast<double>(live.size())),
+            live.size() - 1);
+        const SpatialItem item = live[victim];
+        live[victim] = live.back();
         live.pop_back();
-        EXPECT_TRUE(grid.Remove(item));
         EXPECT_TRUE(rtree.Remove(item));
-        EXPECT_TRUE(scan.Remove(item));
       }
-      ASSERT_EQ(grid.Size(), live.size());
       ASSERT_EQ(rtree.Size(), live.size());
-      ASSERT_EQ(scan.Size(), live.size());
 
       if (step % 20 == 19) {
         rtree.CheckInvariants();
         LinearScan reference;
         reference.Build(live);
-        const Point center{rng.Uniform(), rng.Uniform()};
-        const double radius = rng.Uniform(0.0, 0.4);
-        const auto expected = reference.CircleQuery(center, radius);
-        EXPECT_EQ(grid.CircleQuery(center, radius), expected);
-        EXPECT_EQ(rtree.CircleQuery(center, radius), expected);
-        EXPECT_EQ(scan.CircleQuery(center, radius), expected);
-        const Rect rect{rng.Uniform(0.0, 0.5), rng.Uniform(0.0, 0.5),
-                        rng.Uniform(0.5, 1.0), rng.Uniform(0.5, 1.0)};
-        const auto expected_range = reference.RangeQuery(rect);
-        EXPECT_EQ(grid.RangeQuery(rect), expected_range);
-        EXPECT_EQ(rtree.RangeQuery(rect), expected_range);
-        EXPECT_EQ(scan.RangeQuery(rect), expected_range);
+        EXPECT_EQ(QueryUnitSquare(rtree).size(), live.size());
+        for (int q = 0; q < 3; ++q) {
+          const Point center{rng.Uniform(), rng.Uniform()};
+          const double radius = rng.Uniform(0.0, 0.4);
+          EXPECT_EQ(rtree.CircleQuery(center, radius),
+                    reference.CircleQuery(center, radius));
+        }
       }
     }
   }
@@ -361,65 +273,10 @@ TEST(RemoveTest, RTreeDrainToEmptyAndRefill) {
   for (const auto& item : items) EXPECT_TRUE(tree.Remove(item));
   EXPECT_EQ(tree.Size(), 0u);
   tree.CheckInvariants();
-  EXPECT_TRUE(tree.RangeQuery({0, 0, 1, 1}).empty());
+  EXPECT_TRUE(QueryUnitSquare(tree).empty());
   for (const auto& item : items) tree.Insert(item);
   tree.CheckInvariants();
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 50u);
-}
-
-// ---------------------------------------------------------------------------
-// KdTree specifics
-// ---------------------------------------------------------------------------
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree;
-  EXPECT_EQ(tree.Size(), 0u);
-  EXPECT_EQ(tree.Depth(), 0);
-  EXPECT_TRUE(tree.RangeQuery({0, 0, 1, 1}).empty());
-  EXPECT_TRUE(tree.Knn({0.5, 0.5}, 3).empty());
-  tree.CheckInvariants();
-}
-
-TEST(KdTreeTest, BuildIsBalanced) {
-  KdTree tree;
-  tree.Build(RandomItems(1023, 31));
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.Size(), 1023u);
-  // A perfectly balanced tree over 1023 nodes has depth 10.
-  EXPECT_LE(tree.Depth(), 10);
-}
-
-TEST(KdTreeTest, SequentialInsertDegradesButStaysCorrect) {
-  KdTree tree;
-  // Sorted input is the worst case for insert-only kd-trees.
-  for (int i = 0; i < 128; ++i) {
-    tree.Insert({i, {i / 128.0, i / 128.0}});
-  }
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.Depth(), 128);  // degenerate chain, still correct
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 128u);
-}
-
-TEST(KdTreeTest, DuplicateCoordinates) {
-  KdTree tree;
-  std::vector<SpatialItem> items;
-  for (int i = 0; i < 25; ++i) items.push_back({i, {0.5, 0.5}});
-  tree.Build(items);
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.CircleQuery({0.5, 0.5}, 0.0).size(), 25u);
-  EXPECT_EQ(tree.RangeQuery({0.5, 0.5, 0.5, 0.5}).size(), 25u);
-  EXPECT_EQ(tree.Knn({0.1, 0.1}, 5).size(), 5u);
-}
-
-TEST(KdTreeTest, DuplicateXCoordinateColumn) {
-  // All points share x = 0.5: every x-split degenerates; queries on the
-  // column boundary must still find everything.
-  KdTree tree;
-  std::vector<SpatialItem> items;
-  for (int i = 0; i < 40; ++i) items.push_back({i, {0.5, i / 40.0}});
-  tree.Build(items);
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.RangeQuery({0.5, 0.0, 0.5, 1.0}).size(), 40u);
+  EXPECT_EQ(QueryUnitSquare(tree).size(), 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,8 +294,8 @@ TEST(GridIndexTest, OutOfRangePointsAreClamped) {
 TEST(GridIndexTest, SingleCellGrid) {
   GridIndex grid(1);
   for (const auto& item : RandomItems(100, 21)) grid.Insert(item);
-  EXPECT_EQ(grid.RangeQuery({0, 0, 1, 1}).size(), 100u);
-  EXPECT_EQ(grid.Knn({0.5, 0.5}, 7).size(), 7u);
+  EXPECT_EQ(QueryUnitSquare(grid).size(), 100u);
+  EXPECT_EQ(grid.Size(), 100u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #        churn, ForEachPair vs Pairs(), steady-state streaming with a
 #        warm BatchWorkspace -- the binary aborts if a steady-state
 #        batch grows any pooled backing array)
-#   PR5  SIMD affinity kernels (RowSum/PairSum per backend vs the legacy
+#   PR5  tile affinity kernels (RowSum/PairSum vs the legacy
 #        CooperationMatrix path at group sizes 2-16) and bound-based
 #        candidate pruning (pruned vs unpruned GT wall time + prune-rate
 #        counters; the binary aborts if pruning changes the score)
