@@ -1,37 +1,27 @@
-// PR5 micro-benchmark: the tile affinity kernels against the legacy
-// CooperationMatrix path, plus the bound-based candidate pruning against
-// the unpruned best-response scan.
+// Micro-benchmark: the tile affinity kernels against the legacy
+// CooperationMatrix path. Times RowSum/PairSum over group sizes
+// {2,4,8,16} for the CoopTile kernels and the pre-kernel
+// CooperationMatrix::RowSum/PairSum baseline.
 //
-// Section 1 times RowSum/PairSum over group sizes {2,4,8,16} for the
-// CoopTile kernels and the pre-kernel CooperationMatrix::RowSum/PairSum
-// baseline. Section 2 runs GT+ALL with pruning on and off on one dense
-// instance and reports wall time and the prune-rate counters.
-//
-//   ./bench_micro_kernels [--matrix 768] [--ops 200000] [--workers 1200]
-//                         [--tasks 400] [--seed 42]
+//   ./bench_micro_kernels [--matrix 768] [--ops 200000] [--seed 42]
 //                         [--json BENCH_PR5.json]
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "algo/gt_assigner.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "gen/synthetic.h"
 #include "kernel/affinity_kernels.h"
 #include "kernel/coop_tile.h"
-#include "model/batch_workspace.h"
 #include "model/cooperation_matrix.h"
-#include "model/objective.h"
 
 namespace {
 
@@ -44,7 +34,7 @@ CooperationMatrix DenseMatrix(int m, uint64_t seed) {
     for (int k = 0; k < m; ++k) {
       if (i == k) continue;
       // Squared uniform: skewed toward low affinity like a real
-      // cooperation history, which keeps the pruning bounds meaningful.
+      // cooperation history.
       const double u = rng.Uniform();
       coop.SetQuality(i, k, u * u);
     }
@@ -95,8 +85,6 @@ int main(int argc, char** argv) {
   casc::FlagParser flags;
   flags.DefineInt64("matrix", 768, "cooperation matrix size (workers)");
   flags.DefineInt64("ops", 200000, "kernel invocations per measurement");
-  flags.DefineInt64("workers", 1200, "GT pruning bench: workers");
-  flags.DefineInt64("tasks", 400, "GT pruning bench: tasks");
   flags.DefineInt64("seed", 42, "generator seed");
   flags.DefineString("json", "BENCH_PR5.json", "JSON output path");
   flags.ParseOrExit(argc, argv);
@@ -158,70 +146,7 @@ int main(int argc, char** argv) {
            << ",\"checksum\":" << timing.checksum << "}";
     }
   }
-  json << "],";
-
-  // -------------------------------------------------------------------
-  // Pruned vs unpruned best response on one dense GT instance.
-  // -------------------------------------------------------------------
-  const int num_workers = static_cast<int>(flags.GetInt64("workers"));
-  const int num_tasks = static_cast<int>(flags.GetInt64("tasks"));
-  std::printf("GT pruning bench: %d workers, %d tasks...\n", num_workers,
-              num_tasks);
-  casc::Rng gen_rng(seed + 1);
-  casc::SyntheticInstanceConfig config;
-  config.num_workers = num_workers;
-  config.num_tasks = num_tasks;
-  config.worker.radius_min = 0.15;
-  config.worker.radius_max = 0.35;
-  const casc::Instance instance =
-      casc::GenerateSyntheticInstance(config, 0.0, &gen_rng);
-
-  json << "\"pruning\":{\"workers\":" << num_workers
-       << ",\"tasks\":" << num_tasks
-       << ",\"valid_pairs\":" << instance.NumValidPairs() << ",";
-  double pruned_score = 0.0, unpruned_score = 0.0;
-  double pruned_seconds = 0.0, unpruned_seconds = 0.0;
-  for (const bool prune : {false, true}) {
-    casc::GtOptions options;
-    options.use_tsi = true;
-    options.use_lub = true;
-    options.use_pruning = prune;
-    casc::GtAssigner gt(options);
-    casc::BatchWorkspace workspace;
-    gt.set_workspace(&workspace);
-    casc::Stopwatch watch;
-    const casc::Assignment assignment = gt.Run(instance);
-    const double seconds = watch.ElapsedSeconds();
-    const double score = casc::TotalScore(instance, assignment);
-    const casc::AssignerStats& stats = gt.stats();
-    const int64_t total =
-        stats.prune_candidates_evaluated + stats.prune_candidates_skipped;
-    const double rate =
-        total > 0 ? static_cast<double>(stats.prune_candidates_skipped) /
-                        static_cast<double>(total)
-                  : 0.0;
-    std::printf("  %-9s Q = %.2f in %.3fs  (evaluated %lld, skipped %lld,"
-                " prune rate %.1f%%)\n",
-                prune ? "pruned" : "unpruned", score, seconds,
-                static_cast<long long>(stats.prune_candidates_evaluated),
-                static_cast<long long>(stats.prune_candidates_skipped),
-                rate * 100.0);
-    json << "\"" << (prune ? "pruned" : "unpruned")
-         << "\":{\"score\":" << score << ",\"seconds\":" << seconds
-         << ",\"evaluated\":" << stats.prune_candidates_evaluated
-         << ",\"skipped\":" << stats.prune_candidates_skipped
-         << ",\"prune_rate\":" << rate
-         << ",\"rounds\":" << stats.rounds << "},";
-    (prune ? pruned_score : unpruned_score) = score;
-    (prune ? pruned_seconds : unpruned_seconds) = seconds;
-  }
-  CASC_CHECK(pruned_score == unpruned_score)
-      << "pruning changed the final score: " << pruned_score << " vs "
-      << unpruned_score;
-  const double speedup =
-      pruned_seconds > 0.0 ? unpruned_seconds / pruned_seconds : 0.0;
-  std::printf("  pruning speedup: %.2fx (identical scores)\n", speedup);
-  json << "\"speedup\":" << speedup << "}}";
+  json << "]}";
 
   const std::string path = flags.GetString("json");
   if (!path.empty()) {

@@ -93,7 +93,6 @@ RunResult RunGt(casc::Instance* instance,
   casc::GtOptions options;
   options.use_tsi = true;
   options.use_lub = true;
-  options.use_pruning = true;
   casc::GtAssigner gt(options);
   casc::Stopwatch watch;
   RunResult result{gt.Run(*instance)};

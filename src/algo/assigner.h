@@ -26,11 +26,8 @@ struct AssignerStats {
   /// Best-response evaluations skipped by the LUB optimization.
   int64_t best_response_skips = 0;
   /// Candidate tasks (or swap trials) whose exact marginal was computed
-  /// by the bound-screened inner loops.
-  int64_t prune_candidates_evaluated = 0;
-  /// Candidate tasks (or swap trials) skipped because their upper bound
-  /// could not beat the incumbent — work the pruning screen saved.
-  int64_t prune_candidates_skipped = 0;
+  /// by the best-response, online and local-search inner loops.
+  int64_t candidates_evaluated = 0;
   /// Candidate joins rejected by the objective's group-feasibility
   /// predicate before any utility work (ObjectiveModel::JoinFeasible).
   /// Always 0 for the default CA-SC objective.

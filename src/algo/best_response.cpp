@@ -1,7 +1,6 @@
 #include "algo/best_response.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.h"
@@ -138,129 +137,61 @@ double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
 
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
-                                 const Assignment& assignment,
-                                 WorkerIndex w) {
-  return ComputeBestResponse(instance, keeper, assignment, w,
-                             /*prune=*/false, /*counters=*/nullptr);
-}
-
-bool PruningDisabledByEnv() {
-  static const bool kDisabled = std::getenv("CASC_NO_PRUNE") != nullptr;
-  return kDisabled;
-}
-
-namespace {
-
-/// CASC_PRUNE_AUDIT: evaluate every pruned candidate anyway and CHECK
-/// it could not have beaten the incumbent (read once per process).
-bool PruneAuditEnabled() {
-  static const bool kAudit = std::getenv("CASC_PRUNE_AUDIT") != nullptr;
-  return kAudit;
-}
-
-}  // namespace
-
-BestResponse ComputeBestResponse(const Instance& instance,
-                                 const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,
-                                 bool prune, PruneCounters* counters) {
+                                 ScanCounters* counters) {
   const TaskIndex current = assignment.TaskOf(w);
   BestResponse best;
   best.task = current;
   best.utility = StrategyUtility(instance, keeper, assignment, w, current,
                                  &best.crowded_out);
-  const bool do_prune = prune && !PruningDisabledByEnv();
   const ObjectiveModel& objective = instance.objective();
   // Hoisted so the default objective pays no per-candidate virtual call
   // for a predicate that is constantly true.
   const bool filter_joins = !objective.AlwaysJoinFeasible();
-  const auto join_feasible = [&](TaskIndex t) {
-    if (!filter_joins) return true;
-    if (objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
-      return true;
-    }
-    if (counters != nullptr) ++counters->feasibility_rejects;
-    return false;
-  };
 
-  if (!do_prune) {
-    // Unpruned scan: every non-full candidate's joining gain comes from
-    // one batched GainsIfJoined (a single RowSumMany kernel dispatch
-    // when a tile is attached), then the ascending accept rule replays
-    // over the exact same utilities the per-task calls would produce.
-    thread_local std::vector<TaskIndex> candidates;
-    thread_local std::vector<double> gains;
-    candidates.clear();
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (filter_joins &&
-          !objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
-        continue;  // counted once, in the replay loop below
-      }
-      const int capacity =
-          instance.tasks()[static_cast<size_t>(t)].capacity;
-      if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
-        candidates.push_back(t);
-      }
+  // One feasibility pass records the feasible candidates in CSR order
+  // and, among them, the non-full ones whose joining gains come from one
+  // batched GainsIfJoined (a single RowSumMany kernel call when a tile
+  // is attached).
+  thread_local std::vector<TaskIndex> feasible;
+  thread_local std::vector<TaskIndex> below_capacity;
+  thread_local std::vector<double> gains;
+  feasible.clear();
+  below_capacity.clear();
+  for (const TaskIndex t : instance.ValidTasks(w)) {
+    if (t == current) continue;
+    if (filter_joins &&
+        !objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
+      if (counters != nullptr) ++counters->feasibility_rejects;
+      continue;
     }
-    gains.resize(candidates.size());
-    keeper.GainsIfJoined(w, candidates, gains.data());
-    size_t next = 0;
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (!join_feasible(t)) continue;
-      WorkerIndex crowded = kNoWorker;
-      double utility;
-      if (next < candidates.size() && candidates[next] == t) {
-        utility = gains[next++];  // == GainIfJoined(w, t), bit-identical
-      } else {
-        utility =
-            StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-      }
-      if (counters != nullptr) ++counters->evaluated;
-      if (utility > best.utility + kImprovementTolerance) {
-        best.task = t;
-        best.utility = utility;
-        best.crowded_out = crowded;
-      }
+    feasible.push_back(t);
+    const int capacity = instance.tasks()[static_cast<size_t>(t)].capacity;
+    if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
+      below_capacity.push_back(t);
     }
-  } else {
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (!join_feasible(t)) continue;
-      const int capacity =
-          instance.tasks()[static_cast<size_t>(t)].capacity;
-      if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
-        // Screen: an upper bound on the joining gain that cannot beat
-        // the incumbent means the unpruned scan would reject this
-        // candidate here too — skipping is exactly neutral.
-        const double bound = keeper.JoinBound(w, t);
-        if (bound <= best.utility + kImprovementTolerance) {
-          if (counters != nullptr) ++counters->pruned;
-          if (PruneAuditEnabled()) {
-            const double exact = keeper.GainIfJoined(w, t);
-            CASC_CHECK(exact <= bound)
-                << "JoinBound(" << w << ", " << t
-                << ") is not an upper bound: exact=" << exact
-                << " bound=" << bound;
-            CASC_CHECK(exact <= best.utility + kImprovementTolerance)
-                << "pruned candidate task " << t << " beats the incumbent "
-                << "for worker " << w << ": exact=" << exact
-                << " incumbent=" << best.utility;
-          }
-          continue;
-        }
-      }
-      WorkerIndex crowded = kNoWorker;
-      const double utility =
-          StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-      if (counters != nullptr) ++counters->evaluated;
-      if (utility > best.utility + kImprovementTolerance) {
-        best.task = t;
-        best.utility = utility;
-        best.crowded_out = crowded;
-      }
+  }
+  gains.resize(below_capacity.size());
+  keeper.GainsIfJoined(w, below_capacity, gains.data());
+
+  // The ascending accept rule; full candidates take the crowding branch.
+  size_t next = 0;
+  for (const TaskIndex t : feasible) {
+    WorkerIndex crowded = kNoWorker;
+    double utility;
+    if (next < below_capacity.size() && below_capacity[next] == t) {
+      utility = gains[next++];  // == GainIfJoined(w, t), bit-identical
+    } else {
+      utility = StrategyUtility(instance, keeper, assignment, w, t, &crowded);
     }
+    if (utility > best.utility + kImprovementTolerance) {
+      best.task = t;
+      best.utility = utility;
+      best.crowded_out = crowded;
+    }
+  }
+  if (counters != nullptr) {
+    counters->evaluated += static_cast<int64_t>(feasible.size());
   }
   if (0.0 > best.utility + kImprovementTolerance) {
     best = BestResponse{kNoTask, 0.0, kNoWorker};

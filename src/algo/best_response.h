@@ -51,45 +51,25 @@ double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
                        const Assignment& assignment, WorkerIndex w,
                        TaskIndex t, WorkerIndex* crowded_out);
 
-/// Delta-evaluated best response; the keeper-backed twin of
-/// ComputeBestResponse with the same tie-breaking contract.
-BestResponse ComputeBestResponse(const Instance& instance,
-                                 const ScoreKeeper& keeper,
-                                 const Assignment& assignment,
-                                 WorkerIndex w);
-
 /// Work counters of one best-response candidate scan.
-struct PruneCounters {
+struct ScanCounters {
   int64_t evaluated = 0;  ///< candidates whose exact utility was computed
-  int64_t pruned = 0;     ///< candidates skipped on their upper bound
   /// Candidates rejected by ObjectiveModel::JoinFeasible before any
   /// utility work (always 0 for objectives with a trivial predicate).
   int64_t feasibility_rejects = 0;
 };
 
-/// True when the CASC_NO_PRUNE environment variable force-disables
-/// bound-based candidate pruning process-wide (read once). The escape
-/// hatch for bisecting — results are bit-identical either way, so
-/// flipping it should never change an answer, only timings.
-bool PruningDisabledByEnv();
-
-/// ComputeBestResponse with bound-based candidate pruning and work
-/// accounting. The scan keeps the CSR ascending task order; with
-/// `prune` set (and CASC_NO_PRUNE unset), each below-capacity candidate
-/// is first screened by ScoreKeeper::JoinBound and its exact marginal
-/// is skipped when the bound cannot beat the incumbent best — which is
-/// exactly when the unpruned scan would reject it, so the returned
-/// strategy, utility and eviction are bit-identical to prune == false
-/// (a sorted-by-bound scan was rejected: under the tie hysteresis it
-/// can crown a different near-tied winner). With CASC_PRUNE_AUDIT set,
-/// every skipped candidate is evaluated anyway and CHECKed against the
-/// incumbent. With `prune` false, the non-full candidates' gains are
-/// gathered in one batched ScoreKeeper::GainsIfJoined call instead.
-/// `counters` (may be null) receives the scan's work tally.
+/// Delta-evaluated best response; the keeper-backed twin of
+/// ComputeBestResponse with the same tie-breaking contract. The scan
+/// keeps the CSR ascending task order: the joining gains of every
+/// feasible below-capacity candidate are gathered in one batched
+/// ScoreKeeper::GainsIfJoined call, then the accept rule replays over
+/// exactly the utilities the per-task calls would produce. `counters`
+/// (may be null) receives the scan's work tally.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,
-                                 bool prune, PruneCounters* counters);
+                                 ScanCounters* counters = nullptr);
 
 /// Result of applying one strategy change.
 struct MoveResult {

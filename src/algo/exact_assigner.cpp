@@ -67,11 +67,10 @@ void Search(SearchState* state, WorkerIndex w) {
   // Objective-variant admissibility: the ceilings bound the *cooperation
   // term* of Equation 2, so this prune stays exact for any objective
   // whose ScoreGroup is pointwise <= that term (e.g. multiskill, which
-  // only gates groups to 0). This is the same discount-variant
-  // obligation as ScoreKeeper::JoinBound; an objective that adds a
-  // positive regularizer on top of the cooperation term must not be run
-  // through ExactAssigner without widening these ceilings (see
-  // ObjectiveModel::BoundFromSum docs).
+  // only gates groups to 0). An objective that adds a positive
+  // regularizer on top of the cooperation term must not be run through
+  // ExactAssigner without widening these ceilings (see the bound
+  // obligation in ObjectiveModel's docs).
   if (state->best_score >= 0.0 &&
       state->assigned_ceiling +
               state->suffix_bound[static_cast<size_t>(w)] <=

@@ -26,7 +26,7 @@ constexpr double kTolerance = 1e-12;
 struct Speculation {
   bool active = false;
   std::vector<BestResponse> results;   // per worker
-  std::vector<PruneCounters> counters; // per worker (scan work tally)
+  std::vector<ScanCounters> counters;  // per worker (scan work tally)
   std::vector<char> computed;          // per worker
   std::vector<char> task_touched;      // per task, reset each round
 };
@@ -37,13 +37,13 @@ struct Speculation {
 void Speculate(const Instance& instance, const Assignment& assignment,
                const ScoreKeeper& keeper,
                const std::vector<WorkerIndex>& order,
-               const std::vector<bool>* dirty, bool prune, ThreadPool* pool,
+               const std::vector<bool>* dirty, ThreadPool* pool,
                Speculation* spec) {
   spec->active = true;
   spec->results.assign(static_cast<size_t>(instance.num_workers()),
                        BestResponse{});
   spec->counters.assign(static_cast<size_t>(instance.num_workers()),
-                        PruneCounters{});
+                        ScanCounters{});
   spec->computed.assign(static_cast<size_t>(instance.num_workers()), 0);
   spec->task_touched.assign(static_cast<size_t>(instance.num_tasks()), 0);
 
@@ -58,7 +58,7 @@ void Speculate(const Instance& instance, const Assignment& assignment,
       static_cast<int64_t>(pending.size()), [&](int64_t i) {
         const WorkerIndex w = pending[static_cast<size_t>(i)];
         spec->results[static_cast<size_t>(w)] =
-            ComputeBestResponse(instance, keeper, assignment, w, prune,
+            ComputeBestResponse(instance, keeper, assignment, w,
                                 &spec->counters[static_cast<size_t>(w)]);
         spec->computed[static_cast<size_t>(w)] = 1;
       });
@@ -158,8 +158,7 @@ int64_t GtAssigner::Round(const Instance& instance,
                           ThreadPool* pool, std::vector<bool>* dirty) {
   Speculation spec;
   if (pool != nullptr) {
-    Speculate(instance, *assignment, *keeper, order, dirty,
-              options_.use_pruning, pool, &spec);
+    Speculate(instance, *assignment, *keeper, order, dirty, pool, &spec);
   }
 
   int64_t moves = 0;
@@ -172,20 +171,19 @@ int64_t GtAssigner::Round(const Instance& instance,
       (*dirty)[static_cast<size_t>(w)] = false;
     }
     const TaskIndex current = assignment->TaskOf(w);
-    // Prune-work counters stay thread-count-invariant: a consumed
+    // Scan-work counters stay thread-count-invariant: a consumed
     // speculation carries the tally of the identical scan the serial
     // pass would have run, and discarded speculations count nothing.
-    PruneCounters counters;
+    ScanCounters counters;
     BestResponse best;
     if (spec.active && SpeculationUsable(instance, spec, w)) {
       best = spec.results[static_cast<size_t>(w)];
       counters = spec.counters[static_cast<size_t>(w)];
     } else {
       best = ComputeBestResponse(instance, *keeper, *assignment, w,
-                                 options_.use_pruning, &counters);
+                                 &counters);
     }
-    stats_.prune_candidates_evaluated += counters.evaluated;
-    stats_.prune_candidates_skipped += counters.pruned;
+    stats_.candidates_evaluated += counters.evaluated;
     stats_.feasibility_rejects += counters.feasibility_rejects;
     ++stats_.best_response_evals;
     if (best.task == current) continue;

@@ -74,14 +74,6 @@ struct GtOptions {
   /// Seed for GtOrder::kShuffled.
   uint64_t order_seed = 1;
 
-  /// Bound-based candidate pruning in the best-response scan: each
-  /// below-capacity candidate is screened by ScoreKeeper::JoinBound and
-  /// its exact marginal skipped when the bound cannot beat the
-  /// incumbent. The produced assignment, utilities and stats (except
-  /// the prune work counters) are bit-identical with pruning on or off;
-  /// the CASC_NO_PRUNE env var force-disables it for bisection.
-  bool use_pruning = true;
-
   /// Safety cap on best-response rounds.
   int max_rounds = 100000;
 

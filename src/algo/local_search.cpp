@@ -1,14 +1,11 @@
 #include "algo/local_search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "algo/best_response.h"
 #include "common/check.h"
 #include "model/objective.h"
-#include "model/objective_model.h"
 
 namespace casc {
 namespace {
@@ -64,30 +61,6 @@ int64_t LocalSearchAssigner::ImprovementPass(
     keeper->ApplyDelta(t, added, static_cast<int>(group.size()), group);
   };
 
-  const bool prune = options_.use_pruning && !PruningDisabledByEnv();
-  const int b_min = instance.min_group_size();
-  // Upper bound on a task's score after swapping `incoming` in for one
-  // current member: the pair sum can grow by at most the incoming
-  // worker's affinity to the g-1 surviving members (the outgoing
-  // member's affinity is >= 0, dropping it only helps the bound), and
-  // that affinity is at most (g-1) * row-max. Row-maxes live as
-  // round-up fixed-point ticks, so the product is exact and converts to
-  // double without losing the >= guarantee. A group that stays below B
-  // (or below size 2) scores zero no matter who swaps in.
-  // The pair-sum ceiling feeds the objective's BoundFromSum, so the
-  // bound stays admissible for any discount variant (a skill-gated
-  // group's true score is at most its cooperation term).
-  const auto swap_score_bound = [&](TaskIndex t, int g,
-                                    WorkerIndex incoming) {
-    if (g < b_min || g < 2) return 0.0;
-    const double sum_ub =
-        keeper->TaskPairSum(t) +
-        std::ldexp(static_cast<double>(static_cast<int64_t>(g - 1) *
-                                       keeper->WorkerTicks(incoming)),
-                   -32);
-    return instance.objective().BoundFromSum(instance, t, sum_ub, g);
-  };
-
   int64_t swaps = 0;
   const int n = instance.num_tasks();
   for (TaskIndex t1 = 0; t1 < n; ++t1) {
@@ -106,21 +79,7 @@ int64_t LocalSearchAssigner::ImprovementPass(
           if (!instance.IsValidPair(w1, t2)) continue;
           for (const WorkerIndex w2 : group2) {
             if (!instance.IsValidPair(w2, t1)) continue;
-            if (prune) {
-              // Bounds are recomputed per candidate: rolled-back trials
-              // perturb the keeper's pair sums at the ulp level, so a
-              // hoisted bound could silently fall below a later trial's
-              // exact score.
-              const double s1_ub = swap_score_bound(
-                  t1, static_cast<int>(group1.size()), w2);
-              const double s2_ub = swap_score_bound(
-                  t2, static_cast<int>(group2.size()), w1);
-              if (s1_ub + s2_ub <= base_score + kTolerance) {
-                ++stats_.prune_candidates_skipped;
-                continue;
-              }
-            }
-            ++stats_.prune_candidates_evaluated;
+            ++stats_.candidates_evaluated;
             // Trial-apply the exchange on the keeper: four O(group)
             // mutations instead of rebuilding and rescoring both groups
             // from scratch.
@@ -133,14 +92,6 @@ int64_t LocalSearchAssigner::ImprovementPass(
             if (swapped > base_score + kTolerance) {
               assignment->Assign(w1, t2);
               assignment->Assign(w2, t1);
-              // The swap bypassed keeper Add/Remove, so the per-task
-              // bound-tick sums must track the member exchange by hand.
-              // Done whether or not pruning is active this run, so the
-              // keeper stays consistent for any later consumer.
-              keeper->ShiftBoundTicks(
-                  t1, keeper->WorkerTicks(w2) - keeper->WorkerTicks(w1));
-              keeper->ShiftBoundTicks(
-                  t2, keeper->WorkerTicks(w1) - keeper->WorkerTicks(w2));
               ++swaps;
               improved = true;
               break;

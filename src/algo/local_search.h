@@ -14,15 +14,6 @@ namespace casc {
 struct LocalSearchOptions {
   /// Maximum improvement passes over all task pairs.
   int max_passes = 50;
-
-  /// Screen each candidate exchange with a per-task swap upper bound
-  /// (current pair sum plus the incoming worker's row-max affinity) and
-  /// skip the trial mutation when even the optimistic pair of bounds
-  /// cannot beat the incumbent pair of scores. A skipped trial is one
-  /// the exact evaluation provably rejects, so the applied swaps — and
-  /// every score that follows — are identical with pruning on or off.
-  /// CASC_NO_PRUNE force-disables.
-  bool use_pruning = true;
 };
 
 /// SWAP post-optimizer: runs a base assigner, then repeatedly applies

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <vector>
 
-#include "algo/best_response.h"
 #include "common/check.h"
 #include "model/objective.h"
 #include "model/objective_model.h"
@@ -35,13 +34,11 @@ Assignment OnlineAssigner::Run(const Instance& instance) {
                                 .arrival_time;
                    });
 
-  const bool prune = options_.use_pruning && !PruningDisabledByEnv();
   const ObjectiveModel& objective = instance.objective();
   const bool filter_joins = !objective.AlwaysJoinFeasible();
   for (const WorkerIndex w : order) {
     TaskIndex best_task = kNoTask;
     double best_gain = 0.0;
-    bool best_is_optimistic = false;
     for (const TaskIndex t : instance.ValidTasks(w)) {
       const auto& group = assignment.GroupOf(t);
       const int capacity =
@@ -51,21 +48,11 @@ Assignment OnlineAssigner::Run(const Instance& instance) {
         ++stats_.feasibility_rejects;
         continue;
       }
-      if (prune) {
-        // The accept rule is a strict >, so a bound at or below the
-        // incumbent proves the exact gain cannot win — skipping is
-        // neutral even on exact ties.
-        if (keeper.JoinBound(w, t) <= best_gain) {
-          ++stats_.prune_candidates_skipped;
-          continue;
-        }
-      }
       const double gain = keeper.GainIfJoined(w, t);
-      ++stats_.prune_candidates_evaluated;
+      ++stats_.candidates_evaluated;
       if (gain > best_gain) {
         best_gain = gain;
         best_task = t;
-        best_is_optimistic = false;
       }
     }
     if (best_task == kNoTask && options_.optimistic_join) {
@@ -92,14 +79,12 @@ Assignment OnlineAssigner::Run(const Instance& instance) {
         if (affinity > best_affinity) {
           best_affinity = affinity;
           best_task = t;
-          best_is_optimistic = true;
         }
       }
     }
     if (best_task != kNoTask) {
       assignment.Assign(w, best_task);
       keeper.Add(w, best_task);
-      (void)best_is_optimistic;
     }
   }
   stats_.final_score = TotalScore(instance, assignment);

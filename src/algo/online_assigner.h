@@ -13,15 +13,6 @@ struct OnlineOptions {
   /// immediate ΔQ is zero (groups only produce revenue at size >= B, so
   /// without this no team would ever form). Default on.
   bool optimistic_join = true;
-
-  /// Screen each candidate with ScoreKeeper::JoinBound and skip the
-  /// exact gain once the bound cannot beat the best gain so far. The
-  /// greedy accept rule is a strict >, so a candidate with bound <=
-  /// incumbent can never win — the produced assignment is bit-identical
-  /// with pruning on or off. The optimistic-join fallback (which ranks
-  /// by raw affinity with exact ties by design) is never pruned.
-  /// CASC_NO_PRUNE force-disables.
-  bool use_pruning = true;
 };
 
 /// ONLINE baseline: the one-by-one server-assigned-task mode the paper

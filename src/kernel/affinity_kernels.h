@@ -35,21 +35,6 @@ double PairSumKernel(const double* tile, int64_t stride, const int* idx,
 void RowSumMany(const double* row, const int* const* group_ptrs,
                 const int* group_lens, int num_groups, double* out);
 
-/// Screening variant over the float mirror plane: float loads, double
-/// accumulation, canonical lane order. Because the mirror rounds every
-/// element *up* (see FloatUp), the result upper-bounds the exact double
-/// RowSumKernel over the same indices.
-double RowSumFloatUp(const float* row, const int* idx, int count);
-
-/// Maximum of row[0..count-1]; 0.0f when count == 0 (affinities are
-/// non-negative). Order-independent, so no lane contract applies.
-float RowMaxFloat(const float* row, int count);
-
-/// Smallest float >= d (round-up conversion). The float mirror plane is
-/// built with this so float-derived bounds are true upper bounds of the
-/// exact double affinities.
-float FloatUp(double d);
-
 }  // namespace casc
 
 #endif  // CASC_KERNEL_AFFINITY_KERNELS_H_

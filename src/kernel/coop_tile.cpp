@@ -1,10 +1,8 @@
 #include "kernel/coop_tile.h"
 
-#include <cmath>
+#include <algorithm>
 #include <new>
 
-#include "common/check.h"
-#include "kernel/affinity_kernels.h"
 #include "model/cooperation_matrix.h"
 
 namespace casc {
@@ -13,33 +11,25 @@ namespace {
 constexpr std::align_val_t kAlign{64};
 
 /// Grows `*buffer` (64-byte aligned, uninitialized) to at least `needed`
-/// elements, reusing the old block when it is already big enough.
-template <typename T>
-void EnsureCapacity(T** buffer, int64_t* capacity, int64_t needed) {
+/// elements, reusing the old block when it is already big enough. Growth
+/// is geometric: a streaming pool that creeps up batch by batch then
+/// reallocates O(log) times instead of once per batch, which keeps the
+/// freed multi-megabyte blocks from fragmenting the heap.
+void EnsureCapacity(double** buffer, int64_t* capacity, int64_t needed) {
   if (*capacity >= needed) return;
   if (*buffer != nullptr) {
     ::operator delete[](*buffer, kAlign);
   }
-  *buffer = static_cast<T*>(
-      ::operator new[](static_cast<size_t>(needed) * sizeof(T), kAlign));
-  *capacity = needed;
-}
-
-template <typename T>
-void Release(T** buffer, int64_t* capacity) {
-  if (*buffer != nullptr) {
-    ::operator delete[](*buffer, kAlign);
-    *buffer = nullptr;
-  }
-  *capacity = 0;
+  const int64_t grown = std::max(needed, *capacity + *capacity / 2);
+  *buffer = static_cast<double*>(
+      ::operator new[](static_cast<size_t>(grown) * sizeof(double), kAlign));
+  *capacity = grown;
 }
 
 }  // namespace
 
 CoopTile::~CoopTile() {
-  Release(&pair_, &pair_capacity_);
-  Release(&bound_, &bound_capacity_);
-  Release(&prm_ticks_, &ticks_capacity_);
+  if (pair_ != nullptr) ::operator delete[](pair_, kAlign);
 }
 
 bool CoopTile::BuildFrom(const CooperationMatrix& coop, int max_workers) {
@@ -50,8 +40,6 @@ bool CoopTile::BuildFrom(const CooperationMatrix& coop, int max_workers) {
   }
   const int64_t stride = (static_cast<int64_t>(m) + 7) & ~int64_t{7};
   EnsureCapacity(&pair_, &pair_capacity_, stride * m);
-  EnsureCapacity(&bound_, &bound_capacity_, stride * m);
-  EnsureCapacity(&prm_ticks_, &ticks_capacity_, m);
   num_workers_ = m;
   stride_ = stride;
   source_identity_ = coop.IdentityHash();
@@ -59,7 +47,6 @@ bool CoopTile::BuildFrom(const CooperationMatrix& coop, int max_workers) {
   const double* cells = coop.DenseCellsOrNull();
   for (int i = 0; i < m; ++i) {
     double* pair_row = pair_ + i * stride;
-    float* bound_row = bound_ + i * stride;
     if (cells != nullptr) {
       const double* fwd = cells + static_cast<int64_t>(i) * m;
       for (int k = 0; k < m; ++k) {
@@ -73,16 +60,6 @@ bool CoopTile::BuildFrom(const CooperationMatrix& coop, int max_workers) {
     }
     pair_row[i] = 0.0;
     for (int64_t k = m; k < stride; ++k) pair_row[k] = 0.0;
-    for (int64_t k = 0; k < stride; ++k) {
-      bound_row[k] = FloatUp(pair_row[k]);
-    }
-    // Affinities are in [0, 2] and rowmax * 2^32 is exactly
-    // representable in double (24-bit significand scaled by a power of
-    // two), so the ceil — and therefore the tick count — is exact.
-    const double rowmax =
-        static_cast<double>(RowMaxFloat(bound_row, m));
-    prm_ticks_[i] = static_cast<int64_t>(std::ceil(rowmax * 4294967296.0));
-    CASC_DCHECK(prm_ticks_[i] >= 0);
   }
   return true;
 }

@@ -9,24 +9,15 @@ class CooperationMatrix;
 
 /// Flat, kernel-friendly image of a CooperationMatrix, rebuilt once per
 /// batch into BatchWorkspace and shared read-only by every ScoreKeeper
-/// of that batch. Two planes over the same 64-byte-aligned, stride-padded
-/// (stride = m rounded up to 8) layout:
+/// of that batch. One plane, 64-byte aligned and stride-padded
+/// (stride = m rounded up to 8):
 ///
 /// * **pair plane** (double): s(i,k) = q_i(w_k) + q_k(w_i), diagonal 0.
 ///   This is the exact value ScoreKeeper's marginals accumulate — double
 ///   addition of the two directions is commutative bit-for-bit, so
 ///   kernels over this plane reproduce the matrix path exactly.
-/// * **bound plane** (float): FloatUp(s(i,k)) — each element rounded UP
-///   to float, so any sum/max over it upper-bounds the exact plane.
-///   Feeds the candidate-pruning bounds, never the objective.
 ///
-/// Per row i the tile also precomputes prm_ticks(i) =
-/// ceil(max_k bound(i,k) * 2^32): worker i's row maximum as an integer
-/// tick count. ScoreKeeper keeps its per-task bound accumulators in the
-/// same 2^-32 fixed point, where add/remove are exactly reversible
-/// (int64 arithmetic) — floating-point drift can never rot a bound.
-///
-/// Building is O(m^2) time and 12 bytes/cell; BatchWorkspace gates it
+/// Building is O(m^2) time and 8 bytes/cell; BatchWorkspace gates it
 /// behind a worker-count ceiling (procedural city-scale matrices stay
 /// tile-less) and caches it by CooperationMatrix::IdentityHash.
 class CoopTile {
@@ -36,12 +27,12 @@ class CoopTile {
   CoopTile(const CoopTile&) = delete;
   CoopTile& operator=(const CoopTile&) = delete;
 
-  /// (Re)builds the planes from `coop`. When coop.num_workers() >
+  /// (Re)builds the pair plane from `coop`. When coop.num_workers() >
   /// `max_workers` the tile clears itself and returns false — callers
-  /// fall back to the matrix path. Buffers are reused across rebuilds.
+  /// fall back to the matrix path. The buffer is reused across rebuilds.
   bool BuildFrom(const CooperationMatrix& coop, int max_workers);
 
-  /// Drops the built planes (buffers are kept for reuse).
+  /// Drops the built plane (its buffer is kept for reuse).
   void Clear() { num_workers_ = 0; }
 
   bool built() const { return num_workers_ > 0; }
@@ -52,13 +43,6 @@ class CoopTile {
   const double* PairRow(int i) const { return pair_ + i * stride_; }
   const double* pair_plane() const { return pair_; }
 
-  /// Row i of the round-up float bound plane (64-byte aligned).
-  const float* BoundRow(int i) const { return bound_ + i * stride_; }
-
-  /// ceil(rowmax_float(i) * 2^32): worker i's per-pair affinity upper
-  /// bound in 2^-32 fixed point.
-  int64_t PrmTicks(int i) const { return prm_ticks_[i]; }
-
   /// IdentityHash of the matrix this tile was built from (undefined when
   /// !built()).
   uint64_t source_identity() const { return source_identity_; }
@@ -68,11 +52,7 @@ class CoopTile {
   int64_t stride_ = 0;
   uint64_t source_identity_ = 0;
   double* pair_ = nullptr;
-  float* bound_ = nullptr;
-  int64_t* prm_ticks_ = nullptr;
-  int64_t pair_capacity_ = 0;   ///< doubles allocated behind pair_
-  int64_t bound_capacity_ = 0;  ///< floats allocated behind bound_
-  int64_t ticks_capacity_ = 0;  ///< int64s allocated behind prm_ticks_
+  int64_t pair_capacity_ = 0;  ///< doubles allocated behind pair_
 };
 
 }  // namespace casc

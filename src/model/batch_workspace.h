@@ -82,7 +82,7 @@ class BatchWorkspace {
   /// steady-state stream whose batches view the same matrix under the
   /// same objective rebuilds nothing. The objective key is a
   /// correctness guard for the pluggable scoring layer: today's tile
-  /// holds only raw affinity ticks (objective-independent), but an
+  /// holds only raw pair affinities (objective-independent), but an
   /// objective is free to grow tile-resident precomputation later, and
   /// a cache hit across objectives would then serve stale data — the
   /// same staleness class the matrix identity hash already guards. The

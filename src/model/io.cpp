@@ -213,6 +213,11 @@ Result<Assignment> LoadAssignment(const Instance& instance,
         task >= instance.num_tasks()) {
       return Status::OutOfRange("pair indexes out of range");
     }
+    if (assignment.TaskOf(static_cast<WorkerIndex>(worker)) != kNoTask) {
+      return Status::InvalidArgument("pair record " + std::to_string(i) +
+                                     ": worker " + std::to_string(worker) +
+                                     " listed twice");
+    }
     assignment.Assign(static_cast<WorkerIndex>(worker),
                       static_cast<TaskIndex>(task));
   }

@@ -32,12 +32,6 @@ double ObjectiveModel::Regularizer(const Instance& instance, TaskIndex t,
   return 0.0;
 }
 
-double ObjectiveModel::BoundFromSum(const Instance& instance, TaskIndex t,
-                                    double pair_sum_upper, int size) const {
-  (void)t;
-  return CoopTerm(instance, pair_sum_upper, size);
-}
-
 bool ObjectiveModel::JoinFeasible(const Instance& instance, TaskIndex t,
                                   std::span<const WorkerIndex> members,
                                   WorkerIndex w) const {

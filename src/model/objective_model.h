@@ -28,22 +28,17 @@ class Instance;
 ///
 /// ### Bound admissibility (proof obligation)
 ///
-/// Every pruning bound in the engine — ScoreKeeper::JoinBound's
-/// fixed-point tick ceiling, the local-search swap bound, the exact
-/// B&B's Lemma V.2 per-worker quality ceilings — upper-bounds the
-/// *cooperation term*. They remain admissible for a variant if and only
-/// if, for every group G:
+/// The engine's one upper bound — the exact B&B's Lemma V.2 per-worker
+/// quality ceilings (ExactAssigner) — bounds the *cooperation term*. It
+/// remains admissible for a variant if and only if, for every group G:
 ///
 ///     ScoreGroup(G)  <=  CoopTerm(PairSum(G), |G|)
 ///
 /// i.e. the variant only ever *discounts* the cooperation term (gating
 /// to zero, non-positive regularizer). A variant that can exceed it
-/// (positive regularizer, bonuses) MUST override BoundFromSum with its
-/// own admissible ceiling, and must audit the exact B&B separately —
-/// Lemma V.2 is derived from the cooperation term and is not routed
-/// through BoundFromSum. DESIGN.md section 13 carries the full
-/// contract; prune-neutrality fuzzes in pruning_test.cpp enforce it for
-/// the shipped objectives.
+/// (positive regularizer, bonuses) must widen those ceilings before it
+/// runs through ExactAssigner. DESIGN.md section 13 carries the full
+/// contract.
 ///
 /// ### Membership conventions (present-aware hooks)
 ///
@@ -89,21 +84,12 @@ class ObjectiveModel {
                              WorkerIndex extra, WorkerIndex without) const;
 
   /// Additive per-task adjustment on top of the gated cooperation term.
-  /// Must be <= 0 unless BoundFromSum is overridden (see the bound
-  /// admissibility obligation above). Default: 0.
+  /// Must be <= 0 (see the bound admissibility obligation above).
+  /// Default: 0.
   virtual double Regularizer(const Instance& instance, TaskIndex t,
                              std::span<const WorkerIndex> members,
                              WorkerIndex extra, WorkerIndex without,
                              int size) const;
-
-  /// Admissible ceiling on ScoreGroup for *any* group of `size` members
-  /// at task `t` whose pair sum is <= `pair_sum_upper`. ScoreKeeper's
-  /// JoinBound and the local-search swap bound feed it their fixed-point
-  /// tick ceilings. Default: the raw cooperation term
-  /// (size < B ? 0 : pair_sum_upper / (size - 1)), which is exact for
-  /// CascObjective and admissible for any pure discount variant.
-  virtual double BoundFromSum(const Instance& instance, TaskIndex t,
-                              double pair_sum_upper, int size) const;
 
   /// May worker `w` join task `t`'s current group (before capacity
   /// crowding is considered)? Best-response scans, the online assigner,

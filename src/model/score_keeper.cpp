@@ -1,8 +1,5 @@
 #include "model/score_keeper.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 #include "kernel/affinity_kernels.h"
 #include "kernel/coop_tile.h"
@@ -10,10 +7,6 @@
 
 namespace casc {
 namespace {
-
-/// Pair-affinity tick bound when no tile is attached: qualities live in
-/// [0, 1], so any s(w, m) = q_w(m) + q_m(w) is at most 2.0 = 2^33 ticks.
-constexpr int64_t kNoTileTicks = int64_t{1} << 33;
 
 /// The canonical 4-lane accumulator of src/kernel/affinity_kernels.h in
 /// scalar form: element j lands in lane j % 4, skipped elements do not
@@ -48,7 +41,6 @@ void ScoreKeeper::Rebind(const Instance& instance) {
   tile_ = nullptr;
   pair_sums_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
   scores_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
-  bound_ticks_.assign(static_cast<size_t>(instance.num_tasks()), 0);
   total_ = 0.0;
 }
 
@@ -61,10 +53,6 @@ void ScoreKeeper::AttachTile(const CoopTile* tile) {
   CASC_CHECK_EQ(tile->num_workers(), instance_->num_workers())
       << "tile built over a different worker set";
   tile_ = tile;
-}
-
-int64_t ScoreKeeper::WorkerTicks(WorkerIndex w) const {
-  return tile_ != nullptr ? tile_->PrmTicks(w) : kNoTileTicks;
 }
 
 double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
@@ -135,9 +123,6 @@ void ScoreKeeper::Sync(const Assignment& assignment) {
   for (TaskIndex t = 0; t < instance_->num_tasks(); ++t) {
     const std::span<const WorkerIndex> group = assignment.GroupOf(t);
     pair_sums_[static_cast<size_t>(t)] = GroupPairSum(group);
-    int64_t ticks = 0;
-    for (const WorkerIndex member : group) ticks += WorkerTicks(member);
-    bound_ticks_[static_cast<size_t>(t)] = ticks;
     scores_[static_cast<size_t>(t)] = GroupScoreFromSum(
         t, pair_sums_[static_cast<size_t>(t)],
         static_cast<int>(group.size()), kNoWorker, kNoWorker);
@@ -178,7 +163,6 @@ void ScoreKeeper::Add(WorkerIndex w, TaskIndex t) {
   const double added =
       AffinityOverGroup(assignment_->GroupOf(t), w, kNoWorker, &others);
   pair_sums_[static_cast<size_t>(t)] += added;
-  bound_ticks_[static_cast<size_t>(t)] += WorkerTicks(w);
   total_ -= scores_[static_cast<size_t>(t)];
   scores_[static_cast<size_t>(t)] = GroupScoreFromSum(
       t, pair_sums_[static_cast<size_t>(t)], others + 1, w, kNoWorker);
@@ -191,7 +175,6 @@ void ScoreKeeper::Remove(WorkerIndex w, TaskIndex t) {
   const double removed =
       AffinityOverGroup(assignment_->GroupOf(t), w, kNoWorker, &others);
   pair_sums_[static_cast<size_t>(t)] -= removed;
-  bound_ticks_[static_cast<size_t>(t)] -= WorkerTicks(w);
   total_ -= scores_[static_cast<size_t>(t)];
   scores_[static_cast<size_t>(t)] = GroupScoreFromSum(
       t, pair_sums_[static_cast<size_t>(t)], others, kNoWorker, w);
@@ -282,33 +265,6 @@ void ScoreKeeper::GainsIfJoined(WorkerIndex w,
   }
 }
 
-double ScoreKeeper::JoinBound(WorkerIndex w, TaskIndex t) const {
-  const std::span<const WorkerIndex> group = GroupOf(t);
-  const int g = static_cast<int>(group.size());
-  // Joining an empty group, or one that stays below B, nets exactly 0
-  // (both scores are 0 by Equation 2's threshold).
-  if (g == 0 || g + 1 < instance_->min_group_size()) return 0.0;
-  // Two valid upper bounds on w's affinity to the group — every pair is
-  // at most w's row maximum AND at most the member's row maximum — taken
-  // at their (exact, integer) minimum.
-  const int64_t aff_ticks =
-      std::min(static_cast<int64_t>(g) * WorkerTicks(w),
-               bound_ticks_[static_cast<size_t>(t)]);
-  // Exact: |aff_ticks| < 2^53, so the double conversion and the
-  // power-of-two scale are both rounding-free.
-  const double aff_ub = std::ldexp(static_cast<double>(aff_ticks), -32);
-  // New size g + 1 is at most the capacity (GainIfJoined's own
-  // precondition), so the default Equation-2 divisor is (g + 1) - 1 = g;
-  // both the numerator add and the divide are monotone in aff_ub,
-  // keeping the bound sound in floating point. The objective's
-  // BoundFromSum ceilings the *joined* score; subtracting the cached
-  // (objective-correct) current score keeps the gain bound admissible
-  // for any variant whose scores never exceed the cooperation term.
-  const double new_score = instance_->objective().BoundFromSum(
-      *instance_, t, pair_sums_[static_cast<size_t>(t)] + aff_ub, g + 1);
-  return new_score - scores_[static_cast<size_t>(t)];
-}
-
 double ScoreKeeper::LossIfLeft(WorkerIndex w, TaskIndex t) const {
   const std::span<const WorkerIndex> group = GroupOf(t);
   int others = 0;
@@ -332,11 +288,6 @@ void ScoreKeeper::ApplyDelta(TaskIndex t, double delta, int new_size,
   scores_[static_cast<size_t>(t)] = ScoreFromSumWithMembers(
       t, pair_sums_[static_cast<size_t>(t)], new_size, members);
   total_ += scores_[static_cast<size_t>(t)];
-}
-
-void ScoreKeeper::ShiftBoundTicks(TaskIndex t, int64_t delta) {
-  bound_ticks_[static_cast<size_t>(t)] += delta;
-  CASC_DCHECK(bound_ticks_[static_cast<size_t>(t)] >= 0);
 }
 
 }  // namespace casc

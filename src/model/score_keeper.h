@@ -1,7 +1,6 @@
 #ifndef CASC_MODEL_SCORE_KEEPER_H_
 #define CASC_MODEL_SCORE_KEEPER_H_
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,13 +30,12 @@ class CoopTile;
 /// does) — scores follow the B <= |W| <= a_j branch of Equation 2.
 ///
 /// Scores are produced by the instance's ObjectiveModel: the keeper
-/// maintains the cooperation-term ingredients (pair sums, sizes, tick
-/// bounds) and hands them plus the live membership to
-/// ObjectiveModel::ScoreGroup, with the present-aware extra/without
-/// corrections so membership-dependent objectives (skill coverage) stay
-/// exact under either mutation order. Cached task scores are therefore
-/// always objective-correct, which is what keeps JoinBound admissible
-/// for any discount variant (see ObjectiveModel's bound obligation).
+/// maintains the cooperation-term ingredients (pair sums, sizes) and
+/// hands them plus the live membership to ObjectiveModel::ScoreGroup,
+/// with the present-aware extra/without corrections so
+/// membership-dependent objectives (skill coverage) stay exact under
+/// either mutation order. Cached task scores are therefore always
+/// objective-correct.
 ///
 /// Affinity sums are accumulated in the canonical 4-lane order of
 /// src/kernel/affinity_kernels.h whether or not a CoopTile is attached
@@ -86,7 +84,7 @@ class ScoreKeeper {
   double TaskScore(TaskIndex t) const;
 
   /// Current ordered-pair affinity sum of task `t`'s group — the
-  /// numerator of Equation 2 (pruning bounds build on it).
+  /// numerator of Equation 2.
   double TaskPairSum(TaskIndex t) const;
 
   /// Current Q(T) (Equation 3), O(1).
@@ -116,20 +114,6 @@ class ScoreKeeper {
   void GainsIfJoined(WorkerIndex w, std::span<const TaskIndex> tasks,
                      double* out) const;
 
-  /// O(1) upper bound on GainIfJoined(w, t), derived from the group's
-  /// bound-tick accumulator and w's per-pair row maximum (see
-  /// WorkerTicks): the candidate-pruning screen of the best-response
-  /// scan. Never below the exact gain; equal to 0 when joining cannot
-  /// produce a scoring group. Same preconditions as GainIfJoined.
-  double JoinBound(WorkerIndex w, TaskIndex t) const;
-
-  /// Upper bound on any single pair affinity s(w, m) = q_w(m) + q_m(w)
-  /// involving `w`, in 2^-32 fixed point: the tile's per-row float
-  /// maximum when attached, else the trivial 2.0 (qualities live in
-  /// [0, 1]). Integer ticks make the per-task accumulators exactly
-  /// reversible under Add/Remove.
-  int64_t WorkerTicks(WorkerIndex w) const;
-
   /// Marginal loss in TotalScore() if `w` left `t`:
   /// Q(W_t) - Q(W_t \ {w}). Same O(|W_t|) allocation-free shape.
   /// Requires membership.
@@ -151,16 +135,8 @@ class ScoreKeeper {
   /// objective scores directly. Callers own the consistency of the
   /// delta/size/members bookkeeping and must return the sums to a
   /// membership-consistent state before any other keeper use.
-  /// Bound ticks are untouched: a trial + rollback nets to zero, and an
-  /// accepted local-search swap keeps each group's tick sum valid via
-  /// ShiftBoundTicks.
   void ApplyDelta(TaskIndex t, double delta, int new_size,
                   std::span<const WorkerIndex> members);
-
-  /// Shifts task `t`'s bound-tick accumulator by `delta` ticks. Local
-  /// search calls this on an accepted swap (departing worker's ticks
-  /// out, arriving worker's in) since the swap bypasses Add/Remove.
-  void ShiftBoundTicks(TaskIndex t, int64_t delta);
 
  private:
   /// Objective-routed score of task `t`'s (corrected) group: the live
@@ -191,9 +167,6 @@ class ScoreKeeper {
   const CoopTile* tile_ = nullptr;
   std::vector<double> pair_sums_;  // ordered-pair sum per task
   std::vector<double> scores_;     // Equation-2 value per task
-  /// Sum of members' WorkerTicks per task (2^-32 fixed point): an exact
-  /// integer upper-bound accumulator feeding JoinBound.
-  std::vector<int64_t> bound_ticks_;
   double total_ = 0.0;
 };
 

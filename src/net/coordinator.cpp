@@ -209,7 +209,6 @@ void CoordinatorNode::EnterReconcile(NetContext& net) {
     }
     stats_.shard_seconds[s] = state.solve_seconds;
     stats_.prune_evals += state.prune_evals;
-    stats_.prune_skips += state.prune_skips;
     stats_.feasibility_rejects += state.feasibility_rejects;
     stats_.solve_rounds = std::max(stats_.solve_rounds, state.solve_rounds);
     stats_.solve_moves += state.solve_moves;
@@ -349,7 +348,6 @@ void CoordinatorNode::OnMessage(NetContext& net, NodeId from,
       state.pairs = msg.pairs;
       state.solve_seconds = msg.solve_seconds;
       state.prune_evals = msg.prune_evals;
-      state.prune_skips = msg.prune_skips;
       state.feasibility_rejects = msg.feasibility_rejects;
       state.solve_rounds = msg.solve_rounds;
       state.solve_moves = msg.solve_moves;

@@ -52,7 +52,6 @@ struct NetBatchStats {
   ReconcileStats reconcile;
   std::vector<double> shard_seconds;  ///< reported per-shard solve times
   int64_t prune_evals = 0;
-  int64_t prune_skips = 0;
   int64_t feasibility_rejects = 0;  ///< objective JoinFeasible rejections
 
   /// Solver convergence telemetry reported by the shard nodes (same
@@ -144,7 +143,6 @@ class CoordinatorNode : public Node {
     std::vector<AssignedPair> pairs;  ///< buffered local result
     double solve_seconds = 0.0;
     int64_t prune_evals = 0;
-    int64_t prune_skips = 0;
     int64_t feasibility_rejects = 0;
     int solve_rounds = 0;
     int64_t solve_moves = 0;

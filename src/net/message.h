@@ -82,7 +82,6 @@ struct Message {
   /// kShardResult: solver diagnostics folded into ServiceMetrics.
   double solve_seconds = 0.0;
   int64_t prune_evals = 0;
-  int64_t prune_skips = 0;
   int64_t feasibility_rejects = 0;
 
   /// kShardResult: solver convergence telemetry (best-response rounds,

@@ -96,7 +96,6 @@ Assignment NetShardedAssigner::Solve(const Instance& instance) {
   const NetBatchStats& batch = coordinator_.batch_stats();
   metrics_.shard_seconds = batch.shard_seconds;
   metrics_.prune_evals = batch.prune_evals;
-  metrics_.prune_skips = batch.prune_skips;
   metrics_.feasibility_rejects = batch.feasibility_rejects;
   metrics_.objective = std::string(instance.objective().Id());
   metrics_.adopted_boundary = batch.reconcile.adopted;

@@ -40,8 +40,7 @@ void ShardSolverNode::HandleDispatch(NetContext& net, NodeId from,
     std::optional<Assignment> local = ShardExecutor::SolveProblem(
         *msg.problem, factory_, &workspace_, &result.solve_seconds, &stats,
         /*use_delta=*/msg.skeleton_epoch >= 0);
-    result.prune_evals = stats.prune_candidates_evaluated;
-    result.prune_skips = stats.prune_candidates_skipped;
+    result.prune_evals = stats.candidates_evaluated;
     result.feasibility_rejects = stats.feasibility_rejects;
     result.solve_rounds = stats.rounds;
     result.solve_moves = stats.moves;
@@ -67,7 +66,6 @@ void ShardSolverNode::HandleDispatch(NetContext& net, NodeId from,
   reply.pairs = cached->second.pairs;
   reply.solve_seconds = cached->second.solve_seconds;
   reply.prune_evals = cached->second.prune_evals;
-  reply.prune_skips = cached->second.prune_skips;
   reply.feasibility_rejects = cached->second.feasibility_rejects;
   reply.solve_rounds = cached->second.solve_rounds;
   reply.solve_moves = cached->second.solve_moves;

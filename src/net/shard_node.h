@@ -52,7 +52,6 @@ class ShardSolverNode : public Node {
     std::vector<AssignedPair> pairs;  ///< local indices, fold order
     double solve_seconds = 0.0;
     int64_t prune_evals = 0;
-    int64_t prune_skips = 0;
     int64_t feasibility_rejects = 0;
     int solve_rounds = 0;
     int64_t solve_moves = 0;

@@ -169,8 +169,7 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   metrics_.lost_shards = static_cast<int>(dropped_shards.size());
   metrics_.phase1_seconds = watch.ElapsedSeconds();
   for (const AssignerStats& stats : shard_stats) {
-    metrics_.prune_evals += stats.prune_candidates_evaluated;
-    metrics_.prune_skips += stats.prune_candidates_skipped;
+    metrics_.prune_evals += stats.candidates_evaluated;
     metrics_.feasibility_rejects += stats.feasibility_rejects;
     // Rounds aggregate as the max (shards run in parallel — the critical
     // path); moves and the dirty frontier as sums.
@@ -184,8 +183,7 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
           ? static_cast<double>(metrics_.dirty_workers) /
                 static_cast<double>(instance.num_workers())
           : 0.0;
-  stats_.prune_candidates_evaluated = metrics_.prune_evals;
-  stats_.prune_candidates_skipped = metrics_.prune_skips;
+  stats_.candidates_evaluated = metrics_.prune_evals;
   stats_.feasibility_rejects = metrics_.feasibility_rejects;
   stats_.rounds = metrics_.solve_rounds;
   stats_.dirty_workers = metrics_.dirty_workers;

@@ -90,11 +90,14 @@ struct ServiceMetrics {
   double csr_emit_seconds = 0.0;
   int ingest_threads = 1;
 
-  /// Candidate-pruning work across the phase-1 shard solvers: exact
-  /// marginal evaluations performed vs. skipped via upper bounds (see
-  /// AssignerStats::prune_candidates_*). Phase-2 polishing is not
-  /// included — the reconciler reports moves, not scan work.
+  /// Candidate-scan work across the phase-1 shard solvers: exact
+  /// marginal evaluations performed (AssignerStats::candidates_evaluated).
+  /// Phase-2 polishing is not included — the reconciler reports moves,
+  /// not scan work.
   int64_t prune_evals = 0;
+  /// Always 0: no solver skips candidates on upper bounds. Kept so
+  /// readers of the metrics record (the JSON dump, the perfbench
+  /// `algo.prune_skip_frac` layer) keep their schema.
   int64_t prune_skips = 0;
 
   /// Registry id of the ObjectiveModel the batch was scored under
@@ -104,7 +107,7 @@ struct ServiceMetrics {
   /// Candidate joins the objective's feasibility predicate rejected
   /// across the phase-1 shard solvers (AssignerStats::feasibility_rejects;
   /// always 0 under the default objective). Same phase-1-only scope as
-  /// the prune counters.
+  /// prune_evals.
   int64_t feasibility_rejects = 0;
 
   /// Shards whose phase-1 result was lost this batch — dropped by the

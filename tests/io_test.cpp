@@ -257,5 +257,40 @@ TEST(AssignmentIoTest, RejectsOutOfRangeIndices) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
 }
 
+/// One malformed assignment file and the message its rejection must carry.
+struct MalformedAssignment {
+  const char* label;
+  const char* text;
+  const char* message;  ///< substring of the returned Status message
+};
+
+TEST(AssignmentIoTest, MalformedCorpusIsRejectedWithAMessage) {
+  const Instance instance = RandomInstance(5, 2, 8);
+  const MalformedAssignment corpus[] = {
+      {"bad magic", "casc-instance v1\npairs 0\nend\n",
+       "expected 'casc-assignment', got 'casc-instance'"},
+      {"bad version", "casc-assignment v2\npairs 0\nend\n",
+       "expected 'v1', got 'v2'"},
+      {"negative count", "casc-assignment v1\npairs -1\nend\n",
+       "bad pair count"},
+      {"short record", "casc-assignment v1\npairs 2\n0 0\n1\n",
+       "bad pair record"},
+      {"out-of-range index", "casc-assignment v1\npairs 1\n0 7\nend\n",
+       "pair indexes out of range"},
+      {"duplicate worker", "casc-assignment v1\npairs 2\n0 0\n0 1\nend\n",
+       "pair record 1: worker 0 listed twice"},
+      {"missing end", "casc-assignment v1\npairs 1\n0 0\n",
+       "expected 'end', got ''"},
+  };
+  for (const MalformedAssignment& entry : corpus) {
+    std::stringstream stream(entry.text);
+    const Result<Assignment> loaded = LoadAssignment(instance, &stream);
+    ASSERT_FALSE(loaded.ok()) << entry.label;
+    EXPECT_NE(loaded.status().message().find(entry.message),
+              std::string::npos)
+        << entry.label << ": got '" << loaded.status().message() << "'";
+  }
+}
+
 }  // namespace
 }  // namespace casc

@@ -526,7 +526,6 @@ std::vector<AssignerCase> AllAssigners() {
                      GtOptions options;
                      options.use_tsi = true;
                      options.use_lub = true;
-                     options.use_pruning = true;
                      return std::make_unique<GtAssigner>(options);
                    }});
   cases.push_back({"tpg", [] { return std::make_unique<TpgAssigner>(); }});

@@ -9,9 +9,7 @@
 #        warm BatchWorkspace -- the binary aborts if a steady-state
 #        batch grows any pooled backing array)
 #   PR5  tile affinity kernels (RowSum/PairSum vs the legacy
-#        CooperationMatrix path at group sizes 2-16) and bound-based
-#        candidate pruning (pruned vs unpruned GT wall time + prune-rate
-#        counters; the binary aborts if pruning changes the score)
+#        CooperationMatrix path at group sizes 2-16)
 #   pr6  incremental streaming data plane (delta-maintained valid-pair
 #        rows, sequential vs pipelined ingest, on a carry-over-heavy
 #        rush-hour trace: steady-state per-batch build+solve seconds
