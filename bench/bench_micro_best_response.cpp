@@ -112,7 +112,7 @@ void BM_BestResponseDelta(benchmark::State& state) {
   }
 }
 
-// -- Crowding path: joining a full task still falls back to BestSubset ------
+// -- Crowding path: joining a full task runs DropOneCrowding --------------
 
 void BM_BestResponseCrowdingScratch(benchmark::State& state) {
   Fixture fx(16, static_cast<int>(state.range(0)),

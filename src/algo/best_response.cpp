@@ -108,29 +108,22 @@ double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
     return keeper.GainIfJoined(w, t);
   }
 
-  // Overfull: Equation 2 pays only the best a_t-subset of W_t ∪ {w}. The
-  // pre-join score is already cached; only the joined group needs the
-  // BestSubset fallback.
-  std::vector<WorkerIndex> group(others.begin(), others.end());
-  group.push_back(w);
-  const std::vector<WorkerIndex> best =
-      BestSubset(instance.coop(), group, capacity);
-  if (crowded_out != nullptr) {
-    for (const WorkerIndex member : group) {
-      if (std::find(best.begin(), best.end(), member) == best.end()) {
-        *crowded_out = member;
-        break;
-      }
-    }
-  }
+  // Full: Equation 2 pays only the best a_t-subset of W_t ∪ {w}, which
+  // leaves exactly one worker out. The pre-join score is already cached.
+  CASC_CHECK_EQ(static_cast<int>(others.size()), capacity)
+      << "StrategyUtility: task " << t << " is over capacity";
+  const CrowdOut crowd = DropOneCrowding(instance.coop(), others, w);
+  if (crowded_out != nullptr) *crowded_out = crowd.evicted;
   double joined_score = 0.0;
-  if (static_cast<int>(group.size()) >= instance.min_group_size()) {
-    // The surviving subset is scored by the objective (a crowd-out can
-    // break skill coverage); for the default objective this is exactly
-    // the historical PairSum(best) / (capacity - 1).
+  if (capacity + 1 >= instance.min_group_size()) {
+    // The survivors are scored by the objective (a crowd-out can break
+    // skill coverage), named as W_t plus w without the evicted member;
+    // for the default objective this is exactly PairSum(survivors) /
+    // (capacity - 1).
+    const bool joiner_stays = crowd.evicted != w;
     joined_score = instance.objective().ScoreGroup(
-        instance, t, best, kNoWorker, kNoWorker,
-        instance.coop().PairSum(best), capacity);
+        instance, t, others, joiner_stays ? w : kNoWorker,
+        joiner_stays ? crowd.evicted : kNoWorker, crowd.pair_sum, capacity);
   }
   return joined_score - keeper.TaskScore(t);
 }
@@ -213,18 +206,15 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
   assignment->Assign(w, t);
   const int capacity = instance.tasks()[static_cast<size_t>(t)].capacity;
   if (assignment->GroupSize(t) > capacity) {
+    // Assign appended w, so the group is a full task's members plus w.
     const std::span<const WorkerIndex> overfull = assignment->GroupOf(t);
-    const std::vector<WorkerIndex> group(overfull.begin(), overfull.end());
-    const std::vector<WorkerIndex> best =
-        BestSubset(instance.coop(), group, capacity);
-    for (const WorkerIndex member : group) {
-      if (std::find(best.begin(), best.end(), member) == best.end()) {
-        assignment->Unassign(member);
-        result.crowded_out = member;
-        break;
-      }
-    }
-    CASC_CHECK_LE(assignment->GroupSize(t), capacity);
+    CASC_CHECK_EQ(static_cast<int>(overfull.size()), capacity + 1)
+        << "ApplyMove: task " << t << " was over capacity";
+    result.crowded_out =
+        DropOneCrowding(instance.coop(), overfull.first(overfull.size() - 1),
+                        overfull.back())
+            .evicted;
+    assignment->Unassign(result.crowded_out);
   }
   return result;
 }
@@ -253,19 +243,10 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
   if (assignment->GroupSize(t) >= capacity) {
     // Joining would overfill: Equation 2 pays only the best a_t-subset of
     // W_t ∪ {w}; the member left out is crowded out (possibly w itself).
-    const std::span<const WorkerIndex> current = assignment->GroupOf(t);
-    std::vector<WorkerIndex> group(current.begin(), current.end());
-    group.push_back(w);
-    const std::vector<WorkerIndex> best =
-        BestSubset(instance.coop(), group, capacity);
-    WorkerIndex evicted = kNoWorker;
-    for (const WorkerIndex member : group) {
-      if (std::find(best.begin(), best.end(), member) == best.end()) {
-        evicted = member;
-        break;
-      }
-    }
-    CASC_CHECK_NE(evicted, kNoWorker);
+    CASC_CHECK_EQ(assignment->GroupSize(t), capacity)
+        << "ApplyMove: task " << t << " is over capacity";
+    const WorkerIndex evicted =
+        DropOneCrowding(instance.coop(), assignment->GroupOf(t), w).evicted;
     result.crowded_out = evicted;
     if (evicted == w) return result;  // w stays out; the group is unchanged
     keeper->Remove(evicted, t);

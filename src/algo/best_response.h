@@ -44,9 +44,10 @@ BestResponse ComputeBestResponse(const Instance& instance,
 /// Delta-evaluated StrategyUtility: identical semantics to the scratch
 /// overload above, but each candidate costs one ScoreKeeper marginal —
 /// O(|W_t|) with no allocation — instead of two from-scratch GroupScore
-/// calls (O(|W_t|^2) each). Only the crowding branch (joining a full
-/// task) still runs BestSubset. `keeper` must mirror `assignment`
-/// exactly: same group membership for every task.
+/// calls (O(|W_t|^2) each). The crowding branch (joining a full task)
+/// runs DropOneCrowding, O(a_t^3) on a stack table and still without
+/// allocation. `keeper` must mirror `assignment` exactly: same group
+/// membership for every task.
 double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
                        const Assignment& assignment, WorkerIndex w,
                        TaskIndex t, WorkerIndex* crowded_out);
@@ -78,8 +79,9 @@ struct MoveResult {
 };
 
 /// Moves `w` to strategy `t` (or idle for kNoTask), evicting the
-/// best-subset loser when the target overflows, so the assignment never
-/// leaves this function over capacity. Requires t to be valid for w.
+/// best-subset loser (DropOneCrowding) when the target overflows, so the
+/// assignment never leaves this function over capacity. Requires t to be
+/// valid for w and every group to be within capacity on entry.
 MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
                      WorkerIndex w, TaskIndex t);
 

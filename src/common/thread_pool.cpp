@@ -10,7 +10,7 @@ ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(num_threads, 1)) {
   threads_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 0; i < num_threads_ - 1; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -27,9 +27,14 @@ int ThreadPool::DefaultThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::RunChunk(int chunk_index) {
-  const auto [begin, end] = ChunkBounds(count_, num_threads_, chunk_index);
-  for (int64_t i = begin; i < end; ++i) (*fn_)(i);
+void ThreadPool::RunClaimed() {
+  // count_ and fn_ were published under mutex_ before this epoch began;
+  // the claim itself needs only atomicity, not ordering.
+  for (;;) {
+    const int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) return;
+    (*fn_)(i);
+  }
 }
 
 void ThreadPool::ParallelFor(int64_t count,
@@ -44,11 +49,12 @@ void ThreadPool::ParallelFor(int64_t count,
     CASC_CHECK(fn_ == nullptr) << "ThreadPool::ParallelFor cannot nest";
     fn_ = &fn;
     count_ = count;
+    next_.store(0, std::memory_order_relaxed);
     pending_ = static_cast<int>(threads_.size());
     ++epoch_;
   }
   start_cv_.notify_all();
-  RunChunk(0);
+  RunClaimed();
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
@@ -56,7 +62,7 @@ void ThreadPool::ParallelFor(int64_t count,
   }
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
+void ThreadPool::WorkerLoop() {
   uint64_t seen_epoch = 0;
   for (;;) {
     {
@@ -67,7 +73,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
       if (shutdown_) return;
       seen_epoch = epoch_;
     }
-    RunChunk(worker_index + 1);
+    RunClaimed();
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -1,6 +1,7 @@
 #ifndef CASC_COMMON_THREAD_POOL_H_
 #define CASC_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -13,22 +14,24 @@ namespace casc {
 
 /// Fixed-size thread pool for deterministic data parallelism.
 ///
-/// ParallelFor(count, fn) splits [0, count) into num_threads() contiguous
-/// chunks — chunk k always covers indices [count*k/T, count*(k+1)/T) — and
-/// runs fn over each chunk on its own thread, blocking until every index
-/// is done. There is no work stealing and no shared queue: the static
-/// partition makes the index-to-thread mapping reproducible run to run,
-/// which the speculative best-response engine relies on for bit-identical
-/// serial/parallel results (the partition only decides *where* an index
-/// runs, never *what* it computes).
+/// ParallelFor(count, fn) runs fn(i) for every i in [0, count) and blocks
+/// until all are done. Threads claim indices one at a time from a shared
+/// atomic counter, so a slow index (a dense shard, a long best-response
+/// scan) holds up only the thread running it while the others drain the
+/// rest. Which thread runs an index is therefore a matter of timing, and
+/// the contract that keeps results reproducible is on the caller: fn(i)
+/// must write only state owned by index i and read only state no other
+/// index writes. Every result is then a function of the index alone,
+/// never of the thread or the claim order, which is what the speculative
+/// best-response engine, the shard executor and the ingest fan-out rely
+/// on for bit-identical results at any thread count.
 ///
-/// The calling thread executes chunk 0 itself; the pool spawns
+/// The calling thread claims indices too; the pool spawns
 /// num_threads - 1 workers. A pool constructed with num_threads <= 1 runs
 /// everything inline and spawns nothing, so a ThreadPool(1) member is a
 /// zero-cost way to keep one code path.
 ///
-/// `fn` must not throw, must not call back into the pool (no nesting),
-/// and must only write to disjoint state per index.
+/// `fn` must not throw and must not call back into the pool (no nesting).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -42,11 +45,10 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, count); returns once all are done.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
 
-  /// The contiguous sub-range of [0, count) that ParallelFor assigns to
-  /// chunk `chunk` of `chunks`: [count*chunk/chunks, count*(chunk+1)/chunks).
-  /// Callers that fan out one ParallelFor index per chunk (to keep
-  /// per-thread scratch) use this to partition exactly like the pool
-  /// itself, so a later pass over the same count realigns with the
+  /// Chunk `chunk` of a split of [0, count) into `chunks` contiguous
+  /// ranges: [count*chunk/chunks, count*(chunk+1)/chunks). Callers that
+  /// fan out one ParallelFor index per chunk (to keep per-chunk scratch)
+  /// use this so a later pass over the same count realigns with the
   /// per-chunk buffers of an earlier pass.
   static std::pair<int64_t, int64_t> ChunkBounds(int64_t count, int chunks,
                                                  int chunk) {
@@ -59,8 +61,9 @@ class ThreadPool {
   static int DefaultThreads();
 
  private:
-  void WorkerLoop(int worker_index);
-  void RunChunk(int chunk_index);
+  void WorkerLoop();
+  /// Claims and runs indices of the current ParallelFor until none is left.
+  void RunClaimed();
 
   int num_threads_;
   std::vector<std::thread> threads_;
@@ -73,6 +76,7 @@ class ThreadPool {
   bool shutdown_ = false;
   int64_t count_ = 0;
   const std::function<void(int64_t)>* fn_ = nullptr;
+  std::atomic<int64_t> next_{0};  // next unclaimed index
 };
 
 }  // namespace casc

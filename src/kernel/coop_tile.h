@@ -9,8 +9,9 @@ class CooperationMatrix;
 
 /// Flat, kernel-friendly image of a CooperationMatrix, rebuilt once per
 /// batch into BatchWorkspace and shared read-only by every ScoreKeeper
-/// of that batch. One plane, 64-byte aligned and stride-padded
-/// (stride = m rounded up to 8):
+/// of that batch. One plane, page aligned (mapped straight from the OS,
+/// see EnsureCapacity in coop_tile.cpp) and stride-padded (stride = m
+/// rounded up to 8, so every row is 64-byte aligned):
 ///
 /// * **pair plane** (double): s(i,k) = q_i(w_k) + q_k(w_i), diagonal 0.
 ///   This is the exact value ScoreKeeper's marginals accumulate — double

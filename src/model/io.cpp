@@ -27,6 +27,8 @@ Status ExpectToken(std::istream* in, const std::string& expected) {
   return Status::Ok();
 }
 
+/// Reads one double. Stream extraction fails on "nan", "inf" and on
+/// literals that overflow, such as "1e999", so every value read is finite.
 bool ReadDouble(std::istream* in, double* out) {
   return static_cast<bool>(*in >> *out);
 }
@@ -138,6 +140,10 @@ Result<Instance> LoadInstance(std::istream* in) {
         !ReadDouble(in, &task.create_time) ||
         !ReadDouble(in, &task.deadline) || !ReadInt(in, &capacity)) {
       return Status::InvalidArgument("bad task record " + std::to_string(j));
+    }
+    if (task.deadline < task.create_time) {
+      return Status::InvalidArgument("task record " + std::to_string(j) +
+                                     ": deadline precedes create_time");
     }
     if (!FitsInt(capacity)) {
       return Status::InvalidArgument("task record " + std::to_string(j) +

@@ -1,6 +1,7 @@
 #include "model/objective.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "common/check.h"
@@ -8,6 +9,13 @@
 
 namespace casc {
 namespace {
+
+/// BestSubset enumerates while C(|group|, k) stays below this count.
+constexpr int64_t kEnumerationLimit = 20000;
+
+/// DropOneCrowding's stack table holds groups up to this size; BestSubset
+/// sends its k = |group| - 1 case there only within it.
+constexpr size_t kStackGroup = 32;
 
 /// Number of k-subsets of an n-set, saturating at `limit`.
 int64_t BinomialCapped(int n, int k, int64_t limit) {
@@ -61,9 +69,20 @@ std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
   }
   if (k == 0) return {};
 
-  constexpr int64_t kEnumerationLimit = 20000;
   if (BinomialCapped(static_cast<int>(group.size()), k,
                      kEnumerationLimit) < kEnumerationLimit) {
+    if (k == static_cast<int>(group.size()) - 1 &&
+        group.size() <= kStackGroup) {
+      const WorkerIndex evicted =
+          DropOneCrowding(coop, group.first(group.size() - 1), group.back())
+              .evicted;
+      std::vector<WorkerIndex> best;
+      best.reserve(static_cast<size_t>(k));
+      for (const WorkerIndex member : group) {
+        if (member != evicted) best.push_back(member);
+      }
+      return best;
+    }
     std::vector<WorkerIndex> best, current;
     double best_sum = -1.0;
     EnumerateSubsets(coop, group, k, 0, &current, 0.0, &best_sum, &best);
@@ -102,6 +121,76 @@ std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
     }
   }
   return remaining;
+}
+
+CrowdOut DropOneCrowding(const CooperationMatrix& coop,
+                         std::span<const WorkerIndex> members,
+                         WorkerIndex newcomer) {
+  const size_t n = members.size() + 1;
+  CASC_CHECK_GE(n, 2u);
+  if (n > kStackGroup) {
+    // Beyond the stack table BestSubset enumerates (or goes greedy) itself.
+    std::vector<WorkerIndex> group(members.begin(), members.end());
+    group.push_back(newcomer);
+    const std::vector<WorkerIndex> best =
+        BestSubset(coop, group, static_cast<int>(n) - 1);
+    size_t at = 0;
+    while (at < best.size() && best[at] == group[at]) ++at;
+    return {group[at], coop.PairSum(best)};
+  }
+  const auto worker = [&](size_t i) {
+    return i < members.size() ? members[i] : newcomer;
+  };
+
+  // pair[j * n + i] (i < j) = q(i,j) + q(j,i), the exact sum EnumerateSubsets
+  // and PairSum add; kept[d] = EnumerateSubsets' running sum once positions
+  // 0..d-1 are all in the subset.
+  std::array<double, kStackGroup * (kStackGroup + 1)> table;
+  double* pair = table.data();
+  double* kept = pair + n * n;
+  for (size_t j = 1; j < n; ++j) {
+    const WorkerIndex wj = worker(j);
+    for (size_t i = 0; i < j; ++i) {
+      const WorkerIndex wi = worker(i);
+      pair[j * n + i] = coop.Quality(wi, wj) + coop.Quality(wj, wi);
+    }
+  }
+  kept[0] = 0.0;
+  for (size_t d = 0; d + 1 < n; ++d) {
+    double added = 0.0;
+    for (size_t i = 0; i < d; ++i) added += pair[d * n + i];
+    kept[d + 1] = kept[d] + added;
+  }
+
+  // Lexicographic order of the (n-1)-subsets leaves out position n-1
+  // first and position 0 last; the first strict maximum wins.
+  double best_sum = -1.0;
+  size_t drop = n;
+  for (size_t d = n; d-- > 0;) {
+    double sum = kept[d];
+    for (size_t j = d + 1; j < n; ++j) {
+      double added = 0.0;
+      for (size_t i = 0; i < j; ++i) {
+        if (i != d) added += pair[j * n + i];
+      }
+      sum += added;
+    }
+    if (sum > best_sum) {
+      best_sum = sum;
+      drop = d;
+    }
+  }
+  CASC_CHECK_LT(drop, n) << "DropOneCrowding: negative pair qualities";
+
+  // The survivors' PairSum, in its row-major accumulation order.
+  double pair_sum = 0.0;
+  for (size_t a = 0; a < n; ++a) {
+    if (a == drop) continue;
+    for (size_t b = a + 1; b < n; ++b) {
+      if (b != drop) pair_sum += pair[b * n + a];
+    }
+  }
+  return {worker(drop), pair_sum};
 }
 
 double GroupScore(const Instance& instance, TaskIndex t,

@@ -27,7 +27,8 @@ namespace casc {
 /// heuristic for the NP-hard maximum-weight k-induced-subgraph problem
 /// the paper cites [2]. The crossover is a pure cost cap: both paths
 /// return exactly k workers, and the greedy path is deterministic
-/// (ties drop the earliest position).
+/// (ties drop the earliest position). The enumeration at k = |group| - 1
+/// is DropOneCrowding below, which returns the same subset.
 ///
 /// Edge cases: k == 0 returns the empty subset, k == |group| returns the
 /// whole group (no enumeration either way); k < 0 or k > |group| is a
@@ -36,6 +37,28 @@ namespace casc {
 std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
                                     std::span<const WorkerIndex> group,
                                     int k);
+
+/// The crowding outcome of a group one over its task's capacity.
+struct CrowdOut {
+  WorkerIndex evicted = kNoWorker;  ///< the member the best subset leaves out
+  double pair_sum = 0.0;  ///< PairSum of the survivors, in group order
+};
+
+/// BestSubset(coop, members + [newcomer], |members|) without building a
+/// subset: the worker it leaves out and the survivors' PairSum, both
+/// bit-identical to that call followed by PairSum. This is the crowding
+/// case of Equation 2 (Theorems V.3 / V.4): a full task's members plus
+/// one joiner, so exactly one worker is dropped. Up to 32 workers the
+/// pair values q(i,k) + q(k,i) are read once into a stack table and the
+/// (|members|)-subsets are scored in BestSubset's lexicographic order
+/// with its running sums and strict-`>` tie rule, so on a tie the
+/// newcomer, the last position, is the one left out. Larger groups take
+/// the BestSubset + PairSum path itself.
+/// Requires distinct workers (PairSum's precondition) and qualities in
+/// [0, 1], which every CooperationMatrix guarantees.
+CrowdOut DropOneCrowding(const CooperationMatrix& coop,
+                         std::span<const WorkerIndex> members,
+                         WorkerIndex newcomer);
 
 /// Equation 2: the cooperation quality revenue Q(W_j) of assigning `group`
 /// to task `t`. Returns 0 when |group| < B; when |group| > a_j only the

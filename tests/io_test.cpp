@@ -208,6 +208,73 @@ TEST(InstanceIoTest, RejectsNegativeSpeedAndRadius) {
       << bad_radius.status().message();
 }
 
+/// One malformed instance file and the message its rejection must carry.
+struct MalformedInstance {
+  const char* label;
+  std::string text;
+  const char* message;  ///< substring of the returned Status message
+};
+
+/// A two-worker, one-task instance file with one field swapped out.
+std::string InstanceText(const std::string& now, const std::string& worker0,
+                         const std::string& task0, const std::string& q01) {
+  return "casc-instance v1\nnow " + now + " min_group 2\nworkers 2\n" +
+         worker0 + "\n1 0.2 0.2 0.5 0.5 0\ntasks 1\n" + task0 +
+         "\ncoop\n0 " + q01 + "\n0.5 0\nend\n";
+}
+
+TEST(InstanceIoTest, MalformedCorpusIsRejectedWithAMessage) {
+  const std::string worker = "0 0.1 0.1 0.5 0.5 0";
+  const std::string task = "0 0.15 0.15 1 5 2";
+  {
+    std::stringstream stream(InstanceText("0", worker, task, "0.5"));
+    ASSERT_TRUE(LoadInstance(&stream).ok()) << "the unmodified template";
+  }
+  const MalformedInstance corpus[] = {
+      {"bad magic", "casc-assignment v1\n",
+       "expected 'casc-instance', got 'casc-assignment'"},
+      {"nan now", InstanceText("nan", worker, task, "0.5"), "bad now"},
+      {"overflowing now", InstanceText("1e999", worker, task, "0.5"),
+       "bad now"},
+      {"min_group below 2",
+       "casc-instance v1\nnow 0 min_group 1\nworkers 0\n", "bad min_group"},
+      {"infinite x", InstanceText("0", "0 inf 0.1 0.5 0.5 0", task, "0.5"),
+       "bad worker record 0"},
+      {"nan speed", InstanceText("0", "0 0.1 0.1 nan 0.5 0", task, "0.5"),
+       "bad worker record 0"},
+      {"negative radius",
+       InstanceText("0", "0 0.1 0.1 0.5 -0.5 0", task, "0.5"),
+       "worker record 0: radius must be non-negative"},
+      {"infinite create_time",
+       InstanceText("0", worker, "0 0.15 0.15 -inf 5 2", "0.5"),
+       "bad task record 0"},
+      {"overflowing deadline",
+       InstanceText("0", worker, "0 0.15 0.15 1 1e999 2", "0.5"),
+       "bad task record 0"},
+      {"deadline before create_time",
+       InstanceText("0", worker, "0 0.15 0.15 5 1 2", "0.5"),
+       "task record 0: deadline precedes create_time"},
+      {"capacity below min_group",
+       InstanceText("0", worker, "0 0.15 0.15 1 5 1", "0.5"),
+       "task capacity below min_group"},
+      {"nan coop cell", InstanceText("0", worker, task, "nan"),
+       "bad coop cell"},
+      {"coop cell above 1", InstanceText("0", worker, task, "1.5"),
+       "coop quality out of [0,1]"},
+      {"missing end",
+       "casc-instance v1\nnow 0 min_group 2\nworkers 0\ntasks 0\ncoop\n",
+       "expected 'end', got ''"},
+  };
+  for (const MalformedInstance& entry : corpus) {
+    std::stringstream stream(entry.text);
+    const Result<Instance> loaded = LoadInstance(&stream);
+    ASSERT_FALSE(loaded.ok()) << entry.label;
+    EXPECT_NE(loaded.status().message().find(entry.message),
+              std::string::npos)
+        << entry.label << ": got '" << loaded.status().message() << "'";
+  }
+}
+
 TEST(InstanceIoTest, EmptyInstanceRoundTrips) {
   Instance empty({}, {}, CooperationMatrix(0), 0.0, 2);
   std::stringstream stream;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -275,6 +278,175 @@ TEST(BestSubsetDeathTest, NegativeKIsACallerBug) {
 TEST(BestSubsetDeathTest, KAboveGroupSizeIsACallerBug) {
   const CooperationMatrix coop(3, 0.5);
   EXPECT_DEATH(BestSubset(coop, {0, 1}, 3), "");
+}
+
+// ---------------------------------------------------------------------------
+// DropOneCrowding: bitwise against the reference enumeration
+// ---------------------------------------------------------------------------
+
+/// BestSubset's exact enumeration, spelled out: k-subsets in lexicographic
+/// order of position, each subset's sum accumulated as the recursion
+/// adds members, and a strict `>` against a -1 seed.
+void ReferenceEnumerate(const CooperationMatrix& coop,
+                        const std::vector<WorkerIndex>& group, size_t k,
+                        size_t start, std::vector<WorkerIndex>* current,
+                        double current_sum, double* best_sum,
+                        std::vector<WorkerIndex>* best) {
+  if (current->size() == k) {
+    if (current_sum > *best_sum) {
+      *best_sum = current_sum;
+      *best = *current;
+    }
+    return;
+  }
+  const size_t needed = k - current->size();
+  for (size_t i = start; i + needed <= group.size(); ++i) {
+    const WorkerIndex w = group[i];
+    double added = 0.0;
+    for (const WorkerIndex member : *current) {
+      added += coop.Quality(member, w) + coop.Quality(w, member);
+    }
+    current->push_back(w);
+    ReferenceEnumerate(coop, group, k, i + 1, current, current_sum + added,
+                       best_sum, best);
+    current->pop_back();
+  }
+}
+
+/// The crowding outcome as the assigners derived it from BestSubset: the
+/// first group member missing from the best (n-1)-subset, and that
+/// subset's PairSum.
+CrowdOut ReferenceCrowdOut(const CooperationMatrix& coop,
+                           const std::vector<WorkerIndex>& group) {
+  std::vector<WorkerIndex> best, current;
+  double best_sum = -1.0;
+  ReferenceEnumerate(coop, group, group.size() - 1, 0, &current, 0.0,
+                     &best_sum, &best);
+  CrowdOut out;
+  for (const WorkerIndex member : group) {
+    if (std::find(best.begin(), best.end(), member) == best.end()) {
+      out.evicted = member;
+      break;
+    }
+  }
+  out.pair_sum = coop.PairSum(best);
+  return out;
+}
+
+/// `count` distinct ids from [0, m) in random order.
+std::vector<WorkerIndex> RandomGroup(int m, size_t count, Rng* rng) {
+  std::vector<WorkerIndex> ids(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) ids[static_cast<size_t>(i)] = i;
+  rng->Shuffle(ids);
+  ids.resize(count);
+  return ids;
+}
+
+/// Dense matrix with independent q(i,k) and q(k,i). `levels` > 0
+/// quantizes every cell to multiples of 1/levels so that ties are common.
+CooperationMatrix AsymmetricMatrix(int m, int levels, Rng* rng) {
+  CooperationMatrix coop(m);
+  for (int i = 0; i < m; ++i) {
+    for (int k = 0; k < m; ++k) {
+      if (i == k) continue;
+      const double q =
+          levels > 0 ? static_cast<double>(rng->UniformInt(
+                           static_cast<uint64_t>(levels + 1))) /
+                           levels
+                     : rng->Uniform();
+      coop.SetQuality(i, k, q);
+    }
+  }
+  return coop;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// Kernel vs reference, bit for bit, plus BestSubset's routed answer.
+void ExpectDropOneMatchesReference(const CooperationMatrix& coop,
+                                   const std::vector<WorkerIndex>& group,
+                                   const std::string& label) {
+  const CrowdOut want = ReferenceCrowdOut(coop, group);
+  const std::span<const WorkerIndex> members(group.data(), group.size() - 1);
+  const CrowdOut got = DropOneCrowding(coop, members, group.back());
+  EXPECT_EQ(got.evicted, want.evicted) << label;
+  EXPECT_EQ(Bits(got.pair_sum), Bits(want.pair_sum))
+      << label << ": " << got.pair_sum << " vs " << want.pair_sum;
+  std::vector<WorkerIndex> survivors;
+  for (const WorkerIndex member : group) {
+    if (member != want.evicted) survivors.push_back(member);
+  }
+  EXPECT_EQ(BestSubset(coop, group, static_cast<int>(group.size()) - 1),
+            survivors)
+      << label;
+}
+
+TEST(DropOneCrowdingTest, MatchesReferenceOnDenseAsymmetricMatrices) {
+  Rng rng(0xD120);
+  for (int trial = 0; trial < 6; ++trial) {
+    const CooperationMatrix coop = AsymmetricMatrix(40, 0, &rng);
+    const CooperationMatrix ties = AsymmetricMatrix(40, 3, &rng);
+    for (size_t n = 2; n <= 16; ++n) {
+      const std::string label =
+          "trial " + std::to_string(trial) + " n " + std::to_string(n);
+      ExpectDropOneMatchesReference(coop, RandomGroup(40, n, &rng),
+                                    "dense " + label);
+      ExpectDropOneMatchesReference(ties, RandomGroup(40, n, &rng),
+                                    "quantized " + label);
+    }
+  }
+  // 32 workers fill the stack table; beyond it the kernel defers to
+  // BestSubset's enumeration.
+  const CooperationMatrix coop = AsymmetricMatrix(40, 0, &rng);
+  for (const size_t n : {32u, 33u, 40u}) {
+    ExpectDropOneMatchesReference(coop, RandomGroup(40, n, &rng),
+                                  "table edge n " + std::to_string(n));
+  }
+}
+
+TEST(DropOneCrowdingTest, MatchesReferenceOnProceduralMatrices) {
+  Rng rng(0xD121);
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const CooperationMatrix coop = CooperationMatrix::Procedural(5000, seed);
+    for (size_t n = 2; n <= 16; ++n) {
+      ExpectDropOneMatchesReference(
+          coop, RandomGroup(5000, n, &rng),
+          "seed " + std::to_string(seed) + " n " + std::to_string(n));
+    }
+  }
+}
+
+TEST(DropOneCrowdingTest, MatchesReferenceOnRemappedViews) {
+  Rng rng(0xD122);
+  for (int trial = 0; trial < 4; ++trial) {
+    const CooperationMatrix base = AsymmetricMatrix(60, trial % 2 ? 4 : 0,
+                                                    &rng);
+    // A shuffled window onto the base; two logical workers share one
+    // backing worker, which the view reads as a zero-quality pair.
+    std::vector<int> ids = RandomGroup(60, 30, &rng);
+    ids.push_back(ids[3]);
+    const CooperationMatrix view = base.View(ids);
+    for (size_t n = 2; n <= 16; ++n) {
+      std::vector<WorkerIndex> group = RandomGroup(31, n, &rng);
+      ExpectDropOneMatchesReference(
+          view, group,
+          "trial " + std::to_string(trial) + " n " + std::to_string(n));
+    }
+    ExpectDropOneMatchesReference(view, {3, 30, 7, 12}, "aliased pair");
+  }
+}
+
+TEST(DropOneCrowdingTest, AllEqualMatrixEvictsTheNewcomer) {
+  const CooperationMatrix coop(20, 0.5);
+  Rng rng(0xD123);
+  for (size_t n = 2; n <= 16; ++n) {
+    const std::vector<WorkerIndex> group = RandomGroup(20, n, &rng);
+    ExpectDropOneMatchesReference(coop, group, "n " + std::to_string(n));
+    const std::span<const WorkerIndex> members(group.data(), n - 1);
+    EXPECT_EQ(DropOneCrowding(coop, members, group.back()).evicted,
+              group.back())
+        << "n " << n;
+  }
 }
 
 // ---------------------------------------------------------------------------

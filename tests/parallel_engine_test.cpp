@@ -3,9 +3,11 @@
 //    from-scratch overloads (including the crowding/overfull branch)
 //    through long random mutation sequences;
 //  - keeper-aware ApplyMove keeps the keeper an exact mirror;
-//  - ThreadPool runs every index exactly once with a static partition;
+//  - ThreadPool runs every index exactly once, handing indices out one
+//    at a time so a slow index holds up only the thread running it;
 //  - parallel GT rounds (speculative evaluation, sequential apply) are
-//    bit-identical to the serial path;
+//    bit-identical to the serial path, also when per-worker scan costs
+//    are very uneven;
 //  - the parallel replication fan-out folds to thread-count-independent
 //    aggregates.
 
@@ -13,6 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -88,6 +93,29 @@ TEST(ThreadPoolTest, IsReusableAcrossManyCalls) {
     });
   }
   EXPECT_EQ(sum, 50 * (16 * 17) / 2);
+}
+
+TEST(ThreadPoolTest, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 waits until every other index has run. Fixed contiguous
+  // chunks would queue index 1 behind index 0 on the same thread and the
+  // wait would time out; claimed indices let the other thread drain them.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int others_done = 0;
+  bool waited = false;
+  pool.ParallelFor(4, [&](int64_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (i == 0) {
+      waited = cv.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return others_done == 3; });
+    } else {
+      ++others_done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(waited);
+  EXPECT_EQ(others_done, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +293,30 @@ TEST_P(ParallelGtSeedTest, ShuffledOrderAndRandomInitBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelGtSeedTest,
                          ::testing::Values(31u, 32u, 33u, 34u));
+
+TEST(ParallelGtTest, SkewedScanCostsBitIdenticalToSerial) {
+  // SKEW locations and wide radii: clustered workers scan dozens of
+  // tasks, outliers a handful, so the speculation fan-out's indices
+  // finish far apart and threads claim them in a different order each
+  // run. The result must still be a function of the index alone.
+  for (const uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    SyntheticInstanceConfig config;
+    config.num_workers = 400;
+    config.num_tasks = 120;
+    config.worker.spatial.distribution = LocationDistribution::kSkewed;
+    config.task.spatial.distribution = LocationDistribution::kSkewed;
+    config.worker.radius_min = 0.05;
+    config.worker.radius_max = 0.30;
+    config.worker.speed_min = 0.05;
+    config.worker.speed_max = 0.15;
+    const Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
+    GtOptions options;
+    options.use_lub = true;
+    options.use_tsi = true;
+    ExpectIdenticalRuns(instance, options);
+  }
+}
 
 TEST(ParallelGtTest, ParallelRunStillReachesVerifiedNash) {
   const Instance instance = RandomInstance(90, 30, 991);

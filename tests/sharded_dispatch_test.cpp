@@ -198,6 +198,24 @@ TEST(ShardedAssignerTest, ResultIndependentOfThreadCount) {
     EXPECT_EQ(many.Run(instance).Pairs(), baseline.Pairs())
         << "threads=" << threads;
   }
+
+  // SKEW at S=4 packs most of the work into the centre shards, so the
+  // pool's threads claim the 16 shards in a timing-dependent order.
+  SyntheticInstanceConfig config;
+  config.num_workers = 800;
+  config.num_tasks = 250;
+  config.worker.spatial.distribution = LocationDistribution::kSkewed;
+  config.task.spatial.distribution = LocationDistribution::kSkewed;
+  Rng rng(29);
+  const Instance skew = GenerateSyntheticInstance(config, /*now=*/0.0, &rng);
+  const Assignment skew_baseline =
+      ShardedAssigner(MakeOptions(4, 1), GtFactory()).Run(skew);
+  EXPECT_GT(skew_baseline.NumAssigned(), 0);
+  for (const int threads : {1, 2, 3, 4, 7}) {
+    ShardedAssigner many(MakeOptions(4, threads), GtFactory());
+    EXPECT_EQ(many.Run(skew).Pairs(), skew_baseline.Pairs())
+        << "SKEW threads=" << threads;
+  }
 }
 
 TEST(ShardedAssignerTest, ValidAcrossShardCountsAndSeeds) {
