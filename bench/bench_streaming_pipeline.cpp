@@ -428,13 +428,6 @@ double SteadyServiceMean(const ConfigResult& result,
 }
 
 int RunPr10(const casc::FlagParser& flags) {
-  // Each shard materializes its sub-matrix per batch, so while a
-  // shard's pool is under the tile ceiling the dense CoopTile is
-  // rebuilt O(m^2) every batch — an orthogonal precompute that dwarfs
-  // the phase-1 solve equally in both configs. This mode measures the
-  // solve, so it pins tiling off (must happen before the first solve:
-  // the ceiling is read once per process).
-  ::setenv("CASC_TILE_MAX_WORKERS", "0", 1);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   const int budget = static_cast<int>(flags.GetInt64("budget"));
   const int ingest_threads =

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   casc::FlagParser flags;
   flags.DefineDouble("worker-rate", 35.0, "worker arrivals per hour");
   flags.DefineDouble("task-rate", 14.0, "task creations per hour");
-  flags.DefineInt64("hours", 12, "length of the simulated day (batches)");
+  flags.DefineInt64("hours", 12, "length of the simulated day (batches)", 1,
+                    casc::FlagParser::kIntMax);
   flags.DefineString("approach", "gt", "gt or tpg");
   flags.DefineInt64("seed", 7, "generator seed");
   flags.ParseOrExit(argc, argv);

@@ -27,11 +27,13 @@
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  flags.DefineInt64("workers", 3000, "workers over the day");
-  flags.DefineInt64("tasks", 1200, "tasks over the day");
-  flags.DefineInt64("hours", 8, "simulated horizon (one batch per hour)");
-  flags.DefineInt64("shards", 3, "shards per side (S)");
-  flags.DefineInt64("nodes", 4, "simulated shard solver nodes");
+  const int64_t kIntMax = casc::FlagParser::kIntMax;
+  flags.DefineInt64("workers", 3000, "workers over the day", 0, kIntMax);
+  flags.DefineInt64("tasks", 1200, "tasks over the day", 0, kIntMax);
+  flags.DefineInt64("hours", 8, "simulated horizon (one batch per hour)", 1,
+                    kIntMax);
+  flags.DefineInt64("shards", 3, "shards per side (S)", 1, 64);
+  flags.DefineInt64("nodes", 4, "simulated shard solver nodes", 1, 1024);
   flags.DefineDouble("drop", 0.1, "i.i.d. message drop probability");
   flags.DefineDouble("crash_time", 1.0,
                      "virtual network second node 1 crashes at (< 0 = "

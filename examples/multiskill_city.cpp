@@ -49,10 +49,11 @@ double CoverageRate(const casc::Instance& instance,
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  flags.DefineInt64("workers", 2000, "certified field workers");
-  flags.DefineInt64("tasks", 600, "inspections in the batch");
-  flags.DefineInt64("categories", 8, "certification categories");
-  flags.DefineInt64("shards", 2, "shards per side (S)");
+  const int64_t kIntMax = casc::FlagParser::kIntMax;
+  flags.DefineInt64("workers", 2000, "certified field workers", 0, kIntMax);
+  flags.DefineInt64("tasks", 600, "inspections in the batch", 0, kIntMax);
+  flags.DefineInt64("categories", 8, "certification categories", 1, 64);
+  flags.DefineInt64("shards", 2, "shards per side (S)", 1, 64);
   flags.DefineInt64("seed", 19, "generator seed");
   flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));

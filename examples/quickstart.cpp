@@ -17,8 +17,10 @@
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  flags.DefineInt64("workers", 200, "workers in the batch (m)");
-  flags.DefineInt64("tasks", 80, "tasks in the batch (n)");
+  flags.DefineInt64("workers", 200, "workers in the batch (m)", 0,
+                    casc::FlagParser::kIntMax);
+  flags.DefineInt64("tasks", 80, "tasks in the batch (n)", 0,
+                    casc::FlagParser::kIntMax);
   flags.DefineInt64("seed", 42, "generator seed");
   flags.ParseOrExit(argc, argv);
 

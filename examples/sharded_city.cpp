@@ -18,12 +18,16 @@
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  flags.DefineInt64("workers", 4000, "workers over the day");
-  flags.DefineInt64("tasks", 1600, "tasks over the day");
-  flags.DefineInt64("hours", 8, "simulated horizon (one batch per hour)");
-  flags.DefineInt64("shards", 4, "shards per side (S)");
-  flags.DefineInt64("threads", 4, "threads for per-shard assignment");
-  flags.DefineInt64("budget", 300, "admission budget per batch (0 = off)");
+  const int64_t kIntMax = casc::FlagParser::kIntMax;
+  flags.DefineInt64("workers", 4000, "workers over the day", 0, kIntMax);
+  flags.DefineInt64("tasks", 1600, "tasks over the day", 0, kIntMax);
+  flags.DefineInt64("hours", 8, "simulated horizon (one batch per hour)", 1,
+                    kIntMax);
+  flags.DefineInt64("shards", 4, "shards per side (S)", 1, 64);
+  flags.DefineInt64("threads", 4, "threads for per-shard assignment", 1,
+                    1024);
+  flags.DefineInt64("budget", 300, "admission budget per batch (0 = off)", 0,
+                    kIntMax);
   flags.DefineInt64("seed", 11, "generator seed");
   flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));

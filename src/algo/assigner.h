@@ -93,15 +93,11 @@ class Assigner {
     return Assignment(instance);
   }
 
-  /// Keeper synced to `assignment`, pooled when a workspace is set. The
-  /// workspace also contributes its CoopTile (built or cache-hit here),
-  /// routing the keeper's marginals through the affinity kernels; without a
-  /// workspace the keeper runs the bit-identical tile-less path.
+  /// Keeper synced to `assignment`, pooled when a workspace is set.
   ScoreKeeper MakeScoreKeeper(const Instance& instance,
                               const Assignment& assignment) {
     if (workspace_ != nullptr) {
       ScoreKeeper keeper = workspace_->AcquireScoreKeeper(instance);
-      keeper.AttachTile(workspace_->PrepareCoopTile(instance));
       keeper.Sync(assignment);
       return keeper;
     }

@@ -142,15 +142,8 @@ BestResponse ComputeBestResponse(const Instance& instance,
   // for a predicate that is constantly true.
   const bool filter_joins = !objective.AlwaysJoinFeasible();
 
-  // One feasibility pass records the feasible candidates in CSR order
-  // and, among them, the non-full ones whose joining gains come from one
-  // batched GainsIfJoined (a single RowSumMany kernel call when a tile
-  // is attached).
-  thread_local std::vector<TaskIndex> feasible;
-  thread_local std::vector<TaskIndex> below_capacity;
-  thread_local std::vector<double> gains;
-  feasible.clear();
-  below_capacity.clear();
+  // Candidates in CSR ascending task order: below capacity each costs
+  // one GainIfJoined, a full task takes the crowding branch.
   for (const TaskIndex t : instance.ValidTasks(w)) {
     if (t == current) continue;
     if (filter_joins &&
@@ -158,33 +151,15 @@ BestResponse ComputeBestResponse(const Instance& instance,
       if (counters != nullptr) ++counters->feasibility_rejects;
       continue;
     }
-    feasible.push_back(t);
-    const int capacity = instance.tasks()[static_cast<size_t>(t)].capacity;
-    if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
-      below_capacity.push_back(t);
-    }
-  }
-  gains.resize(below_capacity.size());
-  keeper.GainsIfJoined(w, below_capacity, gains.data());
-
-  // The ascending accept rule; full candidates take the crowding branch.
-  size_t next = 0;
-  for (const TaskIndex t : feasible) {
+    if (counters != nullptr) ++counters->evaluated;
     WorkerIndex crowded = kNoWorker;
-    double utility;
-    if (next < below_capacity.size() && below_capacity[next] == t) {
-      utility = gains[next++];  // == GainIfJoined(w, t), bit-identical
-    } else {
-      utility = StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-    }
+    const double utility =
+        StrategyUtility(instance, keeper, assignment, w, t, &crowded);
     if (utility > best.utility + kImprovementTolerance) {
       best.task = t;
       best.utility = utility;
       best.crowded_out = crowded;
     }
-  }
-  if (counters != nullptr) {
-    counters->evaluated += static_cast<int64_t>(feasible.size());
   }
   if (0.0 > best.utility + kImprovementTolerance) {
     best = BestResponse{kNoTask, 0.0, kNoWorker};

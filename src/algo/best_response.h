@@ -62,11 +62,10 @@ struct ScanCounters {
 
 /// Delta-evaluated best response; the keeper-backed twin of
 /// ComputeBestResponse with the same tie-breaking contract. The scan
-/// keeps the CSR ascending task order: the joining gains of every
-/// feasible below-capacity candidate are gathered in one batched
-/// ScoreKeeper::GainsIfJoined call, then the accept rule replays over
-/// exactly the utilities the per-task calls would produce. `counters`
-/// (may be null) receives the scan's work tally.
+/// keeps the CSR ascending task order and prices every feasible
+/// candidate with the keeper StrategyUtility (one ScoreKeeper marginal
+/// below capacity, DropOneCrowding on a full task). `counters` (may be
+/// null) receives the scan's work tally.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,

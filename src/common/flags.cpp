@@ -23,14 +23,29 @@ const char* KindName(int kind) {
   return "?";
 }
 
+std::string RangeText(int64_t lo, int64_t hi) {
+  std::string out = "[";
+  out += std::to_string(lo);
+  out += ", ";
+  out += std::to_string(hi);
+  out += "]";
+  return out;
+}
+
 }  // namespace
 
 void FlagParser::DefineInt64(const std::string& name, int64_t default_value,
-                             const std::string& help) {
+                             const std::string& help, int64_t min_value,
+                             int64_t max_value) {
+  CASC_CHECK(min_value <= default_value && default_value <= max_value)
+      << "flag --" << name << ": default " << default_value
+      << " outside [" << min_value << ", " << max_value << "]";
   Flag flag;
   flag.kind = Kind::kInt64;
   flag.help = help;
   flag.int_value = default_value;
+  flag.int_min = min_value;
+  flag.int_max = max_value;
   CASC_CHECK(flags_.emplace(name, flag).second)
       << "duplicate flag --" << name;
 }
@@ -118,12 +133,20 @@ Status FlagParser::SetValue(const std::string& name,
   }
   Flag& flag = it->second;
   switch (flag.kind) {
-    case Kind::kInt64:
-      if (!ParseInt64(value, &flag.int_value)) {
+    case Kind::kInt64: {
+      int64_t parsed = 0;
+      if (!ParseInt64(value, &parsed)) {
         return Status::InvalidArgument("flag --" + name +
                                        ": bad int64 value '" + value + "'");
       }
+      if (parsed < flag.int_min || parsed > flag.int_max) {
+        return Status::InvalidArgument(
+            "flag --" + name + ": " + value + " is outside " +
+            RangeText(flag.int_min, flag.int_max));
+      }
+      flag.int_value = parsed;
       break;
+    }
     case Kind::kDouble:
       if (!ParseDouble(value, &flag.double_value)) {
         return Status::InvalidArgument("flag --" + name +

@@ -2,6 +2,7 @@
 #define CASC_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,15 +17,23 @@ namespace casc {
 /// Typical use:
 ///
 ///   FlagParser flags;
-///   flags.DefineInt64("workers", 1000, "workers per batch");
+///   flags.DefineInt64("workers", 1000, "workers per batch", 0,
+///                     FlagParser::kIntMax);
 ///   flags.DefineDouble("epsilon", 0.05, "TSI stop threshold");
 ///   flags.ParseOrExit(argc, argv);
 ///   int64_t m = flags.GetInt64("workers");
 class FlagParser {
  public:
-  /// Registers an integer flag with a default value.
+  /// Largest value of an int64 flag that the caller stores in an int.
+  static constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+  /// Registers an integer flag with a default value. A value outside the
+  /// inclusive range [min_value, max_value] is a parse error naming the
+  /// flag and its range; the default must lie inside the range.
   void DefineInt64(const std::string& name, int64_t default_value,
-                   const std::string& help);
+                   const std::string& help,
+                   int64_t min_value = std::numeric_limits<int64_t>::min(),
+                   int64_t max_value = std::numeric_limits<int64_t>::max());
 
   /// Registers a floating-point flag with a default value.
   void DefineDouble(const std::string& name, double default_value,
@@ -38,7 +47,8 @@ class FlagParser {
   void DefineBool(const std::string& name, bool default_value,
                   const std::string& help);
 
-  /// Parses argv. Unknown flags and malformed values produce an error.
+  /// Parses argv. Unknown flags, malformed values and int64 values outside
+  /// their flag's range produce an error.
   /// Positional (non `--`) arguments are collected into positional().
   Status Parse(int argc, const char* const* argv);
 
@@ -65,6 +75,8 @@ class FlagParser {
     Kind kind;
     std::string help;
     int64_t int_value = 0;
+    int64_t int_min = std::numeric_limits<int64_t>::min();
+    int64_t int_max = std::numeric_limits<int64_t>::max();
     double double_value = 0.0;
     std::string string_value;
     bool bool_value = false;

@@ -62,9 +62,7 @@ class CooperationMatrix {
   /// Sum over ordered pairs of distinct workers in `group`:
   /// sum_i sum_{k != i} q_i(w_k) — the numerator of Equation 2.
   ///
-  /// `group` must contain *distinct* worker ids. A duplicated id would
-  /// add its self-pair affinity here but not in the kernel path (whose
-  /// symmetric tile has a zero diagonal), silently diverging the two;
+  /// `group` must contain *distinct* worker ids (a group is a set);
   /// debug builds CHECK the precondition, release builds assume it.
   double PairSum(std::span<const int> group) const;
   double PairSum(const std::vector<int>& group) const {
@@ -97,22 +95,12 @@ class CooperationMatrix {
   /// True for matrices produced by Procedural().
   bool is_procedural() const { return procedural_; }
 
-  /// Directly addressable cell block when this matrix is dense with no
-  /// remap (row stride == num_workers()), else nullptr. Fast path for
-  /// CoopTile construction; views and procedural matrices go through
-  /// Quality().
-  const double* DenseCellsOrNull() const {
-    return (!procedural_ && remap_.empty() && cells_) ? cells_->data()
-                                                      : nullptr;
-  }
-
   /// Identity of this matrix's *content*: two matrices with equal hashes
   /// expose equal Quality() tables (modulo astronomically unlikely
   /// collisions). Dense backings carry a process-unique generation id
   /// refreshed on every mutation, so recycled allocations at the same
   /// address can never alias. O(num_workers) for views (the remap is
-  /// folded in), O(1) otherwise. BatchWorkspace keys its cached CoopTile
-  /// on this.
+  /// folded in), O(1) otherwise.
   uint64_t IdentityHash() const;
 
  private:

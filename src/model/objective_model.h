@@ -17,8 +17,8 @@ class Instance;
 ///
 /// An objective decomposes into three hooks:
 ///   1. a *cooperation term* — the Eq. 2 pair-sum score, shared by every
-///      variant and computed by the engine (ScoreKeeper pair sums, the
-///      CoopTile kernels, TPG heaps, the exact B&B all precompute it);
+///      variant and computed by the engine (ScoreKeeper pair sums, TPG
+///      heaps, the exact B&B all precompute it);
 ///   2. a *group-feasibility predicate* — capacity and the B threshold
 ///      stay engine-side invariants; variants add their own gate (skill
 ///      coverage here) which zeroes the score of an infeasible group and
@@ -61,8 +61,8 @@ class ObjectiveModel {
  public:
   virtual ~ObjectiveModel() = default;
 
-  /// Stable identity, used for tile-cache keying, ShardProblem wire
-  /// round-trips, registry lookup, and metrics. Never contains spaces.
+  /// Stable identity, used for ShardProblem wire round-trips, registry
+  /// lookup, and metrics. Never contains spaces.
   virtual std::string_view Id() const = 0;
 
   /// The full per-task score of the (corrected) group: cooperation term

@@ -1,18 +1,17 @@
 #include "model/score_keeper.h"
 
 #include "common/check.h"
-#include "kernel/affinity_kernels.h"
-#include "kernel/coop_tile.h"
 #include "model/objective_model.h"
 
 namespace casc {
 namespace {
 
-/// The canonical 4-lane accumulator of src/kernel/affinity_kernels.h in
-/// scalar form: element j lands in lane j % 4, skipped elements do not
-/// advance j, and the lanes combine as (l0 + l2) + (l1 + l3). Keeping
-/// the tile-less paths on this exact order is what makes attaching a
-/// tile bit-neutral.
+/// The canonical 4-lane accumulator of every keeper affinity sum:
+/// element j lands in lane j % 4, skipped elements do not advance j, and
+/// the lanes combine as (l0 + l2) + (l1 + l3). Four independent
+/// accumulators keep the adds off one serial dependency chain. The order
+/// is part of the keeper's output contract: a plain sequential sum
+/// rounds differently, which can flip a GT accept decision.
 struct LaneAcc {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   int j = 0;
@@ -38,56 +37,18 @@ ScoreKeeper::ScoreKeeper(const Instance& instance,
 void ScoreKeeper::Rebind(const Instance& instance) {
   instance_ = &instance;
   assignment_ = nullptr;
-  tile_ = nullptr;
   pair_sums_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
   scores_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
   total_ = 0.0;
 }
 
-void ScoreKeeper::AttachTile(const CoopTile* tile) {
-  if (tile == nullptr || !tile->built()) {
-    tile_ = nullptr;
-    return;
-  }
-  CASC_CHECK(instance_ != nullptr) << "Rebind() before AttachTile()";
-  CASC_CHECK_EQ(tile->num_workers(), instance_->num_workers())
-      << "tile built over a different worker set";
-  tile_ = tile;
-}
-
 double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
                                       WorkerIndex w, WorkerIndex skip,
                                       int* others) const {
-  const int size = static_cast<int>(group.size());
-  if (tile_ != nullptr) {
-    bool needs_skip = false;
-    for (const WorkerIndex m : group) {
-      if (m == w || m == skip) {
-        needs_skip = true;
-        break;
-      }
-    }
-    const double* row = tile_->PairRow(w);
-    if (!needs_skip) {
-      // The group is free of w/skip: a blind gather matches the
-      // skip-aware lane order exactly.
-      if (others != nullptr) *others = size;
-      return RowSumKernel(row, group.data(), size);
-    }
-    LaneAcc acc;
-    for (const WorkerIndex m : group) {
-      if (m == w || m == skip) continue;
-      acc.Push(row[m]);
-    }
-    if (others != nullptr) *others = acc.j;
-    return acc.Total();
-  }
   const CooperationMatrix& coop = instance_->coop();
   LaneAcc acc;
   for (const WorkerIndex m : group) {
     if (m == w || m == skip) continue;
-    // Same double as the tile's s(w, m): the two-way add commutes
-    // bit-for-bit.
     acc.Push(coop.Quality(m, w) + coop.Quality(w, m));
   }
   if (others != nullptr) *others = acc.j;
@@ -96,14 +57,10 @@ double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
 
 double ScoreKeeper::GroupPairSum(std::span<const WorkerIndex> group) const {
   const int size = static_cast<int>(group.size());
-  if (tile_ != nullptr) {
-    return PairSumKernel(tile_->pair_plane(), tile_->stride(), group.data(),
-                         size);
-  }
   const CooperationMatrix& coop = instance_->coop();
   double total = 0.0;
   // Canonical pair order: outer index sequential, each inner suffix in
-  // lane order — exactly PairSumKernel's reduction.
+  // lane order.
   for (int a = 0; a + 1 < size; ++a) {
     LaneAcc acc;
     for (int b = a + 1; b < size; ++b) {
@@ -215,54 +172,6 @@ double ScoreKeeper::GainIfJoined(WorkerIndex w, TaskIndex t) const {
       t, pair_sums_[static_cast<size_t>(t)] + added, others + 1, w,
       kNoWorker);
   return new_score - scores_[static_cast<size_t>(t)];
-}
-
-void ScoreKeeper::GainsIfJoined(WorkerIndex w,
-                                std::span<const TaskIndex> tasks,
-                                double* out) const {
-  const int n = static_cast<int>(tasks.size());
-  if (tile_ == nullptr || n == 0) {
-    for (int i = 0; i < n; ++i) out[i] = GainIfJoined(w, tasks[i]);
-    return;
-  }
-  // One gathered RowSumMany call covers every candidate group that
-  // does not contain w (the common case — a worker is a member of at
-  // most one group); the rest fall back to the skip-aware scalar path.
-  thread_local std::vector<const int*> ptrs;
-  thread_local std::vector<int> lens;
-  thread_local std::vector<int> slots;
-  thread_local std::vector<double> sums;
-  ptrs.clear();
-  lens.clear();
-  slots.clear();
-  for (int i = 0; i < n; ++i) {
-    const std::span<const WorkerIndex> group = GroupOf(tasks[i]);
-    bool contains = false;
-    for (const WorkerIndex m : group) {
-      if (m == w) {
-        contains = true;
-        break;
-      }
-    }
-    if (contains) {
-      out[i] = GainIfJoined(w, tasks[i]);
-      continue;
-    }
-    ptrs.push_back(group.data());
-    lens.push_back(static_cast<int>(group.size()));
-    slots.push_back(i);
-  }
-  sums.resize(ptrs.size());
-  RowSumMany(tile_->PairRow(w), ptrs.data(), lens.data(),
-             static_cast<int>(ptrs.size()), sums.data());
-  for (size_t k = 0; k < slots.size(); ++k) {
-    const int i = slots[k];
-    const TaskIndex t = tasks[static_cast<size_t>(i)];
-    out[i] = GroupScoreFromSum(t, pair_sums_[static_cast<size_t>(t)] +
-                                      sums[k],
-                               lens[k] + 1, w, kNoWorker) -
-             scores_[static_cast<size_t>(t)];
-  }
 }
 
 double ScoreKeeper::LossIfLeft(WorkerIndex w, TaskIndex t) const {

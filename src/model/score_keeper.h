@@ -9,8 +9,6 @@
 
 namespace casc {
 
-class CoopTile;
-
 /// Incrementally maintained Equation-3 objective.
 ///
 /// TotalScore() recomputes every group's pair sum from scratch —
@@ -37,12 +35,11 @@ class CoopTile;
 /// either mutation order. Cached task scores are therefore always
 /// objective-correct.
 ///
-/// Affinity sums are accumulated in the canonical 4-lane order of
-/// src/kernel/affinity_kernels.h whether or not a CoopTile is attached
-/// (AttachTile): the tile routes them through the affinity kernels
-/// over its exact double pair plane, the tile-less path
-/// replicates the same order over CooperationMatrix::Quality — so
-/// attaching a tile changes speed, never a single result bit.
+/// Affinity sums read the two-way pair value q(i,k) + q(k,i) straight
+/// from CooperationMatrix::Quality and accumulate it in one canonical
+/// 4-lane order (element j in lane j % 4, lanes combined as
+/// (l0 + l2) + (l1 + l3)). The order fixes every score bit, so it must
+/// not change.
 class ScoreKeeper {
  public:
   /// Creates an unbound keeper; Rebind()/Sync() before use (the pooling
@@ -58,15 +55,8 @@ class ScoreKeeper {
   ScoreKeeper(const Instance& instance, const Assignment& assignment);
 
   /// Rebinds to `instance` with zero sums, detached from any assignment
-  /// and tile (reuses the backing arrays' capacity).
+  /// (reuses the backing arrays' capacity).
   void Rebind(const Instance& instance);
-
-  /// Routes affinity sums through `tile` (built over this instance's
-  /// cooperation matrix; nullptr detaches). Call between Rebind() and
-  /// Sync(); the tile must outlive the keeper's use of it. Purely a
-  /// fast path — results are bit-identical with and without a tile.
-  void AttachTile(const CoopTile* tile);
-  const CoopTile* tile() const { return tile_; }
 
   /// Attaches to `assignment` and rebuilds all sums from its groups
   /// (O(total group sizes squared)).
@@ -107,13 +97,6 @@ class ScoreKeeper {
   /// (over-capacity evaluation is the caller's BestSubset fallback).
   double GainIfJoined(WorkerIndex w, TaskIndex t) const;
 
-  /// Batched GainIfJoined over many candidate tasks of one worker:
-  /// out[i] = GainIfJoined(w, tasks[i]), bit-identical to the one-task
-  /// calls but gathered through one RowSumMany kernel call when a
-  /// tile is attached. Same preconditions per task.
-  void GainsIfJoined(WorkerIndex w, std::span<const TaskIndex> tasks,
-                     double* out) const;
-
   /// Marginal loss in TotalScore() if `w` left `t`:
   /// Q(W_t) - Q(W_t \ {w}). Same O(|W_t|) allocation-free shape.
   /// Requires membership.
@@ -153,8 +136,7 @@ class ScoreKeeper {
   /// Canonical-lane two-way affinity of `w` to `group`, skipping
   /// elements equal to `w` or `skip` (skipped elements do not advance
   /// the lane index). `*others` receives the number of contributing
-  /// members. Runs the tile kernel when a tile is attached and
-  /// nothing needs skipping; bit-identical scalar order otherwise.
+  /// members.
   double AffinityOverGroup(std::span<const WorkerIndex> group,
                            WorkerIndex w, WorkerIndex skip,
                            int* others) const;
@@ -164,7 +146,6 @@ class ScoreKeeper {
 
   const Instance* instance_ = nullptr;
   const Assignment* assignment_ = nullptr;
-  const CoopTile* tile_ = nullptr;
   std::vector<double> pair_sums_;  // ordered-pair sum per task
   std::vector<double> scores_;     // Equation-2 value per task
   double total_ = 0.0;

@@ -356,7 +356,7 @@ class DispatchService {
   /// Double-buffered scratch: the build side pools the spatial scratch
   /// and CSR pair indexes the streaming plane's valid-pair build draws
   /// from; the solve side (attached to the sharded engine) pools
-  /// assignments, keepers and the CoopTile. The split keeps the two
+  /// assignments and keepers. The split keeps the two
   /// pipeline stages free of shared pooled state — the overlapped ingest
   /// never touches either workspace, and build N+1 can recycle into the
   /// build side while solve N's outputs are still live on the solve

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
@@ -389,6 +390,40 @@ TEST(FlagParserTest, UsageListsFlags) {
   const std::string usage = flags.Usage("prog");
   EXPECT_NE(usage.find("--workers"), std::string::npos);
   EXPECT_NE(usage.find("how many workers"), std::string::npos);
+}
+
+TEST(FlagParserTest, ValueBelowRangeFailsNamingFlagAndRange) {
+  FlagParser flags;
+  flags.DefineInt64("workers", 10, "", 0, FlagParser::kIntMax);
+  const char* argv[] = {"prog", "--workers=-5"};
+  const Status status = flags.Parse(2, argv);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--workers"), std::string::npos);
+  EXPECT_NE(status.message().find("[0, 2147483647]"), std::string::npos);
+  EXPECT_EQ(flags.GetInt64("workers"), 10) << "rejected value stored";
+}
+
+TEST(FlagParserTest, ValueAboveRangeFails) {
+  FlagParser flags;
+  flags.DefineInt64("shards", 4, "", 1, 64);
+  const char* argv[] = {"prog", "--shards", "65"};
+  const Status status = flags.Parse(3, argv);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("[1, 64]"), std::string::npos);
+  EXPECT_EQ(flags.GetInt64("shards"), 4);
+}
+
+TEST(FlagParserTest, ValueBeyondIntLimitsFails) {
+  // 2^32 + 100 fits in int64 but would wrap to 100 when cast to int.
+  FlagParser flags;
+  flags.DefineInt64("workers", 10, "", 0, FlagParser::kIntMax);
+  const char* wrap[] = {"prog", "--workers=4294967396"};
+  EXPECT_FALSE(flags.Parse(2, wrap).ok());
+  const char* edge[] = {"prog", "--workers=2147483648"};
+  EXPECT_FALSE(flags.Parse(2, edge).ok());
+  const char* max[] = {"prog", "--workers=2147483647"};
+  ASSERT_TRUE(flags.Parse(2, max).ok());
+  EXPECT_EQ(flags.GetInt64("workers"), FlagParser::kIntMax);
 }
 
 TEST(FlagParserTest, ParseOrExitReturnsOnValidFlags) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,6 +102,22 @@ TEST(CooperationMatrixTest, RowSumSkipsSelf) {
 TEST(CooperationMatrixTest, EmptyMatrixIsUsable) {
   CooperationMatrix matrix;
   EXPECT_EQ(matrix.num_workers(), 0);
+}
+
+TEST(CooperationMatrixTest, IdentityHashTracksMutation) {
+  Rng rng(24);
+  CooperationMatrix coop(12, 0.0);
+  for (int i = 0; i < 12; ++i) {
+    for (int k = 0; k < 12; ++k) {
+      if (i != k) coop.SetQuality(i, k, rng.Uniform());
+    }
+  }
+  const uint64_t before = coop.IdentityHash();
+  EXPECT_EQ(coop.IdentityHash(), before) << "hash must be stable";
+  coop.SetQuality(3, 4, 0.123);
+  EXPECT_NE(coop.IdentityHash(), before);
+  const CooperationMatrix view = coop.View({0, 1, 2});
+  EXPECT_NE(view.IdentityHash(), coop.IdentityHash());
 }
 
 // ---------------------------------------------------------------------------

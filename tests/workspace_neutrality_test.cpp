@@ -36,42 +36,39 @@ Instance RandomInstance(int workers, int tasks, uint64_t seed,
   return GenerateSyntheticInstance(config, 0.0, &rng);
 }
 
-/// Runs two identically configured assigners on `instance`, `tiled` with
-/// a BatchWorkspace (tile-backed keepers + pooled buffers) and `plain`
-/// without one, and demands the exact same assignment, final score and
-/// scan work — the ScoreKeeper contract: attaching a CoopTile changes
-/// speed, never a result bit.
-void ExpectTileNeutral(const Instance& instance, Assigner& tiled,
-                       Assigner& plain, const std::string& label) {
+/// Runs two identically configured assigners on `instance`, `pooled`
+/// with a BatchWorkspace (recycled assignments, keepers and pair
+/// indexes) and `plain` without one, and demands the exact same
+/// assignment, final score and scan work: pooling changes allocation
+/// churn, never a result bit.
+void ExpectWorkspaceNeutral(const Instance& instance, Assigner& pooled,
+                            Assigner& plain, const std::string& label) {
   BatchWorkspace workspace;
-  tiled.set_workspace(&workspace);
-  const Assignment with_tile = tiled.Run(instance);
-  tiled.set_workspace(nullptr);
-  const Assignment without_tile = plain.Run(instance);
-  // The fuzz is vacuous unless the tiled run really had a tile (the
-  // cached one is returned without a rebuild).
-  ASSERT_NE(workspace.PrepareCoopTile(instance), nullptr) << label;
+  pooled.set_workspace(&workspace);
+  const Assignment with_workspace = pooled.Run(instance);
+  pooled.set_workspace(nullptr);
+  const Assignment without_workspace = plain.Run(instance);
 
   for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-    ASSERT_EQ(with_tile.TaskOf(w), without_tile.TaskOf(w))
+    ASSERT_EQ(with_workspace.TaskOf(w), without_workspace.TaskOf(w))
         << label << ": worker " << w << " diverged";
   }
   // Exact equality, not near: the trajectories must be identical.
-  ASSERT_EQ(tiled.stats().final_score, plain.stats().final_score) << label;
-  ASSERT_EQ(TotalScore(instance, with_tile),
-            TotalScore(instance, without_tile))
+  ASSERT_EQ(pooled.stats().final_score, plain.stats().final_score) << label;
+  ASSERT_EQ(TotalScore(instance, with_workspace),
+            TotalScore(instance, without_workspace))
       << label;
-  ASSERT_EQ(tiled.stats().rounds, plain.stats().rounds) << label;
-  ASSERT_EQ(tiled.stats().moves, plain.stats().moves) << label;
-  ASSERT_EQ(tiled.stats().candidates_evaluated,
+  ASSERT_EQ(pooled.stats().rounds, plain.stats().rounds) << label;
+  ASSERT_EQ(pooled.stats().moves, plain.stats().moves) << label;
+  ASSERT_EQ(pooled.stats().candidates_evaluated,
             plain.stats().candidates_evaluated)
       << label;
-  ASSERT_EQ(tiled.stats().feasibility_rejects,
+  ASSERT_EQ(pooled.stats().feasibility_rejects,
             plain.stats().feasibility_rejects)
       << label;
 }
 
-TEST(TileNeutralityFuzzTest, GtVariantsOn200Instances) {
+TEST(WorkspaceNeutralityFuzzTest, GtVariantsOn200Instances) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     const int workers = 40 + static_cast<int>(seed % 4) * 15;
     const int tasks = 14 + static_cast<int>(seed % 5) * 4;
@@ -97,51 +94,51 @@ TEST(TileNeutralityFuzzTest, GtVariantsOn200Instances) {
         options.use_lub = true;
         break;
     }
-    GtAssigner tiled(options);
+    GtAssigner pooled(options);
     GtAssigner plain(options);
-    ExpectTileNeutral(instance, tiled, plain,
-                      "gt seed=" + std::to_string(seed));
+    ExpectWorkspaceNeutral(instance, pooled, plain,
+                           "gt seed=" + std::to_string(seed));
   }
 }
 
-TEST(TileNeutralityFuzzTest, GtSwapOn50Instances) {
+TEST(WorkspaceNeutralityFuzzTest, GtSwapOn50Instances) {
   int swaps_observed = 0;
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const int workers = 36 + static_cast<int>(seed % 3) * 12;
     const int tasks = 12 + static_cast<int>(seed % 4) * 3;
     const Instance instance = RandomInstance(workers, tasks, seed + 101);
 
-    LocalSearchAssigner tiled(std::make_unique<GtAssigner>());
+    LocalSearchAssigner pooled(std::make_unique<GtAssigner>());
     LocalSearchAssigner plain(std::make_unique<GtAssigner>());
-    ExpectTileNeutral(instance, tiled, plain,
-                      "gt+swap seed=" + std::to_string(seed));
-    ASSERT_EQ(tiled.swaps_applied(), plain.swaps_applied());
-    if (tiled.swaps_applied() > 0) ++swaps_observed;
+    ExpectWorkspaceNeutral(instance, pooled, plain,
+                           "gt+swap seed=" + std::to_string(seed));
+    ASSERT_EQ(pooled.swaps_applied(), plain.swaps_applied());
+    if (pooled.swaps_applied() > 0) ++swaps_observed;
   }
   // The swap pass must actually move workers on some instances.
   EXPECT_GT(swaps_observed, 0);
 }
 
-TEST(TileNeutralityFuzzTest, OnlineOn50Instances) {
+TEST(WorkspaceNeutralityFuzzTest, OnlineOn50Instances) {
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const int workers = 50 + static_cast<int>(seed % 5) * 10;
     const int tasks = 16 + static_cast<int>(seed % 3) * 6;
     const Instance instance = RandomInstance(workers, tasks, seed + 201);
 
-    OnlineAssigner tiled;
+    OnlineAssigner pooled;
     OnlineAssigner plain;
-    ExpectTileNeutral(instance, tiled, plain,
-                      "online seed=" + std::to_string(seed));
+    ExpectWorkspaceNeutral(instance, pooled, plain,
+                           "online seed=" + std::to_string(seed));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Objective variants: the tile only holds raw pair affinities, so the same
-// neutrality must hold under the multi-skill objective, whose skill gate
-// reads the live group membership.
+// Objective variants: the same neutrality must hold under the multi-skill
+// objective, whose skill gate reads the live group membership of the
+// pooled assignment.
 // ---------------------------------------------------------------------------
 
-TEST(TileNeutralityFuzzTest, MultiskillGtOn50Instances) {
+TEST(WorkspaceNeutralityFuzzTest, MultiskillGtOn50Instances) {
   int rejects_observed = 0;
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const int workers = 40 + static_cast<int>(seed % 4) * 12;
@@ -156,17 +153,17 @@ TEST(TileNeutralityFuzzTest, MultiskillGtOn50Instances) {
       options.use_tsi = true;
       options.use_lub = true;
     }
-    GtAssigner tiled(options);
+    GtAssigner pooled(options);
     GtAssigner plain(options);
-    ExpectTileNeutral(instance, tiled, plain,
-                      "multiskill gt seed=" + std::to_string(seed));
-    if (tiled.stats().feasibility_rejects > 0) ++rejects_observed;
+    ExpectWorkspaceNeutral(instance, pooled, plain,
+                           "multiskill gt seed=" + std::to_string(seed));
+    if (pooled.stats().feasibility_rejects > 0) ++rejects_observed;
   }
   // The skill gate must not be vacuous.
   EXPECT_GT(rejects_observed, 20);
 }
 
-TEST(TileNeutralityFuzzTest, MultiskillOnlineOn30Instances) {
+TEST(WorkspaceNeutralityFuzzTest, MultiskillOnlineOn30Instances) {
   int rejects_observed = 0;
   for (uint64_t seed = 0; seed < 30; ++seed) {
     const int workers = 50 + static_cast<int>(seed % 5) * 10;
@@ -176,11 +173,11 @@ TEST(TileNeutralityFuzzTest, MultiskillOnlineOn30Instances) {
                                        /*num_skills=*/8);
     instance.set_objective(&GetMultiSkillObjective());
 
-    OnlineAssigner tiled;
+    OnlineAssigner pooled;
     OnlineAssigner plain;
-    ExpectTileNeutral(instance, tiled, plain,
-                      "multiskill online seed=" + std::to_string(seed));
-    if (tiled.stats().feasibility_rejects > 0) ++rejects_observed;
+    ExpectWorkspaceNeutral(instance, pooled, plain,
+                           "multiskill online seed=" + std::to_string(seed));
+    if (pooled.stats().feasibility_rejects > 0) ++rejects_observed;
   }
   EXPECT_GT(rejects_observed, 10);
 }

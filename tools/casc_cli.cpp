@@ -11,6 +11,8 @@
 // Instances and assignments use the text formats of model/io.h, so any
 // external tool can produce or consume them.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -51,6 +53,12 @@ int RunGenerate(const casc::FlagParser& flags) {
   settings.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   settings.capacity = static_cast<int>(flags.GetInt64("capacity"));
   settings.min_group_size = static_cast<int>(flags.GetInt64("min-group"));
+  if (settings.min_group_size > settings.capacity) {
+    return Fail(casc::Status::InvalidArgument(
+        "--min-group (" + std::to_string(settings.min_group_size) +
+        ") must not exceed --capacity (" +
+        std::to_string(settings.capacity) + ")"));
+  }
 
   const std::string kind = flags.GetString("kind");
   std::unique_ptr<casc::InstanceSource> source;
@@ -112,13 +120,18 @@ int RunInfo(const casc::FlagParser& flags) {
 }
 
 int RunSolve(const casc::FlagParser& flags) {
-  casc::Result<casc::Instance> instance =
-      casc::LoadInstanceFromFile(flags.GetString("instance"));
-  if (!instance.ok()) return Fail(instance.status());
-
   casc::ExperimentSettings settings;
   settings.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   settings.epsilon = flags.GetDouble("epsilon");
+  if (!std::isfinite(settings.epsilon) || settings.epsilon < 0.0) {
+    return Fail(casc::Status::InvalidArgument(
+        "--epsilon must be finite and >= 0, got " +
+        std::to_string(settings.epsilon)));
+  }
+
+  casc::Result<casc::Instance> instance =
+      casc::LoadInstanceFromFile(flags.GetString("instance"));
+  if (!instance.ok()) return Fail(instance.status());
   casc::Result<std::unique_ptr<casc::Assigner>> assigner =
       casc::MakeApproachFromName(flags.GetString("approach"), settings);
   if (!assigner.ok()) return Fail(assigner.status());
@@ -209,10 +222,13 @@ int main(int argc, char** argv) {
 
   casc::FlagParser flags;
   flags.DefineString("kind", "unif", "generate: unif|skew|meetup");
-  flags.DefineInt64("workers", 1000, "generate: workers (m)");
-  flags.DefineInt64("tasks", 500, "generate: tasks (n)");
-  flags.DefineInt64("capacity", 4, "generate: task capacity a_j");
-  flags.DefineInt64("min-group", 3, "generate: minimum group size B");
+  const int64_t kIntMax = casc::FlagParser::kIntMax;
+  flags.DefineInt64("workers", 1000, "generate: workers (m)", 0, kIntMax);
+  flags.DefineInt64("tasks", 500, "generate: tasks (n)", 0, kIntMax);
+  flags.DefineInt64("capacity", 4, "generate: task capacity a_j", 2,
+                    kIntMax);
+  flags.DefineInt64("min-group", 3, "generate: minimum group size B", 2,
+                    kIntMax);
   flags.DefineInt64("seed", 42, "seed for generation / RAND");
   flags.DefineDouble("epsilon", 0.05, "TSI threshold for GT+TSI/GT+ALL");
   flags.DefineString("out", "", "output file");

@@ -8,8 +8,6 @@
 #        churn, ForEachPair vs Pairs(), steady-state streaming with a
 #        warm BatchWorkspace -- the binary aborts if a steady-state
 #        batch grows any pooled backing array)
-#   PR5  tile affinity kernels (RowSum/PairSum vs the legacy
-#        CooperationMatrix path at group sizes 2-16)
 #   pr6  incremental streaming data plane (delta-maintained valid-pair
 #        rows, sequential vs pipelined ingest, on a carry-over-heavy
 #        rush-hour trace: steady-state per-batch build+solve seconds
@@ -35,7 +33,7 @@
 #        split and per-batch p50/p99; the binary aborts if any
 #        configuration changes a batch output)
 #
-# Usage: tools/run_bench.sh [pr1|pr2|pr3|pr5|pr6|pr7|pr8|pr9|pr10|all] [OUT_JSON]
+# Usage: tools/run_bench.sh [pr1|pr2|pr3|pr6|pr7|pr8|pr9|pr10|all] [OUT_JSON]
 #   pr1|pr2|all  which suite to run (default all)
 #   OUT_JSON     output override for a single suite
 # Env:
@@ -88,13 +86,6 @@ run_pr6() {
   echo "wrote $out"
 }
 
-run_pr5() {
-  local out="${1:-BENCH_PR5.json}"
-  cmake --build "$BUILD_DIR" -j --target bench_micro_kernels >/dev/null
-  "$BUILD_DIR/bench/bench_micro_kernels" --json="$out" ${BENCH_ARGS:-}
-  echo "wrote $out"
-}
-
 run_pr7() {
   local out="${1:-BENCH_PR7.json}"
   cmake --build "$BUILD_DIR" -j --target bench_net_dispatch >/dev/null
@@ -134,7 +125,6 @@ case "$SUITE" in
   pr1) run_pr1 "${2:-}" ;;
   pr2) run_pr2 "${2:-}" ;;
   pr3) run_pr3 "${2:-}" ;;
-  pr5) run_pr5 "${2:-}" ;;
   pr6) run_pr6 "${2:-}" ;;
   pr7) run_pr7 "${2:-}" ;;
   pr8) run_pr8 "${2:-}" ;;
@@ -144,7 +134,6 @@ case "$SUITE" in
     run_pr1
     run_pr2
     run_pr3
-    run_pr5
     run_pr6
     run_pr7
     run_pr8
@@ -152,7 +141,7 @@ case "$SUITE" in
     run_pr10
     ;;
   *)
-    echo "usage: tools/run_bench.sh [pr1|pr2|pr3|pr5|pr6|pr7|pr8|pr9|pr10|all] [OUT_JSON]" >&2
+    echo "usage: tools/run_bench.sh [pr1|pr2|pr3|pr6|pr7|pr8|pr9|pr10|all] [OUT_JSON]" >&2
     exit 1
     ;;
 esac
