@@ -29,14 +29,24 @@ struct TpgOptions {
 /// B-worker seed set buildable from its unassigned candidates (best pair,
 /// then argmax marginal extension), commits the globally best seed set,
 /// and breaks ties toward the task with the most remaining candidate
-/// workers. Stage 2 repeatedly commits the valid worker-and-task pair
-/// with the largest total cooperation quality increase ΔQ (Equation 4)
-/// until every task is full or no positive-gain pair remains.
+/// workers, then the lowest task index. Stage 2 repeatedly commits the
+/// valid worker-and-task pair with the largest total cooperation quality
+/// increase ΔQ (Equation 4) until every task is full or no positive-gain
+/// pair remains.
 ///
-/// Per-task seed sets are cached and recomputed only when one of their
-/// members is consumed elsewhere, preserving the greedy semantics at a
-/// fraction of the naive cost; stage 2 uses a lazy max-heap keyed by
-/// per-task versions.
+/// Stage 1 is an exact incremental form of that greedy:
+/// * each task reads its candidates' mutual affinities once
+///   (CooperationMatrix::MutualRow) and keeps its best pairs in a
+///   bounded list ordered as the direct O(c²) scan would prefer them;
+/// * a seed invalidated by a consumed worker is rebuilt by walking the
+///   list's cursor past dead pairs and re-running the O(B·c) extension,
+///   and only a truncated list that runs dry is rebuilt from scratch;
+/// * the best seed comes off a versioned lazy max-heap, and each pick
+///   touches only the tasks that list a consumed worker as a candidate
+///   (ValidTasks), which lose potential and, if their seed used it, are
+///   re-seeded.
+/// The output is byte-identical to rescanning every task on every pick.
+/// Stage 2 uses a lazy max-heap keyed by per-task versions.
 class TpgAssigner : public Assigner {
  public:
   explicit TpgAssigner(TpgOptions options = {});
@@ -57,9 +67,11 @@ class TpgAssigner : public Assigner {
                  const std::vector<uint8_t>* task_mask,
                  Assignment* assignment);
 
-  /// The greedy best B-worker seed set for one task, exposed for tests.
-  /// `available` flags workers that may be used. Returns an empty vector
-  /// when fewer than B candidates are available.
+  /// The greedy best B-worker seed set for one task, exposed for tests;
+  /// built by the same pair-list and extension code as stage 1.
+  /// `available` flags workers that may be used. Returns the set in
+  /// ascending order, or an empty vector when fewer than B candidates are
+  /// available.
   static std::vector<WorkerIndex> GreedySeedSet(
       const Instance& instance, TaskIndex t,
       const std::vector<bool>& available);

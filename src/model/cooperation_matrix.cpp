@@ -138,6 +138,25 @@ double CooperationMatrix::RowSum(int i,
   return total;
 }
 
+void CooperationMatrix::MutualRow(int i, std::span<const int> ids,
+                                  std::span<double> out) const {
+  CheckLogicalIndex(i);
+  CASC_CHECK_EQ(out.size(), ids.size());
+  const int bi = BackingIndex(i);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    CheckLogicalIndex(ids[k]);
+    const int bk = BackingIndex(ids[k]);
+    if (bk == bi) {
+      out[k] = 0.0;  // the diagonal, or two logical ids aliasing one worker
+    } else if (procedural_) {
+      const double q = HashQuality(seed_, bi, bk);  // symmetric
+      out[k] = q + q;
+    } else {
+      out[k] = (*cells_)[CellIndex(bi, bk)] + (*cells_)[CellIndex(bk, bi)];
+    }
+  }
+}
+
 uint64_t CooperationMatrix::IdentityHash() const {
   uint64_t h = Mix64(0xCA5Cu ^ static_cast<uint64_t>(num_workers_));
   h = Mix64(h ^ cells_id_);

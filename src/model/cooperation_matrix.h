@@ -82,6 +82,14 @@ class CooperationMatrix {
     return RowSum(i, std::span<const int>(group.begin(), group.size()));
   }
 
+  /// Mutual affinity of worker i to each of `ids`:
+  /// out[k] = Quality(i, ids[k]) + Quality(ids[k], i), bit-equal to that
+  /// sum (0 on the diagonal and for aliased view entries). Resolves i's
+  /// backing index once for the whole row. Requires i and every id in
+  /// [0, num_workers()) and out.size() == ids.size().
+  void MutualRow(int i, std::span<const int> ids,
+                 std::span<double> out) const;
+
   /// Returns a read-only view restricted (and remapped) to `ids`:
   /// the result has num_workers() == ids.size() and
   /// Quality(i, k) == this->Quality(ids[i], ids[k]), sharing this

@@ -229,10 +229,13 @@ double MarginalOfMember(const Instance& instance, TaskIndex t,
 }
 
 double GainOfJoining(const Instance& instance, TaskIndex t,
-                     std::span<const WorkerIndex> group, WorkerIndex w) {
+                     std::span<const WorkerIndex> group, WorkerIndex w,
+                     std::vector<WorkerIndex>* scratch) {
   CASC_CHECK(std::find(group.begin(), group.end(), w) == group.end())
       << "GainOfJoining: worker " << w << " already in group";
-  std::vector<WorkerIndex> with(group.begin(), group.end());
+  std::vector<WorkerIndex> local;
+  std::vector<WorkerIndex>& with = scratch != nullptr ? *scratch : local;
+  with.assign(group.begin(), group.end());
   with.push_back(w);
   return GroupScore(instance, t, with) - GroupScore(instance, t, group);
 }

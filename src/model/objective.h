@@ -72,9 +72,11 @@ double MarginalOfMember(const Instance& instance, TaskIndex t,
                         std::span<const WorkerIndex> group, WorkerIndex w);
 
 /// Gain of adding `w` (not in `group`) to task `t`:
-/// Q(group + w) - Q(group).
+/// Q(group + w) - Q(group). A caller pricing many joins passes `scratch`
+/// to hold group + w instead of allocating a vector per call.
 double GainOfJoining(const Instance& instance, TaskIndex t,
-                     std::span<const WorkerIndex> group, WorkerIndex w);
+                     std::span<const WorkerIndex> group, WorkerIndex w,
+                     std::vector<WorkerIndex>* scratch = nullptr);
 
 /// Equation 3: total cooperation quality revenue of `assignment`.
 double TotalScore(const Instance& instance, const Assignment& assignment);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -118,6 +120,83 @@ TEST(CooperationMatrixTest, IdentityHashTracksMutation) {
   EXPECT_NE(coop.IdentityHash(), before);
   const CooperationMatrix view = coop.View({0, 1, 2});
   EXPECT_NE(view.IdentityHash(), coop.IdentityHash());
+}
+
+/// Checks MutualRow(i, ids) against Quality(i, k) + Quality(k, i) bit for
+/// bit, for every row i and the id list `ids` (which may repeat ids).
+void ExpectMutualRowsBitEqual(const CooperationMatrix& matrix,
+                              const std::vector<int>& ids,
+                              const std::string& label) {
+  std::vector<double> out(ids.size());
+  for (int i = 0; i < matrix.num_workers(); ++i) {
+    matrix.MutualRow(i, ids, out);
+    for (size_t k = 0; k < ids.size(); ++k) {
+      const double expected =
+          matrix.Quality(i, ids[k]) + matrix.Quality(ids[k], i);
+      ASSERT_EQ(std::bit_cast<uint64_t>(out[k]),
+                std::bit_cast<uint64_t>(expected))
+          << label << ": row " << i << ", id " << ids[k];
+    }
+  }
+}
+
+TEST(CooperationMatrixTest, MutualRowIsBitEqualToTheQualitySum) {
+  Rng rng(31);
+  constexpr int kWorkers = 24;
+  CooperationMatrix dense(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    for (int k = 0; k < kWorkers; ++k) {
+      if (i != k) dense.SetQuality(i, k, rng.Uniform());  // asymmetric
+    }
+  }
+  std::vector<int> all(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) all[static_cast<size_t>(i)] = i;
+  // Every row against every id (diagonal included), then a shuffled
+  // list with repeats.
+  std::vector<int> mixed = all;
+  rng.Shuffle(mixed);
+  mixed.insert(mixed.end(), {3, 3, 0, kWorkers - 1});
+
+  ExpectMutualRowsBitEqual(dense, all, "dense");
+  ExpectMutualRowsBitEqual(dense, mixed, "dense mixed");
+  const CooperationMatrix procedural =
+      CooperationMatrix::Procedural(kWorkers, 77);
+  ExpectMutualRowsBitEqual(procedural, all, "procedural");
+  ExpectMutualRowsBitEqual(procedural, mixed, "procedural mixed");
+
+  const std::vector<int> view_ids = {20, 3, 7, 11, 0, 15, 9, 2, 18, 5};
+  const CooperationMatrix view = dense.View(view_ids);
+  const std::vector<int> view_all = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  ExpectMutualRowsBitEqual(view, view_all, "view");
+  ExpectMutualRowsBitEqual(procedural.View(view_ids), view_all,
+                           "procedural view");
+  const CooperationMatrix view_of_view = view.View({9, 4, 1, 6, 0});
+  ExpectMutualRowsBitEqual(view_of_view, {0, 1, 2, 3, 4}, "view of view");
+
+  // Logical ids 0 and 2 (and 1 and 3) alias one backing worker each:
+  // their mutual value is the diagonal's 0.
+  const CooperationMatrix aliasing = dense.View({5, 8, 5, 8, 1});
+  ExpectMutualRowsBitEqual(aliasing, {0, 1, 2, 3, 4}, "aliasing view");
+  std::vector<double> out(2);
+  aliasing.MutualRow(0, std::vector<int>{2, 3}, out);
+  EXPECT_EQ(std::bit_cast<uint64_t>(out[0]), std::bit_cast<uint64_t>(0.0));
+  EXPECT_GT(out[1], 0.0);
+}
+
+TEST(CooperationMatrixDeathTest, MutualRowChecksEveryLogicalIndex) {
+  const CooperationMatrix dense(6, 0.5);
+  const CooperationMatrix view = dense.View({4, 1, 3});
+  const std::vector<int> out_of_range = {1, 6};
+  const std::vector<int> in_range = {1, 2};
+  std::vector<double> out(2);
+  EXPECT_DEATH(dense.MutualRow(0, out_of_range, out), "CHECK failed");
+  EXPECT_DEATH(dense.MutualRow(-1, in_range, out), "CHECK failed");
+  // A view's ids are logical: 3 is in range for the base, not the view.
+  EXPECT_DEATH(view.MutualRow(0, std::vector<int>{1, 3}, out),
+               "CHECK failed");
+  const CooperationMatrix procedural = CooperationMatrix::Procedural(4, 1);
+  EXPECT_DEATH(procedural.MutualRow(1, std::vector<int>{2, 4}, out),
+               "CHECK failed");
 }
 
 // ---------------------------------------------------------------------------

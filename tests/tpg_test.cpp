@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/random_assigner.h"
@@ -9,6 +12,7 @@
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "model/objective.h"
+#include "model/objective_model.h"
 
 namespace casc {
 namespace {
@@ -291,6 +295,437 @@ TEST_P(TpgPropertyTest, NeverExceedsCapacityAnywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TpgPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---------------------------------------------------------------------------
+// Differential fuzz against the direct form of Algorithm 2
+// ---------------------------------------------------------------------------
+
+/// The direct seed-set search: the best pair by an O(c^2) scan over the
+/// available candidates, then argmax marginal extension, each sum read
+/// through Quality() at every step.
+std::vector<WorkerIndex> OracleSeedSet(const Instance& instance, TaskIndex t,
+                                       const std::vector<bool>& available) {
+  const int target = instance.min_group_size();
+  std::vector<WorkerIndex> candidates;
+  for (const WorkerIndex w : instance.Candidates(t)) {
+    if (available[static_cast<size_t>(w)]) candidates.push_back(w);
+  }
+  if (static_cast<int>(candidates.size()) < target) return {};
+  const CooperationMatrix& coop = instance.coop();
+  WorkerIndex best_a = candidates[0];
+  WorkerIndex best_b = candidates[1];
+  double best_pair = -1.0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    for (size_t j = i + 1; j < candidates.size(); ++j) {
+      const double value = coop.Quality(candidates[i], candidates[j]) +
+                           coop.Quality(candidates[j], candidates[i]);
+      if (value > best_pair) {
+        best_pair = value;
+        best_a = candidates[i];
+        best_b = candidates[j];
+      }
+    }
+  }
+  std::vector<WorkerIndex> seed = {best_a, best_b};
+  while (static_cast<int>(seed.size()) < target) {
+    WorkerIndex best_w = kNoTask;
+    double best_add = -1.0;
+    for (const WorkerIndex w : candidates) {
+      if (std::find(seed.begin(), seed.end(), w) != seed.end()) continue;
+      double added = 0.0;
+      for (const WorkerIndex member : seed) {
+        added += coop.Quality(member, w) + coop.Quality(w, member);
+      }
+      if (added > best_add) {
+        best_add = added;
+        best_w = w;
+      }
+    }
+    seed.push_back(best_w);
+  }
+  std::sort(seed.begin(), seed.end());
+  return seed;
+}
+
+/// Both TPG stages in their direct form: every pick rescans all tasks
+/// for the best seed score and again for ties (most available
+/// candidates, then lowest index), and a seed is recomputed from scratch
+/// once a consumed worker invalidates it; stage 2 prices through
+/// GainOfJoining.
+void OracleSeedTasks(const Instance& instance,
+                     const std::vector<uint8_t>* task_mask,
+                     const TpgOptions& options, Assignment* assignment) {
+  const int num_tasks = instance.num_tasks();
+  const auto masked = [&](TaskIndex t) {
+    return task_mask == nullptr || (*task_mask)[static_cast<size_t>(t)] != 0;
+  };
+  std::vector<bool> available(static_cast<size_t>(instance.num_workers()));
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    available[static_cast<size_t>(w)] = assignment->TaskOf(w) == kNoTask;
+  }
+
+  struct Seed {
+    std::vector<WorkerIndex> workers;
+    double score = -1.0;
+  };
+  std::vector<Seed> seeds(static_cast<size_t>(num_tasks));
+  std::vector<bool> fresh(static_cast<size_t>(num_tasks), false);
+  std::vector<bool> seeded(static_cast<size_t>(num_tasks), false);
+  const auto refresh = [&](TaskIndex t) {
+    Seed& seed = seeds[static_cast<size_t>(t)];
+    seed.workers = OracleSeedSet(instance, t, available);
+    seed.score = seed.workers.empty()
+                     ? -1.0
+                     : GroupScore(instance, t, seed.workers);
+    fresh[static_cast<size_t>(t)] = true;
+  };
+  const auto potential = [&](TaskIndex t) {
+    int count = 0;
+    for (const WorkerIndex w : instance.Candidates(t)) {
+      if (available[static_cast<size_t>(w)]) ++count;
+    }
+    return count;
+  };
+  if (!options.skip_stage_one) {
+    for (TaskIndex t = 0; t < num_tasks; ++t) {
+      if (masked(t)) refresh(t);
+    }
+  }
+  while (!options.skip_stage_one) {
+    double best = -1.0;
+    for (TaskIndex t = 0; t < num_tasks; ++t) {
+      if (seeded[static_cast<size_t>(t)] || !masked(t)) continue;
+      if (!fresh[static_cast<size_t>(t)]) refresh(t);
+      best = std::max(best, seeds[static_cast<size_t>(t)].score);
+    }
+    if (best < 0.0) break;
+    TaskIndex chosen = kNoTask;
+    int chosen_potential = -1;
+    for (TaskIndex t = 0; t < num_tasks; ++t) {
+      if (seeded[static_cast<size_t>(t)] || !masked(t)) continue;
+      if (seeds[static_cast<size_t>(t)].score != best) continue;
+      const int count = potential(t);
+      if (count > chosen_potential) {
+        chosen_potential = count;
+        chosen = t;
+      }
+    }
+    const std::vector<WorkerIndex> consumed =
+        seeds[static_cast<size_t>(chosen)].workers;
+    for (const WorkerIndex w : consumed) {
+      assignment->Assign(w, chosen);
+      available[static_cast<size_t>(w)] = false;
+    }
+    seeded[static_cast<size_t>(chosen)] = true;
+    for (TaskIndex t = 0; t < num_tasks; ++t) {
+      if (seeded[static_cast<size_t>(t)] || !fresh[static_cast<size_t>(t)]) {
+        continue;
+      }
+      const auto& cached = seeds[static_cast<size_t>(t)].workers;
+      for (const WorkerIndex w : consumed) {
+        if (std::binary_search(cached.begin(), cached.end(), w)) {
+          fresh[static_cast<size_t>(t)] = false;
+          break;
+        }
+      }
+    }
+  }
+
+  struct Gain {
+    double gain;
+    WorkerIndex worker;
+    TaskIndex task;
+    uint64_t version;
+    bool operator<(const Gain& other) const {
+      if (gain != other.gain) return gain < other.gain;
+      if (worker != other.worker) return worker > other.worker;
+      return task > other.task;
+    }
+  };
+  std::vector<uint64_t> version(static_cast<size_t>(num_tasks), 0);
+  const ObjectiveModel& objective = instance.objective();
+  const auto open = [&](TaskIndex t) {
+    return assignment->GroupSize(t) <
+           instance.tasks()[static_cast<size_t>(t)].capacity;
+  };
+  const auto gain = [&](WorkerIndex w, TaskIndex t) {
+    return GainOfJoining(instance, t, assignment->GroupOf(t), w);
+  };
+  std::priority_queue<Gain> heap;
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    if (!available[static_cast<size_t>(w)]) continue;
+    for (const TaskIndex t : instance.ValidTasks(w)) {
+      if (!masked(t) || !open(t)) continue;
+      heap.push(Gain{gain(w, t), w, t, version[static_cast<size_t>(t)]});
+    }
+  }
+  const bool zero_gain_ok = options.allow_zero_gain || options.skip_stage_one;
+  while (!heap.empty()) {
+    const Gain top = heap.top();
+    heap.pop();
+    if (!available[static_cast<size_t>(top.worker)] || !open(top.task)) {
+      continue;
+    }
+    if (top.version != version[static_cast<size_t>(top.task)]) {
+      heap.push(Gain{gain(top.worker, top.task), top.worker, top.task,
+                     version[static_cast<size_t>(top.task)]});
+      continue;
+    }
+    if (!objective.AlwaysJoinFeasible() &&
+        !objective.JoinFeasible(instance, top.task,
+                                assignment->GroupOf(top.task), top.worker)) {
+      continue;
+    }
+    if (zero_gain_ok ? top.gain < 0.0 : top.gain <= 0.0) break;
+    assignment->Assign(top.worker, top.task);
+    available[static_cast<size_t>(top.worker)] = false;
+    ++version[static_cast<size_t>(top.task)];
+  }
+}
+
+std::string HexFloat(double value) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
+}
+
+enum class MatrixKind { kProcedural, kAsymmetric, kShardView, kQuantized };
+
+/// A random dense matrix over `m` workers: asymmetric cells in [0, 1],
+/// or (quantized) symmetric cells in {0, .25, .5, .75, 1}, which makes
+/// equal pair values and equal seed scores common.
+CooperationMatrix RandomDense(int m, bool quantized, Rng* rng) {
+  CooperationMatrix coop(m);
+  for (int i = 0; i < m; ++i) {
+    for (int k = 0; k < m; ++k) {
+      if (i == k) continue;
+      if (quantized) {
+        if (k > i) {
+          coop.SetSymmetric(i, k, 0.25 * static_cast<double>(
+                                             rng->UniformInt(int64_t{0}, 4)));
+        }
+      } else {
+        coop.SetQuality(i, k, rng->Uniform());
+      }
+    }
+  }
+  return coop;
+}
+
+/// One random fuzz case, fully determined by `seed`.
+struct FuzzCase {
+  Instance instance;
+  TpgOptions options;
+  bool masked_partial = false;
+  std::string label;
+};
+
+FuzzCase MakeFuzzCase(uint64_t seed) {
+  Rng rng(seed * 7919 + 17);
+  const bool skew = rng.Bernoulli(0.5);
+  const int min_group = static_cast<int>(rng.UniformInt(int64_t{2}, 4));
+  const auto kind = static_cast<MatrixKind>(rng.UniformInt(uint64_t{4}));
+  const bool multiskill = rng.Bernoulli(0.5);
+  const int m = static_cast<int>(rng.UniformInt(int64_t{30}, 90));
+  const int n = static_cast<int>(rng.UniformInt(int64_t{8}, 30));
+
+  SyntheticInstanceConfig config;
+  config.num_workers = m;
+  config.num_tasks = n;
+  config.min_group_size = min_group;
+  config.task.capacity = 6;
+  config.worker.radius_min = 0.15;
+  config.worker.radius_max = 0.45;
+  config.worker.speed_min = 0.05;
+  config.worker.speed_max = 0.2;
+  const auto distribution = skew ? LocationDistribution::kSkewed
+                                 : LocationDistribution::kUniform;
+  config.worker.spatial.distribution = distribution;
+  config.task.spatial.distribution = distribution;
+  if (multiskill) {
+    config.worker.num_skills = 6;
+    config.task.num_skills = 6;
+    config.task.skills_per_task = 2;
+  }
+  const Instance generated = GenerateSyntheticInstance(config, 0.0, &rng);
+
+  std::vector<Worker> workers = generated.workers();
+  std::vector<Task> tasks = generated.tasks();
+  for (Task& task : tasks) {
+    task.capacity = static_cast<int>(
+        rng.UniformInt(int64_t{std::max(3, min_group)}, 6));
+  }
+  CooperationMatrix coop;
+  switch (kind) {
+    case MatrixKind::kProcedural:
+      coop = CooperationMatrix::Procedural(m, seed);
+      break;
+    case MatrixKind::kAsymmetric:
+      coop = RandomDense(m, /*quantized=*/false, &rng);
+      break;
+    case MatrixKind::kQuantized:
+      coop = RandomDense(m, /*quantized=*/true, &rng);
+      break;
+    case MatrixKind::kShardView: {
+      // The shard's workers are a shuffled subset of a larger asymmetric
+      // base matrix, as ShardExecutor builds them.
+      std::vector<int> ids(static_cast<size_t>(m + 20));
+      for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+      rng.Shuffle(ids);
+      ids.resize(static_cast<size_t>(m));
+      coop = RandomDense(m + 20, /*quantized=*/false, &rng).View(ids);
+      break;
+    }
+  }
+
+  FuzzCase fuzz{Instance(std::move(workers), std::move(tasks),
+                         std::move(coop), 0.0, min_group),
+                TpgOptions{}, false, ""};
+  fuzz.instance.ComputeValidPairs();
+  if (multiskill) fuzz.instance.set_objective(&GetMultiSkillObjective());
+  fuzz.options.skip_stage_one = rng.Bernoulli(0.2);
+  fuzz.options.allow_zero_gain = rng.Bernoulli(0.3);
+  fuzz.masked_partial = rng.Bernoulli(0.3);
+  fuzz.label = "seed=" + std::to_string(seed) + (skew ? " SKEW" : " UNIF") +
+               " B=" + std::to_string(min_group) +
+               " matrix=" + std::to_string(static_cast<int>(kind)) +
+               (multiskill ? " multiskill" : " casc") +
+               (fuzz.options.skip_stage_one ? " skip_stage_one" : "") +
+               (fuzz.options.allow_zero_gain ? " allow_zero_gain" : "") +
+               (fuzz.masked_partial ? " masked" : "");
+  return fuzz;
+}
+
+class TpgDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TpgDifferentialTest, SeedTasksMatchesDirectFormByteForByte) {
+  const FuzzCase fuzz = MakeFuzzCase(GetParam());
+  const Instance& instance = fuzz.instance;
+  SCOPED_TRACE(fuzz.label);
+
+  // A masked case re-seeds a random task subset on top of a random
+  // partial assignment of the other tasks, as the warm start's dirty-task
+  // re-seed does (its skeleton never holds a worker on a dirty task).
+  Assignment start(instance);
+  std::vector<uint8_t> mask;
+  if (fuzz.masked_partial) {
+    Rng rng(GetParam() ^ 0x5EEDull);
+    mask.resize(static_cast<size_t>(instance.num_tasks()));
+    for (uint8_t& bit : mask) bit = rng.Bernoulli(0.6) ? 1 : 0;
+    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+      const auto valid = instance.ValidTasks(w);
+      if (valid.empty() || !rng.Bernoulli(0.3)) continue;
+      const TaskIndex t = valid[rng.UniformInt(valid.size())];
+      if (mask[static_cast<size_t>(t)] == 0 &&
+          start.GroupSize(t) <
+              instance.tasks()[static_cast<size_t>(t)].capacity) {
+        start.Assign(w, t);
+      }
+    }
+  }
+  const std::vector<uint8_t>* task_mask =
+      fuzz.masked_partial ? &mask : nullptr;
+
+  Assignment expected = start;
+  OracleSeedTasks(instance, task_mask, fuzz.options, &expected);
+  Assignment actual = start;
+  TpgAssigner(fuzz.options).SeedTasks(instance, task_mask, &actual);
+
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    ASSERT_EQ(actual.TaskOf(w), expected.TaskOf(w)) << "worker " << w;
+  }
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    const auto want = expected.GroupOf(t);
+    const auto got = actual.GroupOf(t);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+        << "task " << t;
+  }
+  EXPECT_EQ(HexFloat(TotalScore(instance, actual)),
+            HexFloat(TotalScore(instance, expected)));
+  ASSERT_TRUE(actual.Validate(instance).ok());
+}
+
+TEST_P(TpgDifferentialTest, GreedySeedSetMatchesDirectForm) {
+  const FuzzCase fuzz = MakeFuzzCase(GetParam());
+  const Instance& instance = fuzz.instance;
+  SCOPED_TRACE(fuzz.label);
+  Rng rng(GetParam() ^ 0xA7A1ull);
+  std::vector<bool> available(static_cast<size_t>(instance.num_workers()));
+  for (size_t w = 0; w < available.size(); ++w) {
+    available[w] = rng.Bernoulli(0.7);
+  }
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    EXPECT_EQ(TpgAssigner::GreedySeedSet(instance, t, available),
+              OracleSeedSet(instance, t, available))
+        << "task " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, TpgDifferentialTest,
+    ::testing::Range(uint64_t{1}, uint64_t{121}));
+
+TEST(TpgDifferentialTest, PairListRunsDryAndIsRebuilt) {
+  // Task 0 reaches hubs 0..2 and ordinary workers 3..42. The hubs hold
+  // 0.9 affinity to each other and to every ordinary worker; ordinary
+  // pairs are 0.1. So task 0's best pairs all touch a hub, and hubs 0
+  // and 1 alone make 82 of them, more than the 48 its pair list keeps.
+  // Tasks 1..3 reach the hubs and workers 43..45, which hold affinity 1
+  // to every hub: task 1's seed {0, 1, 43} outscores task 0's {0, 1, 2}
+  // and is picked first, which kills every pair on task 0's list.
+  constexpr int kHubs = 3;
+  constexpr int kOrdinary = 40;
+  constexpr int kWorkers = kHubs + kOrdinary + 3;
+  CooperationMatrix coop(kWorkers, 0.1);
+  for (int h = 0; h < kHubs; ++h) {
+    for (int k = 0; k < kHubs + kOrdinary; ++k) {
+      if (k != h) coop.SetSymmetric(h, k, 0.9);
+    }
+    for (int p = kHubs + kOrdinary; p < kWorkers; ++p) {
+      coop.SetSymmetric(h, p, 1.0);
+    }
+  }
+  std::vector<Worker> workers;
+  for (int i = 0; i < kWorkers; ++i) {
+    Point at{0.5, 0.5};                                // hubs
+    if (i >= kHubs) at = {0.1, 0.5};                   // ordinary
+    if (i >= kHubs + kOrdinary) {
+      at = {0.9, 0.3 + 0.2 * (i - kHubs - kOrdinary)};  // hub partners
+    }
+    workers.push_back(Worker{i, at, 1.0, 0.45, 0.0});
+  }
+  std::vector<Task> tasks = {Task{0, {0.3, 0.5}, 0.0, 10.0, 4}};
+  for (int j = 1; j <= 3; ++j) {
+    tasks.push_back(Task{j, {0.7, 0.1 + 0.2 * j}, 0.0, 10.0, 4});
+  }
+  Instance instance(std::move(workers), std::move(tasks), std::move(coop),
+                    0.0, 3);
+  instance.ComputeValidPairs();
+  ASSERT_EQ(instance.Candidates(0).size(),
+            static_cast<size_t>(kHubs + kOrdinary));
+
+  Assignment expected(instance);
+  OracleSeedTasks(instance, nullptr, TpgOptions{}, &expected);
+  TpgAssigner tpg;
+  const Assignment actual = tpg.Run(instance);
+  // The scenario itself: task 1 takes hubs 0 and 1 with worker 43, so
+  // every pair on task 0's list is dead and the list must be rebuilt.
+  for (const Assignment* side : {&std::as_const(expected), &actual}) {
+    for (const WorkerIndex w : {0, 1, kHubs + kOrdinary}) {
+      ASSERT_EQ(side->TaskOf(w), 1) << "worker " << w;
+    }
+    const auto group = side->GroupOf(0);
+    ASSERT_EQ(std::count(group.begin(), group.end(), 0), 0);
+    ASSERT_EQ(std::count(group.begin(), group.end(), 1), 0);
+  }
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    ASSERT_EQ(actual.TaskOf(w), expected.TaskOf(w)) << "worker " << w;
+  }
+  // Task 0 still gets a seed from the ordinary workers.
+  EXPECT_GE(actual.GroupSize(0), 3);
+  EXPECT_EQ(HexFloat(TotalScore(instance, actual)),
+            HexFloat(TotalScore(instance, expected)));
+}
 
 }  // namespace
 }  // namespace casc
