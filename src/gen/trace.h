@@ -50,8 +50,8 @@ double RateMultiplierAt(const TraceConfig& config, double t);
 /// order — all worker arrival times (thinning draws included), then
 /// per-worker attributes in id order, then all task times, then
 /// per-task attributes — so draining the cursor reproduces the trace
-/// bit for bit. The 1M-worker benches stream arrivals straight into the
-/// event stream through this cursor.
+/// bit for bit. The benchmark's streaming workloads feed arrivals straight
+/// into the event stream through this cursor.
 class TraceCursor {
  public:
   /// Validates `config` and draws the worker arrival times. `rng` must

@@ -20,7 +20,7 @@ class CoopTile;
 /// (or a fresh one on first use); Recycle returns it once the batch is
 /// committed. After the warm-up batch a steady-state stream performs
 /// zero group-store / pair-index heap allocations (asserted by
-/// bench_micro_data_plane via GroupStore/ValidPairIndex::TotalReallocs).
+/// data_plane_test via GroupStore/ValidPairIndex::TotalReallocs).
 ///
 /// Not thread-safe: one workspace per thread (the shard executor keeps
 /// one per shard slot).

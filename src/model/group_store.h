@@ -22,7 +22,7 @@ namespace casc {
 ///
 /// Reset() reshapes for a new batch without releasing the backing
 /// arrays; growth events are counted process-wide (TotalReallocs) so the
-/// data-plane benches can assert zero steady-state allocations.
+/// data-plane tests can assert zero steady-state allocations.
 class GroupStore {
  public:
   GroupStore() = default;

@@ -25,7 +25,7 @@ namespace casc {
 /// Reuse contract: Clear() and BeginBuild() never release the backing
 /// arrays, so a pooled index (BatchWorkspace) reaches a steady state with
 /// zero allocations per batch. Growth events of the backing arrays are
-/// counted process-wide (TotalReallocs) for the data-plane benches.
+/// counted process-wide (TotalReallocs) for the data-plane tests.
 class ValidPairIndex {
  public:
   ValidPairIndex() = default;

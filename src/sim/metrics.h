@@ -83,7 +83,7 @@ std::string ToJson(const BatchMetrics& metrics);
 
 /// Renders a run as a JSON object: the aggregate fields plus a "batches"
 /// array of per-batch objects — the machine-readable counterpart of the
-/// table prints, consumed by tools/run_bench.sh outputs.
+/// table prints.
 std::string ToJson(const RunSummary& summary);
 
 /// Mean of `values` (0 for empty input).

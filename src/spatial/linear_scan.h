@@ -8,9 +8,8 @@
 namespace casc {
 
 /// Brute-force SpatialIndex: O(n) per query. Serves as the correctness
-/// reference for GridIndex and RTree in tests, as the probe index for tiny
-/// per-batch deltas, and as the honest baseline in the spatial
-/// micro-benchmark.
+/// reference for GridIndex and RTree in tests and as the probe index for
+/// tiny per-batch deltas.
 class LinearScan : public SpatialIndex {
  public:
   void Insert(const SpatialItem& item) override;

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "algo/tpg_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "model/assignment.h"
@@ -342,7 +344,6 @@ TEST(BatchWorkspaceTest, SteadyStateStreamingDoesNotGrowBackingArrays) {
   SyntheticInstanceConfig config;
   config.num_workers = 120;
   config.num_tasks = 40;
-  BatchWorkspace workspace;
 
   // A template batch: the generator builds its own pair index outside the
   // workspace, so each streamed batch is constructed from the raw
@@ -351,34 +352,60 @@ TEST(BatchWorkspaceTest, SteadyStateStreamingDoesNotGrowBackingArrays) {
   Rng rng(100);
   const Instance seed_batch = GenerateSyntheticInstance(config, 0.0, &rng);
 
-  const auto run_batch = [&]() {
-    Instance instance(seed_batch.workers(), seed_batch.tasks(),
-                      seed_batch.coop(), seed_batch.now(),
-                      seed_batch.min_group_size());
-    instance.ComputeValidPairs(&workspace);
-    Assignment assignment = workspace.AcquireAssignment(instance);
-    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-      for (const TaskIndex t : instance.ValidTasks(w)) {
-        if (assignment.GroupSize(t) <
-            instance.tasks()[static_cast<size_t>(t)].capacity) {
-          assignment.Assign(w, t);
-          break;
-        }
-      }
-    }
-    workspace.Recycle(std::move(assignment));
-    workspace.Recycle(instance.ReleaseValidPairs());
+  // Each solver fills one batch's assignment against the workspace: a
+  // hand-rolled first-fit drawn from the pool, and TPG on its pooled path.
+  // Either way the assignment is recycled once the batch is done.
+  using Solve = std::function<Assignment(const Instance&, BatchWorkspace*)>;
+  TpgAssigner tpg;
+  const struct {
+    const char* name;
+    Solve solve;
+  } solvers[] = {
+      {"hand fill",
+       [](const Instance& instance, BatchWorkspace* workspace) {
+         Assignment assignment = workspace->AcquireAssignment(instance);
+         for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+           for (const TaskIndex t : instance.ValidTasks(w)) {
+             if (assignment.GroupSize(t) <
+                 instance.tasks()[static_cast<size_t>(t)].capacity) {
+               assignment.Assign(w, t);
+               break;
+             }
+           }
+         }
+         return assignment;
+       }},
+      {"tpg",
+       [&tpg](const Instance& instance, BatchWorkspace* workspace) {
+         tpg.set_workspace(workspace);
+         return tpg.Run(instance);
+       }},
   };
 
-  // Warm-up batches size every pooled buffer; same-shape batches after
-  // that must not move either process-wide realloc counter.
-  run_batch();
-  run_batch();
-  const int64_t group_reallocs = GroupStore::TotalReallocs();
-  const int64_t pair_reallocs = ValidPairIndex::TotalReallocs();
-  for (int round = 0; round < 8; ++round) run_batch();
-  EXPECT_EQ(GroupStore::TotalReallocs(), group_reallocs);
-  EXPECT_EQ(ValidPairIndex::TotalReallocs(), pair_reallocs);
+  for (const auto& solver : solvers) {
+    SCOPED_TRACE(solver.name);
+    BatchWorkspace workspace;
+    const auto run_batch = [&]() {
+      Instance instance(seed_batch.workers(), seed_batch.tasks(),
+                        seed_batch.coop(), seed_batch.now(),
+                        seed_batch.min_group_size());
+      instance.ComputeValidPairs(&workspace);
+      Assignment assignment = solver.solve(instance, &workspace);
+      EXPECT_GT(assignment.NumAssigned(), 0);
+      workspace.Recycle(std::move(assignment));
+      workspace.Recycle(instance.ReleaseValidPairs());
+    };
+
+    // Warm-up batches size every pooled buffer; same-shape batches after
+    // that must not move either process-wide realloc counter.
+    run_batch();
+    run_batch();
+    const int64_t group_reallocs = GroupStore::TotalReallocs();
+    const int64_t pair_reallocs = ValidPairIndex::TotalReallocs();
+    for (int round = 0; round < 8; ++round) run_batch();
+    EXPECT_EQ(GroupStore::TotalReallocs(), group_reallocs);
+    EXPECT_EQ(ValidPairIndex::TotalReallocs(), pair_reallocs);
+  }
 }
 
 TEST(BatchWorkspaceTest, AcquiredAssignmentIsEmptyAndShaped) {

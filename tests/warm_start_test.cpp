@@ -3,8 +3,9 @@
 // no moves and repeat the previous commit, zero-carry-over batches must be
 // bit-identical to a cold run, and the warm path must be bit-identical
 // across solver threads, shard threads, ingest threads and both pipeline
-// modes. The CASC_NO_WARM_START kill switch must restore cold behavior
-// exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
+// modes. On a multiskill feasibility-gap trace warm must also keep most of
+// cold's score. The CASC_NO_WARM_START kill switch must restore cold
+// behavior exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
 
 #include <gtest/gtest.h>
 
@@ -476,6 +477,74 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// (e) Feasibility-gap regime under the multiskill objective: tasks demand
+// 5 of 64 skills while workers carry 2, so standing tasks stay
+// unstaffable for many batches amid a large idle pool. Warm must keep
+// most of cold's score, and stay bit-identical across solver threads and
+// pipeline modes on the multiskill GT game.
+// ---------------------------------------------------------------------------
+
+TEST(WarmStartTest, FeasibilityGapTraceKeepsWarmQualityAndIdentity) {
+  constexpr uint64_t kSeed = 42;
+  TraceConfig trace_config;
+  trace_config.horizon = 120.0;
+  trace_config.worker_rate = 60.0;
+  trace_config.task_rate = 25.0;
+  trace_config.rush_windows.push_back({0.0, 120.0 * 0.15, 4.0});
+  trace_config.worker.radius_min = 0.07;
+  trace_config.worker.radius_max = 0.12;
+  trace_config.worker.speed_min = 0.05;
+  trace_config.worker.speed_max = 0.10;
+  trace_config.worker.num_skills = 64;
+  trace_config.worker.skills_per_worker = 2;
+  trace_config.task.remaining_time = 40.0;
+  trace_config.task.capacity = 4;
+  trace_config.task.num_skills = 64;
+  trace_config.task.skills_per_task = 5;
+  Rng rng(kSeed);
+  const Trace trace = GenerateTrace(trace_config, &rng);
+  const CooperationMatrix coop = CooperationMatrix::Procedural(
+      static_cast<int>(trace.workers.size()), kSeed ^ 0x9E3779B9u);
+  const EventStream stream(trace.workers, trace.tasks);
+  ScopedEnv no_warm("CASC_NO_WARM_START", nullptr);
+
+  auto run = [&](bool warm, bool pipeline, int threads) {
+    DispatchConfig config;
+    config.sharded.shards_per_side = 2;
+    config.sharded.num_threads = threads;
+    config.min_group_size = 3;
+    config.batch_interval = 1.0;
+    config.task_duration = 2.0;
+    config.max_tasks_per_batch = 140;
+    config.enable_pipeline = pipeline;
+    config.enable_warm_start = warm;
+    config.objective = "multiskill";
+    DispatchService service(config, &coop,
+                            [] { return std::make_unique<GtAssigner>(); });
+    return service.Run(stream);
+  };
+
+  const RunSummary cold =
+      run(/*warm=*/false, /*pipeline=*/false, /*threads=*/4);
+  const RunSummary warm =
+      run(/*warm=*/true, /*pipeline=*/false, /*threads=*/1);
+  const RunSummary warm_pipelined =
+      run(/*warm=*/true, /*pipeline=*/true, /*threads=*/4);
+
+  ASSERT_FALSE(warm.batches.empty());
+  int warm_batches = 0;
+  for (const BatchMetrics& batch : warm.batches) {
+    if (batch.warm_started) ++warm_batches;
+  }
+  EXPECT_GT(warm_batches, 0) << "warm mode never engaged";
+  // Warm and cold reach different equilibria of the same game; a large
+  // quality gap would mean the warm path converged somewhere degenerate.
+  EXPECT_GT(warm.TotalScore(), 0.8 * cold.TotalScore());
+  ExpectIdenticalBatches(warm, warm_pipelined,
+                         "warm sequential t1 vs warm pipelined t4");
 }
 
 // ---------------------------------------------------------------------------
