@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("workers", 50, "fleet size");
   flags.DefineInt64("tasks", 12, "tasks per wave");
   flags.DefineInt64("waves", 16, "learning waves");
-  flags.DefineDouble("noise", 0.05, "rating noise stddev");
+  flags.DefineDouble("noise", 0.05, "rating noise stddev", 0.0, 1.0);
   flags.DefineInt64("seed", 42, "master seed");
   flags.ParseOrExit(argc, argv);
 

@@ -21,8 +21,12 @@
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  flags.DefineDouble("worker-rate", 35.0, "worker arrivals per hour");
-  flags.DefineDouble("task-rate", 14.0, "task creations per hour");
+  // The cooperation matrix below is dense (workers^2 doubles): at the
+  // 200/h cap a default day stays near 100 MB.
+  flags.DefineDouble("worker-rate", 35.0, "worker arrivals per hour", 0.0,
+                     200.0);
+  flags.DefineDouble("task-rate", 14.0, "task creations per hour", 0.0,
+                     200.0);
   flags.DefineInt64("hours", 12, "length of the simulated day (batches)", 1,
                     casc::FlagParser::kIntMax);
   flags.DefineString("approach", "gt", "gt or tpg");

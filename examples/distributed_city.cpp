@@ -11,8 +11,9 @@
 //                      [--shards 3] [--nodes 4] [--drop 0.1]
 //                      [--crash_time 1.0] [--seed 11]
 //
-// --crash_time < 0 disables the crash; CASC_NO_DISTRIBUTED=1 falls back
-// to the in-process engine (identical assignments at zero faults).
+// --crash_time < 0 disables the crash. The network solver plugs into the
+// ordinary DispatchService through set_batch_solver; at zero faults it
+// commits exactly the in-process engine's assignments.
 
 #include <cstdio>
 #include <memory>
@@ -34,11 +35,13 @@ int main(int argc, char** argv) {
                     kIntMax);
   flags.DefineInt64("shards", 3, "shards per side (S)", 1, 64);
   flags.DefineInt64("nodes", 4, "simulated shard solver nodes", 1, 1024);
-  flags.DefineDouble("drop", 0.1, "i.i.d. message drop probability");
+  flags.DefineDouble("drop", 0.1, "i.i.d. message drop probability", 0.0,
+                     1.0);
   flags.DefineDouble("crash_time", 1.0,
                      "virtual network second node 1 crashes at (< 0 = "
                      "never); the virtual clock spans batches and "
-                     "advances ~0.5s per batch");
+                     "advances ~0.5s per batch",
+                     -1.0, 1e9);
   flags.DefineInt64("seed", 11, "generator + network seed");
   flags.ParseOrExit(argc, argv);
   const int m = static_cast<int>(flags.GetInt64("workers"));
@@ -85,15 +88,15 @@ int main(int argc, char** argv) {
         {/*node=*/1, /*time=*/crash_time, /*restart_time=*/-1.0});
   }
 
-  casc::DistributedDispatchService service(config, dist, &coop, [] {
+  const casc::AssignerFactory factory = [] {
     casc::GtOptions options;
     options.use_tsi = true;
     options.use_lub = true;
     return std::make_unique<casc::GtAssigner>(options);
-  });
-  std::printf("mode: %s\n",
-              service.distributed() ? "distributed (simulated network)"
-                                    : "in-process (kill switch)");
+  };
+  casc::NetShardedAssigner net(config.sharded, dist, factory);
+  casc::DispatchService service(config, &coop, factory);
+  service.set_batch_solver(&net);
 
   const casc::RunSummary summary = service.Run(stream);
 
@@ -101,8 +104,7 @@ int main(int argc, char** argv) {
       "hour  workers  assigned  lost  retries  failover  msgs  rtt_p99\n");
   for (size_t i = 0; i < summary.batches.size(); ++i) {
     const casc::BatchMetrics& batch = summary.batches[i];
-    const casc::ServiceMetrics& metrics =
-        service.service().batch_metrics()[i];
+    const casc::ServiceMetrics& metrics = service.batch_metrics()[i];
     std::printf("%4.0f  %7d  %8d  %4d  %7d  %8d  %4lld  %6.3fs\n",
                 batch.now, batch.num_workers, batch.assigned_workers,
                 metrics.lost_shards, metrics.net_retries,
@@ -113,17 +115,15 @@ int main(int argc, char** argv) {
   std::printf("\nday total: Q = %.2f over %lld started tasks\n",
               summary.TotalScore(),
               static_cast<long long>(summary.TotalCompletedTasks()));
-  if (service.net_solver() != nullptr) {
-    const casc::NetStats& stats = service.net_solver()->net_stats();
-    std::printf("network: %lld msgs, %lld bytes, %lld dropped "
-                "(%lld rng, %lld partition, %lld dead), %lld crashes\n",
-                static_cast<long long>(stats.messages_sent),
-                static_cast<long long>(stats.bytes_sent),
-                static_cast<long long>(stats.TotalDropped()),
-                static_cast<long long>(stats.dropped_rng),
-                static_cast<long long>(stats.dropped_partition),
-                static_cast<long long>(stats.dropped_dead),
-                static_cast<long long>(stats.crashes));
-  }
+  const casc::NetStats& stats = net.net_stats();
+  std::printf("network: %lld msgs, %lld bytes, %lld dropped "
+              "(%lld rng, %lld partition, %lld dead), %lld crashes\n",
+              static_cast<long long>(stats.messages_sent),
+              static_cast<long long>(stats.bytes_sent),
+              static_cast<long long>(stats.TotalDropped()),
+              static_cast<long long>(stats.dropped_rng),
+              static_cast<long long>(stats.dropped_partition),
+              static_cast<long long>(stats.dropped_dead),
+              static_cast<long long>(stats.crashes));
   return 0;
 }

@@ -15,9 +15,6 @@
 namespace casc {
 namespace {
 
-/// Strict-improvement threshold; mirrors best_response.cpp.
-constexpr double kTolerance = 1e-12;
-
 /// Per-round speculative evaluation state. Best responses computed in
 /// parallel against the round-start state are consumed sequentially; a
 /// result is discarded once any of its worker's valid tasks was touched
@@ -186,10 +183,10 @@ int64_t GtAssigner::Round(const Instance& instance,
     stats_.candidates_evaluated += counters.evaluated;
     stats_.feasibility_rejects += counters.feasibility_rejects;
     ++stats_.best_response_evals;
+    // A best response other than `current` already beats it strictly
+    // (ComputeBestResponse keeps `current` unless beaten by more than its
+    // tolerance), so any change of task is an improving move.
     if (best.task == current) continue;
-    const double current_utility =
-        StrategyUtility(instance, *keeper, *assignment, w, current, nullptr);
-    if (best.utility <= current_utility + kTolerance) continue;
     const MoveResult move =
         MoveAndMarkDirty(instance, assignment, keeper, w, best.task, dirty);
     MarkTouched(&spec, move.from);
@@ -210,10 +207,9 @@ Assignment GtAssigner::Run(const Instance& instance) {
   // cold init — sound from any profile (Theorem V.1). A null or empty
   // delta (first batch, zero carry-over, CASC_NO_WARM_START) takes the
   // cold path below bit-identically.
-  const SolveDelta* delta = solve_delta();
-  const bool warm = delta != nullptr && delta->num_carried > 0 &&
-                    static_cast<int>(delta->seed_task.size()) ==
-                        instance.num_workers();
+  const SolveDelta* delta =
+      UsableSolveDelta(solve_delta(), instance.num_workers());
+  const bool warm = delta != nullptr;
 
   // Algorithm 3, line 1: initialize the joint strategy.
   Assignment assignment;

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -32,6 +33,18 @@ std::string RangeText(int64_t lo, int64_t hi) {
   return out;
 }
 
+/// An open end of a double range (the default lowest/max) reads as -inf
+/// or +inf.
+std::string RangeText(double lo, double hi) {
+  char buffer[80];
+  const bool open_lo = lo == std::numeric_limits<double>::lowest();
+  const bool open_hi = hi == std::numeric_limits<double>::max();
+  std::snprintf(buffer, sizeof(buffer), "%s%g, %g%s", open_lo ? "(" : "[",
+                open_lo ? -HUGE_VAL : lo, open_hi ? HUGE_VAL : hi,
+                open_hi ? ")" : "]");
+  return buffer;
+}
+
 }  // namespace
 
 void FlagParser::DefineInt64(const std::string& name, int64_t default_value,
@@ -51,11 +64,17 @@ void FlagParser::DefineInt64(const std::string& name, int64_t default_value,
 }
 
 void FlagParser::DefineDouble(const std::string& name, double default_value,
-                              const std::string& help) {
+                              const std::string& help, double min_value,
+                              double max_value) {
+  CASC_CHECK(min_value <= default_value && default_value <= max_value)
+      << "flag --" << name << ": default " << default_value << " outside "
+      << RangeText(min_value, max_value);
   Flag flag;
   flag.kind = Kind::kDouble;
   flag.help = help;
   flag.double_value = default_value;
+  flag.double_min = min_value;
+  flag.double_max = max_value;
   CASC_CHECK(flags_.emplace(name, flag).second)
       << "duplicate flag --" << name;
 }
@@ -147,12 +166,24 @@ Status FlagParser::SetValue(const std::string& name,
       flag.int_value = parsed;
       break;
     }
-    case Kind::kDouble:
-      if (!ParseDouble(value, &flag.double_value)) {
+    case Kind::kDouble: {
+      double parsed = 0.0;
+      if (!ParseDouble(value, &parsed)) {
         return Status::InvalidArgument("flag --" + name +
                                        ": bad double value '" + value + "'");
       }
+      if (!std::isfinite(parsed)) {
+        return Status::InvalidArgument("flag --" + name + ": " + value +
+                                       " is not a finite number");
+      }
+      if (parsed < flag.double_min || parsed > flag.double_max) {
+        return Status::InvalidArgument(
+            "flag --" + name + ": " + value + " is outside " +
+            RangeText(flag.double_min, flag.double_max));
+      }
+      flag.double_value = parsed;
       break;
+    }
     case Kind::kString:
       flag.string_value = value;
       break;

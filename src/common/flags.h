@@ -35,9 +35,13 @@ class FlagParser {
                    int64_t min_value = std::numeric_limits<int64_t>::min(),
                    int64_t max_value = std::numeric_limits<int64_t>::max());
 
-  /// Registers a floating-point flag with a default value.
+  /// Registers a floating-point flag with a default value. NaN, +-inf
+  /// and values outside the inclusive range [min_value, max_value] are
+  /// parse errors naming the flag; the default must lie inside the range.
   void DefineDouble(const std::string& name, double default_value,
-                    const std::string& help);
+                    const std::string& help,
+                    double min_value = std::numeric_limits<double>::lowest(),
+                    double max_value = std::numeric_limits<double>::max());
 
   /// Registers a string flag with a default value.
   void DefineString(const std::string& name, const std::string& default_value,
@@ -47,8 +51,8 @@ class FlagParser {
   void DefineBool(const std::string& name, bool default_value,
                   const std::string& help);
 
-  /// Parses argv. Unknown flags, malformed values and int64 values outside
-  /// their flag's range produce an error.
+  /// Parses argv. Unknown flags, malformed values, non-finite doubles and
+  /// numbers outside their flag's range produce an error.
   /// Positional (non `--`) arguments are collected into positional().
   Status Parse(int argc, const char* const* argv);
 
@@ -78,6 +82,8 @@ class FlagParser {
     int64_t int_min = std::numeric_limits<int64_t>::min();
     int64_t int_max = std::numeric_limits<int64_t>::max();
     double double_value = 0.0;
+    double double_min = std::numeric_limits<double>::lowest();
+    double double_max = std::numeric_limits<double>::max();
     std::string string_value;
     bool bool_value = false;
   };

@@ -47,12 +47,19 @@ double RateMultiplierAt(const TraceConfig& config, double t) {
 TraceCursor::TraceCursor(const TraceConfig& config, Rng* rng)
     : config_(config), rng_(rng) {
   CASC_CHECK(rng_ != nullptr);
+  // An infinite rate or horizon would draw arrivals without end.
+  CASC_CHECK(std::isfinite(config_.horizon) &&
+             std::isfinite(config_.worker_rate) &&
+             std::isfinite(config_.task_rate))
+      << "trace horizon and rates must be finite";
   CASC_CHECK_GT(config_.horizon, 0.0);
   CASC_CHECK_GE(config_.worker_rate, 0.0);
   CASC_CHECK_GE(config_.task_rate, 0.0);
   for (const RushWindow& window : config_.rush_windows) {
     CASC_CHECK_LE(window.start, window.end);
     CASC_CHECK_GT(window.multiplier, 0.0);
+    CASC_CHECK(std::isfinite(window.multiplier))
+        << "rush multiplier must be finite";
   }
   worker_times_ = PoissonArrivals(config_, config_.worker_rate, rng_);
   num_workers_ = static_cast<int64_t>(worker_times_.size());

@@ -67,6 +67,17 @@ struct SolveDelta {
   int64_t num_carried = 0;
 };
 
+/// `delta` when it can warm-start a solve over `num_workers` workers —
+/// non-null, carrying at least one worker and sized for that instance —
+/// else null: a stale or absent delta degrades to the cold path.
+inline const SolveDelta* UsableSolveDelta(const SolveDelta* delta,
+                                          int num_workers) {
+  return delta != nullptr && delta->num_carried > 0 &&
+                 static_cast<int>(delta->seed_task.size()) == num_workers
+             ? delta
+             : nullptr;
+}
+
 }  // namespace casc
 
 #endif  // CASC_MODEL_SOLVE_DELTA_H_

@@ -52,11 +52,7 @@ void CoordinatorNode::StartBatch(
   ++epoch_;
   instance_ = instance;
   map_ = map;
-  delta_ = delta != nullptr && delta->num_carried > 0 &&
-                   static_cast<int>(delta->seed_task.size()) ==
-                       instance->num_workers()
-               ? delta
-               : nullptr;
+  delta_ = UsableSolveDelta(delta, instance->num_workers());
   problems_ = std::move(problems);
   assignment_ = std::move(assignment);
   keeper_.reset();
@@ -64,6 +60,7 @@ void CoordinatorNode::StartBatch(
   rtt_.Reset();
   const int num_shards = static_cast<int>(problems_->size());
   stats_.shard_seconds.assign(static_cast<size_t>(num_shards), 0.0);
+  stats_.shard_stats.assign(static_cast<size_t>(num_shards), AssignerStats{});
   shards_.assign(static_cast<size_t>(num_shards), ShardState{});
   wait_ = AckWait{};
   // Suspicion does not carry across batches: a node that was silent last
@@ -208,12 +205,7 @@ void CoordinatorNode::EnterReconcile(NetContext& net) {
           problem.global_tasks[static_cast<size_t>(pair.task)]);
     }
     stats_.shard_seconds[s] = state.solve_seconds;
-    stats_.prune_evals += state.prune_evals;
-    stats_.feasibility_rejects += state.feasibility_rejects;
-    stats_.solve_rounds = std::max(stats_.solve_rounds, state.solve_rounds);
-    stats_.solve_moves += state.solve_moves;
-    stats_.dirty_workers += state.dirty_workers;
-    stats_.warm_started = stats_.warm_started || state.warm_started;
+    stats_.shard_stats[s] = state.stats;
   }
 
   boundary_ = map_->boundary_workers();
@@ -347,12 +339,7 @@ void CoordinatorNode::OnMessage(NetContext& net, NodeId from,
       state.resolved = true;
       state.pairs = msg.pairs;
       state.solve_seconds = msg.solve_seconds;
-      state.prune_evals = msg.prune_evals;
-      state.feasibility_rejects = msg.feasibility_rejects;
-      state.solve_rounds = msg.solve_rounds;
-      state.solve_moves = msg.solve_moves;
-      state.dirty_workers = msg.dirty_workers;
-      state.warm_started = msg.warm_started;
+      state.stats = msg.stats;
       net.CancelTimer(state.timer_token);
       rtt_.Add(net.now() - state.dispatch_time);
       --outstanding_shards_;

@@ -51,16 +51,9 @@ struct NetBatchStats {
   double rtt_p99_seconds = 0.0;
   ReconcileStats reconcile;
   std::vector<double> shard_seconds;  ///< reported per-shard solve times
-  int64_t prune_evals = 0;
-  int64_t feasibility_rejects = 0;  ///< objective JoinFeasible rejections
-
-  /// Solver convergence telemetry reported by the shard nodes (same
-  /// aggregation as the in-process ShardedAssigner: rounds max over
-  /// shards, moves/dirty summed, warm if any shard warm-started).
-  int solve_rounds = 0;
-  int64_t solve_moves = 0;
-  int64_t dirty_workers = 0;
-  bool warm_started = false;
+  /// Per shard: the solver's AssignerStats as its node reported them
+  /// (default for empty and lost shards).
+  std::vector<AssignerStats> shard_stats;
 };
 
 /// The coordinator node of the distributed dispatch protocol. Owns the
@@ -142,12 +135,7 @@ class CoordinatorNode : public Node {
     double dispatch_time = 0.0;  ///< latest transmission (for RTT)
     std::vector<AssignedPair> pairs;  ///< buffered local result
     double solve_seconds = 0.0;
-    int64_t prune_evals = 0;
-    int64_t feasibility_rejects = 0;
-    int solve_rounds = 0;
-    int64_t solve_moves = 0;
-    int64_t dirty_workers = 0;
-    bool warm_started = false;
+    AssignerStats stats;
   };
 
   /// One acked broadcast round (reconcile pass delta or commit).

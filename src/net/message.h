@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/assigner.h"
 #include "model/assignment.h"
 
 namespace casc {
@@ -79,18 +80,10 @@ struct Message {
   /// delta ((w, kNoTask) encodes "left idle"); kCommit: the final pairs.
   std::vector<AssignedPair> pairs;
 
-  /// kShardResult: solver diagnostics folded into ServiceMetrics.
+  /// kShardResult: the shard solver's wall time and its AssignerStats,
+  /// folded into ServiceMetrics at the driver (FoldSolveTelemetry).
   double solve_seconds = 0.0;
-  int64_t prune_evals = 0;
-  int64_t feasibility_rejects = 0;
-
-  /// kShardResult: solver convergence telemetry (best-response rounds,
-  /// strategy moves, the warm-start dirty frontier, and whether the
-  /// shard seeded from the dispatched skeleton slice).
-  int solve_rounds = 0;
-  int64_t solve_moves = 0;
-  int64_t dirty_workers = 0;
-  bool warm_started = false;
+  AssignerStats stats;
 
   /// Estimated wire size in bytes (header + payload), the quantity the
   /// simulator's byte counters accumulate.

@@ -17,10 +17,6 @@ namespace casc {
 /// solver nodes to run, the network fault/latency model and the
 /// coordinator protocol knobs.
 struct DistributedConfig {
-  /// Master switch; anded with the CASC_NO_DISTRIBUTED kill switch at
-  /// construction time (either side can force the in-process path).
-  bool enabled = true;
-
   /// Shard solver nodes (>= 1), at ids 1..num_nodes; the coordinator is
   /// node 0 and is durable (crash events must not target it).
   int num_nodes = 4;
@@ -33,10 +29,6 @@ struct DistributedConfig {
   /// fails a CASC_CHECK).
   int64_t max_events_per_batch = 10'000'000;
 };
-
-/// True when distributed mode is both configured on and not disabled by
-/// the CASC_NO_DISTRIBUTED environment kill switch.
-bool DistributedEnabled(const DistributedConfig& config);
 
 /// The message-driven ShardedBatchSolver: runs each batch as one epoch
 /// of the coordinator/shard-node protocol over a deterministic simulated
@@ -51,6 +43,10 @@ bool DistributedEnabled(const DistributedConfig& config);
 /// additionally bit-identical to the in-process ShardedAssigner: shard
 /// results are folded in ascending shard order regardless of arrival
 /// order, and the reconcile passes are literally the same code.
+///
+/// To stream over the network, hand one to
+/// DispatchService::set_batch_solver: admission, carry-over and commit
+/// stay in the service, only the per-batch solve moves.
 class NetShardedAssigner : public ShardedBatchSolver {
  public:
   NetShardedAssigner(ShardedOptions options, DistributedConfig config,
@@ -95,39 +91,6 @@ class NetShardedAssigner : public ShardedBatchSolver {
   /// driven through the coordinator's adoption pass. Not owned; the
   /// streaming loop re-attaches a fresh delta every batch.
   const SolveDelta* delta_ = nullptr;
-};
-
-/// DispatchService with the distributed mode wired in: when `dist` is
-/// enabled (and CASC_NO_DISTRIBUTED is unset) batches route through a
-/// NetShardedAssigner over the simulated network; otherwise this is
-/// exactly the in-process service. Admission, streaming carry-over and
-/// commit stay in DispatchService either way — only the per-batch solve
-/// is swapped, which is what keeps the two modes bit-identical at zero
-/// faults.
-class DistributedDispatchService {
- public:
-  DistributedDispatchService(DispatchConfig config, DistributedConfig dist,
-                             const CooperationMatrix* global_coop,
-                             AssignerFactory factory);
-
-  /// True when batches run over the simulated network.
-  bool distributed() const { return net_ != nullptr; }
-
-  DispatchResult RunBatch(std::vector<Worker> workers,
-                          std::vector<Task> tasks, double now) {
-    return service_.RunBatch(std::move(workers), std::move(tasks), now);
-  }
-
-  RunSummary Run(const EventStream& stream) { return service_.Run(stream); }
-
-  DispatchService& service() { return service_; }
-
-  /// Null when running in-process.
-  NetShardedAssigner* net_solver() { return net_.get(); }
-
- private:
-  DispatchService service_;
-  std::unique_ptr<NetShardedAssigner> net_;
 };
 
 }  // namespace casc

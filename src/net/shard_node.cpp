@@ -34,18 +34,11 @@ void ShardSolverNode::HandleDispatch(NetContext& net, NodeId from,
   const bool miss = cached == cache_.end();
   if (miss) {
     CachedResult result;
-    AssignerStats stats;
     // skeleton_epoch < 0 demands a cold solve of the dispatched problem
     // even when it carries a warm-start slice (failover fallback).
     std::optional<Assignment> local = ShardExecutor::SolveProblem(
-        *msg.problem, factory_, &workspace_, &result.solve_seconds, &stats,
-        /*use_delta=*/msg.skeleton_epoch >= 0);
-    result.prune_evals = stats.candidates_evaluated;
-    result.feasibility_rejects = stats.feasibility_rejects;
-    result.solve_rounds = stats.rounds;
-    result.solve_moves = stats.moves;
-    result.dirty_workers = stats.dirty_workers;
-    result.warm_started = stats.warm_started;
+        *msg.problem, factory_, &workspace_, &result.solve_seconds,
+        &result.stats, /*use_delta=*/msg.skeleton_epoch >= 0);
     ++solves_;
     if (local.has_value()) {
       // ForEachPair order (task-major, group position) is exactly the
@@ -65,12 +58,7 @@ void ShardSolverNode::HandleDispatch(NetContext& net, NodeId from,
   reply.attempt = msg.attempt;
   reply.pairs = cached->second.pairs;
   reply.solve_seconds = cached->second.solve_seconds;
-  reply.prune_evals = cached->second.prune_evals;
-  reply.feasibility_rejects = cached->second.feasibility_rejects;
-  reply.solve_rounds = cached->second.solve_rounds;
-  reply.solve_moves = cached->second.solve_moves;
-  reply.dirty_workers = cached->second.dirty_workers;
-  reply.warm_started = cached->second.warm_started;
+  reply.stats = cached->second.stats;
   // A fresh solve occupies the modeled compute time before the result
   // hits the wire; a cache hit answers immediately (work already done).
   net.SendAfter(miss ? solve_delay_ : 0.0, from, std::move(reply));

@@ -51,12 +51,7 @@ class ShardSolverNode : public Node {
   struct CachedResult {
     std::vector<AssignedPair> pairs;  ///< local indices, fold order
     double solve_seconds = 0.0;
-    int64_t prune_evals = 0;
-    int64_t feasibility_rejects = 0;
-    int solve_rounds = 0;
-    int64_t solve_moves = 0;
-    int64_t dirty_workers = 0;
-    bool warm_started = false;
+    AssignerStats stats;
   };
 
   void HandleDispatch(NetContext& net, NodeId from, const Message& msg);

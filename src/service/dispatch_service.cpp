@@ -36,18 +36,6 @@ void AppendDoubleArray(std::ostringstream& out, const char* key,
   out << "]";
 }
 
-/// Copies the solver's convergence telemetry into the batch record. It is
-/// invariant across thread counts and pipeline modes (the delta is
-/// mode-independent and the shard solves deterministic), so the
-/// combo-identity tests may compare it.
-void CopySolveTelemetry(const ServiceMetrics& metrics, BatchMetrics* batch) {
-  batch->gt_rounds = metrics.solve_rounds;
-  batch->solve_moves = metrics.solve_moves;
-  batch->dirty_workers = metrics.dirty_workers;
-  batch->dirty_fraction = metrics.dirty_fraction;
-  batch->warm_started = metrics.warm_started;
-}
-
 }  // namespace
 
 std::string ServiceMetrics::ToJson() const {
@@ -127,6 +115,51 @@ ShardedAssigner::ShardedAssigner(ShardedOptions options,
 
 std::string ShardedAssigner::Name() const { return name_; }
 
+BatchPartition PartitionBatch(const Instance& instance,
+                              const ShardedOptions& options,
+                              const SolveDelta* delta, ShardExecutor* executor,
+                              ServiceMetrics* metrics) {
+  delta = UsableSolveDelta(delta, instance.num_workers());
+  Stopwatch watch;
+  ShardMapConfig map_config;
+  map_config.shards_per_side = options.shards_per_side;
+  map_config.world = options.world;
+  ShardMap map(instance.workers(), instance.tasks(), map_config);
+  std::vector<ShardProblem> problems =
+      executor->BuildProblems(instance, map, delta);
+  metrics->partition_seconds = watch.ElapsedSeconds();
+
+  const ShardLoadStats load = map.LoadStats();
+  metrics->num_shards = map.num_shards();
+  metrics->shard_workers = load.workers_per_shard;
+  metrics->shard_tasks = load.tasks_per_shard;
+  metrics->interior_workers = load.interior_workers;
+  metrics->boundary_workers = load.boundary_workers;
+  metrics->objective = std::string(instance.objective().Id());
+  return BatchPartition{std::move(map), std::move(problems), delta};
+}
+
+void FoldSolveTelemetry(const std::vector<AssignerStats>& shard_stats,
+                        const ReconcileStats& reconcile, int num_workers,
+                        ServiceMetrics* metrics) {
+  for (const AssignerStats& stats : shard_stats) {
+    metrics->prune_evals += stats.candidates_evaluated;
+    metrics->feasibility_rejects += stats.feasibility_rejects;
+    metrics->solve_rounds = std::max(metrics->solve_rounds, stats.rounds);
+    metrics->solve_moves += stats.moves;
+    metrics->dirty_workers += stats.dirty_workers;
+    metrics->warm_started = metrics->warm_started || stats.warm_started;
+  }
+  metrics->dirty_fraction =
+      num_workers > 0 ? static_cast<double>(metrics->dirty_workers) /
+                            static_cast<double>(num_workers)
+                      : 0.0;
+  metrics->adopted_boundary = reconcile.adopted;
+  metrics->inserted_boundary = reconcile.inserted;
+  metrics->seeded_boundary = reconcile.seeded;
+  metrics->polish_moves = reconcile.polish_moves;
+}
+
 Assignment ShardedAssigner::Run(const Instance& instance) {
   CASC_CHECK(instance.valid_pairs_ready());
   stats_ = AssignerStats{};
@@ -134,74 +167,36 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
 
   // Cross-batch warm start: a usable attached delta is sliced per shard
   // (phase 1 adopts in-shard seeds) and handed to the reconciler (phase 2
-  // re-seats boundary workers whose seeds phase 1 could not keep). A
-  // stale or absent delta degrades to the cold path.
-  const SolveDelta* delta = solve_delta();
-  if (delta != nullptr &&
-      (delta->num_carried == 0 ||
-       static_cast<int>(delta->seed_task.size()) != instance.num_workers())) {
-    delta = nullptr;
-  }
+  // re-seats boundary workers whose seeds phase 1 could not keep).
+  BatchPartition partition =
+      PartitionBatch(instance, options_, solve_delta(), &executor_, &metrics_);
 
   Stopwatch watch;
-  ShardMapConfig map_config;
-  map_config.shards_per_side = options_.shards_per_side;
-  map_config.world = options_.world;
-  const ShardMap map(instance.workers(), instance.tasks(), map_config);
-  std::vector<ShardProblem> problems =
-      executor_.BuildProblems(instance, map, delta);
-  metrics_.partition_seconds = watch.ElapsedSeconds();
-
-  const ShardLoadStats load = map.LoadStats();
-  metrics_.num_shards = map.num_shards();
-  metrics_.shard_workers = load.workers_per_shard;
-  metrics_.shard_tasks = load.tasks_per_shard;
-  metrics_.interior_workers = load.interior_workers;
-  metrics_.boundary_workers = load.boundary_workers;
-
-  watch.Restart();
   std::vector<AssignerStats> shard_stats;
   std::vector<int> dropped_shards;
-  Assignment assignment =
-      executor_.Run(instance, problems, factory_, &metrics_.shard_seconds,
-                    workspace(), &shard_stats, options_.fault_hook,
-                    batch_index_++, &dropped_shards);
+  Assignment assignment = executor_.Run(
+      instance, partition.problems, factory_, &metrics_.shard_seconds,
+      workspace(), &shard_stats, options_.fault_hook, batch_index_++,
+      &dropped_shards);
   metrics_.lost_shards = static_cast<int>(dropped_shards.size());
   metrics_.phase1_seconds = watch.ElapsedSeconds();
-  for (const AssignerStats& stats : shard_stats) {
-    metrics_.prune_evals += stats.candidates_evaluated;
-    metrics_.feasibility_rejects += stats.feasibility_rejects;
-    // Rounds aggregate as the max (shards run in parallel — the critical
-    // path); moves and the dirty frontier as sums.
-    metrics_.solve_rounds = std::max(metrics_.solve_rounds, stats.rounds);
-    metrics_.solve_moves += stats.moves;
-    metrics_.dirty_workers += stats.dirty_workers;
-    metrics_.warm_started = metrics_.warm_started || stats.warm_started;
-  }
-  metrics_.dirty_fraction =
-      instance.num_workers() > 0
-          ? static_cast<double>(metrics_.dirty_workers) /
-                static_cast<double>(instance.num_workers())
-          : 0.0;
+
+  watch.Restart();
+  const ReconcileStats reconcile =
+      reconciler_.Reconcile(instance, partition.map.boundary_workers(),
+                            &assignment, partition.delta);
+  metrics_.phase2_seconds = watch.ElapsedSeconds();
+  FoldSolveTelemetry(shard_stats, reconcile, instance.num_workers(),
+                     &metrics_);
+
   stats_.candidates_evaluated = metrics_.prune_evals;
   stats_.feasibility_rejects = metrics_.feasibility_rejects;
   stats_.rounds = metrics_.solve_rounds;
   stats_.dirty_workers = metrics_.dirty_workers;
   stats_.warm_started = metrics_.warm_started;
-  metrics_.objective = std::string(instance.objective().Id());
-
-  watch.Restart();
-  const ReconcileStats reconcile = reconciler_.Reconcile(
-      instance, map.boundary_workers(), &assignment, delta);
-  metrics_.phase2_seconds = watch.ElapsedSeconds();
-  metrics_.adopted_boundary = reconcile.adopted;
-  metrics_.inserted_boundary = reconcile.inserted;
-  metrics_.seeded_boundary = reconcile.seeded;
-  metrics_.polish_moves = reconcile.polish_moves;
-
   stats_.moves = reconcile.polish_moves;
   stats_.final_score = TotalScore(instance, assignment);
-  executor_.RecycleProblems(&problems);
+  executor_.RecycleProblems(&partition.problems);
   return assignment;
 }
 
@@ -269,7 +264,6 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
 
   BatchMetrics batch;
   batch.now = now;
-  batch.index_build_seconds = index_build_seconds;
   Stopwatch watch;
   // One-shot batches have no previous equilibrium to seed from; clear any
   // delta a prior streaming Run() left attached.
@@ -279,7 +273,7 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
   RecordBatchOutcome(instance, assignment, &batch);
 
   ServiceMetrics metrics = solver_->metrics();
-  CopySolveTelemetry(metrics, &batch);
+  batch.gt_rounds = metrics.solve_rounds;
   metrics.admitted_tasks = num_admitted;
   metrics.deferred_tasks = static_cast<int>(deferred.size());
   metrics.queue_depth = static_cast<int>(deferred.size());
@@ -435,19 +429,13 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       batch.now = now;
       batch.seconds = solve_seconds;
       RecordBatchOutcome(instance, assignment, &batch);
-      batch.ingest_seconds = ingest_seconds;
-      batch.index_build_seconds = index_build_seconds;
-      batch.ingest_splice_seconds = ingest_stats.splice_seconds;
-      batch.ingest_fresh_rows_seconds = ingest_stats.fresh_rows_seconds;
-      batch.ingest_spatial_seconds = ingest_stats.spatial_insert_seconds;
-      batch.csr_emit_seconds = emit_stats.csr_emit_seconds;
 
       // Commit: groups reaching B start now; everyone else carries over,
       // together with the admission queue's deferred overflow.
       plane.Commit(instance, assignment, now + config_.task_duration);
 
       ServiceMetrics metrics = solver_->metrics();
-      CopySolveTelemetry(metrics, &batch);
+      batch.gt_rounds = metrics.solve_rounds;
       metrics.admitted_tasks = instance.num_tasks();
       metrics.deferred_tasks = plane.num_deferred();
       metrics.queue_depth = plane.queue_depth_after_commit();

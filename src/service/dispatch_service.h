@@ -132,6 +132,33 @@ struct ServiceMetrics {
   std::string ToJson() const;
 };
 
+/// A batch split for phase 1: its shard map, the per-shard problems and
+/// the warm-start delta both phases use (null = cold).
+struct BatchPartition {
+  ShardMap map;
+  std::vector<ShardProblem> problems;
+  const SolveDelta* delta = nullptr;
+};
+
+/// The phase-1 prologue every sharded solver shares: gates `delta` with
+/// UsableSolveDelta, maps the batch onto the S x S grid of `options`,
+/// builds the shard problems with `executor` (slicing the usable delta)
+/// and records the partition time, the shard loads and the objective
+/// into `metrics`.
+BatchPartition PartitionBatch(const Instance& instance,
+                              const ShardedOptions& options,
+                              const SolveDelta* delta, ShardExecutor* executor,
+                              ServiceMetrics* metrics);
+
+/// Folds one batch's solver telemetry into `metrics`: the per-shard
+/// phase-1 AssignerStats (rounds as the max over shards — they run in
+/// parallel, so that is the critical path; moves, the dirty frontier and
+/// the scan counters as sums; warm if any shard warm-started) and the
+/// phase-2 ReconcileStats.
+void FoldSolveTelemetry(const std::vector<AssignerStats>& shard_stats,
+                        const ReconcileStats& reconcile, int num_workers,
+                        ServiceMetrics* metrics);
+
 /// How DispatchService solves one admitted batch. The default
 /// implementation is the in-process ShardedAssigner below; the net layer
 /// injects a message-driven implementation (NetShardedAssigner) that runs

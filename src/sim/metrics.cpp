@@ -47,18 +47,7 @@ std::string ToJson(const BatchMetrics& metrics) {
       << ",\"seconds\":" << metrics.seconds
       << ",\"assigned_workers\":" << metrics.assigned_workers
       << ",\"completed_tasks\":" << metrics.completed_tasks
-      << ",\"gt_rounds\":" << metrics.gt_rounds
-      << ",\"solve_moves\":" << metrics.solve_moves
-      << ",\"dirty_workers\":" << metrics.dirty_workers
-      << ",\"dirty_fraction\":" << metrics.dirty_fraction
-      << ",\"warm_started\":" << (metrics.warm_started ? "true" : "false")
-      << ",\"ingest_seconds\":" << metrics.ingest_seconds
-      << ",\"index_build_seconds\":" << metrics.index_build_seconds
-      << ",\"ingest_splice_seconds\":" << metrics.ingest_splice_seconds
-      << ",\"ingest_fresh_rows_seconds\":"
-      << metrics.ingest_fresh_rows_seconds
-      << ",\"ingest_spatial_seconds\":" << metrics.ingest_spatial_seconds
-      << ",\"csr_emit_seconds\":" << metrics.csr_emit_seconds << "}";
+      << ",\"gt_rounds\":" << metrics.gt_rounds << "}";
   return out.str();
 }
 

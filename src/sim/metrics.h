@@ -10,7 +10,9 @@ namespace casc {
 class Assignment;
 class Instance;
 
-/// Per-batch measurements of a streaming or round-protocol run.
+/// Per-batch outcome of a streaming or round-protocol run. The dispatch
+/// service's solver and data-plane telemetry (moves, the warm-start
+/// frontier, ingest and index-build timings) lives in ServiceMetrics.
 struct BatchMetrics {
   int round = 0;               ///< batch index
   double now = 0.0;            ///< batch timestamp phi
@@ -23,31 +25,6 @@ struct BatchMetrics {
   int assigned_workers = 0;    ///< workers placed on tasks
   int completed_tasks = 0;     ///< tasks reaching >= B workers
   int gt_rounds = 0;           ///< best-response rounds (GT family)
-
-  /// Solver convergence telemetry (GT family; zero for single-pass
-  /// algorithms): strategy moves applied, the warm-start dirty frontier
-  /// and whether the batch seeded from the previous equilibrium.
-  int64_t solve_moves = 0;       ///< strategy changes applied
-  int64_t dirty_workers = 0;     ///< initial dirty frontier (warm only)
-  double dirty_fraction = 0.0;   ///< dirty_workers / num_workers
-  bool warm_started = false;     ///< seeded from the prior equilibrium
-
-  /// Streaming-mode data-plane timings: pool/arrival ingest (including
-  /// incremental index maintenance) and valid-pair build for this batch.
-  /// In the pipelined dispatch service the ingest portion overlaps the
-  /// previous batch's solve, so it is reported but off the critical path.
-  double ingest_seconds = 0.0;
-  double index_build_seconds = 0.0;
-
-  /// Where the streaming plane spent the ingest/build time (zero outside
-  /// streaming runs): delta splice into known rows, fresh rows for new
-  /// workers, the persistent spatial-index batch insert, and the CSR
-  /// emission inside the valid-pair build. The first three are parts of
-  /// ingest_seconds; csr_emit_seconds is part of index_build_seconds.
-  double ingest_splice_seconds = 0.0;
-  double ingest_fresh_rows_seconds = 0.0;
-  double ingest_spatial_seconds = 0.0;
-  double csr_emit_seconds = 0.0;
 };
 
 /// Fills the outcome fields of one solved batch from its instance and

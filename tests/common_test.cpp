@@ -426,6 +426,68 @@ TEST(FlagParserTest, ValueBeyondIntLimitsFails) {
   EXPECT_EQ(flags.GetInt64("workers"), FlagParser::kIntMax);
 }
 
+TEST(FlagParserTest, DoubleBelowRangeFailsNamingFlagAndRange) {
+  FlagParser flags;
+  flags.DefineDouble("drop", 0.1, "", 0.0, 1.0);
+  const char* argv[] = {"prog", "--drop=-0.5"};
+  const Status status = flags.Parse(2, argv);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--drop"), std::string::npos);
+  EXPECT_NE(status.message().find("[0, 1]"), std::string::npos);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("drop"), 0.1) << "rejected value stored";
+
+  // A range with only a lower bound reads as half-open.
+  flags.DefineDouble("epsilon", 0.05, "", 0.0);
+  const char* open[] = {"prog", "--epsilon=-1"};
+  const Status open_status = flags.Parse(2, open);
+  ASSERT_FALSE(open_status.ok());
+  EXPECT_NE(open_status.message().find("[0, inf)"), std::string::npos)
+      << open_status.message();
+}
+
+TEST(FlagParserTest, DoubleAboveRangeFails) {
+  FlagParser flags;
+  flags.DefineDouble("drop", 0.1, "", 0.0, 1.0);
+  const char* argv[] = {"prog", "--drop", "2"};
+  const Status status = flags.Parse(3, argv);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--drop"), std::string::npos);
+  EXPECT_NE(status.message().find("[0, 1]"), std::string::npos);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("drop"), 0.1);
+  // Both ends of the range are inclusive.
+  const char* edge[] = {"prog", "--drop=1"};
+  ASSERT_TRUE(flags.Parse(2, edge).ok());
+  EXPECT_DOUBLE_EQ(flags.GetDouble("drop"), 1.0);
+}
+
+TEST(FlagParserTest, DoubleNanFailsEvenWithoutRange) {
+  FlagParser flags;
+  flags.DefineDouble("crash_time", 1.0, "");
+  for (const char* bad : {"--crash_time=nan", "--crash_time=NaN",
+                          "--crash_time=-nan"}) {
+    const char* argv[] = {"prog", bad};
+    const Status status = flags.Parse(2, argv);
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_NE(status.message().find("--crash_time"), std::string::npos);
+    EXPECT_NE(status.message().find("not a finite number"),
+              std::string::npos);
+  }
+  EXPECT_DOUBLE_EQ(flags.GetDouble("crash_time"), 1.0);
+}
+
+TEST(FlagParserTest, DoubleInfinityFailsEvenWithoutRange) {
+  FlagParser flags;
+  flags.DefineDouble("task-rate", 14.0, "");
+  for (const char* bad : {"--task-rate=inf", "--task-rate=-inf",
+                          "--task-rate=infinity", "--task-rate=1e999"}) {
+    const char* argv[] = {"prog", bad};
+    const Status status = flags.Parse(2, argv);
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_NE(status.message().find("--task-rate"), std::string::npos);
+  }
+  EXPECT_DOUBLE_EQ(flags.GetDouble("task-rate"), 14.0);
+}
+
 TEST(FlagParserTest, ParseOrExitReturnsOnValidFlags) {
   FlagParser flags;
   flags.DefineInt64("workers", 10, "how many workers");

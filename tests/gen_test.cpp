@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -438,6 +439,22 @@ TEST(TraceTest, CursorHandlesEmptyStreams) {
   EXPECT_FALSE(cursor.NextWorker(&worker));
   Task task;
   EXPECT_FALSE(cursor.NextTask(&task));
+}
+
+TEST(TraceDeathTest, CursorRejectsInfiniteRateAtConstruction) {
+  // Task arrivals are drawn lazily, after the workers: an infinite task
+  // rate must die in the constructor, before any draw, instead of
+  // drawing arrivals without end on the first NextTask. A zero worker
+  // rate keeps a constructor without the check from drawing anything.
+  TraceConfig config;
+  config.worker_rate = 0.0;
+  config.task_rate = std::numeric_limits<double>::infinity();
+  Rng rng(38);
+  EXPECT_DEATH({ TraceCursor cursor(config, &rng); }, "must be finite");
+
+  config.task_rate = 0.0;
+  config.horizon = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ TraceCursor cursor(config, &rng); }, "must be finite");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/gt_assigner.h"
@@ -33,6 +33,36 @@ ShardedOptions MakeOptions(int shards_per_side, int num_threads = 1) {
   return options;
 }
 
+/// Both solvers share the partition prologue and the telemetry fold, so
+/// every ServiceMetrics field that depends on neither timing nor the
+/// transport must agree between the network and in-process paths.
+void ExpectSameDeterministicMetrics(const ServiceMetrics& actual,
+                                    const ServiceMetrics& expected,
+                                    const std::string& label) {
+  EXPECT_EQ(actual.num_shards, expected.num_shards) << label;
+  EXPECT_EQ(actual.shard_workers, expected.shard_workers) << label;
+  EXPECT_EQ(actual.shard_tasks, expected.shard_tasks) << label;
+  EXPECT_EQ(actual.interior_workers, expected.interior_workers) << label;
+  EXPECT_EQ(actual.boundary_workers, expected.boundary_workers) << label;
+  EXPECT_EQ(actual.adopted_boundary, expected.adopted_boundary) << label;
+  EXPECT_EQ(actual.inserted_boundary, expected.inserted_boundary) << label;
+  EXPECT_EQ(actual.seeded_boundary, expected.seeded_boundary) << label;
+  EXPECT_EQ(actual.polish_moves, expected.polish_moves) << label;
+  EXPECT_EQ(actual.solve_rounds, expected.solve_rounds) << label;
+  EXPECT_EQ(actual.solve_moves, expected.solve_moves) << label;
+  EXPECT_EQ(actual.dirty_workers, expected.dirty_workers) << label;
+  EXPECT_EQ(actual.dirty_fraction, expected.dirty_fraction) << label;
+  EXPECT_EQ(actual.warm_started, expected.warm_started) << label;
+  EXPECT_EQ(actual.prune_evals, expected.prune_evals) << label;
+  EXPECT_EQ(actual.feasibility_rejects, expected.feasibility_rejects)
+      << label;
+  EXPECT_EQ(actual.lost_shards, expected.lost_shards) << label;
+  EXPECT_EQ(actual.objective, expected.objective) << label;
+  EXPECT_EQ(actual.admitted_tasks, expected.admitted_tasks) << label;
+  EXPECT_EQ(actual.deferred_tasks, expected.deferred_tasks) << label;
+  EXPECT_EQ(actual.queue_depth, expected.queue_depth) << label;
+}
+
 // ---------------------------------------------------------------------------
 // Bit-identity: zero-delay zero-loss network == in-process ShardedAssigner
 // ---------------------------------------------------------------------------
@@ -48,8 +78,11 @@ TEST(NetDispatchTest, ZeroFaultNetworkBitIdenticalToInProcess) {
       dist.num_nodes = 3;
       NetShardedAssigner net(MakeOptions(s_per_side), dist, GtFactory());
       const Assignment actual = net.Solve(instance);
-      EXPECT_EQ(actual.Pairs(), expected.Pairs())
-          << "seed " << seed << " S " << s_per_side;
+      const std::string label =
+          "seed " + std::to_string(seed) + " S " + std::to_string(s_per_side);
+      EXPECT_EQ(actual.Pairs(), expected.Pairs()) << label;
+      ExpectSameDeterministicMetrics(net.metrics(), in_process.metrics(),
+                                     label);
       EXPECT_GT(net.metrics().net_messages, 0);
       EXPECT_EQ(net.metrics().net_dropped, 0);
       EXPECT_EQ(net.metrics().lost_shards, 0);
@@ -191,7 +224,7 @@ TEST(NetDispatchTest, RestartedNodeReSolvesAfterCacheLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// DispatchService integration & the kill switch
+// DispatchService integration
 // ---------------------------------------------------------------------------
 
 /// Streaming scenario on one global matrix (mirrors sharded_dispatch_test).
@@ -228,7 +261,7 @@ struct ServiceFixture {
   }
 };
 
-TEST(DistributedDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
+TEST(NetDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
   const ServiceFixture fixture(60, 24, 4.0, 71);
   const EventStream stream(fixture.workers, fixture.tasks);
   DispatchConfig config;
@@ -240,9 +273,9 @@ TEST(DistributedDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
 
   DistributedConfig dist;
   dist.num_nodes = 3;
-  DistributedDispatchService distributed(config, dist, &fixture.coop,
-                                         GtFactory());
-  ASSERT_TRUE(distributed.distributed());
+  NetShardedAssigner net(config.sharded, dist, GtFactory());
+  DispatchService distributed(config, &fixture.coop, GtFactory());
+  distributed.set_batch_solver(&net);
   const RunSummary actual = distributed.Run(stream);
 
   ASSERT_EQ(actual.batches.size(), expected.batches.size());
@@ -252,33 +285,25 @@ TEST(DistributedDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
               expected.batches[i].assigned_workers);
     EXPECT_EQ(actual.batches[i].completed_tasks,
               expected.batches[i].completed_tasks);
+    EXPECT_EQ(actual.batches[i].gt_rounds, expected.batches[i].gt_rounds);
   }
-  // The distributed path reported real network activity per batch.
+  const std::vector<ServiceMetrics>& net_metrics =
+      distributed.batch_metrics();
+  const std::vector<ServiceMetrics>& local_metrics =
+      in_process.batch_metrics();
+  ASSERT_EQ(net_metrics.size(), local_metrics.size());
   bool saw_messages = false;
-  for (const ServiceMetrics& metrics :
-       distributed.service().batch_metrics()) {
-    if (metrics.net_messages > 0) saw_messages = true;
+  bool saw_warm = false;
+  for (size_t i = 0; i < local_metrics.size(); ++i) {
+    ExpectSameDeterministicMetrics(net_metrics[i], local_metrics[i],
+                                   "batch " + std::to_string(i));
+    saw_messages = saw_messages || net_metrics[i].net_messages > 0;
+    saw_warm = saw_warm || local_metrics[i].warm_started;
   }
+  // The network path reported real traffic, and the stream exercised
+  // the warm-start handoff on both paths.
   EXPECT_TRUE(saw_messages);
-}
-
-TEST(DistributedDispatchServiceTest, KillSwitchForcesInProcessPath) {
-  const ServiceFixture fixture(30, 10, 2.0, 5);
-  DispatchConfig config;
-  config.sharded = MakeOptions(2);
-  DistributedConfig dist;
-  ASSERT_EQ(setenv("CASC_NO_DISTRIBUTED", "1", 1), 0);
-  DistributedDispatchService service(config, dist, &fixture.coop,
-                                     GtFactory());
-  unsetenv("CASC_NO_DISTRIBUTED");
-  EXPECT_FALSE(service.distributed());
-  EXPECT_EQ(service.net_solver(), nullptr);
-
-  DistributedConfig disabled;
-  disabled.enabled = false;
-  DistributedDispatchService service2(config, disabled, &fixture.coop,
-                                      GtFactory());
-  EXPECT_FALSE(service2.distributed());
+  EXPECT_TRUE(saw_warm);
 }
 
 // ---------------------------------------------------------------------------

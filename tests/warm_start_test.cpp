@@ -122,15 +122,27 @@ DispatchConfig MonolithicConfig(double task_duration) {
   return config;
 }
 
+/// One streamed run: the per-batch outcomes and, parallel to them, the
+/// service's per-batch telemetry.
+struct StreamRun {
+  RunSummary summary;
+  std::vector<ServiceMetrics> service;
+};
+
+StreamRun RunService(DispatchService* service, const EventStream& stream) {
+  RunSummary summary = service->Run(stream);
+  return StreamRun{std::move(summary), service->batch_metrics()};
+}
+
 /// Streams through the service with recording GT solvers: one record per
 /// solved batch, in batch order.
-RunSummary RunRecorded(const DispatchConfig& config, const EventStream& stream,
-                       const CooperationMatrix& coop, Records* records,
-                       GtOptions options = {}) {
+StreamRun RunRecorded(const DispatchConfig& config, const EventStream& stream,
+                      const CooperationMatrix& coop, Records* records,
+                      GtOptions options = {}) {
   DispatchService service(config, &coop, [options, records] {
     return std::make_unique<RecordingGtAssigner>(options, records);
   });
-  return service.Run(stream);
+  return RunService(&service, stream);
 }
 
 struct StreamFixture {
@@ -165,15 +177,16 @@ StreamFixture MakeLongFixture(uint64_t seed, double horizon = 270.0) {
   return fixture;
 }
 
-/// Exact BatchMetrics equality over everything except wall times,
-/// including the solver convergence telemetry.
-void ExpectIdenticalBatches(const RunSummary& expected,
-                            const RunSummary& actual,
+/// Exact BatchMetrics equality over everything except wall times, plus
+/// the solver convergence telemetry of ServiceMetrics.
+void ExpectIdenticalBatches(const StreamRun& expected, const StreamRun& actual,
                             const std::string& label) {
-  ASSERT_EQ(expected.batches.size(), actual.batches.size()) << label;
-  for (size_t i = 0; i < expected.batches.size(); ++i) {
-    const BatchMetrics& e = expected.batches[i];
-    const BatchMetrics& a = actual.batches[i];
+  ASSERT_EQ(expected.summary.batches.size(), actual.summary.batches.size())
+      << label;
+  ASSERT_EQ(expected.service.size(), actual.service.size()) << label;
+  for (size_t i = 0; i < expected.summary.batches.size(); ++i) {
+    const BatchMetrics& e = expected.summary.batches[i];
+    const BatchMetrics& a = actual.summary.batches[i];
     ASSERT_EQ(e.num_workers, a.num_workers) << label << " batch " << i;
     ASSERT_EQ(e.num_tasks, a.num_tasks) << label << " batch " << i;
     ASSERT_EQ(e.valid_pairs, a.valid_pairs) << label << " batch " << i;
@@ -183,9 +196,11 @@ void ExpectIdenticalBatches(const RunSummary& expected,
     ASSERT_EQ(e.completed_tasks, a.completed_tasks)
         << label << " batch " << i;
     ASSERT_EQ(e.gt_rounds, a.gt_rounds) << label << " batch " << i;
-    ASSERT_EQ(e.solve_moves, a.solve_moves) << label << " batch " << i;
-    ASSERT_EQ(e.dirty_workers, a.dirty_workers) << label << " batch " << i;
-    ASSERT_EQ(e.warm_started, a.warm_started) << label << " batch " << i;
+    const ServiceMetrics& es = expected.service[i];
+    const ServiceMetrics& as = actual.service[i];
+    ASSERT_EQ(es.solve_moves, as.solve_moves) << label << " batch " << i;
+    ASSERT_EQ(es.dirty_workers, as.dirty_workers) << label << " batch " << i;
+    ASSERT_EQ(es.warm_started, as.warm_started) << label << " batch " << i;
   }
 }
 
@@ -221,14 +236,15 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
 
   // Cluster A never returns in this run.
   Records records;
-  const RunSummary summary = RunRecorded(
-      MonolithicConfig(/*task_duration=*/100.0), stream, coop, &records);
+  const StreamRun run = RunRecorded(MonolithicConfig(/*task_duration=*/100.0),
+                                    stream, coop, &records);
+  const RunSummary& summary = run.summary;
 
   ASSERT_GE(summary.batches.size(), 8u);
   ASSERT_EQ(summary.batches.size(), records.size());
 
   // Batch 0 is cold and starts cluster A.
-  EXPECT_FALSE(summary.batches[0].warm_started);
+  EXPECT_FALSE(run.service[0].warm_started);
   EXPECT_EQ(summary.batches[0].completed_tasks, 1);
   EXPECT_EQ(summary.batches[0].assigned_workers, 3);
   EXPECT_TRUE(records[0].nash);
@@ -238,9 +254,10 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
   // assignment repeats the previous one exactly.
   for (size_t i = 1; i < summary.batches.size(); ++i) {
     const BatchMetrics& batch = summary.batches[i];
-    EXPECT_TRUE(batch.warm_started) << "batch " << i;
-    EXPECT_EQ(batch.solve_moves, 0) << "batch " << i;
-    EXPECT_EQ(batch.dirty_workers, 0) << "batch " << i;
+    const ServiceMetrics& metrics = run.service[i];
+    EXPECT_TRUE(metrics.warm_started) << "batch " << i;
+    EXPECT_EQ(metrics.solve_moves, 0) << "batch " << i;
+    EXPECT_EQ(metrics.dirty_workers, 0) << "batch " << i;
     EXPECT_EQ(batch.gt_rounds, 1) << "batch " << i;
     const RecordingGtAssigner::Record& record = records[i];
     EXPECT_TRUE(record.nash) << "batch " << i;
@@ -287,17 +304,17 @@ TEST(WarmStartTest, AllFreshBatchesAreBitIdenticalToCold) {
   DispatchConfig config = MonolithicConfig(/*task_duration=*/1000.0);
 
   Records warm_records;
-  const RunSummary warm = RunRecorded(config, stream, coop, &warm_records);
-  ASSERT_GE(warm.batches.size(), static_cast<size_t>(kWaves));
-  for (size_t i = 0; i < warm.batches.size(); ++i) {
+  const StreamRun warm = RunRecorded(config, stream, coop, &warm_records);
+  ASSERT_GE(warm.summary.batches.size(), static_cast<size_t>(kWaves));
+  for (size_t i = 0; i < warm.summary.batches.size(); ++i) {
     // Zero carry-over: the delta is never published, every batch is cold.
-    EXPECT_FALSE(warm.batches[i].warm_started) << "batch " << i;
+    EXPECT_FALSE(warm.service[i].warm_started) << "batch " << i;
     EXPECT_TRUE(warm_records[i].nash) << "batch " << i;
   }
 
   config.enable_warm_start = false;
   Records cold_records;
-  const RunSummary cold = RunRecorded(config, stream, coop, &cold_records);
+  const StreamRun cold = RunRecorded(config, stream, coop, &cold_records);
   ExpectIdenticalBatches(cold, warm, "all-fresh warm vs cold");
   ASSERT_EQ(cold_records.size(), warm_records.size());
   for (size_t i = 0; i < cold_records.size(); ++i) {
@@ -323,7 +340,7 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
 
   Records warm_records;
   const RunSummary warm =
-      RunRecorded(config, stream, fixture.coop, &warm_records);
+      RunRecorded(config, stream, fixture.coop, &warm_records).summary;
   ASSERT_GE(warm.batches.size(), 200u) << "trace too short for the test";
 
   int64_t warm_evals = 0;
@@ -341,7 +358,7 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   config.enable_warm_start = false;
   Records cold_records;
   const RunSummary cold =
-      RunRecorded(config, stream, fixture.coop, &cold_records);
+      RunRecorded(config, stream, fixture.coop, &cold_records).summary;
   int64_t cold_evals = 0;
   for (const RecordingGtAssigner::Record& record : cold_records) {
     ASSERT_TRUE(record.nash);
@@ -365,12 +382,12 @@ TEST(WarmStartTest, SolverThreadSweepBitIdenticalWhileWarm) {
   const DispatchConfig config = MonolithicConfig(/*task_duration=*/2.0);
 
   Records baseline;
-  RunSummary baseline_summary;
+  StreamRun baseline_run;
   for (const int threads : {1, 2, 4, 8}) {
     GtOptions options;
     options.num_threads = threads;
     Records records;
-    const RunSummary summary =
+    const StreamRun run =
         RunRecorded(config, stream, fixture.coop, &records, options);
     int warm_batches = 0;
     for (const RecordingGtAssigner::Record& record : records) {
@@ -380,11 +397,11 @@ TEST(WarmStartTest, SolverThreadSweepBitIdenticalWhileWarm) {
     EXPECT_GT(warm_batches, 0) << "threads=" << threads;
     if (threads == 1) {
       baseline = std::move(records);
-      baseline_summary = summary;
+      baseline_run = run;
       continue;
     }
     const std::string label = "threads=" + std::to_string(threads);
-    ExpectIdenticalBatches(baseline_summary, summary, label);
+    ExpectIdenticalBatches(baseline_run, run, label);
     ASSERT_EQ(baseline.size(), records.size()) << label;
     for (size_t i = 0; i < baseline.size(); ++i) {
       ASSERT_EQ(baseline[i].pairs, records[i].pairs)
@@ -407,8 +424,7 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
   ScopedEnv no_warm("CASC_NO_WARM_START", nullptr);
 
-  auto run = [&](bool warm, bool pipeline, int threads, int ingest_threads,
-                 std::vector<ServiceMetrics>* service_out) {
+  auto run = [&](bool warm, bool pipeline, int threads, int ingest_threads) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
     config.sharded.num_threads = threads;
@@ -421,9 +437,7 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
     DispatchService service(
         config, &fixture.coop,
         [] { return std::make_unique<GtAssigner>(); });
-    RunSummary summary = service.Run(stream);
-    if (service_out != nullptr) *service_out = service.batch_metrics();
-    return summary;
+    return RunService(&service, stream);
   };
 
   struct Combo {
@@ -436,15 +450,13 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   };
 
   for (const bool warm : {true, false}) {
-    std::vector<ServiceMetrics> baseline_service;
-    const RunSummary baseline =
-        run(warm, /*pipeline=*/false, /*threads=*/1, /*ingest_threads=*/1,
-            &baseline_service);
-    ASSERT_GE(baseline.batches.size(), 80u) << "trace too short";
+    const StreamRun baseline =
+        run(warm, /*pipeline=*/false, /*threads=*/1, /*ingest_threads=*/1);
+    ASSERT_GE(baseline.summary.batches.size(), 80u) << "trace too short";
 
     int warm_batches = 0;
-    for (const BatchMetrics& batch : baseline.batches) {
-      if (batch.warm_started) ++warm_batches;
+    for (const ServiceMetrics& metrics : baseline.service) {
+      if (metrics.warm_started) ++warm_batches;
     }
     if (warm) {
       EXPECT_GT(warm_batches, 0) << "warm mode never engaged";
@@ -458,19 +470,13 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
           " pipe=" + (combo.pipeline ? "1" : "0") +
           " threads=" + std::to_string(combo.threads) +
           " ingest_threads=" + std::to_string(combo.ingest_threads);
-      std::vector<ServiceMetrics> service_metrics;
-      const RunSummary actual = run(warm, combo.pipeline, combo.threads,
-                                    combo.ingest_threads, &service_metrics);
+      const StreamRun actual =
+          run(warm, combo.pipeline, combo.threads, combo.ingest_threads);
       ExpectIdenticalBatches(baseline, actual, label);
-      ASSERT_EQ(service_metrics.size(), baseline_service.size()) << label;
-      for (size_t i = 0; i < service_metrics.size(); ++i) {
-        const ServiceMetrics& e = baseline_service[i];
-        const ServiceMetrics& a = service_metrics[i];
+      for (size_t i = 0; i < actual.service.size(); ++i) {
+        const ServiceMetrics& e = baseline.service[i];
+        const ServiceMetrics& a = actual.service[i];
         ASSERT_EQ(e.solve_rounds, a.solve_rounds) << label << " batch " << i;
-        ASSERT_EQ(e.solve_moves, a.solve_moves) << label << " batch " << i;
-        ASSERT_EQ(e.dirty_workers, a.dirty_workers)
-            << label << " batch " << i;
-        ASSERT_EQ(e.warm_started, a.warm_started) << label << " batch " << i;
         ASSERT_EQ(e.adopted_boundary, a.adopted_boundary)
             << label << " batch " << i;
         ASSERT_EQ(e.polish_moves, a.polish_moves) << label << " batch " << i;
@@ -524,25 +530,25 @@ TEST(WarmStartTest, FeasibilityGapTraceKeepsWarmQualityAndIdentity) {
     config.objective = "multiskill";
     DispatchService service(config, &coop,
                             [] { return std::make_unique<GtAssigner>(); });
-    return service.Run(stream);
+    return RunService(&service, stream);
   };
 
-  const RunSummary cold =
+  const StreamRun cold =
       run(/*warm=*/false, /*pipeline=*/false, /*threads=*/4);
-  const RunSummary warm =
+  const StreamRun warm =
       run(/*warm=*/true, /*pipeline=*/false, /*threads=*/1);
-  const RunSummary warm_pipelined =
+  const StreamRun warm_pipelined =
       run(/*warm=*/true, /*pipeline=*/true, /*threads=*/4);
 
-  ASSERT_FALSE(warm.batches.empty());
+  ASSERT_FALSE(warm.summary.batches.empty());
   int warm_batches = 0;
-  for (const BatchMetrics& batch : warm.batches) {
-    if (batch.warm_started) ++warm_batches;
+  for (const ServiceMetrics& metrics : warm.service) {
+    if (metrics.warm_started) ++warm_batches;
   }
   EXPECT_GT(warm_batches, 0) << "warm mode never engaged";
   // Warm and cold reach different equilibria of the same game; a large
   // quality gap would mean the warm path converged somewhere degenerate.
-  EXPECT_GT(warm.TotalScore(), 0.8 * cold.TotalScore());
+  EXPECT_GT(warm.summary.TotalScore(), 0.8 * cold.summary.TotalScore());
   ExpectIdenticalBatches(warm, warm_pipelined,
                          "warm sequential t1 vs warm pipelined t4");
 }
@@ -564,22 +570,22 @@ TEST(WarmStartTest, KillSwitchMatchesConfigOff) {
     DispatchService service(
         config, &fixture.coop,
         [] { return std::make_unique<GtAssigner>(); });
-    return service.Run(stream);
+    return RunService(&service, stream);
   };
 
-  RunSummary env_off;
+  StreamRun env_off;
   {
     ScopedEnv off("CASC_NO_WARM_START", "1");
     env_off = run(/*config_warm=*/true);
   }
-  RunSummary config_off;
+  StreamRun config_off;
   {
     ScopedEnv on("CASC_NO_WARM_START", nullptr);
     config_off = run(/*config_warm=*/false);
   }
-  ASSERT_FALSE(env_off.batches.empty());
-  for (const BatchMetrics& batch : env_off.batches) {
-    EXPECT_FALSE(batch.warm_started);
+  ASSERT_FALSE(env_off.summary.batches.empty());
+  for (const ServiceMetrics& metrics : env_off.service) {
+    EXPECT_FALSE(metrics.warm_started);
   }
   ExpectIdenticalBatches(config_off, env_off, "env kill switch vs config");
 }
@@ -605,7 +611,7 @@ TEST(WarmStartDeathTest, MalformedRetryEpochIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry: the convergence counters surface in every JSON layer.
+// Telemetry: the convergence counters surface in the JSON records.
 // ---------------------------------------------------------------------------
 
 TEST(WarmStartTest, ConvergenceTelemetrySurfacesInJson) {
@@ -620,18 +626,16 @@ TEST(WarmStartTest, ConvergenceTelemetrySurfacesInJson) {
   const RunSummary summary = service.Run(stream);
 
   ASSERT_FALSE(summary.batches.empty());
-  bool saw_warm = false;
   for (const BatchMetrics& batch : summary.batches) {
-    const std::string json = ToJson(batch);
-    EXPECT_NE(json.find("\"solve_moves\""), std::string::npos);
-    EXPECT_NE(json.find("\"dirty_workers\""), std::string::npos);
-    EXPECT_NE(json.find("\"dirty_fraction\""), std::string::npos);
-    EXPECT_NE(json.find("\"warm_started\""), std::string::npos);
-    saw_warm = saw_warm || batch.warm_started;
+    EXPECT_NE(ToJson(batch).find("\"gt_rounds\""), std::string::npos);
+  }
+  ASSERT_FALSE(service.batch_metrics().empty());
+  bool saw_warm = false;
+  for (const ServiceMetrics& metrics : service.batch_metrics()) {
+    saw_warm = saw_warm || metrics.warm_started;
   }
   EXPECT_TRUE(saw_warm);
 
-  ASSERT_FALSE(service.batch_metrics().empty());
   const std::string service_json = service.batch_metrics().back().ToJson();
   EXPECT_NE(service_json.find("\"solve_rounds\""), std::string::npos);
   EXPECT_NE(service_json.find("\"solve_moves\""), std::string::npos);

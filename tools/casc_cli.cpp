@@ -11,7 +11,6 @@
 // Instances and assignments use the text formats of model/io.h, so any
 // external tool can produce or consume them.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -123,11 +122,6 @@ int RunSolve(const casc::FlagParser& flags) {
   casc::ExperimentSettings settings;
   settings.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   settings.epsilon = flags.GetDouble("epsilon");
-  if (!std::isfinite(settings.epsilon) || settings.epsilon < 0.0) {
-    return Fail(casc::Status::InvalidArgument(
-        "--epsilon must be finite and >= 0, got " +
-        std::to_string(settings.epsilon)));
-  }
 
   casc::Result<casc::Instance> instance =
       casc::LoadInstanceFromFile(flags.GetString("instance"));
@@ -230,7 +224,7 @@ int main(int argc, char** argv) {
   flags.DefineInt64("min-group", 3, "generate: minimum group size B", 2,
                     kIntMax);
   flags.DefineInt64("seed", 42, "seed for generation / RAND");
-  flags.DefineDouble("epsilon", 0.05, "TSI threshold for GT+TSI/GT+ALL");
+  flags.DefineDouble("epsilon", 0.05, "TSI threshold for GT+TSI/GT+ALL", 0.0);
   flags.DefineString("out", "", "output file");
   flags.DefineString("instance", "", "instance file");
   flags.DefineString("assignment", "", "assignment file");
