@@ -21,8 +21,7 @@
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
-  // The cooperation matrix below is dense (workers^2 doubles): at the
-  // 200/h cap a default day stays near 100 MB.
+  // The caps bound the trace, which grows linearly with rate x hours.
   flags.DefineDouble("worker-rate", 35.0, "worker arrivals per hour", 0.0,
                      200.0);
   flags.DefineDouble("task-rate", 14.0, "task creations per hour", 0.0,
@@ -58,12 +57,10 @@ int main(int argc, char** argv) {
               trace.workers.size(), trace.tasks.size(),
               trace_config.horizon);
 
-  casc::CooperationMatrix coop(static_cast<int>(trace.workers.size()));
-  for (int i = 0; i < coop.num_workers(); ++i) {
-    for (int k = i + 1; k < coop.num_workers(); ++k) {
-      coop.SetSymmetric(i, k, rng.Uniform());
-    }
-  }
+  // Qualities are hashed from the worker pair on demand, so memory stays
+  // flat however long the day runs.
+  const casc::CooperationMatrix coop = casc::CooperationMatrix::Procedural(
+      static_cast<int>(trace.workers.size()), rng.Next());
   const casc::EventStream stream(trace.workers, trace.tasks);
 
   casc::AssignerFactory factory;

@@ -10,9 +10,64 @@
 namespace casc {
 namespace {
 
-/// Strict-improvement threshold guarding against floating-point ping-pong
-/// in the best-response loop.
-constexpr double kImprovementTolerance = 1e-12;
+/// Applies the move (keeping `keeper` in sync) and, with a non-null
+/// `dirty`, flags the workers whose best response may have changed
+/// (Theorems V.3 / V.4).
+MoveResult MoveAndMarkDirty(const Instance& instance, Assignment* assignment,
+                            ScoreKeeper* keeper, WorkerIndex w,
+                            TaskIndex target, std::vector<bool>* dirty) {
+  const MoveResult move = ApplyMove(instance, assignment, keeper, w, target);
+  if (dirty == nullptr) return move;
+  const TaskIndex from = move.from;
+  const WorkerIndex evicted = move.crowded_out;
+  const CooperationMatrix& coop = instance.coop();
+
+  // Effects at the target task (Theorems V.3 / V.4).
+  if (target != kNoTask) {
+    for (const WorkerIndex i : instance.Candidates(target)) {
+      if (i == w) continue;
+      if (evicted == kNoWorker) {
+        // Pure addition. Theorem V.3: workers already best-responding to
+        // `target` keep that best response (their utility only grew);
+        // everyone else may now be attracted (Theorem V.4, condition 1).
+        if (assignment->TaskOf(i) != target) {
+          (*dirty)[static_cast<size_t>(i)] = true;
+        }
+      } else {
+        // w replaced `evicted`. Members (and would-be joiners whose best
+        // response was `target`) can be repelled only if they liked the
+        // evicted worker better (V.3); outsiders can be attracted only if
+        // they like the newcomer better (V.4, condition 2).
+        const double q_new = coop.Quality(i, w);
+        const double q_old = coop.Quality(i, evicted);
+        if (assignment->TaskOf(i) == target) {
+          if (q_old > q_new) (*dirty)[static_cast<size_t>(i)] = true;
+        } else {
+          if (q_new > q_old) (*dirty)[static_cast<size_t>(i)] = true;
+        }
+      }
+    }
+    if (evicted != kNoWorker) {
+      (*dirty)[static_cast<size_t>(evicted)] = true;
+    }
+  }
+
+  // Effects at the departed task: its members lost a partner and anyone
+  // whose best response pointed here must reconsider; if the task was
+  // full, an opening now exists for every candidate.
+  if (from != kNoTask) {
+    const bool was_full =
+        assignment->GroupSize(from) + 1 ==
+        instance.tasks()[static_cast<size_t>(from)].capacity;
+    for (const WorkerIndex i : instance.Candidates(from)) {
+      if (i == w) continue;
+      if (assignment->TaskOf(i) == from || was_full) {
+        (*dirty)[static_cast<size_t>(i)] = true;
+      }
+    }
+  }
+  return move;
+}
 
 }  // namespace
 
@@ -230,6 +285,41 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
   keeper->Add(w, t);
   assignment->Assign(w, t);
   return result;
+}
+
+int64_t BestResponseRound(const Instance& instance,
+                          std::span<const WorkerIndex> order,
+                          Assignment* assignment, ScoreKeeper* keeper,
+                          std::vector<bool>* dirty, AssignerStats* stats,
+                          std::vector<AppliedMove>* log) {
+  AssignerStats unused;
+  AssignerStats& tally = stats != nullptr ? *stats : unused;
+  int64_t moves = 0;
+  for (const WorkerIndex w : order) {
+    if (dirty != nullptr) {
+      if (!(*dirty)[static_cast<size_t>(w)]) {
+        ++tally.best_response_skips;
+        continue;
+      }
+      (*dirty)[static_cast<size_t>(w)] = false;
+    }
+    const TaskIndex current = assignment->TaskOf(w);
+    ScanCounters counters;
+    const BestResponse best =
+        ComputeBestResponse(instance, *keeper, *assignment, w, &counters);
+    tally.candidates_evaluated += counters.evaluated;
+    tally.feasibility_rejects += counters.feasibility_rejects;
+    ++tally.best_response_evals;
+    // A best response other than `current` already beats it strictly, so
+    // any change of task is an improving move.
+    if (best.task == current) continue;
+    const MoveResult move =
+        MoveAndMarkDirty(instance, assignment, keeper, w, best.task, dirty);
+    if (log != nullptr) log->push_back({w, best.task, move.crowded_out});
+    ++moves;
+  }
+  tally.moves += moves;
+  return moves;
 }
 
 bool IsNashEquilibrium(const Instance& instance,

@@ -1,14 +1,20 @@
 #ifndef CASC_ALGO_BEST_RESPONSE_H_
 #define CASC_ALGO_BEST_RESPONSE_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "algo/assigner.h"
 #include "model/assignment.h"
 #include "model/instance.h"
 #include "model/score_keeper.h"
 
 namespace casc {
 
-/// The game-theoretic strategy evaluation shared by the GT assigner and
-/// the Nash-equilibrium property checks in the test suite (Section V-B).
+/// The game-theoretic strategy evaluation shared by the GT assigner, the
+/// sharded dispatch's phase-2 polish and the Nash-equilibrium property
+/// checks in the test suite (Section V-B).
 ///
 /// A worker's strategy is a valid task or idling; the utility of playing
 /// task t given the other workers' strategies is Equation 5:
@@ -16,6 +22,12 @@ namespace casc {
 /// When joining would exceed the task's capacity a_t, Equation 2 pays only
 /// the best a_t-subset; the excluded worker is "crowded out" (the
 /// mechanism behind Theorems V.3 / V.4).
+
+/// Strict-improvement threshold: a strategy replaces the incumbent only
+/// when it is better by more than this, which guards every improvement
+/// loop (best responses, marginal insertion, swaps) against
+/// floating-point ping-pong.
+inline constexpr double kImprovementTolerance = 1e-12;
 
 /// Utility of worker `w` playing strategy `t` under `assignment`
 /// (which may currently place `w` anywhere, including on `t`).
@@ -90,6 +102,35 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
 /// before the newcomer is added.
 MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
                      ScoreKeeper* keeper, WorkerIndex w, TaskIndex t);
+
+/// One move applied by BestResponseRound.
+struct AppliedMove {
+  WorkerIndex worker = kNoWorker;       ///< the mover
+  TaskIndex task = kNoTask;             ///< its new strategy (kNoTask = idle)
+  WorkerIndex crowded_out = kNoWorker;  ///< worker evicted from `task`
+};
+
+/// One round of the best-response dynamic (Algorithm 3): every worker of
+/// `order`, in that order, is offered its best response against the
+/// current state and moves when it differs from its current strategy
+/// (ComputeBestResponse keeps the current strategy unless another beats
+/// it by more than kImprovementTolerance, so each move strictly raises
+/// the potential). `keeper` must mirror `*assignment` and stays in sync.
+///
+/// A null `dirty` is a full round. Otherwise only workers flagged dirty
+/// are evaluated (their flag is cleared first), and after each move the
+/// workers whose best response may have changed are flagged per
+/// Theorems V.3 / V.4 — the paper's Lazy-Updating of the Best-responses.
+///
+/// `stats` (may be null) accumulates moves, best-response evaluations
+/// and skips and the scan counters; `log` (may be null) receives each
+/// applied move in order. Returns the number of moves.
+int64_t BestResponseRound(const Instance& instance,
+                          std::span<const WorkerIndex> order,
+                          Assignment* assignment, ScoreKeeper* keeper,
+                          std::vector<bool>* dirty,
+                          AssignerStats* stats = nullptr,
+                          std::vector<AppliedMove>* log = nullptr);
 
 /// True when no worker can strictly improve its utility (beyond
 /// `tolerance`) by unilaterally deviating: the pure Nash equilibrium

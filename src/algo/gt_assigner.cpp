@@ -1,7 +1,6 @@
 #include "algo/gt_assigner.h"
 
-#include <algorithm>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "algo/best_response.h"
@@ -9,78 +8,9 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "model/objective.h"
 
 namespace casc {
-namespace {
-
-/// Per-round speculative evaluation state. Best responses computed in
-/// parallel against the round-start state are consumed sequentially; a
-/// result is discarded once any of its worker's valid tasks was touched
-/// by an applied move, so every consumed value equals what a serial
-/// inline evaluation would have produced.
-struct Speculation {
-  bool active = false;
-  std::vector<BestResponse> results;   // per worker
-  std::vector<ScanCounters> counters;  // per worker (scan work tally)
-  std::vector<char> computed;          // per worker
-  std::vector<char> task_touched;      // per task, reset each round
-};
-
-/// Pre-computes best responses for the workers of `order` that the
-/// sequential pass will (initially) evaluate: all of them in a full
-/// round, the dirty ones in a LUB round.
-void Speculate(const Instance& instance, const Assignment& assignment,
-               const ScoreKeeper& keeper,
-               const std::vector<WorkerIndex>& order,
-               const std::vector<bool>* dirty, ThreadPool* pool,
-               Speculation* spec) {
-  spec->active = true;
-  spec->results.assign(static_cast<size_t>(instance.num_workers()),
-                       BestResponse{});
-  spec->counters.assign(static_cast<size_t>(instance.num_workers()),
-                        ScanCounters{});
-  spec->computed.assign(static_cast<size_t>(instance.num_workers()), 0);
-  spec->task_touched.assign(static_cast<size_t>(instance.num_tasks()), 0);
-
-  std::vector<WorkerIndex> pending;
-  pending.reserve(order.size());
-  for (const WorkerIndex w : order) {
-    if (dirty == nullptr || (*dirty)[static_cast<size_t>(w)]) {
-      pending.push_back(w);
-    }
-  }
-  pool->ParallelFor(
-      static_cast<int64_t>(pending.size()), [&](int64_t i) {
-        const WorkerIndex w = pending[static_cast<size_t>(i)];
-        spec->results[static_cast<size_t>(w)] =
-            ComputeBestResponse(instance, keeper, assignment, w,
-                                &spec->counters[static_cast<size_t>(w)]);
-        spec->computed[static_cast<size_t>(w)] = 1;
-      });
-}
-
-/// True when `w`'s speculated best response is still exact: it was
-/// computed and no task `w` could play has changed since. The current
-/// task needs no separate check — an assigned task is always one of the
-/// worker's valid tasks.
-bool SpeculationUsable(const Instance& instance, const Speculation& spec,
-                       WorkerIndex w) {
-  if (!spec.computed[static_cast<size_t>(w)]) return false;
-  for (const TaskIndex t : instance.ValidTasks(w)) {
-    if (spec.task_touched[static_cast<size_t>(t)]) return false;
-  }
-  return true;
-}
-
-void MarkTouched(Speculation* spec, TaskIndex t) {
-  if (spec->active && t != kNoTask) {
-    spec->task_touched[static_cast<size_t>(t)] = 1;
-  }
-}
-
-}  // namespace
 
 GtAssigner::GtAssigner(GtOptions options) : options_(options) {}
 
@@ -89,112 +19,6 @@ std::string GtAssigner::Name() const {
   if (options_.use_tsi) return "GT+TSI";
   if (options_.use_lub) return "GT+LUB";
   return "GT";
-}
-
-MoveResult GtAssigner::MoveAndMarkDirty(const Instance& instance,
-                                        Assignment* assignment,
-                                        ScoreKeeper* keeper, WorkerIndex w,
-                                        TaskIndex target,
-                                        std::vector<bool>* dirty) {
-  const MoveResult move = ApplyMove(instance, assignment, keeper, w, target);
-  if (dirty == nullptr) return move;
-  const TaskIndex from = move.from;
-  const WorkerIndex evicted = move.crowded_out;
-  const CooperationMatrix& coop = instance.coop();
-
-  // Effects at the target task (Theorems V.3 / V.4).
-  if (target != kNoTask) {
-    for (const WorkerIndex i : instance.Candidates(target)) {
-      if (i == w) continue;
-      if (evicted == kNoWorker) {
-        // Pure addition. Theorem V.3: workers already best-responding to
-        // `target` keep that best response (their utility only grew);
-        // everyone else may now be attracted (Theorem V.4, condition 1).
-        if (assignment->TaskOf(i) != target) {
-          (*dirty)[static_cast<size_t>(i)] = true;
-        }
-      } else {
-        // w replaced `evicted`. Members (and would-be joiners whose best
-        // response was `target`) can be repelled only if they liked the
-        // evicted worker better (V.3); outsiders can be attracted only if
-        // they like the newcomer better (V.4, condition 2).
-        const double q_new = coop.Quality(i, w);
-        const double q_old = coop.Quality(i, evicted);
-        if (assignment->TaskOf(i) == target) {
-          if (q_old > q_new) (*dirty)[static_cast<size_t>(i)] = true;
-        } else {
-          if (q_new > q_old) (*dirty)[static_cast<size_t>(i)] = true;
-        }
-      }
-    }
-    if (evicted != kNoWorker) {
-      (*dirty)[static_cast<size_t>(evicted)] = true;
-    }
-  }
-
-  // Effects at the departed task: its members lost a partner and anyone
-  // whose best response pointed here must reconsider; if the task was
-  // full, an opening now exists for every candidate.
-  if (from != kNoTask) {
-    const bool was_full =
-        assignment->GroupSize(from) + 1 ==
-        instance.tasks()[static_cast<size_t>(from)].capacity;
-    for (const WorkerIndex i : instance.Candidates(from)) {
-      if (i == w) continue;
-      if (assignment->TaskOf(i) == from || was_full) {
-        (*dirty)[static_cast<size_t>(i)] = true;
-      }
-    }
-  }
-  return move;
-}
-
-int64_t GtAssigner::Round(const Instance& instance,
-                          const std::vector<WorkerIndex>& order,
-                          Assignment* assignment, ScoreKeeper* keeper,
-                          ThreadPool* pool, std::vector<bool>* dirty) {
-  Speculation spec;
-  if (pool != nullptr) {
-    Speculate(instance, *assignment, *keeper, order, dirty, pool, &spec);
-  }
-
-  int64_t moves = 0;
-  for (const WorkerIndex w : order) {
-    if (dirty != nullptr) {
-      if (!(*dirty)[static_cast<size_t>(w)]) {
-        ++stats_.best_response_skips;
-        continue;
-      }
-      (*dirty)[static_cast<size_t>(w)] = false;
-    }
-    const TaskIndex current = assignment->TaskOf(w);
-    // Scan-work counters stay thread-count-invariant: a consumed
-    // speculation carries the tally of the identical scan the serial
-    // pass would have run, and discarded speculations count nothing.
-    ScanCounters counters;
-    BestResponse best;
-    if (spec.active && SpeculationUsable(instance, spec, w)) {
-      best = spec.results[static_cast<size_t>(w)];
-      counters = spec.counters[static_cast<size_t>(w)];
-    } else {
-      best = ComputeBestResponse(instance, *keeper, *assignment, w,
-                                 &counters);
-    }
-    stats_.candidates_evaluated += counters.evaluated;
-    stats_.feasibility_rejects += counters.feasibility_rejects;
-    ++stats_.best_response_evals;
-    // A best response other than `current` already beats it strictly
-    // (ComputeBestResponse keeps `current` unless beaten by more than its
-    // tolerance), so any change of task is an improving move.
-    if (best.task == current) continue;
-    const MoveResult move =
-        MoveAndMarkDirty(instance, assignment, keeper, w, best.task, dirty);
-    MarkTouched(&spec, move.from);
-    MarkTouched(&spec, best.task);
-    ++moves;
-  }
-  stats_.moves += moves;
-  return moves;
 }
 
 Assignment GtAssigner::Run(const Instance& instance) {
@@ -264,11 +88,6 @@ Assignment GtAssigner::Run(const Instance& instance) {
   ScoreKeeper keeper = MakeScoreKeeper(instance, assignment);
   stats_.init_score = keeper.TotalScore();
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-
   // A warm start reuses the LUB machinery even when LUB is off: the
   // delta's dirty frontier plays the role of the all-dirty first round,
   // and the zero-move verification pass below still certifies the
@@ -303,14 +122,14 @@ Assignment GtAssigner::Run(const Instance& instance) {
     if (options_.order == GtOrder::kShuffled) order_rng.Shuffle(order);
     int64_t moves;
     if (use_dirty) {
-      moves = Round(instance, order, &assignment, &keeper, pool.get(),
-                    &dirty);
+      moves = BestResponseRound(instance, order, &assignment, &keeper,
+                                &dirty, &stats_);
       if (moves == 0) {
         // The dirty set drained without a move. The theorem-based
         // filters are sound, but we still certify the equilibrium with
         // one full pass; any move it finds re-enters the loop.
-        const int64_t verification_moves = Round(
-            instance, order, &assignment, &keeper, pool.get(), nullptr);
+        const int64_t verification_moves = BestResponseRound(
+            instance, order, &assignment, &keeper, nullptr, &stats_);
         if (verification_moves == 0) {
           reached_equilibrium = true;
           break;
@@ -320,8 +139,8 @@ Assignment GtAssigner::Run(const Instance& instance) {
                          << verification_moves << " extra moves";
       }
     } else {
-      moves =
-          Round(instance, order, &assignment, &keeper, pool.get(), nullptr);
+      moves = BestResponseRound(instance, order, &assignment, &keeper,
+                                nullptr, &stats_);
       if (moves == 0) {
         reached_equilibrium = true;
         break;

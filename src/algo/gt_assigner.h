@@ -9,8 +9,6 @@
 
 namespace casc {
 
-class ThreadPool;
-
 /// How Algorithm 3 seeds the best-response dynamic.
 enum class GtInit {
   /// TPG assignment (Algorithm 3 line 1) — the paper's choice.
@@ -76,16 +74,6 @@ struct GtOptions {
 
   /// Safety cap on best-response rounds.
   int max_rounds = 100000;
-
-  /// Worker threads for speculative best-response evaluation (1 = fully
-  /// serial). Each round pre-computes the best responses of all
-  /// to-be-processed workers in parallel against the round-start state,
-  /// then applies moves sequentially in `order`; a speculated result is
-  /// consumed only if none of that worker's valid tasks changed since the
-  /// round started, and is recomputed inline otherwise. The produced
-  /// assignment, stats, and score trajectory are bit-identical to
-  /// num_threads == 1 for the same options.
-  int num_threads = 1;
 };
 
 /// The game-theoretic approach (GT), Algorithm 3 of the paper.
@@ -110,25 +98,6 @@ class GtAssigner : public Assigner {
   const GtOptions& options() const { return options_; }
 
  private:
-  /// One best-response pass over `order` (a "round"), delta-evaluated
-  /// through `keeper` (which must mirror *assignment and stays in sync).
-  /// A null `dirty` is a full round; otherwise only workers flagged dirty
-  /// are re-evaluated and the flags are updated per Theorems V.3 / V.4
-  /// after each move. A non-null `pool` evaluates the round's pending
-  /// best responses speculatively in parallel first (see
-  /// GtOptions::num_threads). Returns the number of moves applied.
-  int64_t Round(const Instance& instance,
-                const std::vector<WorkerIndex>& order,
-                Assignment* assignment, ScoreKeeper* keeper,
-                ThreadPool* pool, std::vector<bool>* dirty);
-
-  /// Applies the move (keeping `keeper` in sync) and flags the workers
-  /// whose best response may have changed (Theorems V.3 / V.4).
-  MoveResult MoveAndMarkDirty(const Instance& instance,
-                              Assignment* assignment, ScoreKeeper* keeper,
-                              WorkerIndex w, TaskIndex target,
-                              std::vector<bool>* dirty);
-
   GtOptions options_;
 };
 

@@ -4,16 +4,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/best_response.h"
 #include "common/check.h"
 #include "model/objective.h"
 
 namespace casc {
-namespace {
-
-/// Tolerance for "strictly improving" to avoid floating-point cycling.
-constexpr double kTolerance = 1e-12;
-
-}  // namespace
 
 LocalSearchAssigner::LocalSearchAssigner(std::unique_ptr<Assigner> base,
                                          LocalSearchOptions options)
@@ -89,7 +84,7 @@ int64_t LocalSearchAssigner::ImprovementPass(
             add_to(t2, w1);
             const double swapped =
                 keeper->TaskScore(t1) + keeper->TaskScore(t2);
-            if (swapped > base_score + kTolerance) {
+            if (swapped > base_score + kImprovementTolerance) {
               assignment->Assign(w1, t2);
               assignment->Assign(w2, t1);
               ++swaps;

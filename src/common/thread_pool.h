@@ -22,9 +22,9 @@ namespace casc {
 /// the contract that keeps results reproducible is on the caller: fn(i)
 /// must write only state owned by index i and read only state no other
 /// index writes. Every result is then a function of the index alone,
-/// never of the thread or the claim order, which is what the speculative
-/// best-response engine, the shard executor and the ingest fan-out rely
-/// on for bit-identical results at any thread count.
+/// never of the thread or the claim order, which is what the shard
+/// executor, the ingest fan-out and the replication fan-out rely on for
+/// bit-identical results at any thread count.
 ///
 /// The calling thread claims indices too; the pool spawns
 /// num_threads - 1 workers. A pool constructed with num_threads <= 1 runs

@@ -10,9 +10,6 @@
 namespace casc {
 namespace {
 
-/// Strict-improvement threshold; mirrors best_response.cpp.
-constexpr double kTolerance = 1e-12;
-
 /// Two-way affinity of `w` to the current members: the pair-sum increase
 /// of adding `w` (the Equation-2 numerator delta).
 double Affinity(const CooperationMatrix& coop, WorkerIndex w,
@@ -94,7 +91,7 @@ int BoundaryReconciler::PassInsert(const Instance& global,
   const bool filter_joins = !objective.AlwaysJoinFeasible();
   const auto best_insertion = [&](WorkerIndex w) {
     Entry entry{0.0, w, kNoTask};
-    double best_gain = kTolerance;
+    double best_gain = kImprovementTolerance;
     for (const TaskIndex t : global.ValidTasks(w)) {
       if (assignment->GroupSize(t) >=
           global.tasks()[static_cast<size_t>(t)].capacity) {
@@ -231,32 +228,27 @@ int BoundaryReconciler::PassPolish(const Instance& global,
   // be stranded idle. Rounds stop once no active worker moves (a Nash
   // equilibrium restricted to the active players). The set and the
   // ascending processing order are functions of the moves alone, so the
-  // pass stays deterministic; ties resolve to the current strategy, so a
-  // differing response is a strict improvement, and ApplyMove keeps the
-  // keeper exact.
+  // pass stays deterministic.
   std::vector<WorkerIndex> active = boundary;  // ascending
   std::vector<bool> in_active(static_cast<size_t>(global.num_workers()),
                               false);
   for (const WorkerIndex w : active) in_active[static_cast<size_t>(w)] = true;
+  std::vector<AppliedMove> moves;
   for (int round = 0; round < options_.polish_rounds; ++round) {
-    int moves_this_round = 0;
+    moves.clear();
+    BestResponseRound(global, active, assignment, keeper, /*dirty=*/nullptr,
+                      /*stats=*/nullptr, &moves);
+    polish_moves += static_cast<int>(moves.size());
+    if (moves.empty()) break;
     std::vector<WorkerIndex> evicted;
-    for (const WorkerIndex w : active) {
-      const BestResponse response =
-          ComputeBestResponse(global, *keeper, *assignment, w);
-      if (response.task == assignment->TaskOf(w)) continue;
-      const MoveResult result =
-          ApplyMove(global, assignment, keeper, w, response.task);
-      ++moves_this_round;
-      if (placed != nullptr) placed->push_back({w, response.task});
-      if (result.crowded_out != kNoWorker &&
-          !in_active[static_cast<size_t>(result.crowded_out)]) {
-        in_active[static_cast<size_t>(result.crowded_out)] = true;
-        evicted.push_back(result.crowded_out);
+    for (const AppliedMove& move : moves) {
+      if (placed != nullptr) placed->push_back({move.worker, move.task});
+      if (move.crowded_out != kNoWorker &&
+          !in_active[static_cast<size_t>(move.crowded_out)]) {
+        in_active[static_cast<size_t>(move.crowded_out)] = true;
+        evicted.push_back(move.crowded_out);
       }
     }
-    polish_moves += moves_this_round;
-    if (moves_this_round == 0) break;
     if (!evicted.empty()) {
       std::sort(evicted.begin(), evicted.end());
       const auto middle =

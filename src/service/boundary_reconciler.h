@@ -19,13 +19,13 @@ struct ReconcileOptions {
   /// tasks whose candidates are mostly boundary workers would starve.
   bool seed_underfilled = true;
 
-  /// Best-response rounds restricted to boundary workers after
-  /// insertion/seeding (0 disables polishing). Uses the full
-  /// game-theoretic move (including crowding out), so each move can only
-  /// increase the total score (the potential-game argument of Theorem
-  /// V.1); rounds stop early once no boundary worker moves. A small cap
-  /// recovers most of the cross-shard score the greedy insertion leaves
-  /// behind while keeping phase 2 linear in practice.
+  /// Best-response rounds over the boundary workers (plus every worker a
+  /// move crowds out) after insertion/seeding (0 disables polishing).
+  /// Uses the full game-theoretic move (including crowding out), so each
+  /// move can only increase the total score (the potential-game argument
+  /// of Theorem V.1); rounds stop early once no such worker moves. A
+  /// small cap recovers most of the cross-shard score the greedy
+  /// insertion leaves behind while keeping phase 2 linear in practice.
   int polish_rounds = 3;
 };
 
@@ -53,8 +53,9 @@ struct ReconcileStats {
 ///      to B from the remaining unassigned boundary workers, growing the
 ///      group greedily by two-way affinity — the cross-shard analogue of
 ///      TPG stage 1's seed sets.
-///   3. *Polish* (optional): one best-response round over the boundary
-///      workers only.
+///   3. *Polish* (optional): up to `polish_rounds` best-response rounds
+///      (BestResponseRound, the GT assigner's round) over the boundary
+///      workers plus every worker a move crowds out.
 /// Every mutation goes through ApplyMove/ScoreKeeper, so capacity,
 /// reachability and one-task-per-worker validity are preserved exactly
 /// as on the monolithic path.

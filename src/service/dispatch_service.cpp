@@ -194,7 +194,7 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   stats_.rounds = metrics_.solve_rounds;
   stats_.dirty_workers = metrics_.dirty_workers;
   stats_.warm_started = metrics_.warm_started;
-  stats_.moves = reconcile.polish_moves;
+  stats_.moves = metrics_.solve_moves + reconcile.polish_moves;
   stats_.final_score = TotalScore(instance, assignment);
   executor_.RecycleProblems(&partition.problems);
   return assignment;

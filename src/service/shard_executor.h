@@ -17,9 +17,9 @@ namespace casc {
 
 /// Creates a fresh solver for one shard. Invoked concurrently from pool
 /// threads, so it must be thread-safe (a plain `make_unique<GtAssigner>`
-/// is). The produced assigners must be deterministic and single-threaded
-/// (GtOptions::num_threads == 1): nested pools are not allowed, and
-/// shard results must not depend on where they ran.
+/// is). The produced assigners must be deterministic and single-threaded:
+/// nested pools are not allowed, and shard results must not depend on
+/// where they ran.
 using AssignerFactory = std::function<std::unique_ptr<Assigner>()>;
 
 /// Test/fuzz fault hook: returns true when shard `shard` of batch `batch`

@@ -5,9 +5,6 @@
 //  - keeper-aware ApplyMove keeps the keeper an exact mirror;
 //  - ThreadPool runs every index exactly once, handing indices out one
 //    at a time so a slow index holds up only the thread running it;
-//  - parallel GT rounds (speculative evaluation, sequential apply) are
-//    bit-identical to the serial path, also when per-worker scan costs
-//    are very uneven;
 //  - the parallel replication fan-out folds to thread-count-independent
 //    aggregates.
 
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "algo/best_response.h"
-#include "algo/gt_assigner.h"
 #include "bench_util/replication.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -226,108 +222,6 @@ TEST_P(DeltaSeedTest, TrackedApplyMoveKeepsKeeperAnExactMirror) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSeedTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-// ---------------------------------------------------------------------------
-// Parallel GT: speculative evaluation, sequential apply — bit-identical
-// ---------------------------------------------------------------------------
-
-void ExpectIdenticalRuns(const Instance& instance, GtOptions serial_options) {
-  GtOptions parallel_options = serial_options;
-  serial_options.num_threads = 1;
-  parallel_options.num_threads = 4;
-  GtAssigner serial(serial_options);
-  GtAssigner parallel(parallel_options);
-
-  const Assignment serial_result = serial.Run(instance);
-  const Assignment parallel_result = parallel.Run(instance);
-
-  EXPECT_EQ(serial_result.Pairs(), parallel_result.Pairs());
-  EXPECT_EQ(serial.stats().rounds, parallel.stats().rounds);
-  EXPECT_EQ(serial.stats().moves, parallel.stats().moves);
-  EXPECT_EQ(serial.stats().best_response_evals,
-            parallel.stats().best_response_evals);
-  EXPECT_EQ(serial.stats().best_response_skips,
-            parallel.stats().best_response_skips);
-  // Bit-identical trajectory, not merely close.
-  ASSERT_EQ(serial.stats().round_scores.size(),
-            parallel.stats().round_scores.size());
-  for (size_t i = 0; i < serial.stats().round_scores.size(); ++i) {
-    EXPECT_EQ(serial.stats().round_scores[i],
-              parallel.stats().round_scores[i])
-        << "round " << i;
-  }
-  EXPECT_EQ(serial.stats().final_score, parallel.stats().final_score);
-}
-
-class ParallelGtSeedTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ParallelGtSeedTest, PlainGtIsBitIdenticalToSerial) {
-  const Instance instance = RandomInstance(90, 30, GetParam());
-  ExpectIdenticalRuns(instance, GtOptions{});
-}
-
-TEST_P(ParallelGtSeedTest, LubIsBitIdenticalToSerial) {
-  const Instance instance = RandomInstance(90, 30, GetParam() ^ 0x10B);
-  GtOptions options;
-  options.use_lub = true;
-  ExpectIdenticalRuns(instance, options);
-}
-
-TEST_P(ParallelGtSeedTest, AllOptimizationsBitIdenticalToSerial) {
-  const Instance instance = RandomInstance(120, 40, GetParam() ^ 0xA77);
-  GtOptions options;
-  options.use_lub = true;
-  options.use_tsi = true;
-  ExpectIdenticalRuns(instance, options);
-}
-
-TEST_P(ParallelGtSeedTest, ShuffledOrderAndRandomInitBitIdenticalToSerial) {
-  const Instance instance = RandomInstance(80, 25, GetParam() ^ 0x5F1);
-  GtOptions options;
-  options.init = GtInit::kRandom;
-  options.init_seed = GetParam();
-  options.order = GtOrder::kShuffled;
-  options.order_seed = GetParam() ^ 1;
-  ExpectIdenticalRuns(instance, options);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelGtSeedTest,
-                         ::testing::Values(31u, 32u, 33u, 34u));
-
-TEST(ParallelGtTest, SkewedScanCostsBitIdenticalToSerial) {
-  // SKEW locations and wide radii: clustered workers scan dozens of
-  // tasks, outliers a handful, so the speculation fan-out's indices
-  // finish far apart and threads claim them in a different order each
-  // run. The result must still be a function of the index alone.
-  for (const uint64_t seed : {41u, 42u, 43u}) {
-    Rng rng(seed);
-    SyntheticInstanceConfig config;
-    config.num_workers = 400;
-    config.num_tasks = 120;
-    config.worker.spatial.distribution = LocationDistribution::kSkewed;
-    config.task.spatial.distribution = LocationDistribution::kSkewed;
-    config.worker.radius_min = 0.05;
-    config.worker.radius_max = 0.30;
-    config.worker.speed_min = 0.05;
-    config.worker.speed_max = 0.15;
-    const Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
-    GtOptions options;
-    options.use_lub = true;
-    options.use_tsi = true;
-    ExpectIdenticalRuns(instance, options);
-  }
-}
-
-TEST(ParallelGtTest, ParallelRunStillReachesVerifiedNash) {
-  const Instance instance = RandomInstance(90, 30, 991);
-  GtOptions options;
-  options.num_threads = 4;
-  GtAssigner gt(options);
-  const Assignment assignment = gt.Run(instance);
-  EXPECT_TRUE(gt.stats().converged);
-  EXPECT_TRUE(assignment.Validate(instance).ok());
-  EXPECT_TRUE(IsNashEquilibrium(instance, assignment, 1e-9));
-}
 
 // ---------------------------------------------------------------------------
 // Parallel replication fan-out

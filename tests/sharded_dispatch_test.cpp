@@ -7,11 +7,16 @@
 #include <string>
 #include <vector>
 
+#include "algo/best_response.h"
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "model/objective.h"
+#include "model/objective_model.h"
+#include "model/score_keeper.h"
+#include "service/boundary_reconciler.h"
 #include "service/dispatch_service.h"
+#include "service/shard_map.h"
 #include "sim/event_stream.h"
 
 namespace casc {
@@ -264,6 +269,163 @@ TEST(ShardedAssignerTest, MetricsPopulated) {
   EXPECT_NE(json.find("\"boundary_workers\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"phase1_seconds\":"), std::string::npos) << json;
   EXPECT_EQ(sharded.Name(), "SHARD4x4(GT)");
+}
+
+TEST(ShardedAssignerTest, StatsMovesCountPhaseOneAndPolishMoves) {
+  const Instance instance = SmallInstance(250, 80, 7);
+  GtAssigner monolithic;
+  (void)monolithic.Run(instance);
+  ShardedAssigner single(MakeOptions(1, 1), GtFactory());
+  (void)single.Run(instance);
+  EXPECT_GT(monolithic.stats().moves, 0);
+  EXPECT_EQ(single.stats().moves, monolithic.stats().moves);
+
+  ShardedAssigner sharded(MakeOptions(4, 2), GtFactory());
+  (void)sharded.Run(instance);
+  const ServiceMetrics& metrics = sharded.metrics();
+  EXPECT_GT(metrics.solve_moves, 0);
+  EXPECT_EQ(sharded.stats().moves,
+            metrics.solve_moves + metrics.polish_moves);
+}
+
+// ---------------------------------------------------------------------------
+// Phase-2 polish vs. its original private best-response loop
+// ---------------------------------------------------------------------------
+
+struct OracleCoverage {
+  int rounds_with_moves = 0;
+  int crowd_outs = 0;
+  int active_growth = 0;  ///< crowded-out workers added to the active set
+};
+
+/// The polish pass as it was before it shared the GT assigner's round:
+/// best-response rounds over an active set that starts as `boundary` and
+/// grows by every crowded-out worker, at most `polish_rounds` of them.
+/// Returns the number of moves.
+int OraclePolish(const Instance& global,
+                 const std::vector<WorkerIndex>& boundary, int polish_rounds,
+                 Assignment* assignment, ScoreKeeper* keeper,
+                 std::vector<AssignedPair>* placed,
+                 OracleCoverage* coverage) {
+  int polish_moves = 0;
+  std::vector<WorkerIndex> active = boundary;  // ascending
+  std::vector<bool> in_active(static_cast<size_t>(global.num_workers()),
+                              false);
+  for (const WorkerIndex w : active) in_active[static_cast<size_t>(w)] = true;
+  for (int round = 0; round < polish_rounds; ++round) {
+    int moves_this_round = 0;
+    std::vector<WorkerIndex> evicted;
+    for (const WorkerIndex w : active) {
+      const BestResponse response =
+          ComputeBestResponse(global, *keeper, *assignment, w);
+      if (response.task == assignment->TaskOf(w)) continue;
+      const MoveResult result =
+          ApplyMove(global, assignment, keeper, w, response.task);
+      ++moves_this_round;
+      placed->push_back({w, response.task});
+      if (result.crowded_out != kNoWorker) ++coverage->crowd_outs;
+      if (result.crowded_out != kNoWorker &&
+          !in_active[static_cast<size_t>(result.crowded_out)]) {
+        in_active[static_cast<size_t>(result.crowded_out)] = true;
+        evicted.push_back(result.crowded_out);
+        ++coverage->active_growth;
+      }
+    }
+    polish_moves += moves_this_round;
+    if (moves_this_round == 0) break;
+    ++coverage->rounds_with_moves;
+    if (!evicted.empty()) {
+      std::sort(evicted.begin(), evicted.end());
+      const auto middle =
+          active.insert(active.end(), evicted.begin(), evicted.end());
+      std::inplace_merge(active.begin(), middle, active.end());
+    }
+  }
+  return polish_moves;
+}
+
+TEST(PolishOracleTest, MatchesOriginalLoopOn120Instances) {
+  int cap_bound = 0;
+  int with_crowd_outs = 0;
+  int with_growth = 0;
+  int multiskill_moved = 0;
+  int skew_moved = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    const bool skew = seed % 2 == 0;
+    const int shards_per_side = 2 + static_cast<int>(seed % 3);
+    const int capacity = 3 + static_cast<int>((seed / 3) % 4);
+    const bool multiskill = (seed / 12) % 2 == 1;
+    const int polish_rounds = 1 + static_cast<int>((seed / 2) % 3);
+
+    SyntheticInstanceConfig config;
+    config.num_workers = 150 + static_cast<int>(seed % 5) * 20;
+    config.num_tasks = 25 + static_cast<int>(seed % 4) * 5;
+    config.task.capacity = capacity;
+    // Short reaches leave interior workers on every shard, so boundary
+    // workers can crowd them out and grow the active set.
+    config.worker.radius_min = 0.03;
+    config.worker.radius_max = 0.12;
+    if (skew) {
+      config.worker.spatial.distribution = LocationDistribution::kSkewed;
+      config.task.spatial.distribution = LocationDistribution::kSkewed;
+    }
+    if (multiskill) {
+      config.worker.num_skills = 8;
+      config.task.num_skills = 8;
+      config.task.skills_per_task = 2;
+    }
+    Rng rng(seed);
+    Instance instance = GenerateSyntheticInstance(config, /*now=*/0.0, &rng);
+    if (multiskill) instance.set_objective(&GetMultiSkillObjective());
+
+    // The state polish starts from: phase 1 plus insertion and seeding.
+    ShardedOptions options = MakeOptions(shards_per_side, 1);
+    options.reconcile.polish_rounds = 0;
+    ShardedAssigner unpolished(options, GtFactory());
+    const Assignment start = unpolished.Run(instance);
+    ShardMapConfig map_config;
+    map_config.shards_per_side = shards_per_side;
+    const std::vector<WorkerIndex> boundary =
+        ShardMap(instance.workers(), instance.tasks(), map_config)
+            .boundary_workers();
+
+    const std::string label = "seed " + std::to_string(seed);
+    Assignment expected = start;
+    ScoreKeeper expected_keeper(instance);
+    expected_keeper.Sync(expected);
+    std::vector<AssignedPair> expected_placed;
+    OracleCoverage coverage;
+    const int expected_moves =
+        OraclePolish(instance, boundary, polish_rounds, &expected,
+                     &expected_keeper, &expected_placed, &coverage);
+
+    Assignment actual = start;
+    ScoreKeeper actual_keeper(instance);
+    actual_keeper.Sync(actual);
+    std::vector<AssignedPair> actual_placed;
+    ReconcileOptions reconcile;
+    reconcile.polish_rounds = polish_rounds;
+    const int actual_moves = BoundaryReconciler(reconcile).PassPolish(
+        instance, boundary, &actual, &actual_keeper, &actual_placed);
+
+    ASSERT_EQ(actual.Pairs(), expected.Pairs()) << label;
+    ASSERT_EQ(actual_placed, expected_placed) << label;
+    ASSERT_EQ(actual_moves, expected_moves) << label;
+    ASSERT_EQ(actual_keeper.TotalScore(), expected_keeper.TotalScore())
+        << label;
+
+    if (coverage.rounds_with_moves == polish_rounds) ++cap_bound;
+    if (coverage.crowd_outs > 0) ++with_crowd_outs;
+    if (coverage.active_growth > 0) ++with_growth;
+    if (expected_moves > 0 && multiskill) ++multiskill_moved;
+    if (expected_moves > 0 && skew) ++skew_moved;
+  }
+  // The sweep must reach the branches that could tell the loops apart.
+  EXPECT_GT(cap_bound, 20);
+  EXPECT_GT(with_crowd_outs, 40);
+  EXPECT_GT(with_growth, 5);
+  EXPECT_GT(multiskill_moved, 20);
+  EXPECT_GT(skew_moved, 25);
 }
 
 // ---------------------------------------------------------------------------

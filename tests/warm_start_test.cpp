@@ -2,10 +2,10 @@
 // must produce a certified Nash equilibrium, zero-churn batches must make
 // no moves and repeat the previous commit, zero-carry-over batches must be
 // bit-identical to a cold run, and the warm path must be bit-identical
-// across solver threads, shard threads, ingest threads and both pipeline
-// modes. On a multiskill feasibility-gap trace warm must also keep most of
-// cold's score. The CASC_NO_WARM_START kill switch must restore cold
-// behavior exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
+// across shard threads, ingest threads and both pipeline modes. On a
+// multiskill feasibility-gap trace warm must also keep most of cold's
+// score. The CASC_NO_WARM_START kill switch must restore cold behavior
+// exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
 
 #include <gtest/gtest.h>
 
@@ -74,8 +74,8 @@ class RecordingGtAssigner : public Assigner {
     std::vector<std::pair<int64_t, int64_t>> pairs;  // (worker id, task id)
   };
 
-  RecordingGtAssigner(GtOptions options, std::vector<Record>* records)
-      : inner_(options), records_(records) {}
+  explicit RecordingGtAssigner(std::vector<Record>* records)
+      : records_(records) {}
 
   std::string Name() const override { return inner_.Name(); }
 
@@ -137,10 +137,9 @@ StreamRun RunService(DispatchService* service, const EventStream& stream) {
 /// Streams through the service with recording GT solvers: one record per
 /// solved batch, in batch order.
 StreamRun RunRecorded(const DispatchConfig& config, const EventStream& stream,
-                      const CooperationMatrix& coop, Records* records,
-                      GtOptions options = {}) {
-  DispatchService service(config, &coop, [options, records] {
-    return std::make_unique<RecordingGtAssigner>(options, records);
+                      const CooperationMatrix& coop, Records* records) {
+  DispatchService service(config, &coop, [records] {
+    return std::make_unique<RecordingGtAssigner>(records);
   });
   return RunService(&service, stream);
 }
@@ -370,48 +369,6 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   // And comparable solution quality (different equilibria are allowed;
   // a collapse to trivial equilibria is not).
   EXPECT_GT(warm.TotalScore(), 0.8 * cold.TotalScore());
-}
-
-// ---------------------------------------------------------------------------
-// Warm solves are bit-identical across solver thread counts.
-// ---------------------------------------------------------------------------
-
-TEST(WarmStartTest, SolverThreadSweepBitIdenticalWhileWarm) {
-  const StreamFixture fixture = MakeLongFixture(702, /*horizon=*/80.0);
-  const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  const DispatchConfig config = MonolithicConfig(/*task_duration=*/2.0);
-
-  Records baseline;
-  StreamRun baseline_run;
-  for (const int threads : {1, 2, 4, 8}) {
-    GtOptions options;
-    options.num_threads = threads;
-    Records records;
-    const StreamRun run =
-        RunRecorded(config, stream, fixture.coop, &records, options);
-    int warm_batches = 0;
-    for (const RecordingGtAssigner::Record& record : records) {
-      ASSERT_TRUE(record.nash);
-      if (record.warm) ++warm_batches;
-    }
-    EXPECT_GT(warm_batches, 0) << "threads=" << threads;
-    if (threads == 1) {
-      baseline = std::move(records);
-      baseline_run = run;
-      continue;
-    }
-    const std::string label = "threads=" + std::to_string(threads);
-    ExpectIdenticalBatches(baseline_run, run, label);
-    ASSERT_EQ(baseline.size(), records.size()) << label;
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      ASSERT_EQ(baseline[i].pairs, records[i].pairs)
-          << label << " batch " << i;
-      ASSERT_EQ(baseline[i].rounds, records[i].rounds)
-          << label << " batch " << i;
-      ASSERT_EQ(baseline[i].moves, records[i].moves)
-          << label << " batch " << i;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -89,9 +89,10 @@ TEST(WorkspaceNeutralityFuzzTest, GtVariantsOn200Instances) {
         options.init_seed = seed + 3;
         options.use_lub = true;
         break;
-      case 3:  // speculative parallel rounds
-        options.num_threads = 2;
-        options.use_lub = true;
+      case 3:  // TSI alone, shuffled order
+        options.use_tsi = true;
+        options.order = GtOrder::kShuffled;
+        options.order_seed = seed + 11;
         break;
     }
     GtAssigner pooled(options);
