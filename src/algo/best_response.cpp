@@ -167,7 +167,7 @@ double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
   // leaves exactly one worker out. The pre-join score is already cached.
   CASC_CHECK_EQ(static_cast<int>(others.size()), capacity)
       << "StrategyUtility: task " << t << " is over capacity";
-  const CrowdOut crowd = DropOneCrowding(instance.coop(), others, w);
+  const CrowdOut crowd = keeper.CrowdIfJoined(w, t);
   if (crowded_out != nullptr) *crowded_out = crowd.evicted;
   double joined_score = 0.0;
   if (capacity + 1 >= instance.min_group_size()) {
@@ -275,8 +275,7 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
     // W_t ∪ {w}; the member left out is crowded out (possibly w itself).
     CASC_CHECK_EQ(assignment->GroupSize(t), capacity)
         << "ApplyMove: task " << t << " is over capacity";
-    const WorkerIndex evicted =
-        DropOneCrowding(instance.coop(), assignment->GroupOf(t), w).evicted;
+    const WorkerIndex evicted = keeper->CrowdIfJoined(w, t).evicted;
     result.crowded_out = evicted;
     if (evicted == w) return result;  // w stays out; the group is unchanged
     keeper->Remove(evicted, t);

@@ -57,9 +57,10 @@ BestResponse ComputeBestResponse(const Instance& instance,
 /// overload above, but each candidate costs one ScoreKeeper marginal —
 /// O(|W_t|) with no allocation — instead of two from-scratch GroupScore
 /// calls (O(|W_t|^2) each). The crowding branch (joining a full task)
-/// runs DropOneCrowding, O(a_t^3) on a stack table and still without
-/// allocation. `keeper` must mirror `assignment` exactly: same group
-/// membership for every task.
+/// asks ScoreKeeper::CrowdIfJoined, which keeps the task's member pair
+/// table cached between moves and reads only the joiner's row of a_t
+/// pair values, still without allocation. `keeper` must mirror
+/// `assignment` exactly: same group membership for every task.
 double StrategyUtility(const Instance& instance, const ScoreKeeper& keeper,
                        const Assignment& assignment, WorkerIndex w,
                        TaskIndex t, WorkerIndex* crowded_out);
@@ -76,8 +77,8 @@ struct ScanCounters {
 /// ComputeBestResponse with the same tie-breaking contract. The scan
 /// keeps the CSR ascending task order and prices every feasible
 /// candidate with the keeper StrategyUtility (one ScoreKeeper marginal
-/// below capacity, DropOneCrowding on a full task). `counters` (may be
-/// null) receives the scan's work tally.
+/// below capacity, ScoreKeeper::CrowdIfJoined on a full task).
+/// `counters` (may be null) receives the scan's work tally.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,
@@ -98,8 +99,8 @@ MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
 
 /// ApplyMove that also keeps `keeper` in sync with the assignment (a
 /// null keeper degrades to the plain overload). The keeper never observes
-/// an over-capacity group: on crowding, the evicted member is removed
-/// before the newcomer is added.
+/// an over-capacity group: on crowding (ScoreKeeper::CrowdIfJoined), the
+/// evicted member is removed before the newcomer is added.
 MoveResult ApplyMove(const Instance& instance, Assignment* assignment,
                      ScoreKeeper* keeper, WorkerIndex w, TaskIndex t);
 

@@ -87,8 +87,7 @@ void Search(SearchState* state, WorkerIndex w) {
     auto& group = state->groups[static_cast<size_t>(t)];
     double added = 0.0;
     for (const WorkerIndex member : group) {
-      added += instance.coop().Quality(member, w) +
-               instance.coop().Quality(w, member);
+      added += instance.coop().Mutual(member, w);
     }
     group.push_back(w);
     state->pair_sums[static_cast<size_t>(t)] += added;

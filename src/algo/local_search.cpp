@@ -35,7 +35,7 @@ int64_t LocalSearchAssigner::ImprovementPass(
                                 WorkerIndex w) {
     double sum = 0.0;
     for (const WorkerIndex member : group) {
-      sum += coop.Quality(member, w) + coop.Quality(w, member);
+      sum += coop.Mutual(member, w);
     }
     return sum;
   };

@@ -85,6 +85,19 @@ double CooperationMatrix::Quality(int i, int k) const {
   return (*cells_)[CellIndex(bi, bk)];
 }
 
+double CooperationMatrix::Mutual(int i, int k) const {
+  CheckLogicalIndex(i);
+  CheckLogicalIndex(k);
+  const int bi = BackingIndex(i);
+  const int bk = BackingIndex(k);
+  if (bi == bk) return 0.0;  // the diagonal, or an aliased view pair
+  if (procedural_) {
+    const double q = HashQuality(seed_, bi, bk);  // symmetric
+    return q + q;
+  }
+  return (*cells_)[CellIndex(bi, bk)] + (*cells_)[CellIndex(bk, bi)];
+}
+
 void CooperationMatrix::DetachIfShared() {
   if (cells_ && cells_.use_count() > 1) {
     cells_ = std::make_shared<std::vector<double>>(*cells_);
@@ -123,7 +136,7 @@ double CooperationMatrix::PairSum(std::span<const int> group) const {
   double total = 0.0;
   for (size_t a = 0; a < group.size(); ++a) {
     for (size_t b = a + 1; b < group.size(); ++b) {
-      total += Quality(group[a], group[b]) + Quality(group[b], group[a]);
+      total += Mutual(group[a], group[b]);
     }
   }
   return total;

@@ -51,6 +51,12 @@ class CooperationMatrix {
   /// Returns q_i(w_k). Requires valid indices; returns 0 for i == k.
   double Quality(int i, int k) const;
 
+  /// Returns the two-way pair value Quality(i, k) + Quality(k, i), bit
+  /// for bit (0 on the diagonal and for aliased view entries), checking
+  /// each index once. A procedural matrix hashes the pair once: its
+  /// quality is symmetric, so the sum is q + q.
+  double Mutual(int i, int k) const;
+
   /// Sets q_i(w_k) only (one direction). Requires value in [0, 1], i != k,
   /// and a dense (non-view, non-procedural) matrix. Detaches shared cells
   /// first, so views and copies taken earlier are unaffected.
@@ -82,11 +88,11 @@ class CooperationMatrix {
     return RowSum(i, std::span<const int>(group.begin(), group.size()));
   }
 
-  /// Mutual affinity of worker i to each of `ids`:
-  /// out[k] = Quality(i, ids[k]) + Quality(ids[k], i), bit-equal to that
-  /// sum (0 on the diagonal and for aliased view entries). Resolves i's
-  /// backing index once for the whole row. Requires i and every id in
-  /// [0, num_workers()) and out.size() == ids.size().
+  /// Mutual affinity of worker i to each of `ids`: out[k] = Mutual(i,
+  /// ids[k]), bit for bit (0 on the diagonal and for aliased view
+  /// entries). Resolves i's backing index once for the whole row.
+  /// Requires i and every id in [0, num_workers()) and
+  /// out.size() == ids.size().
   void MutualRow(int i, std::span<const int> ids,
                  std::span<double> out) const;
 

@@ -13,10 +13,6 @@ namespace {
 /// BestSubset enumerates while C(|group|, k) stays below this count.
 constexpr int64_t kEnumerationLimit = 20000;
 
-/// DropOneCrowding's stack table holds groups up to this size; BestSubset
-/// sends its k = |group| - 1 case there only within it.
-constexpr size_t kStackGroup = 32;
-
 /// Number of k-subsets of an n-set, saturating at `limit`.
 int64_t BinomialCapped(int n, int k, int64_t limit) {
   if (k < 0 || k > n) return 0;
@@ -48,7 +44,7 @@ void EnumerateSubsets(const CooperationMatrix& coop,
     const WorkerIndex w = group[i];
     double added = 0.0;
     for (const WorkerIndex member : *current) {
-      added += coop.Quality(member, w) + coop.Quality(w, member);
+      added += coop.Mutual(member, w);
     }
     current->push_back(w);
     EnumerateSubsets(coop, group, k, i + 1, current, current_sum + added,
@@ -72,7 +68,7 @@ std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
   if (BinomialCapped(static_cast<int>(group.size()), k,
                      kEnumerationLimit) < kEnumerationLimit) {
     if (k == static_cast<int>(group.size()) - 1 &&
-        group.size() <= kStackGroup) {
+        group.size() <= kCrowdTableGroup) {
       const WorkerIndex evicted =
           DropOneCrowding(coop, group.first(group.size() - 1), group.back())
               .evicted;
@@ -99,8 +95,7 @@ std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
   for (size_t i = 0; i < remaining.size(); ++i) {
     for (size_t j = 0; j < remaining.size(); ++j) {
       if (i == j) continue;
-      affinity[i] += coop.Quality(remaining[i], remaining[j]) +
-                     coop.Quality(remaining[j], remaining[i]);
+      affinity[i] += coop.Mutual(remaining[i], remaining[j]);
     }
   }
   while (static_cast<int>(remaining.size()) > k) {
@@ -116,64 +111,71 @@ std::vector<WorkerIndex> BestSubset(const CooperationMatrix& coop,
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(worst_index));
     affinity.erase(affinity.begin() + static_cast<ptrdiff_t>(worst_index));
     for (size_t i = 0; i < remaining.size(); ++i) {
-      affinity[i] -= coop.Quality(remaining[i], worst) +
-                     coop.Quality(worst, remaining[i]);
+      affinity[i] -= coop.Mutual(remaining[i], worst);
     }
   }
   return remaining;
 }
 
-CrowdOut DropOneCrowding(const CooperationMatrix& coop,
-                         std::span<const WorkerIndex> members,
-                         WorkerIndex newcomer) {
-  const size_t n = members.size() + 1;
-  CASC_CHECK_GE(n, 2u);
-  if (n > kStackGroup) {
-    // Beyond the stack table BestSubset enumerates (or goes greedy) itself.
-    std::vector<WorkerIndex> group(members.begin(), members.end());
-    group.push_back(newcomer);
-    const std::vector<WorkerIndex> best =
-        BestSubset(coop, group, static_cast<int>(n) - 1);
-    size_t at = 0;
-    while (at < best.size() && best[at] == group[at]) ++at;
-    return {group[at], coop.PairSum(best)};
-  }
-  const auto worker = [&](size_t i) {
-    return i < members.size() ? members[i] : newcomer;
-  };
-
-  // pair[j * n + i] (i < j) = q(i,j) + q(j,i), the exact sum EnumerateSubsets
-  // and PairSum add; kept[d] = EnumerateSubsets' running sum once positions
-  // 0..d-1 are all in the subset.
-  std::array<double, kStackGroup * (kStackGroup + 1)> table;
+void FillCrowdTable(const CooperationMatrix& coop,
+                    std::span<const WorkerIndex> members,
+                    std::span<double> table) {
+  const size_t m = members.size();
+  CASC_CHECK_GE(table.size(), CrowdTableSize(m));
+  // pair[j * m + i] (i < j) = Mutual(members[i], members[j]), the exact
+  // sum EnumerateSubsets and PairSum add; kept[d] = EnumerateSubsets'
+  // running sum once positions 0..d-1 are all in the subset.
   double* pair = table.data();
-  double* kept = pair + n * n;
-  for (size_t j = 1; j < n; ++j) {
-    const WorkerIndex wj = worker(j);
-    for (size_t i = 0; i < j; ++i) {
-      const WorkerIndex wi = worker(i);
-      pair[j * n + i] = coop.Quality(wi, wj) + coop.Quality(wj, wi);
-    }
+  double* kept = pair + m * m;
+  double* partial = kept + m + 1;
+  for (size_t j = 1; j < m; ++j) {
+    coop.MutualRow(members[j], members.first(j),
+                   std::span<double>(pair + j * m, j));
   }
   kept[0] = 0.0;
-  for (size_t d = 0; d + 1 < n; ++d) {
+  for (size_t d = 0; d < m; ++d) {
     double added = 0.0;
-    for (size_t i = 0; i < d; ++i) added += pair[d * n + i];
+    for (size_t i = 0; i < d; ++i) added += pair[d * m + i];
     kept[d + 1] = kept[d] + added;
   }
+  // Leaving out member d: kept[d], then each later member row without d,
+  // each row summed from 0.0. Only the newcomer's row is still missing.
+  for (size_t d = 0; d < m; ++d) {
+    double sum = kept[d];
+    for (size_t j = d + 1; j < m; ++j) {
+      double added = 0.0;
+      for (size_t i = 0; i < j; ++i) {
+        if (i != d) added += pair[j * m + i];
+      }
+      sum += added;
+    }
+    partial[d] = sum;
+  }
+}
 
-  // Lexicographic order of the (n-1)-subsets leaves out position n-1
-  // first and position 0 last; the first strict maximum wins.
+CrowdOut CrowdFromTable(std::span<const double> table,
+                        std::span<const WorkerIndex> members,
+                        std::span<const double> row, WorkerIndex newcomer) {
+  const size_t m = members.size();
+  const size_t n = m + 1;
+  CASC_CHECK_GE(table.size(), CrowdTableSize(m));
+  CASC_CHECK_EQ(row.size(), m);
+  const double* pair = table.data();
+  const double* kept = pair + m * m;
+  const double* partial = kept + m + 1;
+
+  // Lexicographic order of the (n-1)-subsets leaves out position n-1 (the
+  // newcomer) first and position 0 last; the first strict maximum wins.
   double best_sum = -1.0;
   size_t drop = n;
   for (size_t d = n; d-- > 0;) {
-    double sum = kept[d];
-    for (size_t j = d + 1; j < n; ++j) {
+    double sum = kept[m];
+    if (d < m) {
       double added = 0.0;
-      for (size_t i = 0; i < j; ++i) {
-        if (i != d) added += pair[j * n + i];
+      for (size_t i = 0; i < m; ++i) {
+        if (i != d) added += row[i];
       }
-      sum += added;
+      sum = partial[d] + added;
     }
     if (sum > best_sum) {
       best_sum = sum;
@@ -187,10 +189,33 @@ CrowdOut DropOneCrowding(const CooperationMatrix& coop,
   for (size_t a = 0; a < n; ++a) {
     if (a == drop) continue;
     for (size_t b = a + 1; b < n; ++b) {
-      if (b != drop) pair_sum += pair[b * n + a];
+      if (b != drop) pair_sum += b == m ? row[a] : pair[b * m + a];
     }
   }
-  return {worker(drop), pair_sum};
+  return {drop == m ? newcomer : members[drop], pair_sum};
+}
+
+CrowdOut DropOneCrowding(const CooperationMatrix& coop,
+                         std::span<const WorkerIndex> members,
+                         WorkerIndex newcomer) {
+  const size_t n = members.size() + 1;
+  CASC_CHECK_GE(n, 2u);
+  if (n > kCrowdTableGroup) {
+    // Beyond the stack table BestSubset enumerates (or goes greedy) itself.
+    std::vector<WorkerIndex> group(members.begin(), members.end());
+    group.push_back(newcomer);
+    const std::vector<WorkerIndex> best =
+        BestSubset(coop, group, static_cast<int>(n) - 1);
+    size_t at = 0;
+    while (at < best.size() && best[at] == group[at]) ++at;
+    return {group[at], coop.PairSum(best)};
+  }
+  std::array<double, CrowdTableSize(kCrowdTableGroup - 1)> table;
+  std::array<double, kCrowdTableGroup> row;
+  const std::span<double> newcomer_row(row.data(), members.size());
+  FillCrowdTable(coop, members, table);
+  coop.MutualRow(newcomer, members, newcomer_row);
+  return CrowdFromTable(table, members, newcomer_row, newcomer);
 }
 
 double GroupScore(const Instance& instance, TaskIndex t,

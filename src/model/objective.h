@@ -1,6 +1,7 @@
 #ifndef CASC_MODEL_OBJECTIVE_H_
 #define CASC_MODEL_OBJECTIVE_H_
 
+#include <cstddef>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -44,16 +45,48 @@ struct CrowdOut {
   double pair_sum = 0.0;  ///< PairSum of the survivors, in group order
 };
 
+/// Largest group (members plus newcomer) DropOneCrowding scores on its
+/// stack table, and ScoreKeeper::CrowdIfJoined on its cached one.
+inline constexpr size_t kCrowdTableGroup = 32;
+
+/// Doubles a crowding table of `members` members takes: (members + 1)^2.
+constexpr size_t CrowdTableSize(size_t members) {
+  return (members + 1) * (members + 1);
+}
+
+/// The newcomer-free part of DropOneCrowding's table for m = |members|:
+/// the member pair values Mutual(members[i], members[j]) (i < j, at
+/// j * m + i), then the prefix sums kept[0..m], then partial[0..m-1],
+/// the score of leaving out member d before the newcomer's row is
+/// added. Writes CrowdTableSize(m) doubles of `table`. A caller pricing
+/// many newcomers against one group fills it once.
+void FillCrowdTable(const CooperationMatrix& coop,
+                    std::span<const WorkerIndex> members,
+                    std::span<double> table);
+
+/// DropOneCrowding(coop, members, newcomer) from FillCrowdTable's table
+/// of `members` and the newcomer's row, row[i] = Mutual(members[i],
+/// newcomer): the only part of the answer that depends on the newcomer.
+CrowdOut CrowdFromTable(std::span<const double> table,
+                        std::span<const WorkerIndex> members,
+                        std::span<const double> row, WorkerIndex newcomer);
+
 /// BestSubset(coop, members + [newcomer], |members|) without building a
 /// subset: the worker it leaves out and the survivors' PairSum, both
 /// bit-identical to that call followed by PairSum. This is the crowding
 /// case of Equation 2 (Theorems V.3 / V.4): a full task's members plus
-/// one joiner, so exactly one worker is dropped. Up to 32 workers the
-/// pair values q(i,k) + q(k,i) are read once into a stack table and the
-/// (|members|)-subsets are scored in BestSubset's lexicographic order
-/// with its running sums and strict-`>` tie rule, so on a tie the
-/// newcomer, the last position, is the one left out. Larger groups take
-/// the BestSubset + PairSum path itself.
+/// one joiner, so exactly one worker is dropped. Up to kCrowdTableGroup
+/// workers the pair values Mutual(i, k) are read once into a stack table
+/// (FillCrowdTable plus the newcomer's row) and the (|members|)-subsets
+/// are scored in BestSubset's lexicographic order with its running sums
+/// and strict-`>` tie rule, so on a tie the newcomer, the last position,
+/// is the one left out. Larger groups take the BestSubset + PairSum path
+/// itself.
+///
+/// Each call fills the whole table. The best-response engine prices a
+/// full task through ScoreKeeper::CrowdIfJoined instead, which keeps the
+/// member table per task and reads only the newcomer's row; this
+/// function is its oracle and serves the keeper-less callers.
 /// Requires distinct workers (PairSum's precondition) and qualities in
 /// [0, 1], which every CooperationMatrix guarantees.
 CrowdOut DropOneCrowding(const CooperationMatrix& coop,

@@ -1,5 +1,8 @@
 #include "model/score_keeper.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.h"
 #include "model/objective_model.h"
 
@@ -40,6 +43,22 @@ void ScoreKeeper::Rebind(const Instance& instance) {
   pair_sums_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
   scores_.assign(static_cast<size_t>(instance.num_tasks()), 0.0);
   total_ = 0.0;
+  crowd_slots_.resize(static_cast<size_t>(instance.num_tasks()));
+  size_t values = 0;
+  size_t ids = 0;
+  for (size_t t = 0; t < crowd_slots_.size(); ++t) {
+    const int capacity = instance.tasks()[t].capacity;
+    CrowdSlot& slot = crowd_slots_[t];
+    slot.values = values;
+    slot.ids = ids;
+    slot.capacity =
+        static_cast<size_t>(capacity) < kCrowdTableGroup ? capacity : 0;
+    slot.size = 0;
+    values += CrowdTableSize(static_cast<size_t>(slot.capacity));
+    ids += static_cast<size_t>(slot.capacity);
+  }
+  crowd_values_.resize(values);
+  crowd_ids_.resize(ids);
 }
 
 double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
@@ -49,7 +68,7 @@ double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
   LaneAcc acc;
   for (const WorkerIndex m : group) {
     if (m == w || m == skip) continue;
-    acc.Push(coop.Quality(m, w) + coop.Quality(w, m));
+    acc.Push(coop.Mutual(m, w));
   }
   if (others != nullptr) *others = acc.j;
   return acc.Total();
@@ -64,8 +83,7 @@ double ScoreKeeper::GroupPairSum(std::span<const WorkerIndex> group) const {
   for (int a = 0; a + 1 < size; ++a) {
     LaneAcc acc;
     for (int b = a + 1; b < size; ++b) {
-      acc.Push(coop.Quality(group[a], group[b]) +
-               coop.Quality(group[b], group[a]));
+      acc.Push(coop.Mutual(group[a], group[b]));
     }
     total += acc.Total();
   }
@@ -183,6 +201,28 @@ double ScoreKeeper::LossIfLeft(WorkerIndex w, TaskIndex t) const {
   const double new_score = GroupScoreFromSum(
       t, pair_sums_[static_cast<size_t>(t)] - removed, others, kNoWorker, w);
   return scores_[static_cast<size_t>(t)] - new_score;
+}
+
+CrowdOut ScoreKeeper::CrowdIfJoined(WorkerIndex w, TaskIndex t) const {
+  const std::span<const WorkerIndex> members = GroupOf(t);
+  CrowdSlot& slot = crowd_slots_[static_cast<size_t>(t)];
+  const size_t m = members.size();
+  if (m == 0 || m > static_cast<size_t>(slot.capacity)) {
+    return DropOneCrowding(instance_->coop(), members, w);
+  }
+  const auto ids = crowd_ids_.begin() + static_cast<ptrdiff_t>(slot.ids);
+  const std::span<double> table(crowd_values_.data() + slot.values,
+                                CrowdTableSize(m));
+  if (static_cast<size_t>(slot.size) != m ||
+      !std::equal(members.begin(), members.end(), ids)) {
+    std::copy(members.begin(), members.end(), ids);
+    slot.size = static_cast<int>(m);
+    FillCrowdTable(instance_->coop(), members, table);
+  }
+  std::array<double, kCrowdTableGroup> row;
+  const std::span<double> newcomer_row(row.data(), m);
+  instance_->coop().MutualRow(w, members, newcomer_row);
+  return CrowdFromTable(table, members, newcomer_row, w);
 }
 
 double ScoreKeeper::AffinityTo(TaskIndex t, WorkerIndex w,

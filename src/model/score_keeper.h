@@ -1,11 +1,13 @@
 #ifndef CASC_MODEL_SCORE_KEEPER_H_
 #define CASC_MODEL_SCORE_KEEPER_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "model/assignment.h"
 #include "model/instance.h"
+#include "model/objective.h"
 
 namespace casc {
 
@@ -36,10 +38,20 @@ namespace casc {
 /// objective-correct.
 ///
 /// Affinity sums read the two-way pair value q(i,k) + q(k,i) straight
-/// from CooperationMatrix::Quality and accumulate it in one canonical
+/// from CooperationMatrix::Mutual and accumulate it in one canonical
 /// 4-lane order (element j in lane j % 4, lanes combined as
 /// (l0 + l2) + (l1 + l3)). The order fixes every score bit, so it must
 /// not change.
+///
+/// CrowdIfJoined keeps a crowding cache per task: the member ids it was
+/// built for, their pair table and the running sums DropOneCrowding
+/// derives from it. An entry is valid only while its ids equal GroupOf(t)
+/// element by element, so any change to the group, a reorder included,
+/// rebuilds it on the next query; Add/Remove never touch it and Rebind
+/// empties it. The cache is `mutable` and filled by const queries, so a
+/// keeper must stay confined to one thread. Every keeper belongs to one
+/// solver (a shard's workspace, phase 2's local keeper, the net
+/// coordinator's), which keeps that true.
 class ScoreKeeper {
  public:
   /// Creates an unbound keeper; Rebind()/Sync() before use (the pooling
@@ -102,6 +114,15 @@ class ScoreKeeper {
   /// Requires membership.
   double LossIfLeft(WorkerIndex w, TaskIndex t) const;
 
+  /// Exactly DropOneCrowding(coop, GroupOf(t), w): the crowding outcome of
+  /// `w` joining t's group (normally a full task). The members' pair
+  /// table and running sums come from t's cache entry, rebuilt first if
+  /// the group changed since it was filled, so a query reads only the
+  /// newcomer's row of Mutual values. Groups over kCrowdTableGroup
+  /// (newcomer included) call DropOneCrowding. Requires w not in the
+  /// group and a non-empty group.
+  CrowdOut CrowdIfJoined(WorkerIndex w, TaskIndex t) const;
+
   /// Two-way affinity of `w` to t's current members, scanned in group
   /// order and skipping `skip` (w itself always contributes zero): the
   /// pair-sum delta of one membership change. Building block for
@@ -144,11 +165,25 @@ class ScoreKeeper {
   /// Canonical-lane ordered-pair sum of a distinct-id group.
   double GroupPairSum(std::span<const WorkerIndex> group) const;
 
+  /// One task's region of the crowding arenas, sized for its capacity.
+  struct CrowdSlot {
+    std::size_t values = 0;  ///< first double in crowd_values_
+    std::size_t ids = 0;     ///< first id in crowd_ids_
+    int capacity = 0;        ///< most members the slot holds (0 = none)
+    int size = 0;            ///< members cached (0 = empty)
+  };
+
   const Instance* instance_ = nullptr;
   const Assignment* assignment_ = nullptr;
   std::vector<double> pair_sums_;  // ordered-pair sum per task
   std::vector<double> scores_;     // Equation-2 value per task
   double total_ = 0.0;
+  // The crowding cache (see the class comment). A slot of capacity c owns
+  // CrowdTableSize(c) doubles, holding FillCrowdTable's table of the ids
+  // it was filled for, and c ids.
+  mutable std::vector<CrowdSlot> crowd_slots_;
+  mutable std::vector<double> crowd_values_;
+  mutable std::vector<WorkerIndex> crowd_ids_;
 };
 
 }  // namespace casc

@@ -16,7 +16,7 @@ double Affinity(const CooperationMatrix& coop, WorkerIndex w,
                 const std::vector<WorkerIndex>& members) {
   double total = 0.0;
   for (const WorkerIndex m : members) {
-    total += coop.Quality(w, m) + coop.Quality(m, w);
+    total += coop.Mutual(w, m);
   }
   return total;
 }

@@ -22,9 +22,7 @@ double RatingModel::TrueTeamQuality(const std::vector<int>& team) const {
   for (size_t a = 0; a < team.size(); ++a) {
     for (size_t b = a + 1; b < team.size(); ++b) {
       // Unordered pair quality: the mean of both directions.
-      total += (ground_truth_.Quality(team[a], team[b]) +
-                ground_truth_.Quality(team[b], team[a])) /
-               2.0;
+      total += ground_truth_.Mutual(team[a], team[b]) / 2.0;
       ++pairs;
     }
   }

@@ -183,6 +183,60 @@ TEST(CooperationMatrixTest, MutualRowIsBitEqualToTheQualitySum) {
   EXPECT_GT(out[1], 0.0);
 }
 
+/// Checks Mutual(i, k) against Quality(i, k) + Quality(k, i) bit for bit
+/// for every ordered pair, the diagonal included.
+void ExpectMutualBitEqual(const CooperationMatrix& matrix,
+                          const std::string& label) {
+  for (int i = 0; i < matrix.num_workers(); ++i) {
+    for (int k = 0; k < matrix.num_workers(); ++k) {
+      const double expected = matrix.Quality(i, k) + matrix.Quality(k, i);
+      ASSERT_EQ(std::bit_cast<uint64_t>(matrix.Mutual(i, k)),
+                std::bit_cast<uint64_t>(expected))
+          << label << ": pair " << i << ", " << k;
+    }
+  }
+}
+
+TEST(CooperationMatrixTest, MutualIsBitEqualToTheQualitySum) {
+  Rng rng(32);
+  constexpr int kWorkers = 24;
+  CooperationMatrix dense(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    for (int k = 0; k < kWorkers; ++k) {
+      if (i != k) dense.SetQuality(i, k, rng.Uniform());  // asymmetric
+    }
+  }
+  ExpectMutualBitEqual(dense, "dense");
+  const CooperationMatrix procedural =
+      CooperationMatrix::Procedural(kWorkers, 78);
+  ExpectMutualBitEqual(procedural, "procedural");
+
+  const std::vector<int> view_ids = {20, 3, 7, 11, 0, 15, 9, 2, 18, 5};
+  ExpectMutualBitEqual(dense.View(view_ids), "view");
+  ExpectMutualBitEqual(procedural.View(view_ids), "procedural view");
+  ExpectMutualBitEqual(dense.View(view_ids).View({9, 4, 1, 6, 0}),
+                       "view of view");
+
+  // Logical ids 0 and 2 (and 1 and 3) alias one backing worker each:
+  // their mutual value is the diagonal's 0.
+  const std::vector<int> aliased_ids = {5, 8, 5, 8, 1};
+  const CooperationMatrix aliasing = dense.View(aliased_ids);
+  ExpectMutualBitEqual(aliasing, "aliasing view");
+  ExpectMutualBitEqual(procedural.View(aliased_ids),
+                       "aliasing procedural view");
+  EXPECT_EQ(std::bit_cast<uint64_t>(aliasing.Mutual(0, 2)),
+            std::bit_cast<uint64_t>(0.0));
+  EXPECT_GT(aliasing.Mutual(0, 1), 0.0);
+}
+
+TEST(CooperationMatrixDeathTest, MutualChecksBothLogicalIndices) {
+  const CooperationMatrix dense(6, 0.5);
+  EXPECT_DEATH(dense.Mutual(0, 6), "CHECK failed");
+  EXPECT_DEATH(dense.Mutual(-1, 2), "CHECK failed");
+  const CooperationMatrix view = dense.View({4, 1, 3});
+  EXPECT_DEATH(view.Mutual(3, 0), "CHECK failed");
+}
+
 TEST(CooperationMatrixDeathTest, MutualRowChecksEveryLogicalIndex) {
   const CooperationMatrix dense(6, 0.5);
   const CooperationMatrix view = dense.View({4, 1, 3});

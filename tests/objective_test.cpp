@@ -23,6 +23,7 @@
 #include "model/instance.h"
 #include "model/objective.h"
 #include "model/objective_model.h"
+#include "model/score_keeper.h"
 #include "service/dispatch_service.h"
 
 namespace casc {
@@ -446,6 +447,181 @@ TEST(DropOneCrowdingTest, AllEqualMatrixEvictsTheNewcomer) {
     EXPECT_EQ(DropOneCrowding(coop, members, group.back()).evicted,
               group.back())
         << "n " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ScoreKeeper::CrowdIfJoined: bitwise against DropOneCrowding
+// ---------------------------------------------------------------------------
+
+/// All-valid instance over `coop` whose task j has capacity
+/// capacities[j].
+Instance MakeCrowdInstance(const CooperationMatrix& coop,
+                           const std::vector<int>& capacities) {
+  std::vector<Worker> workers;
+  for (int i = 0; i < coop.num_workers(); ++i) {
+    workers.push_back(Worker{i, {0.5, 0.5}, 1.0, 1.0, 0.0});
+  }
+  std::vector<Task> tasks;
+  for (size_t j = 0; j < capacities.size(); ++j) {
+    tasks.push_back(
+        Task{static_cast<int>(j), {0.5, 0.5}, 0.0, 10.0, capacities[j]});
+  }
+  Instance instance(std::move(workers), std::move(tasks), coop, 0.0, 2);
+  instance.ComputeValidPairs();
+  return instance;
+}
+
+/// The keeper's cached crowding vs the DropOneCrowding oracle on t's
+/// current group, bit for bit, for every idle worker as the newcomer.
+/// Each query runs twice, so the second one reads the filled cache.
+void ExpectCrowdMatchesOracle(const Instance& instance,
+                              const Assignment& assignment,
+                              const ScoreKeeper& keeper, TaskIndex t,
+                              const std::string& label) {
+  const std::span<const WorkerIndex> members = assignment.GroupOf(t);
+  ASSERT_FALSE(members.empty()) << label;
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    if (assignment.TaskOf(w) == t) continue;
+    const CrowdOut want = DropOneCrowding(instance.coop(), members, w);
+    for (int pass = 0; pass < 2; ++pass) {
+      const CrowdOut got = keeper.CrowdIfJoined(w, t);
+      ASSERT_EQ(got.evicted, want.evicted)
+          << label << ": newcomer " << w << ", pass " << pass;
+      ASSERT_EQ(Bits(got.pair_sum), Bits(want.pair_sum))
+          << label << ": newcomer " << w << ", pass " << pass << ": "
+          << got.pair_sum << " vs " << want.pair_sum;
+    }
+  }
+}
+
+/// Puts n - 1 random workers on a task of that capacity (2 for n = 2, the
+/// smallest B allows) and checks every newcomer, for n = 2 .. 33 (33
+/// takes the DropOneCrowding fallback).
+void ExpectCrowdMatchesOracleForAllSizes(const CooperationMatrix& coop,
+                                         Rng* rng, const std::string& label) {
+  for (size_t n = 2; n <= kCrowdTableGroup + 1; ++n) {
+    const Instance instance =
+        MakeCrowdInstance(coop, {2, std::max(static_cast<int>(n) - 1, 2), 3});
+    Assignment assignment(instance);
+    for (const WorkerIndex w :
+         RandomGroup(coop.num_workers(), n - 1, rng)) {
+      assignment.Assign(w, 1);
+    }
+    const ScoreKeeper keeper(instance, assignment);
+    ExpectCrowdMatchesOracle(instance, assignment, keeper, 1,
+                             label + " n " + std::to_string(n));
+  }
+}
+
+TEST(CrowdIfJoinedTest, MatchesDropOneCrowdingOnDenseAsymmetricMatrices) {
+  Rng rng(0xC401);
+  ExpectCrowdMatchesOracleForAllSizes(AsymmetricMatrix(40, 0, &rng), &rng,
+                                      "dense");
+  ExpectCrowdMatchesOracleForAllSizes(AsymmetricMatrix(40, 3, &rng), &rng,
+                                      "quantized");
+}
+
+TEST(CrowdIfJoinedTest, MatchesDropOneCrowdingOnProceduralMatrices) {
+  Rng rng(0xC402);
+  ExpectCrowdMatchesOracleForAllSizes(CooperationMatrix::Procedural(40, 7),
+                                      &rng, "procedural");
+}
+
+TEST(CrowdIfJoinedTest, MatchesDropOneCrowdingOnRemappedViews) {
+  Rng rng(0xC403);
+  const CooperationMatrix base = AsymmetricMatrix(60, 4, &rng);
+  // A shuffled window whose logical workers 3 and 40 share one backing
+  // worker: a zero-quality pair that may sit in the member table or in
+  // the newcomer's row.
+  std::vector<int> ids = RandomGroup(60, 40, &rng);
+  ids.push_back(ids[3]);
+  const CooperationMatrix view = base.View(ids);
+  ExpectCrowdMatchesOracleForAllSizes(view, &rng, "view");
+  const Instance instance = MakeCrowdInstance(view, {4});
+  Assignment assignment(instance);
+  for (const WorkerIndex w : {3, 30, 7, 12}) assignment.Assign(w, 0);
+  const ScoreKeeper keeper(instance, assignment);
+  ExpectCrowdMatchesOracle(instance, assignment, keeper, 0, "aliased member");
+}
+
+TEST(CrowdIfJoinedTest, AllEqualMatrixEvictsTheNewcomer) {
+  const CooperationMatrix coop(40, 0.5);
+  Rng rng(0xC404);
+  ExpectCrowdMatchesOracleForAllSizes(coop, &rng, "all equal");
+  const Instance instance = MakeCrowdInstance(coop, {5});
+  Assignment assignment(instance);
+  for (const WorkerIndex w : {4, 9, 0, 13, 7}) assignment.Assign(w, 0);
+  const ScoreKeeper keeper(instance, assignment);
+  EXPECT_EQ(keeper.CrowdIfJoined(2, 0).evicted, 2);
+  EXPECT_EQ(keeper.CrowdIfJoined(2, 0).evicted, 2);
+}
+
+TEST(CrowdIfJoinedTest, TracksGroupsThroughAddRemoveAndReorder) {
+  Rng rng(0xC405);
+  const CooperationMatrix coop = AsymmetricMatrix(48, 0, &rng);
+  const std::vector<int> capacities = {2, 2, 3, 4, 5, 6, 4, 31, 32};
+  const Instance instance = MakeCrowdInstance(coop, capacities);
+  const TaskIndex num_tasks = instance.num_tasks();
+  Assignment assignment(instance);
+  ScoreKeeper keeper(instance, assignment);
+  const auto check_all = [&](const std::string& label) {
+    for (TaskIndex t = 0; t < num_tasks; ++t) {
+      if (assignment.GroupSize(t) == 0) continue;
+      ExpectCrowdMatchesOracle(instance, assignment, keeper, t,
+                               label + " task " + std::to_string(t));
+    }
+  };
+  for (int step = 0; step < 400; ++step) {
+    const std::string label = "step " + std::to_string(step);
+    const WorkerIndex w = static_cast<WorkerIndex>(rng.UniformInt(48));
+    const TaskIndex t = static_cast<TaskIndex>(
+        rng.UniformInt(static_cast<uint64_t>(num_tasks)));
+    const TaskIndex current = assignment.TaskOf(w);
+    if (current != kNoTask) {
+      keeper.Remove(w, current);
+      assignment.Unassign(w);
+      if (rng.UniformInt(2) == 0) {
+        // Same set, new order: w rejoins at the end of its group.
+        keeper.Add(w, current);
+        assignment.Assign(w, current);
+      }
+    } else if (assignment.GroupSize(t) < capacities[static_cast<size_t>(t)]) {
+      keeper.Add(w, t);
+      assignment.Assign(w, t);
+    }
+    if (step % 8 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_all(label));
+    }
+  }
+  // Rotate every group through one reorder and query again: a cache that
+  // ignored member order would replay the old table.
+  for (TaskIndex t = 0; t < num_tasks; ++t) {
+    if (assignment.GroupSize(t) < 2) continue;
+    const WorkerIndex first = assignment.GroupOf(t)[0];
+    keeper.Remove(first, t);
+    assignment.Unassign(first);
+    keeper.Add(first, t);
+    assignment.Assign(first, t);
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all("rotated"));
+
+  // A pooled keeper rebound to another matrix must not reuse its cache,
+  // even for the same member ids.
+  const Instance other =
+      MakeCrowdInstance(AsymmetricMatrix(48, 0, &rng), capacities);
+  Assignment other_assignment(other);
+  for (WorkerIndex w = 0; w < 48; ++w) {
+    if (assignment.TaskOf(w) != kNoTask) {
+      other_assignment.Assign(w, assignment.TaskOf(w));
+    }
+  }
+  keeper.Rebind(other);
+  keeper.Sync(other_assignment);
+  for (TaskIndex t = 0; t < num_tasks; ++t) {
+    if (other_assignment.GroupSize(t) == 0) continue;
+    ExpectCrowdMatchesOracle(other, other_assignment, keeper, t,
+                             "rebound task " + std::to_string(t));
   }
 }
 
