@@ -7,7 +7,7 @@
 #include "model/assignment.h"
 #include "model/score_keeper.h"
 #include "model/valid_pair_index.h"
-#include "spatial/spatial_index.h"
+#include "spatial/grid_index.h"
 
 namespace casc {
 
@@ -67,7 +67,7 @@ class BatchWorkspace {
 
   void Recycle(ScoreKeeper keeper) { keepers_.push_back(std::move(keeper)); }
 
-  /// Scratch buffer for spatial-index bulk loads (ComputeValidPairs).
+  /// Scratch item list for the task grid of ComputeValidPairs().
   std::vector<SpatialItem>& spatial_items() { return spatial_items_; }
 
   /// Kept only for the benchmark's layer probe, which still times this

@@ -4,7 +4,7 @@
 #include "geo/reachability.h"
 #include "model/batch_workspace.h"
 #include "model/objective_model.h"
-#include "spatial/rtree.h"
+#include "spatial/grid_index.h"
 
 namespace casc {
 Instance::Instance(std::vector<Worker> workers, std::vector<Task> tasks,
@@ -88,7 +88,7 @@ void Instance::ComputeValidPairs(BatchWorkspace* workspace) {
     items.push_back(
         SpatialItem{static_cast<int64_t>(t), task_locations_[t]});
   }
-  RTree task_index;
+  GridIndex task_index;
   task_index.Build(items);
 
   std::vector<int64_t> in_range;

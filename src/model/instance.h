@@ -84,10 +84,9 @@ class Instance {
   bool IsValidPair(WorkerIndex w, TaskIndex t) const;
 
   /// Computes the valid-pair lists for every worker and task (Algorithm
-  /// 1 lines 4-5): one working-area circle query per worker against an
-  /// R-tree over the task locations. Idempotent. With a workspace, its
-  /// pooled CSR index and scratch buffers are reused (steady-state
-  /// streaming batches then allocate nothing for the pair lists).
+  /// 1 lines 4-5): one working-area circle query per worker against a
+  /// GridIndex over the task locations, built per call. Idempotent. With
+  /// a workspace, its pooled CSR index and item scratch are reused.
   void ComputeValidPairs(BatchWorkspace* workspace = nullptr);
 
   /// Installs a precomputed CSR index instead of running

@@ -68,7 +68,7 @@ struct ServiceMetrics {
   int queue_depth = 0;     ///< open tasks carried after the batch
 
   /// Streaming data-plane timings. `ingest_seconds` covers arrival
-  /// ingest plus incremental index maintenance (overlapped with the
+  /// ingest plus incremental row maintenance (overlapped with the
   /// previous solve when the pipeline is on — `pipelined` records where
   /// it ran); `index_build_seconds` covers the valid-pair build;
   /// `batch_seconds` is the batch's critical path (non-overlapped ingest
@@ -79,8 +79,9 @@ struct ServiceMetrics {
   bool pipelined = false;  ///< ingest ran overlapped with the prior solve
 
   /// Split of the streaming data-plane work (zero for RunBatch): delta
-  /// splice into known rows, fresh rows for new workers and the
-  /// persistent spatial batch insert are parts of ingest_seconds;
+  /// splice into known rows (arrival grid included), fresh rows for new
+  /// workers, and ingest_spatial_seconds, the build of the open-pool grid
+  /// those fresh rows query, are parts of ingest_seconds;
   /// csr_emit_seconds is the parallel CSR emission inside
   /// index_build_seconds. `ingest_threads` is the plane's resolved
   /// fan-out width (1 = serial).

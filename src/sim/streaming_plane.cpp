@@ -12,7 +12,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "geo/reachability.h"
-#include "spatial/probe_index.h"
 
 namespace casc {
 namespace {
@@ -44,7 +43,6 @@ StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
 
 StreamingPlane::StreamingPlane(StreamingPlaneConfig config)
     : config_(config) {
-  CASC_CHECK_GT(config_.rtree_rebuild_fraction, 0.0);
   CASC_CHECK_GE(config_.ingest_threads, 0);
   ingest_threads_ = config_.ingest_threads > 0
                         ? config_.ingest_threads
@@ -79,7 +77,7 @@ void StreamingPlane::RunOnChunks(
   });
 }
 
-void StreamingPlane::SpliceRow(int32_t handle, const SpatialIndex& tasks,
+void StreamingPlane::SpliceRow(int32_t handle, const GridIndex& tasks,
                                double now, IngestSlot* scratch) {
   const Worker& worker = worker_store_[static_cast<size_t>(handle)];
   std::vector<int32_t>& row = rows_[static_cast<size_t>(handle)];
@@ -114,30 +112,21 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
     pool_tasks_.push_back(task);
   }
 
+  // Splice the arrivals into every known worker's row — including busy
+  // workers, so a returning worker's row is already current. One query
+  // per worker against a grid over just the arrivals keeps this
+  // O(delta)-ish. Each chunk writes only its own contiguous handle
+  // range's rows, so the fan-out is race-free and the per-row outcome is
+  // exactly the serial loop's; counters merge in fixed chunk order below.
   Stopwatch phase;
-  if (!tasks.empty()) {
-    rebuild_items_.clear();
+  if (!tasks.empty() && known_workers > 0) {
+    grid_items_.clear();
     for (size_t i = 0; i < tasks.size(); ++i) {
       const int32_t handle =
           static_cast<int32_t>(slot_of_handle_.size() - tasks.size() + i);
-      rebuild_items_.push_back(SpatialItem{handle, tasks[i].location});
+      grid_items_.push_back(SpatialItem{handle, tasks[i].location});
     }
-    task_index_.InsertBatch(rebuild_items_);
-  }
-  ingest_stats_.spatial_insert_seconds = phase.ElapsedSeconds();
-
-  // Splice the arrivals into every known worker's row — including busy
-  // workers, so a returning worker's row is already current. One probe
-  // query per worker against just the delta keeps this O(delta)-ish.
-  // Each chunk writes only its own contiguous handle range's rows, so
-  // the fan-out is race-free and the per-row outcome is exactly the
-  // serial loop's; counters merge in fixed chunk order below.
-  phase.Restart();
-  if (!tasks.empty() && known_workers > 0) {
-    // The probe index is queried once per known worker, so at 1M workers
-    // even a 40-item delta deserves cell pruning; the shared heuristic
-    // (spatial/probe_index.h) picks linear scan vs sized grid.
-    const std::unique_ptr<SpatialIndex> delta = MakeProbeIndex(rebuild_items_);
+    task_grid_.Build(grid_items_);
     const int chunks = ChunksFor(known_workers);
     RunOnChunks(known_workers, chunks, [&](int chunk, size_t begin,
                                            size_t end) {
@@ -145,7 +134,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
       scratch.appended = 0;
       scratch.rejects = 0;
       for (size_t h = begin; h < end; ++h) {
-        SpliceRow(static_cast<int32_t>(h), *delta, now, &scratch);
+        SpliceRow(static_cast<int32_t>(h), task_grid_, now, &scratch);
       }
     });
     for (int c = 0; c < chunks; ++c) {
@@ -155,11 +144,20 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
   }
   ingest_stats_.splice_seconds = phase.ElapsedSeconds();
 
-  // New workers: one full circle query each against the persistent index
-  // (which now includes this window's tasks). The stores are resized
-  // up front so the parallel fill never reallocates under other chunks.
-  phase.Restart();
+  // New workers: one full circle query each against a grid over the open
+  // pool, this window's tasks included. The stores are resized up front
+  // so the parallel fill never reallocates under other chunks.
   if (!workers.empty()) {
+    phase.Restart();
+    grid_items_.clear();
+    for (size_t slot = 0; slot < pool_tasks_.size(); ++slot) {
+      grid_items_.push_back(
+          SpatialItem{pool_task_handles_[slot], pool_tasks_[slot].location});
+    }
+    task_grid_.Build(grid_items_);
+    ingest_stats_.spatial_insert_seconds = phase.ElapsedSeconds();
+
+    phase.Restart();
     worker_store_.insert(worker_store_.end(), workers.begin(), workers.end());
     rows_.resize(worker_store_.size());
     const int chunks = ChunksFor(workers.size());
@@ -169,7 +167,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
       scratch.appended = 0;
       scratch.rejects = 0;
       for (size_t i = begin; i < end; ++i) {
-        SpliceRow(static_cast<int32_t>(known_workers + i), task_index_, now,
+        SpliceRow(static_cast<int32_t>(known_workers + i), task_grid_, now,
                   &scratch);
       }
     });
@@ -180,8 +178,8 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
     for (size_t i = 0; i < workers.size(); ++i) {
       pool_worker_handles_.push_back(static_cast<int32_t>(known_workers + i));
     }
+    ingest_stats_.fresh_rows_seconds = phase.ElapsedSeconds();
   }
-  ingest_stats_.fresh_rows_seconds = phase.ElapsedSeconds();
 }
 
 void StreamingPlane::StageReleases(double now) {
@@ -205,9 +203,6 @@ void StreamingPlane::FlushReleases() {
 
 void StreamingPlane::RemoveTask(int32_t slot) {
   const int32_t handle = pool_task_handles_[static_cast<size_t>(slot)];
-  const bool removed = task_index_.Remove(
-      SpatialItem{handle, pool_tasks_[static_cast<size_t>(slot)].location});
-  CASC_CHECK(removed) << "open task missing from the persistent index";
   slot_of_handle_[static_cast<size_t>(handle)] = -1;
 }
 
@@ -216,24 +211,6 @@ void StreamingPlane::RefreshSlots() {
     slot_of_handle_[static_cast<size_t>(pool_task_handles_[slot])] =
         static_cast<int32_t>(slot);
   }
-}
-
-void StreamingPlane::MaybeRebuildSpatialIndex() {
-  CASC_CHECK_EQ(task_index_.Size(), pool_tasks_.size());
-  const double threshold =
-      config_.rtree_rebuild_fraction *
-      static_cast<double>(std::max<size_t>(pool_tasks_.size(), 1));
-  if (static_cast<double>(task_index_.removed_since_build()) <= threshold) {
-    return;
-  }
-  rebuild_items_.clear();
-  rebuild_items_.reserve(pool_tasks_.size());
-  for (size_t slot = 0; slot < pool_tasks_.size(); ++slot) {
-    rebuild_items_.push_back(SpatialItem{pool_task_handles_[slot],
-                                         pool_tasks_[slot].location});
-  }
-  task_index_.Build(rebuild_items_);
-  ++spatial_rebuilds_;
 }
 
 void StreamingPlane::Expire(double now) {
@@ -251,7 +228,6 @@ void StreamingPlane::Expire(double now) {
   pool_tasks_.resize(keep);
   pool_task_handles_.resize(keep);
   RefreshSlots();
-  MaybeRebuildSpatialIndex();
 }
 
 void StreamingPlane::Admit(int budget) {
@@ -653,7 +629,6 @@ void StreamingPlane::Commit(const Instance& instance,
   std::swap(pool_tasks_, scratch_tasks_);
   std::swap(pool_task_handles_, scratch_handles_);
   RefreshSlots();
-  MaybeRebuildSpatialIndex();
 }
 
 }  // namespace casc

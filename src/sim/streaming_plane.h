@@ -14,7 +14,7 @@
 #include "model/solve_delta.h"
 #include "model/task.h"
 #include "model/worker.h"
-#include "spatial/rtree.h"
+#include "spatial/grid_index.h"
 
 namespace casc {
 
@@ -27,12 +27,6 @@ struct StreamingPlaneConfig {
   /// byte-identical (ValidPairIndex::SameAs). Debug/CI tool, enabled at
   /// runtime via CASC_STREAM_AUDIT.
   bool audit = false;
-
-  /// R-tree tombstone threshold: once removed_since_build() exceeds this
-  /// fraction of the live size, the accumulated loose bounds make a fresh
-  /// bulk load cheaper than querying the degraded tree, so the plane
-  /// rebuilds the persistent index from the live pool.
-  double rtree_rebuild_fraction = 0.25;
 
   /// Width of the owned pool the per-worker splice, fresh-row and
   /// CSR-emission loops fan out over; 0 means the hardware concurrency.
@@ -84,7 +78,7 @@ struct StreamingPlaneConfig {
 struct StreamingIngestStats {
   double splice_seconds = 0.0;        ///< delta splice into known rows
   double fresh_rows_seconds = 0.0;    ///< full queries for new workers
-  double spatial_insert_seconds = 0.0;  ///< persistent-index batch insert
+  double spatial_insert_seconds = 0.0;  ///< open-pool grid build
   int64_t spliced_entries = 0;   ///< entries appended to known rows
   int64_t splice_rejects = 0;    ///< splice-time deadline rejects (known)
   int64_t fresh_entries = 0;     ///< entries appended to new workers' rows
@@ -101,14 +95,16 @@ struct StreamingEmitStats {
 
 /// The cross-batch state of a streaming run (Algorithm 1), maintained
 /// incrementally: the idle-worker pool, the open-task pool, the busy-
-/// worker queue, a persistent spatial index over the open tasks, and a
-/// delta-maintained valid-pair row per worker. Between consecutive
-/// batches the plane touches O(arrivals + departures) state instead of
-/// rebuilding the task index and re-running one circle query per worker:
+/// worker queue and a delta-maintained valid-pair row per worker.
+/// Between consecutive batches the plane touches O(arrivals +
+/// departures) rows instead of re-running one circle query per worker:
 ///
-/// * New tasks are spliced into every known worker's row via a small
-///   probe index over just the arrivals.
-/// * New workers get one circle query against the persistent task index.
+/// * New tasks are spliced into every known worker's row via a
+///   GridIndex over just the arrivals.
+/// * New workers get one circle query each against a GridIndex over the
+///   whole open pool, built only by an Ingest() that brings new workers.
+///   No task index outlives the Ingest() that built it, so departures
+///   and expiries cost nothing beyond the row entries they kill.
 /// * Surviving row entries only need a deadline re-check at emission,
 ///   because the two non-trivial validity conditions of Definition 3
 ///   behave monotonically: the working-area test is time-invariant, and
@@ -170,10 +166,11 @@ class StreamingPlane {
   StreamingPlane& operator=(const StreamingPlane&) = delete;
 
   /// Appends this window's arrivals to the pools at batch time `now`,
-  /// inserts the tasks into the persistent spatial index, splices them
-  /// into every known worker's row (one probe-index query per worker) and
-  /// computes fresh rows for the new workers (one persistent-index query
-  /// each).
+  /// splices the tasks into every known worker's row (one query per
+  /// worker against a grid over the arrivals) and computes fresh rows for
+  /// the new workers (one query each against a grid over the open pool,
+  /// arrivals included; built only when workers arrived, and timed into
+  /// ingest_stats().spatial_insert_seconds).
   void Ingest(double now, std::span<const Worker> workers,
               std::span<const Task> tasks);
 
@@ -247,17 +244,13 @@ class StreamingPlane {
   const SolveDelta* BuildSolveDelta(const Instance& instance);
 
   /// Commits the solved batch: workers of started groups (>= B members)
-  /// go busy until `release_time`; started tasks leave the pool (and the
-  /// persistent index); non-started admitted tasks, deferred tasks and
-  /// any overlapped arrivals remain, in exactly the sequential loop's
-  /// carry-over order.
+  /// go busy until `release_time`; started tasks leave the pool;
+  /// non-started admitted tasks, deferred tasks and any overlapped
+  /// arrivals remain, in exactly the sequential loop's carry-over order.
   void Commit(const Instance& instance, const Assignment& assignment,
               double release_time);
 
   const StreamingPlaneConfig& config() const { return config_; }
-
-  /// Tombstone-triggered rebuilds of the persistent R-tree so far.
-  int64_t spatial_rebuilds() const { return spatial_rebuilds_; }
 
   /// Resolved ingest-pool width (1 = every loop inline).
   int ingest_threads() const { return ingest_threads_; }
@@ -280,21 +273,17 @@ class StreamingPlane {
     int64_t dropped = 0;
   };
 
-  /// Removes one task from the persistent index and invalidates its
-  /// handle. Row entries referencing it die lazily at the next emission.
+  /// Invalidates the handle of the task at pool `slot`. Row entries
+  /// referencing it die lazily at the next emission.
   void RemoveTask(int32_t slot);
 
   /// Restores slot_of_handle_ after a pool compaction/reorder.
   void RefreshSlots();
 
-  /// Bulk-reloads the persistent R-tree from the live pool once the
-  /// tombstone fraction is exceeded.
-  void MaybeRebuildSpatialIndex();
-
   /// Appends the row entries valid for `worker` at `now` among `tasks`
-  /// (a probe index keyed by task handle) into rows_[handle], using and
+  /// (a grid keyed by task handle) into rows_[handle], using and
   /// updating `scratch` (the calling chunk's slot).
-  void SpliceRow(int32_t handle, const SpatialIndex& tasks, double now,
+  void SpliceRow(int32_t handle, const GridIndex& tasks, double now,
                  IngestSlot* scratch);
 
   /// Prunes rows_[handle of worker slot w] in place and appends the
@@ -334,9 +323,11 @@ class StreamingPlane {
   std::vector<std::pair<double, int32_t>> busy_;
   std::vector<int32_t> staged_releases_;
 
-  /// Persistent R-tree over the open tasks (keyed by handle).
-  RTree task_index_;
-  int64_t spatial_rebuilds_ = 0;
+  /// Ingest's task grid, keyed by handle: over the arrivals for the
+  /// splice, then rebuilt over the open pool for fresh rows. Kept as a
+  /// member only to reuse its storage; nothing reads it after Ingest().
+  GridIndex task_grid_;
+  std::vector<SpatialItem> grid_items_;  ///< its Build() input
 
   /// Admission state of the current batch.
   std::vector<int32_t> admitted_;  ///< permutation of slots (prefix used)
@@ -347,7 +338,6 @@ class StreamingPlane {
   /// Emission scratch (reused across batches).
   std::vector<int32_t> instance_index_of_slot_;
   std::vector<int32_t> emit_row_;
-  std::vector<SpatialItem> rebuild_items_;
   std::vector<Task> scratch_tasks_;
   std::vector<int32_t> scratch_handles_;
 

@@ -276,66 +276,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 // ---------------------------------------------------------------------------
-// Valid-pair agreement: the R-tree query path vs Definition 3 per pair
-// ---------------------------------------------------------------------------
-
-struct BackendCase {
-  std::string name;
-  int workers;
-  int tasks;
-  uint64_t seed;
-};
-
-class BackendAgreementTest : public ::testing::TestWithParam<BackendCase> {};
-
-TEST_P(BackendAgreementTest, ComputedPairsMatchIsValidPair) {
-  const BackendCase& param = GetParam();
-  Rng rng(param.seed);
-  SyntheticInstanceConfig config;
-  config.num_workers = param.workers;
-  config.num_tasks = param.tasks;
-  Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
-  // Rebuild from scratch through the workspace path, then hold every
-  // (worker, task) pair against the direct validity check.
-  instance.ReleaseValidPairs();
-  BatchWorkspace workspace;
-  instance.ComputeValidPairs(&workspace);
-
-  size_t valid = 0;
-  std::vector<std::vector<WorkerIndex>> want_candidates(
-      static_cast<size_t>(instance.num_tasks()));
-  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-    std::vector<TaskIndex> want;
-    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-      if (!instance.IsValidPair(w, t)) continue;
-      want.push_back(t);
-      want_candidates[static_cast<size_t>(t)].push_back(w);
-    }
-    valid += want.size();
-    const std::span<const TaskIndex> got = instance.ValidTasks(w);
-    EXPECT_EQ(std::vector<TaskIndex>(got.begin(), got.end()), want)
-        << "worker " << w;
-  }
-  EXPECT_EQ(instance.NumValidPairs(), valid);
-  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-    const std::span<const WorkerIndex> got = instance.Candidates(t);
-    EXPECT_EQ(std::vector<WorkerIndex>(got.begin(), got.end()),
-              want_candidates[static_cast<size_t>(t)])
-        << "task " << t;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomInstances, BackendAgreementTest,
-    ::testing::Values(BackendCase{"tiny", 6, 4, 11},
-                      BackendCase{"small", 40, 15, 12},
-                      BackendCase{"medium", 200, 80, 13},
-                      BackendCase{"wide", 60, 240, 14}),
-    [](const ::testing::TestParamInfo<BackendCase>& info) {
-      return info.param.name;
-    });
-
-// ---------------------------------------------------------------------------
 // Workspace reuse: steady-state streaming allocates nothing in the
 // group store / pair index backing arrays
 // ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "gen/synthetic.h"
+#include "model/batch_workspace.h"
 #include "model/instance.h"
 
 namespace casc {
@@ -81,7 +83,7 @@ TEST(InstanceTest, DeadlineCountsFromNowNotCreation) {
 }
 
 // ---------------------------------------------------------------------------
-// ComputeValidPairs vs brute force (property test)
+// ComputeValidPairs vs Definition 3 per pair (property test)
 // ---------------------------------------------------------------------------
 
 struct ValidPairCase {
@@ -89,55 +91,95 @@ struct ValidPairCase {
   int workers;
   int tasks;
   uint64_t seed;
+  bool skewed = false;  ///< SKEW locations instead of UNIF
+  double scale = 1.0;   ///< locations, radii and speeds multiplied by this
+  double offset = 0.0;  ///< then locations shifted by this
 };
 
-class ValidPairsTest : public ::testing::TestWithParam<ValidPairCase> {};
-
-TEST_P(ValidPairsTest, IndexMatchesBruteForce) {
-  const ValidPairCase& param = GetParam();
-  Rng rng(param.seed);
+/// A synthetic one-batch instance under `c`, valid pairs not yet built.
+Instance MakeValidPairInstance(const ValidPairCase& c) {
+  Rng rng(c.seed);
   SyntheticInstanceConfig config;
-  config.num_workers = param.workers;
-  config.num_tasks = param.tasks;
+  config.num_workers = c.workers;
+  config.num_tasks = c.tasks;
   config.min_group_size = 2;
   config.task.capacity = 3;
-  Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
+  if (c.skewed) {
+    config.worker.spatial.distribution = LocationDistribution::kSkewed;
+    config.task.spatial.distribution = LocationDistribution::kSkewed;
+  }
+  const Instance base = GenerateSyntheticInstance(config, 0.0, &rng);
+  const auto transform = [&](Point p) {
+    return Point{p.x * c.scale + c.offset, p.y * c.scale + c.offset};
+  };
+  std::vector<Worker> workers = base.workers();
+  for (Worker& worker : workers) {
+    worker.location = transform(worker.location);
+    worker.radius *= c.scale;
+    worker.speed *= c.scale;
+  }
+  std::vector<Task> tasks = base.tasks();
+  for (Task& task : tasks) task.location = transform(task.location);
+  return Instance(std::move(workers), std::move(tasks), base.coop(),
+                  base.now(), base.min_group_size());
+}
+
+/// (case, build through a BatchWorkspace)
+class ValidPairsTest
+    : public ::testing::TestWithParam<std::tuple<ValidPairCase, bool>> {};
+
+TEST_P(ValidPairsTest, MatchesIsValidPair) {
+  const auto& [param, use_workspace] = GetParam();
+  Instance instance = MakeValidPairInstance(param);
+  BatchWorkspace workspace;
+  instance.ComputeValidPairs(use_workspace ? &workspace : nullptr);
 
   size_t total = 0;
+  std::vector<std::vector<WorkerIndex>> want_candidates(
+      static_cast<size_t>(instance.num_tasks()));
   for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-    std::vector<TaskIndex> expected;
+    std::vector<TaskIndex> want;
     for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-      if (instance.IsValidPair(w, t)) expected.push_back(t);
+      if (!instance.IsValidPair(w, t)) continue;
+      want.push_back(t);
+      want_candidates[static_cast<size_t>(t)].push_back(w);
     }
-    const std::span<const TaskIndex> valid = instance.ValidTasks(w);
-    EXPECT_EQ(std::vector<TaskIndex>(valid.begin(), valid.end()), expected)
+    const std::span<const TaskIndex> got = instance.ValidTasks(w);
+    EXPECT_EQ(std::vector<TaskIndex>(got.begin(), got.end()), want)
         << "worker " << w;
-    total += expected.size();
+    total += want.size();
   }
+  EXPECT_GT(total, 0u) << "a case with no valid pair checks nothing";
   EXPECT_EQ(instance.NumValidPairs(), total);
 
   // Candidates is the exact transpose of ValidTasks.
   for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-    std::vector<WorkerIndex> expected;
-    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-      if (instance.IsValidPair(w, t)) expected.push_back(w);
-    }
-    const std::span<const WorkerIndex> candidates = instance.Candidates(t);
-    EXPECT_EQ(
-        std::vector<WorkerIndex>(candidates.begin(), candidates.end()),
-        expected)
+    const std::span<const WorkerIndex> got = instance.Candidates(t);
+    EXPECT_EQ(std::vector<WorkerIndex>(got.begin(), got.end()),
+              want_candidates[static_cast<size_t>(t)])
         << "task " << t;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RandomInstances, ValidPairsTest,
-    ::testing::Values(ValidPairCase{"tiny", 5, 3, 1},
-                      ValidPairCase{"small", 30, 12, 2},
-                      ValidPairCase{"medium", 150, 60, 3},
-                      ValidPairCase{"wide", 50, 200, 4}),
-    [](const ::testing::TestParamInfo<ValidPairCase>& info) {
-      return info.param.name;
+    ::testing::Combine(
+        ::testing::Values(
+            // Fewer than 16 tasks: the task grid is a single cell.
+            ValidPairCase{"one_cell", 80, 12, 1},
+            ValidPairCase{"small", 30, 40, 2},
+            ValidPairCase{"medium", 150, 60, 3},
+            ValidPairCase{"wide", 50, 200, 4},
+            // More than 64 x 64 tasks: the cell count is capped.
+            ValidPairCase{"capped", 30, 5000, 5},
+            ValidPairCase{"skew", 150, 400, 6, /*skewed=*/true},
+            // Far outside the unit square: the grid spans the box.
+            ValidPairCase{"scaled_negative", 150, 200, 7, false, 1000.0,
+                          -5000.0}),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ValidPairsTest::ParamType>& info) {
+      return std::get<0>(info.param).name +
+             (std::get<1>(info.param) ? "_workspace" : "_fresh");
     });
 
 TEST(InstanceTest, ComputeValidPairsIsIdempotent) {

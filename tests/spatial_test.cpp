@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "geo/reachability.h"
 #include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
-#include "spatial/rtree.h"
 
 namespace casc {
 namespace {
@@ -23,279 +23,207 @@ std::vector<SpatialItem> RandomItems(int count, uint64_t seed) {
   return items;
 }
 
-/// A circle query covering the whole unit square: every stored item.
-std::vector<int64_t> QueryUnitSquare(const SpatialIndex& index) {
-  return index.CircleQuery({0.5, 0.5}, 0.75);
-}
-
-// ---------------------------------------------------------------------------
-// LinearScan (the reference)
-// ---------------------------------------------------------------------------
-
-TEST(LinearScanTest, EmptyQueries) {
-  LinearScan index;
-  EXPECT_TRUE(index.CircleQuery({0.5, 0.5}, 10.0).empty());
-  EXPECT_EQ(index.Size(), 0u);
-}
-
-TEST(LinearScanTest, BasicCircle) {
-  LinearScan index;
-  index.Insert({3, {0.5, 0.5}});
-  index.Insert({2, {0.9, 0.9}});
-  index.Insert({1, {0.1, 0.1}});
-  // Ascending ids regardless of insertion order.
-  const auto hits = index.CircleQuery({0.3, 0.3}, 0.3);
-  EXPECT_EQ(hits, (std::vector<int64_t>{1, 3}));
-}
-
-TEST(LinearScanTest, CircleBoundaryInclusive) {
-  LinearScan index;
-  index.Insert({1, {0.5, 0.0}});
-  const auto hits = index.CircleQuery({0.0, 0.0}, 0.5);
-  EXPECT_EQ(hits, (std::vector<int64_t>{1}));
-  EXPECT_TRUE(index.CircleQuery({0.0, 0.0}, 0.4999).empty());
-}
-
-// ---------------------------------------------------------------------------
-// RTree structure
-// ---------------------------------------------------------------------------
-
-TEST(RTreeTest, EmptyTree) {
-  RTree tree;
-  EXPECT_EQ(tree.Size(), 0u);
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(QueryUnitSquare(tree).empty());
-  tree.CheckInvariants();
-}
-
-TEST(RTreeTest, InsertGrowsAndSplits) {
-  RTree tree(/*max_entries=*/4, /*min_entries=*/2);
-  for (int i = 0; i < 100; ++i) {
-    const double x = (i % 10) / 10.0;
-    const double y = (i / 10) / 10.0;
-    tree.Insert({i, {x, y}});
-    tree.CheckInvariants();
+/// The brute-force reference: every item in the working area of
+/// Definition 3 (InWorkingArea), in ascending id order.
+std::vector<int64_t> LinearScan(const std::vector<SpatialItem>& items,
+                                const Point& center, double radius) {
+  std::vector<int64_t> out;
+  for (const SpatialItem& item : items) {
+    if (InWorkingArea(center, radius, item.location)) out.push_back(item.id);
   }
-  EXPECT_EQ(tree.Size(), 100u);
-  EXPECT_GT(tree.Height(), 1);
-  // Everything is in the unit square.
-  EXPECT_EQ(QueryUnitSquare(tree).size(), 100u);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-TEST(RTreeTest, BulkLoadPacksAllItems) {
-  RTree tree;
-  tree.Build(RandomItems(1000, 99));
-  EXPECT_EQ(tree.Size(), 1000u);
-  tree.CheckInvariants();
-  EXPECT_EQ(QueryUnitSquare(tree).size(), 1000u);
+GridIndex BuildGrid(const std::vector<SpatialItem>& items) {
+  GridIndex grid;
+  grid.Build(items);
+  return grid;
 }
 
-TEST(RTreeTest, BuildReplacesContents) {
-  RTree tree;
-  tree.Build(RandomItems(50, 1));
-  tree.Build(RandomItems(10, 2));
-  EXPECT_EQ(tree.Size(), 10u);
+// ---------------------------------------------------------------------------
+// Query semantics
+// ---------------------------------------------------------------------------
+
+TEST(GridIndexTest, EmptyIndexMatchesNothing) {
+  const GridIndex grid = BuildGrid({});
+  EXPECT_EQ(grid.Size(), 0u);
+  EXPECT_TRUE(grid.CircleQuery({0.5, 0.5}, 10.0).empty());
 }
 
-TEST(RTreeTest, DuplicateLocationsSupported) {
-  RTree tree(4, 2);
-  for (int i = 0; i < 30; ++i) tree.Insert({i, {0.5, 0.5}});
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.CircleQuery({0.5, 0.5}, 0.0).size(), 30u);
+TEST(GridIndexTest, AscendingIdsRegardlessOfInputOrder) {
+  const GridIndex grid =
+      BuildGrid({{3, {0.5, 0.5}}, {2, {0.9, 0.9}}, {1, {0.1, 0.1}}});
+  EXPECT_EQ(grid.CircleQuery({0.3, 0.3}, 0.3), (std::vector<int64_t>{1, 3}));
 }
 
-TEST(RTreeTest, MixedBuildAndInsert) {
-  RTree tree;
-  tree.Build(RandomItems(200, 3));
-  Rng rng(4);
-  for (int i = 200; i < 400; ++i) {
-    tree.Insert({i, {rng.Uniform(), rng.Uniform()}});
+TEST(GridIndexTest, CircleBoundaryInclusive) {
+  const GridIndex grid = BuildGrid({{1, {0.5, 0.0}}});
+  EXPECT_EQ(grid.CircleQuery({0.0, 0.0}, 0.5), (std::vector<int64_t>{1}));
+  EXPECT_TRUE(grid.CircleQuery({0.0, 0.0}, 0.4999).empty());
+}
+
+TEST(GridIndexTest, NegativeRadiusMatchesNothing) {
+  const GridIndex grid = BuildGrid({{1, {0.5, 0.5}}});
+  EXPECT_TRUE(grid.CircleQuery({0.5, 0.5}, -1.0).empty());
+}
+
+TEST(GridIndexTest, DuplicateLocationsAndIds) {
+  std::vector<SpatialItem> items;
+  for (int i = 0; i < 30; ++i) items.push_back({i % 20, {0.5, 0.5}});
+  const GridIndex grid = BuildGrid(items);
+  EXPECT_EQ(grid.CircleQuery({0.5, 0.5}, 0.0),
+            LinearScan(items, {0.5, 0.5}, 0.0));
+  EXPECT_EQ(grid.CircleQuery({0.5, 0.5}, 0.0).size(), 30u);
+}
+
+TEST(GridIndexTest, BuildReplacesContents) {
+  GridIndex grid;
+  grid.Build(RandomItems(500, 1));
+  grid.Build(RandomItems(10, 2));
+  EXPECT_EQ(grid.Size(), 10u);
+  EXPECT_EQ(grid.CircleQuery({0.5, 0.5}, 0.75).size(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Self-sizing
+// ---------------------------------------------------------------------------
+
+TEST(GridIndexTest, SizesItselfFromTheItemCount) {
+  struct Case {
+    int items;
+    int cells;
+  };
+  for (const Case c : {Case{0, 1}, Case{1, 1}, Case{15, 1}, Case{16, 8},
+                       Case{80, 8}, Case{100, 10}, Case{4095, 63},
+                       Case{4096, 64}, Case{5000, 64}}) {
+    const GridIndex grid = BuildGrid(RandomItems(c.items, 7));
+    EXPECT_EQ(grid.cells_x(), c.cells) << c.items << " items";
+    EXPECT_EQ(grid.cells_y(), c.cells) << c.items << " items";
   }
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.Size(), 400u);
-  EXPECT_EQ(QueryUnitSquare(tree).size(), 400u);
 }
 
-TEST(RTreeTest, DuplicateXCoordinateColumn) {
-  // All points share x = 0.5: the STR x-sort cannot separate them; a
-  // query centred on the column must still find everything.
-  RTree tree(4, 2);
+TEST(GridIndexTest, ZeroWidthAxisGetsOneCell) {
+  // All points share x = 0.5: the x axis has no width to split.
   std::vector<SpatialItem> items;
   for (int i = 0; i < 40; ++i) items.push_back({i, {0.5, i / 40.0}});
-  tree.Build(items);
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.CircleQuery({0.5, 0.5}, 0.5).size(), 40u);
-  EXPECT_EQ(tree.CircleQuery({0.6, 0.5}, 0.05).size(), 0u);
+  const GridIndex grid = BuildGrid(items);
+  EXPECT_EQ(grid.cells_x(), 1);
+  EXPECT_EQ(grid.cells_y(), 8);
+  EXPECT_EQ(grid.CircleQuery({0.5, 0.5}, 0.5).size(), 40u);
+  EXPECT_TRUE(grid.CircleQuery({0.6, 0.5}, 0.05).empty());
 }
 
 // ---------------------------------------------------------------------------
-// Cross-implementation equivalence (property test over random data)
+// Grid vs. brute force (property test over random data)
 // ---------------------------------------------------------------------------
 
-struct IndexCase {
+struct GridCase {
   std::string name;
   int item_count;
   uint64_t seed;
-  bool bulk_load;
+  double scale;   ///< coordinates (and query radii) multiplied by this
+  double offset;  ///< then shifted by this
+  bool skewed;    ///< 80% of the items in a tight cluster
 };
 
-class SpatialEquivalenceTest : public ::testing::TestWithParam<IndexCase> {};
+class GridEquivalenceTest : public ::testing::TestWithParam<GridCase> {};
 
-TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
-  const IndexCase& param = GetParam();
-  const auto items = RandomItems(param.item_count, param.seed);
-
-  LinearScan reference;
-  reference.Build(items);
-  GridIndex grid(16);
-  RTree rtree(8, 3);
-  if (param.bulk_load) {
-    grid.Build(items);
-    rtree.Build(items);
-  } else {
-    for (const auto& item : items) {
-      grid.Insert(item);
-      rtree.Insert(item);
+TEST_P(GridEquivalenceTest, MatchesLinearScan) {
+  const GridCase& param = GetParam();
+  Rng rng(param.seed);
+  std::vector<SpatialItem> items;
+  for (int i = 0; i < param.item_count; ++i) {
+    Point p{rng.Uniform(), rng.Uniform()};
+    if (param.skewed && rng.Uniform() < 0.8) {
+      p = {0.3 + 0.05 * rng.Uniform(), 0.6 + 0.05 * rng.Uniform()};
     }
+    items.push_back(SpatialItem{i,
+                                {p.x * param.scale + param.offset,
+                                 p.y * param.scale + param.offset}});
   }
-  rtree.CheckInvariants();
-
-  Rng rng(param.seed ^ 0xABCD);
-  for (int q = 0; q < 50; ++q) {
-    const Point center{rng.Uniform(), rng.Uniform()};
-    const double radius = rng.Uniform(0.0, 0.5);
-    const auto expected_circle = reference.CircleQuery(center, radius);
-    EXPECT_EQ(grid.CircleQuery(center, radius), expected_circle);
-    EXPECT_EQ(rtree.CircleQuery(center, radius), expected_circle);
+  const GridIndex grid = BuildGrid(items);
+  std::vector<int64_t> got;
+  for (int q = 0; q < 60; ++q) {
+    // Centers range past the items' box on every side, so edge-cell
+    // clamping is exercised too.
+    const Point center{rng.Uniform(-0.5, 1.5) * param.scale + param.offset,
+                       rng.Uniform(-0.5, 1.5) * param.scale + param.offset};
+    const double radius = rng.Uniform(0.0, 0.5) * param.scale;
+    grid.CircleQueryInto(center, radius, &got);
+    EXPECT_EQ(got, LinearScan(items, center, radius)) << "query " << q;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomWorkloads, SpatialEquivalenceTest,
-    ::testing::Values(IndexCase{"tiny_bulk", 3, 11, true},
-                      IndexCase{"tiny_insert", 3, 11, false},
-                      IndexCase{"small_bulk", 40, 12, true},
-                      IndexCase{"small_insert", 40, 13, false},
-                      IndexCase{"medium_bulk", 500, 14, true},
-                      IndexCase{"medium_insert", 500, 15, false},
-                      IndexCase{"large_bulk", 3000, 16, true}),
-    [](const ::testing::TestParamInfo<IndexCase>& info) {
+    RandomWorkloads, GridEquivalenceTest,
+    ::testing::Values(GridCase{"tiny", 3, 11, 1.0, 0.0, false},
+                      GridCase{"one_cell", 15, 12, 1.0, 0.0, false},
+                      GridCase{"smallest_grid", 16, 13, 1.0, 0.0, false},
+                      GridCase{"medium", 500, 14, 1.0, 0.0, false},
+                      GridCase{"large", 3000, 15, 1.0, 0.0, false},
+                      GridCase{"capped", 5000, 16, 1.0, 0.0, false},
+                      GridCase{"skewed", 2000, 17, 1.0, 0.0, true},
+                      GridCase{"scaled_negative", 2000, 18, 1000.0, -5000.0,
+                               false}),
+    [](const ::testing::TestParamInfo<GridCase>& info) {
       return info.param.name;
     });
 
 // ---------------------------------------------------------------------------
-// Remove: mutation path vs. rebuild-from-live-set (fuzz)
+// Extreme coordinates: every cell lookup clamps in double before the cast
+// to int, so none of these is undefined behaviour.
 // ---------------------------------------------------------------------------
 
-TEST(RemoveTest, RemoveMissingReturnsFalse) {
-  RTree rtree(4, 2);
-  const SpatialItem item{7, {0.5, 0.5}};
-  EXPECT_FALSE(rtree.Remove(item));
-  rtree.Insert(item);
-  // Same id at a different location is not a match.
-  const SpatialItem elsewhere{7, {0.1, 0.1}};
-  EXPECT_FALSE(rtree.Remove(elsewhere));
-  EXPECT_TRUE(rtree.Remove(item));
-  EXPECT_EQ(rtree.Size(), 0u);
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Interleaves inserts and removals on the R-tree (the only mutated index:
-// the streaming plane's persistent task index) and checks each query
-// against a LinearScan rebuilt from the live set — the invariant the
-// plane's delta maintenance rests on.
-TEST(RemoveTest, FuzzInterleavedMutationsMatchRebuild) {
-  for (const uint64_t seed : {41u, 42u, 43u}) {
-    Rng rng(seed);
-    RTree rtree(6, 2);
-    // Seed with a bulk load so the R-tree starts from an STR packing.
-    std::vector<SpatialItem> live = RandomItems(100, seed ^ 0xF00);
-    rtree.Build(live);
-    int64_t next_id = 100;
-
-    for (int step = 0; step < 400; ++step) {
-      if (live.empty() || rng.Uniform() < 0.5) {
-        const SpatialItem item{next_id++, {rng.Uniform(), rng.Uniform()}};
-        live.push_back(item);
-        rtree.Insert(item);
-      } else {
-        const size_t victim = std::min(
-            static_cast<size_t>(rng.Uniform() *
-                                static_cast<double>(live.size())),
-            live.size() - 1);
-        const SpatialItem item = live[victim];
-        live[victim] = live.back();
-        live.pop_back();
-        EXPECT_TRUE(rtree.Remove(item));
-      }
-      ASSERT_EQ(rtree.Size(), live.size());
-
-      if (step % 20 == 19) {
-        rtree.CheckInvariants();
-        LinearScan reference;
-        reference.Build(live);
-        EXPECT_EQ(QueryUnitSquare(rtree).size(), live.size());
-        for (int q = 0; q < 3; ++q) {
-          const Point center{rng.Uniform(), rng.Uniform()};
-          const double radius = rng.Uniform(0.0, 0.4);
-          EXPECT_EQ(rtree.CircleQuery(center, radius),
-                    reference.CircleQuery(center, radius));
-        }
-      }
+TEST(GridIndexTest, HugeCoordinatesClampIntoEdgeCells) {
+  std::vector<SpatialItem> items = RandomItems(30, 31);
+  items.push_back({100, {1e300, 0.5}});
+  items.push_back({101, {-1e300, 0.5}});
+  items.push_back({102, {0.5, 1e300}});
+  items.push_back({103, {0.5, -1e300}});
+  const GridIndex grid = BuildGrid(items);
+  ASSERT_GT(grid.cells_x(), 1);
+  for (const Point center : {Point{1e300, 0.5}, Point{-1e300, 0.5},
+                             Point{0.5, 1e300}, Point{0.5, -1e300},
+                             Point{0.5, 0.5}, Point{1e300, -1e300}}) {
+    for (const double radius : {0.0, 0.25, 1e150, kInf}) {
+      EXPECT_EQ(grid.CircleQuery(center, radius),
+                LinearScan(items, center, radius))
+          << center.x << "," << center.y << " r=" << radius;
     }
   }
-}
 
-TEST(RemoveTest, RTreeTombstoneCounterTracksRemovalsAndResetsOnBuild) {
-  RTree tree(4, 2);
-  const auto items = RandomItems(64, 77);
-  tree.Build(items);
-  EXPECT_EQ(tree.removed_since_build(), 0);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_TRUE(tree.Remove(items[static_cast<size_t>(i)]));
+  // An index over the unit square queried at huge coordinates.
+  const std::vector<SpatialItem> unit = RandomItems(100, 32);
+  const GridIndex unit_grid = BuildGrid(unit);
+  for (const Point center : {Point{1e300, 0.5}, Point{-1e300, -1e300}}) {
+    EXPECT_EQ(unit_grid.CircleQuery(center, 1.0),
+              LinearScan(unit, center, 1.0));
+    EXPECT_EQ(unit_grid.CircleQuery(center, 1e301),
+              LinearScan(unit, center, 1e301));
   }
-  EXPECT_EQ(tree.removed_since_build(), 16);
-  EXPECT_EQ(tree.Size(), 48u);
-  tree.CheckInvariants();
-  // Failed removals don't count.
-  EXPECT_FALSE(tree.Remove(items[0]));
-  EXPECT_EQ(tree.removed_since_build(), 16);
-  // Rebuild resets the tombstone counter.
-  tree.Build(
-      std::vector<SpatialItem>(items.begin() + 16, items.end()));
-  EXPECT_EQ(tree.removed_since_build(), 0);
-  EXPECT_EQ(tree.Size(), 48u);
 }
 
-TEST(RemoveTest, RTreeDrainToEmptyAndRefill) {
-  RTree tree(4, 2);
-  auto items = RandomItems(50, 88);
-  for (const auto& item : items) tree.Insert(item);
-  for (const auto& item : items) EXPECT_TRUE(tree.Remove(item));
-  EXPECT_EQ(tree.Size(), 0u);
-  tree.CheckInvariants();
-  EXPECT_TRUE(QueryUnitSquare(tree).empty());
-  for (const auto& item : items) tree.Insert(item);
-  tree.CheckInvariants();
-  EXPECT_EQ(QueryUnitSquare(tree).size(), 50u);
-}
-
-// ---------------------------------------------------------------------------
-// GridIndex specifics
-// ---------------------------------------------------------------------------
-
-TEST(GridIndexTest, OutOfRangePointsAreClamped) {
-  GridIndex grid(8);
-  grid.Insert({1, {-0.5, 2.0}});
-  // Still findable by an exact circle query around its true location.
-  EXPECT_EQ(grid.CircleQuery({-0.5, 2.0}, 0.01), (std::vector<int64_t>{1}));
-  EXPECT_EQ(grid.Size(), 1u);
-}
-
-TEST(GridIndexTest, SingleCellGrid) {
-  GridIndex grid(1);
-  for (const auto& item : RandomItems(100, 21)) grid.Insert(item);
-  EXPECT_EQ(QueryUnitSquare(grid).size(), 100u);
-  EXPECT_EQ(grid.Size(), 100u);
+TEST(GridIndexTest, InfiniteWidthBoxStaysExact) {
+  // max - min overflows to inf on both axes, so every offset from the
+  // origin times the axis scale can be inf * 0 = NaN.
+  const double big = std::numeric_limits<double>::max();
+  std::vector<SpatialItem> items = RandomItems(30, 33);
+  items.push_back({100, {big, big}});
+  items.push_back({101, {-big, -big}});
+  const GridIndex grid = BuildGrid(items);
+  for (const Point center :
+       {Point{big, big}, Point{-big, -big}, Point{0.5, 0.5}}) {
+    for (const double radius : {0.0, 0.25, 1.0}) {
+      EXPECT_EQ(grid.CircleQuery(center, radius),
+                LinearScan(items, center, radius))
+          << center.x << " r=" << radius;
+    }
+  }
+  EXPECT_EQ(grid.CircleQuery({0.5, 0.5}, kInf).size(), items.size());
+  EXPECT_TRUE(grid.CircleQuery({kInf, 0.5}, 1.0).empty());
 }
 
 }  // namespace
