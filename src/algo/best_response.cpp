@@ -198,23 +198,46 @@ BestResponse ComputeBestResponse(const Instance& instance,
   const bool filter_joins = !objective.AlwaysJoinFeasible();
 
   // Candidates in CSR ascending task order: below capacity each costs
-  // one GainIfJoined, a full task takes the crowding branch.
-  for (const TaskIndex t : instance.ValidTasks(w)) {
+  // one GainIfJoined, a full task takes the crowding branch. A candidate
+  // whose task has not changed since w's last scan reuses the price that
+  // scan stored (the memo of ScoreKeeper's class comment); a hit counts
+  // like the pricing it replaces.
+  const std::span<const TaskIndex> tasks = instance.ValidTasks(w);
+  const ScoreKeeper::MemoRow memo = keeper.Memo(w);
+  CASC_CHECK_EQ(memo.prices.size(), tasks.size())
+      << "keeper is bound to another instance";
+  bool best_is_hit = false;
+  for (size_t k = 0; k < tasks.size(); ++k) {
+    const TaskIndex t = tasks[k];
     if (t == current) continue;
-    if (filter_joins &&
-        !objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
+    double& price = memo.prices[k];
+    WorkerIndex crowded = kNoWorker;
+    const bool hit = keeper.TaskChangedAt(t) <= memo.scanned_at;
+    if (!hit) {
+      price = filter_joins && !objective.JoinFeasible(
+                                  instance, t, keeper.GroupOf(t), w)
+                  ? ScoreKeeper::kJoinInfeasible
+                  : StrategyUtility(instance, keeper, assignment, w, t,
+                                    &crowded);
+    }
+    if (price == ScoreKeeper::kJoinInfeasible) {
       if (counters != nullptr) ++counters->feasibility_rejects;
       continue;
     }
     if (counters != nullptr) ++counters->evaluated;
-    WorkerIndex crowded = kNoWorker;
-    const double utility =
-        StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-    if (utility > best.utility + kImprovementTolerance) {
+    if (price > best.utility + kImprovementTolerance) {
       best.task = t;
-      best.utility = utility;
+      best.utility = price;
       best.crowded_out = crowded;
+      best_is_hit = hit;
     }
+  }
+  keeper.MarkScanned(w);
+  // The memo keeps prices only; a winner taken from it is priced again
+  // for its crowded-out worker (the same price, bit for bit).
+  if (best_is_hit) {
+    StrategyUtility(instance, keeper, assignment, w, best.task,
+                    &best.crowded_out);
   }
   if (0.0 > best.utility + kImprovementTolerance) {
     best = BestResponse{kNoTask, 0.0, kNoWorker};

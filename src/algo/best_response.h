@@ -77,8 +77,15 @@ struct ScanCounters {
 /// ComputeBestResponse with the same tie-breaking contract. The scan
 /// keeps the CSR ascending task order and prices every feasible
 /// candidate with the keeper StrategyUtility (one ScoreKeeper marginal
-/// below capacity, ScoreKeeper::CrowdIfJoined on a full task).
-/// `counters` (may be null) receives the scan's work tally.
+/// below capacity, ScoreKeeper::CrowdIfJoined on a full task). The
+/// current task is priced fresh; every other candidate goes through the
+/// keeper's best-response memo, which reuses the price (or the
+/// JoinFeasible rejection) w's last scan stored for t while t has not
+/// changed since, so the result is bit-identical to pricing every
+/// candidate. The memo is written, so the keeper must not be shared
+/// across threads.
+/// `counters` (may be null) receives the scan's work tally; a memo hit
+/// counts as the evaluation or rejection it stands for.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,

@@ -168,6 +168,11 @@ std::span<const TaskIndex> Instance::ValidTasks(WorkerIndex w) const {
   return pairs_.ValidTasks(w);
 }
 
+size_t Instance::ValidTaskOffset(WorkerIndex w) const {
+  CASC_CHECK(valid_pairs_ready_) << "call ComputeValidPairs() first";
+  return pairs_.ValidTaskOffset(w);
+}
+
 std::span<const WorkerIndex> Instance::Candidates(TaskIndex t) const {
   CASC_CHECK(valid_pairs_ready_) << "call ComputeValidPairs() first";
   return pairs_.Candidates(t);

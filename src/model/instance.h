@@ -112,6 +112,11 @@ class Instance {
   /// Requires ComputeValidPairs() to have run.
   std::span<const TaskIndex> ValidTasks(WorkerIndex w) const;
 
+  /// Position of ValidTasks(w)[0] among all valid pairs in worker-major
+  /// order (ValidPairIndex::ValidTaskOffset). Requires ComputeValidPairs()
+  /// to have run.
+  size_t ValidTaskOffset(WorkerIndex w) const;
+
   /// Candidate workers for task `t`, ascending worker index.
   /// Requires ComputeValidPairs() to have run.
   std::span<const WorkerIndex> Candidates(TaskIndex t) const;

@@ -59,6 +59,22 @@ void ScoreKeeper::Rebind(const Instance& instance) {
   }
   crowd_values_.resize(values);
   crowd_ids_.resize(ids);
+  changed_at_.resize(static_cast<size_t>(instance.num_tasks()));
+  InvalidateMemo();
+}
+
+void ScoreKeeper::InvalidateMemo() {
+  std::fill(changed_at_.begin(), changed_at_.end(), ++clock_);
+}
+
+ScoreKeeper::MemoRow ScoreKeeper::Memo(WorkerIndex w) const {
+  const size_t pairs = instance_->NumValidPairs();
+  if (prices_.size() < pairs) prices_.resize(pairs);
+  const size_t workers = static_cast<size_t>(instance_->num_workers());
+  if (scanned_at_.size() < workers) scanned_at_.resize(workers);
+  return {{prices_.data() + instance_->ValidTaskOffset(w),
+           instance_->ValidTasks(w).size()},
+          scanned_at_[static_cast<size_t>(w)]};
 }
 
 double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
@@ -94,6 +110,7 @@ void ScoreKeeper::Sync(const Assignment& assignment) {
   CASC_CHECK(instance_ != nullptr) << "Rebind() before Sync()";
   CASC_CHECK_EQ(assignment.num_tasks(), instance_->num_tasks());
   assignment_ = &assignment;
+  InvalidateMemo();
   total_ = 0.0;
   for (TaskIndex t = 0; t < instance_->num_tasks(); ++t) {
     const std::span<const WorkerIndex> group = assignment.GroupOf(t);
@@ -137,6 +154,7 @@ void ScoreKeeper::Add(WorkerIndex w, TaskIndex t) {
   int others = 0;
   const double added =
       AffinityOverGroup(assignment_->GroupOf(t), w, kNoWorker, &others);
+  changed_at_[static_cast<size_t>(t)] = ++clock_;
   pair_sums_[static_cast<size_t>(t)] += added;
   total_ -= scores_[static_cast<size_t>(t)];
   scores_[static_cast<size_t>(t)] = GroupScoreFromSum(
@@ -149,6 +167,7 @@ void ScoreKeeper::Remove(WorkerIndex w, TaskIndex t) {
   int others = 0;
   const double removed =
       AffinityOverGroup(assignment_->GroupOf(t), w, kNoWorker, &others);
+  changed_at_[static_cast<size_t>(t)] = ++clock_;
   pair_sums_[static_cast<size_t>(t)] -= removed;
   total_ -= scores_[static_cast<size_t>(t)];
   scores_[static_cast<size_t>(t)] = GroupScoreFromSum(
@@ -232,6 +251,7 @@ double ScoreKeeper::AffinityTo(TaskIndex t, WorkerIndex w,
 
 void ScoreKeeper::ApplyDelta(TaskIndex t, double delta, int new_size,
                              std::span<const WorkerIndex> members) {
+  changed_at_[static_cast<size_t>(t)] = ++clock_;
   pair_sums_[static_cast<size_t>(t)] += delta;
   total_ -= scores_[static_cast<size_t>(t)];
   scores_[static_cast<size_t>(t)] = ScoreFromSumWithMembers(

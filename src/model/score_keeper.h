@@ -2,6 +2,8 @@
 #define CASC_MODEL_SCORE_KEEPER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -50,10 +52,36 @@ namespace casc {
 /// rebuilds it on the next query; Add/Remove never touch it and Rebind
 /// empties it. The cache is `mutable` and filled by const queries, so a
 /// keeper must stay confined to one thread. Every keeper belongs to one
-/// solver (a shard's workspace, phase 2's local keeper, the net
-/// coordinator's), which keeps that true.
+/// solver (a shard's workspace, the sharded assigner's phase-2 keeper, the
+/// net coordinator's), which keeps that true.
+///
+/// The keeper also holds the best-response memo: one price per valid
+/// (worker, task) pair, indexed by Instance::ValidTaskOffset, a clock
+/// value per task for its last change and one per worker for its last
+/// best-response scan. Add, Remove and ApplyDelta stamp their task with a
+/// fresh clock value; Rebind and Sync stamp every task. The keeper-backed
+/// ComputeBestResponse prices every candidate of w except its current
+/// task, so after a scan each such price stays valid while its task's
+/// stamp is not newer than the scan. That is exact: the price of a task w
+/// is not on reads only the task's members in order, its cached pair sum
+/// and score and w's static attributes, and only those mutations change
+/// them. (A task w was on at its last scan has no stored price, but w
+/// leaving it was a Remove, so it is newer than the scan.) The memo is
+/// `mutable` like the crowding cache and sized on first use.
 class ScoreKeeper {
  public:
+  /// The memo price of a join ObjectiveModel::JoinFeasible rejected; a
+  /// priced candidate is finite.
+  static constexpr double kJoinInfeasible =
+      -std::numeric_limits<double>::infinity();
+
+  /// One worker's view of the memo: its prices, parallel to
+  /// instance.ValidTasks(w), and the clock value of its last scan.
+  struct MemoRow {
+    std::span<double> prices;
+    uint64_t scanned_at = 0;
+  };
+
   /// Creates an unbound keeper; Rebind()/Sync() before use (the pooling
   /// hook used by BatchWorkspace).
   ScoreKeeper() = default;
@@ -142,6 +170,24 @@ class ScoreKeeper {
   void ApplyDelta(TaskIndex t, double delta, int new_size,
                   std::span<const WorkerIndex> members);
 
+  /// Clock value of task t's last change: its last Add, Remove or
+  /// ApplyDelta, or the last Rebind/Sync. Strictly newer than every scan
+  /// recorded before that change.
+  uint64_t TaskChangedAt(TaskIndex t) const {
+    return changed_at_[static_cast<size_t>(t)];
+  }
+
+  /// Worker `w`'s memo row. Sizes the memo for the bound instance on
+  /// first use; the arenas only grow, and a row left from an earlier
+  /// binding is stale because Rebind/Sync stamped every task after it.
+  MemoRow Memo(WorkerIndex w) const;
+
+  /// Records a scan of `w` that left every price of its row current,
+  /// except the one of the task w is on.
+  void MarkScanned(WorkerIndex w) const {
+    scanned_at_[static_cast<size_t>(w)] = clock_;
+  }
+
  private:
   /// Objective-routed score of task `t`'s (corrected) group: the live
   /// assignment membership plus the extra/without corrections, with the
@@ -165,6 +211,10 @@ class ScoreKeeper {
   /// Canonical-lane ordered-pair sum of a distinct-id group.
   double GroupPairSum(std::span<const WorkerIndex> group) const;
 
+  /// Stamps every task with one fresh clock value: no stored price is
+  /// valid after.
+  void InvalidateMemo();
+
   /// One task's region of the crowding arenas, sized for its capacity.
   struct CrowdSlot {
     std::size_t values = 0;  ///< first double in crowd_values_
@@ -184,6 +234,12 @@ class ScoreKeeper {
   mutable std::vector<CrowdSlot> crowd_slots_;
   mutable std::vector<double> crowd_values_;
   mutable std::vector<WorkerIndex> crowd_ids_;
+  // The best-response memo (see the class comment). The clock counts
+  // keeper mutations and never wraps.
+  uint64_t clock_ = 0;
+  std::vector<uint64_t> changed_at_;           // per task
+  mutable std::vector<uint64_t> scanned_at_;   // per worker
+  mutable std::vector<double> prices_;         // per valid pair
 };
 
 }  // namespace casc

@@ -135,6 +135,13 @@ std::span<const TaskIndex> ValidPairIndex::ValidTasks(WorkerIndex w) const {
   return {task_flat_.data() + begin, static_cast<size_t>(end - begin)};
 }
 
+size_t ValidPairIndex::ValidTaskOffset(WorkerIndex w) const {
+  CASC_CHECK(ready_);
+  CASC_CHECK_GE(w, 0);
+  CASC_CHECK_LT(w, num_workers());
+  return static_cast<size_t>(task_offsets_[static_cast<size_t>(w)]);
+}
+
 std::span<const WorkerIndex> ValidPairIndex::Candidates(TaskIndex t) const {
   CASC_CHECK(ready_);
   CASC_CHECK_GE(t, 0);

@@ -1,6 +1,7 @@
 #ifndef CASC_MODEL_VALID_PAIR_INDEX_H_
 #define CASC_MODEL_VALID_PAIR_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,6 +89,12 @@ class ValidPairIndex {
 
   /// Valid tasks T_i for worker `w`, ascending. Requires ready().
   std::span<const TaskIndex> ValidTasks(WorkerIndex w) const;
+
+  /// Position of ValidTasks(w)[0] in the worker-major pair order:
+  /// ValidTasks(w)[k] is pair number ValidTaskOffset(w) + k of
+  /// [0, NumValidPairs()). Lets callers keep one slot per valid pair in a
+  /// flat array. Requires ready().
+  size_t ValidTaskOffset(WorkerIndex w) const;
 
   /// Candidate workers for task `t`, ascending. Requires ready().
   std::span<const WorkerIndex> Candidates(TaskIndex t) const;

@@ -55,7 +55,6 @@ void CoordinatorNode::StartBatch(
   delta_ = UsableSolveDelta(delta, instance->num_workers());
   problems_ = std::move(problems);
   assignment_ = std::move(assignment);
-  keeper_.reset();
   stats_ = NetBatchStats{};
   rtt_.Reset();
   const int num_shards = static_cast<int>(problems_->size());
@@ -226,8 +225,8 @@ void CoordinatorNode::EnterReconcile(NetContext& net) {
                     boundary_.end());
   }
 
-  keeper_.emplace(*instance_);
-  keeper_->Sync(assignment_);
+  keeper_.Rebind(*instance_);
+  keeper_.Sync(assignment_);
 
   phase_ = Phase::kInsert;
   std::vector<AssignedPair> placements;
@@ -237,11 +236,11 @@ void CoordinatorNode::EnterReconcile(NetContext& net) {
   // extra round trip).
   if (delta_ != nullptr) {
     stats_.reconcile.adopted = reconciler_.PassAdopt(
-        *instance_, boundary_, *delta_, &assignment_, &*keeper_,
+        *instance_, boundary_, *delta_, &assignment_, &keeper_,
         &placements);
   }
   stats_.reconcile.inserted = reconciler_.PassInsert(
-      *instance_, boundary_, &assignment_, &*keeper_, &placements);
+      *instance_, boundary_, &assignment_, &keeper_, &placements);
   Broadcast(net, MessageType::kReconcile, kStageReconcileInsert,
             std::move(placements));
 }
@@ -286,7 +285,7 @@ void CoordinatorNode::OnRoundAcked(NetContext& net) {
         phase_ = Phase::kSeed;
         std::vector<AssignedPair> delta;
         stats_.reconcile.seeded = reconciler_.PassSeed(
-            *instance_, boundary_, &assignment_, &*keeper_, &delta);
+            *instance_, boundary_, &assignment_, &keeper_, &delta);
         Broadcast(net, MessageType::kReconcile, kStageReconcileSeed,
                   std::move(delta));
         return;
@@ -298,7 +297,7 @@ void CoordinatorNode::OnRoundAcked(NetContext& net) {
         phase_ = Phase::kPolish;
         std::vector<AssignedPair> delta;
         stats_.reconcile.polish_moves = reconciler_.PassPolish(
-            *instance_, boundary_, &assignment_, &*keeper_, &delta);
+            *instance_, boundary_, &assignment_, &keeper_, &delta);
         Broadcast(net, MessageType::kReconcile, kStageReconcilePolish,
                   std::move(delta));
         return;

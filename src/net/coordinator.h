@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/histogram.h"
@@ -196,7 +195,8 @@ class CoordinatorNode : public Node {
   const SolveDelta* delta_ = nullptr;  ///< warm-start export; null = cold
   std::shared_ptr<const std::vector<ShardProblem>> problems_;
   Assignment assignment_;
-  std::optional<ScoreKeeper> keeper_;
+  /// Phase 2's keeper, rebound per batch so its arenas are kept.
+  ScoreKeeper keeper_;
   std::vector<WorkerIndex> boundary_;
   std::vector<ShardState> shards_;
   int outstanding_shards_ = 0;

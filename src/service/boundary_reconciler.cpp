@@ -261,23 +261,26 @@ int BoundaryReconciler::PassPolish(const Instance& global,
 
 ReconcileStats BoundaryReconciler::Reconcile(
     const Instance& global, const std::vector<WorkerIndex>& boundary,
-    Assignment* assignment, const SolveDelta* delta) const {
+    Assignment* assignment, const SolveDelta* delta,
+    ScoreKeeper* keeper) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(global.valid_pairs_ready())
       << "compute the global valid pairs before reconciling";
   ReconcileStats stats;
-  ScoreKeeper keeper(global);
-  keeper.Sync(*assignment);
+  ScoreKeeper local;
+  if (keeper == nullptr) keeper = &local;
+  keeper->Rebind(global);
+  keeper->Sync(*assignment);
 
   if (delta != nullptr && delta->num_seeded > 0) {
-    stats.adopted = PassAdopt(global, boundary, *delta, assignment, &keeper);
+    stats.adopted = PassAdopt(global, boundary, *delta, assignment, keeper);
   }
-  stats.inserted = PassInsert(global, boundary, assignment, &keeper);
+  stats.inserted = PassInsert(global, boundary, assignment, keeper);
   if (options_.seed_underfilled) {
-    stats.seeded = PassSeed(global, boundary, assignment, &keeper);
+    stats.seeded = PassSeed(global, boundary, assignment, keeper);
   }
   if (options_.polish_rounds > 0) {
-    stats.polish_moves = PassPolish(global, boundary, assignment, &keeper);
+    stats.polish_moves = PassPolish(global, boundary, assignment, keeper);
   }
   return stats;
 }

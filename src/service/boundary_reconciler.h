@@ -65,18 +65,22 @@ class BoundaryReconciler {
 
   /// Merges `boundary` (ascending global worker indices; members may be
   /// idle or already placed) into `assignment`. Requires global valid
-  /// pairs. Equivalent to creating a keeper synced to `assignment` and
-  /// running PassAdopt (warm batches only) / PassInsert / PassSeed /
-  /// PassPolish in order — the message-driven coordinator calls the
-  /// passes individually so it can interleave them with network
+  /// pairs. Equivalent to rebinding a keeper to `global`, syncing it to
+  /// `assignment` and running PassAdopt (warm batches only) / PassInsert /
+  /// PassSeed / PassPolish in order — the message-driven coordinator
+  /// calls the passes individually so it can interleave them with network
   /// round-trips, and both paths produce bit-identical assignments by
   /// construction. A non-null `delta` (the batch's cross-batch
   /// warm-start export over the global instance) re-seats idle boundary
-  /// workers on their retained groups before the greedy passes.
+  /// workers on their retained groups before the greedy passes. A
+  /// non-null `keeper` is the one rebound and used, so a caller that
+  /// reconciles every batch keeps its arenas across batches; null uses a
+  /// local keeper.
   ReconcileStats Reconcile(const Instance& global,
                            const std::vector<WorkerIndex>& boundary,
                            Assignment* assignment,
-                           const SolveDelta* delta = nullptr) const;
+                           const SolveDelta* delta = nullptr,
+                           ScoreKeeper* keeper = nullptr) const;
 
   /// Pass 0 (warm-start adoption): re-seats each still-idle boundary
   /// worker on its retained previous-equilibrium task (ascending worker

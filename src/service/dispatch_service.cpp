@@ -184,7 +184,7 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   watch.Restart();
   const ReconcileStats reconcile =
       reconciler_.Reconcile(instance, partition.map.boundary_workers(),
-                            &assignment, partition.delta);
+                            &assignment, partition.delta, &reconcile_keeper_);
   metrics_.phase2_seconds = watch.ElapsedSeconds();
   FoldSolveTelemetry(shard_stats, reconcile, instance.num_workers(),
                      &metrics_);

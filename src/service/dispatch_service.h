@@ -230,6 +230,10 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
   AssignerFactory factory_;
   ShardExecutor executor_;
   BoundaryReconciler reconciler_;
+  /// Phase 2's keeper, rebound every Run() so its crowding cache and
+  /// best-response memo keep their arenas across batches. Only the thread
+  /// running Run() touches it.
+  ScoreKeeper reconcile_keeper_;
   ServiceMetrics metrics_;
   std::string name_;
   int batch_index_ = 0;  ///< Run() counter handed to the fault hook

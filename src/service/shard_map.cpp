@@ -65,8 +65,14 @@ ShardMap::ShardMap(const std::vector<Worker>& workers,
 }
 
 int ShardMap::CellOf(double coord, double lo, double width) const {
-  const int cell = static_cast<int>((coord - lo) / width);
-  return std::clamp(cell, 0, config_.shards_per_side - 1);
+  // Clamp in double before the cast: converting a finite double outside
+  // int's range is undefined, and a NaN coordinate must land in a cell
+  // too, so it takes cell 0.
+  const double pos = (coord - lo) / width;
+  if (!(pos > 0.0)) return 0;
+  const int last = config_.shards_per_side - 1;
+  if (pos >= static_cast<double>(last)) return last;
+  return static_cast<int>(pos);
 }
 
 Rect ShardMap::ShardRect(int shard) const {

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "algo/best_response.h"
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
+#include "keeper_scan_oracle.h"
 #include "model/objective.h"
+#include "model/objective_model.h"
+#include "model/score_keeper.h"
 
 namespace casc {
 namespace {
@@ -201,6 +208,229 @@ TEST(BestResponseTest, ReportsCrowdedOutWorker) {
   EXPECT_EQ(best.task, 0);
   EXPECT_EQ(best.crowded_out, 2);
 }
+
+// ---------------------------------------------------------------------------
+// The best-response memo against the un-memoized keeper scan
+// ---------------------------------------------------------------------------
+
+Instance ChurnInstance(uint64_t seed, bool skew, bool multiskill,
+                       int capacity, int min_group) {
+  SyntheticInstanceConfig config;
+  config.num_workers = 60;
+  config.num_tasks = 18;
+  config.task.capacity = capacity;
+  config.min_group_size = min_group;
+  config.worker.radius_min = 0.2;
+  config.worker.radius_max = 0.45;
+  config.worker.speed_min = 0.05;
+  config.worker.speed_max = 0.15;
+  if (skew) {
+    config.worker.spatial.distribution = LocationDistribution::kSkewed;
+    config.task.spatial.distribution = LocationDistribution::kSkewed;
+  }
+  if (multiskill) {
+    config.worker.num_skills = 8;
+    config.task.num_skills = 8;
+    config.task.skills_per_task = 2;
+  }
+  Rng rng(seed);
+  Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
+  if (multiskill) instance.set_objective(&GetMultiSkillObjective());
+  return instance;
+}
+
+/// What the churn exercised, so the test can show it reached every path.
+struct MemoCoverage {
+  int64_t hits = 0;        ///< candidates the memo could answer
+  int64_t crowd_outs = 0;  ///< best responses that name an evicted worker
+  int64_t rejects = 0;     ///< JoinFeasible rejections
+};
+
+/// Every worker's memoized best response and scan counters equal the
+/// oracle's on the same keeper.
+void ExpectMemoMatchesOracle(const Instance& instance,
+                             const ScoreKeeper& keeper,
+                             const Assignment& assignment,
+                             const std::string& label,
+                             MemoCoverage* coverage) {
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    const uint64_t scanned_at = keeper.Memo(w).scanned_at;
+    for (const TaskIndex t : instance.ValidTasks(w)) {
+      if (t != assignment.TaskOf(w) && keeper.TaskChangedAt(t) <= scanned_at) {
+        ++coverage->hits;
+      }
+    }
+    ScanCounters memo_counters;
+    const BestResponse got =
+        ComputeBestResponse(instance, keeper, assignment, w, &memo_counters);
+    ScanCounters oracle_counters;
+    const BestResponse want =
+        OracleBestResponse(instance, keeper, assignment, w, &oracle_counters);
+    ASSERT_EQ(got.task, want.task) << label << " worker " << w;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.utility),
+              std::bit_cast<uint64_t>(want.utility))
+        << label << " worker " << w;
+    ASSERT_EQ(got.crowded_out, want.crowded_out) << label << " worker " << w;
+    ASSERT_EQ(memo_counters.evaluated, oracle_counters.evaluated)
+        << label << " worker " << w;
+    ASSERT_EQ(memo_counters.feasibility_rejects,
+              oracle_counters.feasibility_rejects)
+        << label << " worker " << w;
+    if (want.crowded_out != kNoWorker) ++coverage->crowd_outs;
+    coverage->rejects += oracle_counters.feasibility_rejects;
+  }
+}
+
+/// A random valid task of `w` (kNoTask if it has none).
+TaskIndex RandomValidTask(const Instance& instance, WorkerIndex w, Rng* rng) {
+  const std::span<const TaskIndex> valid = instance.ValidTasks(w);
+  if (valid.empty()) return kNoTask;
+  return valid[static_cast<size_t>(
+      rng->UniformInt(static_cast<uint64_t>(valid.size())))];
+}
+
+class MemoDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemoDifferentialTest, MatchesUnmemoizedScanUnderChurn) {
+  const uint64_t seed = GetParam();
+  for (const bool multiskill : {false, true}) {
+    const bool skew = seed % 2 == 0;
+    const int capacity = 3 + static_cast<int>(seed % 4);
+    const int min_group = std::min(2 + static_cast<int>(seed % 3), capacity);
+    const Instance first =
+        ChurnInstance(seed, skew, multiskill, capacity, min_group);
+    const Instance second =
+        ChurnInstance(seed + 1000, !skew, multiskill, capacity, min_group);
+    Assignment first_assignment(first);
+    Assignment second_assignment(second);
+    Rng rng(seed * 7919 + (multiskill ? 1 : 0));
+    // A random start with full tasks, so joins crowd members out.
+    for (const auto& [instance, assignment] :
+         {std::pair{&first, &first_assignment},
+          std::pair{&second, &second_assignment}}) {
+      for (WorkerIndex w = 0; w < instance->num_workers(); ++w) {
+        const TaskIndex t = RandomValidTask(*instance, w, &rng);
+        if (t != kNoTask) ApplyMove(*instance, assignment, w, t);
+      }
+    }
+
+    const Instance* instance = &first;
+    Assignment* assignment = &first_assignment;
+    ScoreKeeper keeper(*instance, *assignment);
+    MemoCoverage coverage;
+    const std::string base = "seed " + std::to_string(seed) +
+                             (multiskill ? " multiskill" : " casc");
+    for (int step = 0; step < 240; ++step) {
+      const std::string label = base + " step " + std::to_string(step);
+      const WorkerIndex w = static_cast<WorkerIndex>(
+          rng.UniformInt(static_cast<uint64_t>(instance->num_workers())));
+      const TaskIndex from = assignment->TaskOf(w);
+      const TaskIndex to = RandomValidTask(*instance, w, &rng);
+      const auto has_room = [&](TaskIndex t) {
+        return t != kNoTask && t != from &&
+               assignment->GroupSize(t) <
+                   instance->tasks()[static_cast<size_t>(t)].capacity;
+      };
+      switch (rng.UniformInt(uint64_t{6})) {
+        case 0:  // a keeper move, crowding out a member of a full task
+          ApplyMove(*instance, assignment, &keeper, w, to);
+          break;
+        case 1:  // Assign + Add, in either order
+          if (has_room(to)) {
+            if (from != kNoTask) {
+              keeper.Remove(w, from);
+              assignment->Unassign(w);
+            }
+            if (rng.Bernoulli(0.5)) {
+              assignment->Assign(w, to);
+              keeper.Add(w, to);
+            } else {
+              keeper.Add(w, to);
+              assignment->Assign(w, to);
+            }
+          }
+          break;
+        case 2:  // Remove, in either order
+          if (from != kNoTask) {
+            if (rng.Bernoulli(0.5)) {
+              keeper.Remove(w, from);
+              assignment->Unassign(w);
+            } else {
+              assignment->Unassign(w);
+              keeper.Remove(w, from);
+            }
+          }
+          break;
+        case 3:
+        case 4: {
+          // A local-search style trial move of w from `from` to `to` on
+          // ApplyDelta alone: rolled back, or committed by moving w in the
+          // assignment without telling the keeper.
+          if (from == kNoTask || !has_room(to)) break;
+          const std::span<const WorkerIndex> from_span =
+              assignment->GroupOf(from);
+          const std::span<const WorkerIndex> to_span =
+              assignment->GroupOf(to);
+          const std::vector<WorkerIndex> from_group(from_span.begin(),
+                                                    from_span.end());
+          const std::vector<WorkerIndex> to_group(to_span.begin(),
+                                                  to_span.end());
+          std::vector<WorkerIndex> from_trial = from_group;
+          from_trial.erase(
+              std::find(from_trial.begin(), from_trial.end(), w));
+          std::vector<WorkerIndex> to_trial = to_group;
+          to_trial.push_back(w);
+          const double left = keeper.AffinityTo(from, w);
+          const double joined = keeper.AffinityTo(to, w);
+          keeper.ApplyDelta(from, -left, static_cast<int>(from_trial.size()),
+                            from_trial);
+          keeper.ApplyDelta(to, joined, static_cast<int>(to_trial.size()),
+                            to_trial);
+          if (rng.Bernoulli(0.5)) {
+            assignment->Assign(w, to);
+          } else {
+            keeper.ApplyDelta(to, -joined,
+                              static_cast<int>(to_group.size()), to_group);
+            keeper.ApplyDelta(from, left,
+                              static_cast<int>(from_group.size()),
+                              from_group);
+          }
+          break;
+        }
+        case 5:
+          if (rng.Bernoulli(0.5)) {
+            // Rebind and sync onto the other instance.
+            const bool on_first = instance == &first;
+            instance = on_first ? &second : &first;
+            assignment = on_first ? &second_assignment : &first_assignment;
+            keeper.Rebind(*instance);
+            keeper.Sync(*assignment);
+          } else {
+            // Change the groups behind the keeper's back, then Sync: the
+            // sync alone must drop every stored price.
+            for (int moves = 0; moves < 3; ++moves) {
+              const WorkerIndex mover = static_cast<WorkerIndex>(rng.UniformInt(
+                  static_cast<uint64_t>(instance->num_workers())));
+              ApplyMove(*instance, assignment, mover,
+                        RandomValidTask(*instance, mover, &rng));
+            }
+            keeper.Sync(*assignment);
+          }
+          break;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectMemoMatchesOracle(
+          *instance, keeper, *assignment, label, &coverage));
+    }
+    EXPECT_GT(coverage.hits, 0) << base;
+    EXPECT_GT(coverage.crowd_outs, 0) << base;
+    if (multiskill) {
+      EXPECT_GT(coverage.rejects, 0) << base;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 // ---------------------------------------------------------------------------
 // Asymmetric cooperation matrices (Equation 1 allows q_i(k) != q_k(i))

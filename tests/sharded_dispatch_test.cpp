@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -11,6 +12,7 @@
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
+#include "keeper_scan_oracle.h"
 #include "model/objective.h"
 #include "model/objective_model.h"
 #include "model/score_keeper.h"
@@ -73,6 +75,31 @@ TEST(ShardMapTest, ClassifiesInteriorAndBoundaryWorkers) {
   EXPECT_EQ(map.HomeWorkersOf(0), std::vector<WorkerIndex>{0});
   EXPECT_EQ(map.HomeWorkersOf(1), std::vector<WorkerIndex>{2});
   EXPECT_EQ(map.HomeWorkersOf(3), (std::vector<WorkerIndex>{1, 3}));
+}
+
+TEST(ShardMapTest, FarCoordinatesClampToEdgeCells) {
+  // A coordinate (or a reach-box edge) whose cell number overflows int
+  // must clamp to the edge cell, not go through an out-of-range cast
+  // (a sanitized build checks the conversion).
+  ShardMapConfig config;
+  config.shards_per_side = 2;
+  std::vector<Task> tasks = {Task{0, {1e300, 0.25}, 0, 9, 3},
+                             Task{1, {-1e300, 1e300}, 0, 9, 3}};
+  std::vector<Worker> workers = {
+      Worker{0, {0.25, 0.25}, 1, 1e300, 0},  // reach box far beyond the world
+      Worker{1, {0.25, 0.25}, 1, 0.1, 0},    // interior to shard 0
+  };
+  const ShardMap map(workers, tasks, config);
+  EXPECT_EQ(map.ShardOfPoint(tasks[0].location), 1);
+  EXPECT_EQ(map.ShardOfPoint(tasks[1].location), 2);
+  EXPECT_EQ(map.TasksOf(1), std::vector<TaskIndex>{0});
+  EXPECT_EQ(map.TasksOf(2), std::vector<TaskIndex>{1});
+  EXPECT_EQ(map.boundary_workers(), std::vector<WorkerIndex>{0});
+  EXPECT_EQ(map.InteriorWorkersOf(0), std::vector<WorkerIndex>{1});
+  EXPECT_EQ(map.ShardsTouched(workers[0].location, workers[0].radius),
+            (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(map.ShardsTouched(tasks[0].location, 0.1), std::vector<int>{});
+  EXPECT_EQ(map.ShardOfPoint({std::nan(""), 0.75}), 2);
 }
 
 TEST(ShardMapTest, SingleShardHasNoBoundaryInsideWorld) {
@@ -301,7 +328,9 @@ struct OracleCoverage {
 /// The polish pass as it was before it shared the GT assigner's round:
 /// best-response rounds over an active set that starts as `boundary` and
 /// grows by every crowded-out worker, at most `polish_rounds` of them.
-/// Returns the number of moves.
+/// Each best response is the un-memoized keeper scan, so the oracle
+/// shares no best-response memo with the pass it checks. Returns the
+/// number of moves.
 int OraclePolish(const Instance& global,
                  const std::vector<WorkerIndex>& boundary, int polish_rounds,
                  Assignment* assignment, ScoreKeeper* keeper,
@@ -317,7 +346,7 @@ int OraclePolish(const Instance& global,
     std::vector<WorkerIndex> evicted;
     for (const WorkerIndex w : active) {
       const BestResponse response =
-          ComputeBestResponse(global, *keeper, *assignment, w);
+          OracleBestResponse(global, *keeper, *assignment, w);
       if (response.task == assignment->TaskOf(w)) continue;
       const MoveResult result =
           ApplyMove(global, assignment, keeper, w, response.task);
