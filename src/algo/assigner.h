@@ -32,6 +32,10 @@ struct AssignerStats {
   /// predicate before any utility work (ObjectiveModel::JoinFeasible).
   /// Always 0 for the default CA-SC objective.
   int64_t feasibility_rejects = 0;
+  /// Two-way pair values (CooperationMatrix::MutualRow entries) that TPG's
+  /// stage 1 computed: its strong-pair pass, pair-list scans and seed
+  /// extensions (TPG, and GT's TPG initialization).
+  int64_t seed_pairs_priced = 0;
   /// Objective value of the initialization (TPG score for GT).
   double init_score = 0.0;
   /// Objective value of the returned assignment.

@@ -49,6 +49,7 @@ Assignment GtAssigner::Run(const Instance& instance) {
     if (delta->num_dirty_tasks > 0) {
       TpgAssigner patch;
       patch.SeedTasks(instance, &delta->dirty_task, &assignment);
+      stats_.seed_pairs_priced = patch.stats().seed_pairs_priced;
     }
     stats_.warm_started = true;
     stats_.seeded_workers = delta->num_seeded;
@@ -60,6 +61,7 @@ Assignment GtAssigner::Run(const Instance& instance) {
       TpgAssigner tpg;
       tpg.set_workspace(workspace());
       assignment = tpg.Run(instance);
+      stats_.seed_pairs_priced = tpg.stats().seed_pairs_priced;
       break;
     }
     case GtInit::kRandom: {

@@ -1,6 +1,9 @@
 #include "algo/tpg_assigner.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <span>
@@ -42,10 +45,36 @@ struct PairList {
   bool complete = false;  ///< holds every live pair of its build
 };
 
+/// Sampled rows that set the strong-pair cut.
+constexpr size_t kCutSampleRows = 8;
+
+/// Strong pairs the cut aims to leave in a task of average pair count.
+/// Any value is exact; it only sets how often a fill finds K of them.
+constexpr double kStrongPairsPerTask = 8.0 * kPairListSize;
+
+/// The largest share of pairs the cut aims to keep.
+constexpr double kMaxKeepFraction = 0.25;
+
+/// Strong pairs held before the pass raises its cut: this floor, or, if
+/// larger, the smaller of half of all pairs and four times the share the
+/// cut aims to keep. A sample that misjudges the cut then costs at most
+/// four times the planned memory, and above the floor never more than
+/// half the pairs (plus one row).
+constexpr size_t kMinStrongPairCap = 4096;
+constexpr double kMaxCapFraction = 0.5;
+
 /// Builds greedy B-worker seed sets (best mutual pair among the task's
 /// available candidates, then argmax marginal extension) from per-task
-/// pair lists, reading each affinity row once through
-/// CooperationMatrix::MutualRow. Holds its scratch buffers across calls.
+/// pair lists. Holds its scratch buffers across calls and counts every
+/// pair value it computes through CooperationMatrix::MutualRow.
+///
+/// A list is filled by one of two exact paths. The per-task scan reads
+/// every live candidate pair once. After the strong-pair pass
+/// (PriceStrongPairsIfCheaper), a fill first collects the task's live
+/// *strong* pairs, those valued strictly above the pass's cut θ. Every
+/// pair it does not collect is worth ≤ θ, so it ranks after every pair
+/// it does; when it collects at least K, their K best by PairBefore are
+/// exactly the scan's list. With fewer, the fill falls back to the scan.
 class SeedBuilder {
  public:
   SeedBuilder(const Instance& instance, const std::vector<bool>& available)
@@ -90,20 +119,225 @@ class SeedBuilder {
     std::sort(seed->begin(), seed->end());
   }
 
+  /// Takes the shard-wide strong-pair pass when it prices fewer pairs
+  /// than the first fills it can replace. Only a task with n >= B live
+  /// candidates and more than K live pairs ever fills from the strong
+  /// pairs: stage 1 never frees a worker, so any other task never builds
+  /// a list or builds one complete list. Its first fill scans n(n-1)/2
+  /// pairs; the pass prices the r(r-1)/2 pairs of the r workers that such
+  /// tasks list. Writes each masked task's n to `live_counts`.
+  void PriceStrongPairsIfCheaper(const std::vector<uint8_t>* task_mask,
+                                 std::vector<int>* live_counts) {
+    // Bit w of `listed` flags a worker counted in r; it is allocated at
+    // the first task the pass could serve.
+    std::vector<uint64_t> listed;
+    double scan_pairs = 0.0;
+    int scan_tasks = 0;
+    size_t r = 0;
+    for (TaskIndex t = 0; t < instance_.num_tasks(); ++t) {
+      if (task_mask != nullptr && (*task_mask)[static_cast<size_t>(t)] == 0) {
+        continue;
+      }
+      const std::span<const WorkerIndex> candidates = instance_.Candidates(t);
+      int& live = (*live_counts)[static_cast<size_t>(t)];
+      for (const WorkerIndex w : candidates) {
+        if (available_[static_cast<size_t>(w)]) ++live;
+      }
+      const double pairs = live * (live - 1.0) / 2.0;
+      if (static_cast<size_t>(live) < target_ || pairs <= kPairListSize) {
+        continue;
+      }
+      scan_pairs += pairs;
+      ++scan_tasks;
+      if (listed.empty()) {
+        listed.assign((static_cast<size_t>(instance_.num_workers()) + 63) / 64,
+                      0);
+      }
+      for (const WorkerIndex w : candidates) {
+        if (!available_[static_cast<size_t>(w)]) continue;
+        uint64_t& word = listed[static_cast<size_t>(w) / 64];
+        const uint64_t bit = uint64_t{1} << (static_cast<size_t>(w) % 64);
+        r += (word & bit) == 0 ? 1 : 0;
+        word |= bit;
+      }
+    }
+    if (!(r * (r - 1.0) / 2.0 < scan_pairs)) return;
+    std::vector<WorkerIndex> workers;
+    workers.reserve(r);
+    for (size_t k = 0; k < listed.size(); ++k) {
+      for (uint64_t word = listed[k]; word != 0; word &= word - 1) {
+        workers.push_back(
+            static_cast<WorkerIndex>(64 * k + std::countr_zero(word)));
+      }
+    }
+    // The cut aims at kStrongPairsPerTask strong pairs in a task of
+    // average pair count.
+    PriceStrongPairs(workers,
+                     std::min(kMaxKeepFraction,
+                              kStrongPairsPerTask * scan_tasks / scan_pairs));
+  }
+
+  /// Pair values computed so far (MutualRow entries).
+  int64_t pairs_priced() const { return pairs_priced_; }
+  /// Pair-list fills taken from the strong pairs, and by the scan.
+  int64_t strong_fills() const { return strong_fills_; }
+  int64_t scan_fills() const { return scan_fills_; }
+
  private:
-  /// Refills `list` with the K best pairs over live_, through a bounded
-  /// heap whose top is the worst pair kept.
+  /// The shard-wide pass: prices every pair of `workers` (ascending
+  /// ids, all available) once and keeps each pair worth strictly more
+  /// than a cut θ, stored under its lower id. θ is the median over a few
+  /// sample rows of the value that leaves about `keep_fraction` of the
+  /// row above it. Stage 1 never frees a worker, so the kept pairs stay
+  /// a superset of every later fill's live strong pairs.
+  void PriceStrongPairs(std::span<const WorkerIndex> workers,
+                        double keep_fraction) {
+    // The cost rule admits the pass only for workers that a task with
+    // more than K pairs lists, so r > 2.
+    const size_t r = workers.size();
+    row_.resize(r);
+    std::array<double, kCutSampleRows> row_cuts{};
+    const size_t rows = std::min(r, kCutSampleRows);
+    const size_t above = std::min(
+        r - 2, static_cast<size_t>(keep_fraction * static_cast<double>(r)));
+    for (size_t k = 0; k < rows; ++k) {
+      // The row's r - 1 pair values, its diagonal moved to the end.
+      const size_t a = k * r / rows;
+      Price(workers[a], workers);
+      std::swap(row_[a], row_[r - 1]);
+      const auto values = row_.begin();
+      const auto nth = values + static_cast<std::ptrdiff_t>(r - 2 - above);
+      std::nth_element(values, nth,
+                       values + static_cast<std::ptrdiff_t>(r - 1));
+      row_cuts[k] = *nth;
+    }
+    const auto mid = row_cuts.begin() + static_cast<std::ptrdiff_t>(rows / 2);
+    std::nth_element(row_cuts.begin(), mid,
+                     row_cuts.begin() + static_cast<std::ptrdiff_t>(rows));
+    double cut = *mid;
+
+    // Each row's kept pairs are counted at offsets[low + 1], so a prefix
+    // sum at the end turns the counts into CSR offsets by lower id.
+    std::vector<double>& value = strong_value_;
+    std::vector<int32_t>& high = strong_high_;
+    std::vector<int32_t>& offsets = strong_offsets_;
+    offsets.assign(static_cast<size_t>(instance_.num_workers()) + 1, 0);
+    slot_.assign(static_cast<size_t>(instance_.num_workers()), 0);
+    const double pairs = static_cast<double>(r) * (r - 1) / 2.0;
+    value.reserve(static_cast<size_t>(1.25 * keep_fraction * pairs));
+    high.reserve(value.capacity());
+    const size_t cap = std::max(
+        kMinStrongPairCap,
+        static_cast<size_t>(std::min(4.0 * keep_fraction, kMaxCapFraction) *
+                            pairs));
+    for (size_t a = 0; a + 1 < r; ++a) {
+      const std::span<const WorkerIndex> rest = workers.subspan(a + 1);
+      Price(workers[a], rest);
+      const size_t before = value.size();
+      for (size_t b = 0; b < rest.size(); ++b) {
+        if (row_[b] > cut) {
+          value.push_back(row_[b]);
+          high.push_back(rest[b]);
+        }
+      }
+      offsets[static_cast<size_t>(workers[a]) + 1] =
+          static_cast<int32_t>(value.size() - before);
+      if (value.size() > cap) cut = RaiseCut(workers.first(a + 1));
+    }
+    for (size_t w = 1; w < offsets.size(); ++w) offsets[w] += offsets[w - 1];
+    strong_ready_ = true;
+  }
+
+  /// Raises the pass's cut to the median kept value and drops every kept
+  /// pair at or below it, row by row over `rows` (the rows priced so far).
+  /// Every pair dropped, now or by an earlier cut, is worth ≤ the new
+  /// cut. Returns the new cut.
+  double RaiseCut(std::span<const WorkerIndex> rows) {
+    std::vector<double>& value = strong_value_;
+    std::vector<int32_t>& high = strong_high_;
+    std::vector<double> sorted(value.begin(), value.end());
+    const auto mid =
+        sorted.begin() + static_cast<std::ptrdiff_t>(sorted.size() / 2);
+    std::nth_element(sorted.begin(), mid, sorted.end());
+    const double cut = *mid;
+    size_t in = 0;
+    size_t out = 0;
+    for (const WorkerIndex w : rows) {
+      int32_t& count = strong_offsets_[static_cast<size_t>(w) + 1];
+      const size_t end = in + static_cast<size_t>(count);
+      const size_t row_out = out;
+      for (; in < end; ++in) {
+        if (value[in] > cut) {
+          value[out] = value[in];
+          high[out] = high[in];
+          ++out;
+        }
+      }
+      count = static_cast<int32_t>(out - row_out);
+    }
+    value.resize(out);
+    high.resize(out);
+    return cut;
+  }
+
+  /// Fills row_[0, ids.size()) with Mutual(w, ids[k]).
+  void Price(WorkerIndex w, std::span<const WorkerIndex> ids) {
+    coop_.MutualRow(w, ids, std::span<double>(row_).first(ids.size()));
+    pairs_priced_ += static_cast<int64_t>(ids.size());
+  }
+
+  /// Refills `list` with the K best pairs over live_: from the strong
+  /// pairs when they hold K of them, else by the scan.
   void BuildPairs(PairList* list) {
-    std::vector<SeedPair>& heap = list->pairs;
-    heap.clear();
     list->cursor = 0;
     const size_t n = live_.size();
     list->complete = n * (n - 1) / 2 <= kPairListSize;
+    if (!list->complete && strong_ready_ && CollectStrongPairs(list)) {
+      ++strong_fills_;
+      return;
+    }
+    ++scan_fills_;
+    ScanPairs(list);
+  }
+
+  /// The live strong pairs, found through a worker -> live index stamp.
+  /// Returns false, leaving `list` untouched, when fewer than K are live.
+  bool CollectStrongPairs(PairList* list) {
+    for (size_t a = 0; a < live_.size(); ++a) {
+      slot_[static_cast<size_t>(live_[a])] = static_cast<int32_t>(a) + 1;
+    }
+    found_.clear();
+    for (size_t a = 0; a < live_.size(); ++a) {
+      const size_t w = static_cast<size_t>(live_[a]);
+      const size_t end = static_cast<size_t>(strong_offsets_[w + 1]);
+      for (size_t e = static_cast<size_t>(strong_offsets_[w]); e < end; ++e) {
+        const int32_t b = slot_[static_cast<size_t>(strong_high_[e])];
+        if (b == 0) continue;
+        const int32_t i = live_pos_[a];
+        const int32_t j = live_pos_[static_cast<size_t>(b - 1)];
+        found_.push_back(
+            SeedPair{strong_value_[e], std::min(i, j), std::max(i, j)});
+      }
+    }
+    for (const WorkerIndex w : live_) slot_[static_cast<size_t>(w)] = 0;
+    if (found_.size() < kPairListSize) return false;
+    const auto kept = found_.begin() + kPairListSize;
+    std::partial_sort(found_.begin(), kept, found_.end(), PairBefore);
+    list->pairs.assign(found_.begin(), kept);
+    return true;
+  }
+
+  /// The per-task scan: every live pair, through a bounded heap whose top
+  /// is the worst pair kept.
+  void ScanPairs(PairList* list) {
+    std::vector<SeedPair>& heap = list->pairs;
+    heap.clear();
+    const size_t n = live_.size();
+    row_.resize(n);
     for (size_t a = 0; a + 1 < n; ++a) {
       const std::span<const WorkerIndex> rest =
           std::span<const WorkerIndex>(live_).subspan(a + 1);
-      row_.resize(rest.size());
-      coop_.MutualRow(live_[a], rest, row_);
+      Price(live_[a], rest);
       for (size_t b = 0; b < rest.size(); ++b) {
         // Pairs arrive in scan order, so a newcomer that only ties the
         // worst kept pair ranks after it: the threshold test is strict.
@@ -140,7 +374,7 @@ class SeedBuilder {
     in_seed_[live_index(best.j)] = 1;
     row_.resize(n);
     const auto accumulate = [&](WorkerIndex member) {
-      coop_.MutualRow(member, live_, row_);
+      Price(member, live_);
       for (size_t k = 0; k < n; ++k) added_[k] += row_[k];
     };
     accumulate((*seed)[0]);
@@ -165,11 +399,23 @@ class SeedBuilder {
   const CooperationMatrix& coop_;
   const std::vector<bool>& available_;
   const size_t target_;
+  bool strong_ready_ = false;  ///< the strong-pair pass ran
+  int64_t pairs_priced_ = 0;
+  int64_t strong_fills_ = 0;
+  int64_t scan_fills_ = 0;
   std::vector<WorkerIndex> live_;  ///< the task's available candidates
   std::vector<int32_t> live_pos_;  ///< their positions in Candidates(t)
   std::vector<double> row_;
   std::vector<double> added_;
   std::vector<uint8_t> in_seed_;
+  std::vector<SeedPair> found_;  ///< a fill's live strong pairs
+  // The strong pairs, CSR by lower worker id: strong_offsets_[w] is w's
+  // first pair as the lower id, strong_high_ / strong_value_ each pair's
+  // higher id and Mutual() value.
+  std::vector<int32_t> strong_offsets_;
+  std::vector<int32_t> strong_high_;
+  std::vector<double> strong_value_;
+  std::vector<int32_t> slot_;  ///< worker -> live index + 1, or 0
 };
 
 /// A cached stage-1 seed set for one task.
@@ -238,6 +484,8 @@ void TpgAssigner::SeedTasks(const Instance& instance,
   CASC_CHECK(assignment_ptr != nullptr);
   Assignment& assignment = *assignment_ptr;
   const int num_tasks = instance.num_tasks();
+  strong_fills_ = 0;
+  scan_fills_ = 0;
   const auto masked = [&](TaskIndex t) {
     return task_mask == nullptr || (*task_mask)[static_cast<size_t>(t)] != 0;
   };
@@ -280,14 +528,9 @@ void TpgAssigner::SeedTasks(const Instance& instance,
              top.version == seeds[static_cast<size_t>(top.task)].version;
     };
 
+    builder.PriceStrongPairsIfCheaper(task_mask, &potential);
     for (TaskIndex t = 0; t < num_tasks; ++t) {
-      if (!masked(t)) continue;
-      for (const WorkerIndex w : instance.Candidates(t)) {
-        if (worker_available[static_cast<size_t>(w)]) {
-          ++potential[static_cast<size_t>(t)];
-        }
-      }
-      refresh_seed(t);
+      if (masked(t)) refresh_seed(t);
     }
 
     std::vector<SeedScore> ties;
@@ -339,6 +582,9 @@ void TpgAssigner::SeedTasks(const Instance& instance,
         }
       }
     }
+    stats_.seed_pairs_priced += builder.pairs_priced();
+    strong_fills_ = builder.strong_fills();
+    scan_fills_ = builder.scan_fills();
   }
   stats_.init_score = TotalScore(instance, assignment);
 

@@ -1,6 +1,7 @@
 #ifndef CASC_ALGO_TPG_ASSIGNER_H_
 #define CASC_ALGO_TPG_ASSIGNER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,15 @@ struct TpgOptions {
 /// pair remains.
 ///
 /// Stage 1 is an exact incremental form of that greedy:
-/// * each task reads its candidates' mutual affinities once
-///   (CooperationMatrix::MutualRow) and keeps its best pairs in a
-///   bounded list ordered as the direct O(c²) scan would prefer them;
+/// * each task keeps its best candidate pairs in a bounded list ordered
+///   as the direct O(c²) scan would prefer them. A list is filled by
+///   reading the task's candidate pairs once
+///   (CooperationMatrix::MutualRow), or, when the workers of the tasks
+///   with more than K candidate pairs make fewer pairs than those tasks'
+///   candidate pairs, from one shard-wide pass that prices every such
+///   worker pair once and keeps those strictly above a cut: a task whose
+///   live candidates hold at least K of them takes its K best, which are
+///   exactly the scan's list;
 /// * a seed invalidated by a consumed worker is rebuilt by walking the
 ///   list's cursor past dead pairs and re-running the O(B·c) extension,
 ///   and only a truncated list that runs dry is rebuilt from scratch;
@@ -77,7 +84,13 @@ class TpgAssigner : public Assigner {
       const std::vector<bool>& available);
 
  private:
+  friend class TpgAssignerTestPeer;
+
   TpgOptions options_;
+  // Stage-1 pair-list fills of the last SeedTasks() call, from the
+  // strong pairs and by the per-task scan. Only tests read them.
+  int64_t strong_fills_ = 0;
+  int64_t scan_fills_ = 0;
 };
 
 }  // namespace casc

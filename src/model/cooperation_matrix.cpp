@@ -155,18 +155,36 @@ void CooperationMatrix::MutualRow(int i, std::span<const int> ids,
                                   std::span<double> out) const {
   CheckLogicalIndex(i);
   CASC_CHECK_EQ(out.size(), ids.size());
+  // One range check for the whole row: an id is in [0, num_workers_)
+  // exactly when it is below num_workers_ as an unsigned value.
+  const auto limit = static_cast<unsigned>(num_workers_);
+  bool in_range = true;
+  for (const int id : ids) in_range &= static_cast<unsigned>(id) < limit;
+  CASC_CHECK(in_range) << "MutualRow id out of [0, " << num_workers_ << ")";
+
   const int bi = BackingIndex(i);
-  for (size_t k = 0; k < ids.size(); ++k) {
-    CheckLogicalIndex(ids[k]);
-    const int bk = BackingIndex(ids[k]);
-    if (bk == bi) {
-      out[k] = 0.0;  // the diagonal, or two logical ids aliasing one worker
-    } else if (procedural_) {
-      const double q = HashQuality(seed_, bi, bk);  // symmetric
-      out[k] = q + q;
-    } else {
-      out[k] = (*cells_)[CellIndex(bi, bk)] + (*cells_)[CellIndex(bk, bi)];
+  // The diagonal and two logical ids aliasing one worker give 0; the
+  // arithmetic is Mutual()'s, so every entry is bit-equal to it.
+  const auto fill = [&](auto backing) {
+    if (procedural_) {
+      for (size_t k = 0; k < ids.size(); ++k) {
+        const int bk = backing(ids[k]);
+        const double q = bk == bi ? 0.0 : HashQuality(seed_, bi, bk);
+        out[k] = q + q;  // symmetric
+      }
+      return;
     }
+    const double* cells = cells_->data();
+    const double* row = cells + CellIndex(bi, 0);
+    for (size_t k = 0; k < ids.size(); ++k) {
+      const int bk = backing(ids[k]);
+      out[k] = bk == bi ? 0.0 : row[bk] + cells[CellIndex(bk, bi)];
+    }
+  };
+  if (remap_.empty()) {
+    fill([](int id) { return id; });
+  } else {
+    fill([this](int id) { return remap_[static_cast<size_t>(id)]; });
   }
 }
 

@@ -195,6 +195,9 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   stats_.dirty_workers = metrics_.dirty_workers;
   stats_.warm_started = metrics_.warm_started;
   stats_.moves = metrics_.solve_moves + reconcile.polish_moves;
+  for (const AssignerStats& shard : shard_stats) {
+    stats_.seed_pairs_priced += shard.seed_pairs_priced;
+  }
   stats_.final_score = TotalScore(instance, assignment);
   executor_.RecycleProblems(&partition.problems);
   return assignment;

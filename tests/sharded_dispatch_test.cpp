@@ -218,7 +218,11 @@ TEST(ShardedAssignerTest, SingleShardBitIdenticalToMonolithic) {
     ShardedAssigner sharded(MakeOptions(1, threads), GtFactory());
     const Assignment actual = sharded.Run(instance);
     EXPECT_EQ(actual.Pairs(), expected.Pairs()) << "threads=" << threads;
+    // The one shard's TPG seeding prices exactly the monolithic pairs.
+    EXPECT_EQ(sharded.stats().seed_pairs_priced,
+              monolithic.stats().seed_pairs_priced);
   }
+  EXPECT_GT(monolithic.stats().seed_pairs_priced, 0);
 }
 
 TEST(ShardedAssignerTest, ResultIndependentOfThreadCount) {

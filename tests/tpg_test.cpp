@@ -9,12 +9,23 @@
 
 #include "algo/random_assigner.h"
 #include "algo/tpg_assigner.h"
+#include "bench_util/settings.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "model/objective.h"
 #include "model/objective_model.h"
 
 namespace casc {
+
+/// Reads the stage-1 fill counts TpgAssigner keeps for tests.
+class TpgAssignerTestPeer {
+ public:
+  static int64_t StrongFills(const TpgAssigner& tpg) {
+    return tpg.strong_fills_;
+  }
+  static int64_t ScanFills(const TpgAssigner& tpg) { return tpg.scan_fills_; }
+};
+
 namespace {
 
 Instance AllValidInstance(int num_workers, int num_tasks, int capacity,
@@ -598,39 +609,43 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
 
 class TpgDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TpgDifferentialTest, SeedTasksMatchesDirectFormByteForByte) {
-  const FuzzCase fuzz = MakeFuzzCase(GetParam());
-  const Instance& instance = fuzz.instance;
-  SCOPED_TRACE(fuzz.label);
-
-  // A masked case re-seeds a random task subset on top of a random
-  // partial assignment of the other tasks, as the warm start's dirty-task
-  // re-seed does (its skeleton never holds a worker on a dirty task).
-  Assignment start(instance);
+/// A fuzz case's starting point. A masked case re-seeds a random task
+/// subset on top of a random partial assignment of the other tasks, as
+/// the warm start's dirty-task re-seed does (its skeleton never holds a
+/// worker on a dirty task).
+struct FuzzStart {
+  Assignment assignment;
   std::vector<uint8_t> mask;
-  if (fuzz.masked_partial) {
-    Rng rng(GetParam() ^ 0x5EEDull);
-    mask.resize(static_cast<size_t>(instance.num_tasks()));
-    for (uint8_t& bit : mask) bit = rng.Bernoulli(0.6) ? 1 : 0;
-    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-      const auto valid = instance.ValidTasks(w);
-      if (valid.empty() || !rng.Bernoulli(0.3)) continue;
-      const TaskIndex t = valid[rng.UniformInt(valid.size())];
-      if (mask[static_cast<size_t>(t)] == 0 &&
-          start.GroupSize(t) <
-              instance.tasks()[static_cast<size_t>(t)].capacity) {
-        start.Assign(w, t);
-      }
+  bool masked = false;
+
+  const std::vector<uint8_t>* task_mask() const {
+    return masked ? &mask : nullptr;
+  }
+};
+
+FuzzStart MakeFuzzStart(const FuzzCase& fuzz, uint64_t seed) {
+  const Instance& instance = fuzz.instance;
+  FuzzStart start{Assignment(instance), {}, fuzz.masked_partial};
+  if (!fuzz.masked_partial) return start;
+  Rng rng(seed ^ 0x5EEDull);
+  start.mask.resize(static_cast<size_t>(instance.num_tasks()));
+  for (uint8_t& bit : start.mask) bit = rng.Bernoulli(0.6) ? 1 : 0;
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    const auto valid = instance.ValidTasks(w);
+    if (valid.empty() || !rng.Bernoulli(0.3)) continue;
+    const TaskIndex t = valid[rng.UniformInt(valid.size())];
+    if (start.mask[static_cast<size_t>(t)] == 0 &&
+        start.assignment.GroupSize(t) <
+            instance.tasks()[static_cast<size_t>(t)].capacity) {
+      start.assignment.Assign(w, t);
     }
   }
-  const std::vector<uint8_t>* task_mask =
-      fuzz.masked_partial ? &mask : nullptr;
+  return start;
+}
 
-  Assignment expected = start;
-  OracleSeedTasks(instance, task_mask, fuzz.options, &expected);
-  Assignment actual = start;
-  TpgAssigner(fuzz.options).SeedTasks(instance, task_mask, &actual);
-
+/// Asserts equal assignments, group orders and score bits.
+void ExpectSameAssignment(const Instance& instance, const Assignment& actual,
+                          const Assignment& expected) {
   for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
     ASSERT_EQ(actual.TaskOf(w), expected.TaskOf(w)) << "worker " << w;
   }
@@ -643,6 +658,99 @@ TEST_P(TpgDifferentialTest, SeedTasksMatchesDirectFormByteForByte) {
   EXPECT_EQ(HexFloat(TotalScore(instance, actual)),
             HexFloat(TotalScore(instance, expected)));
   ASSERT_TRUE(actual.Validate(instance).ok());
+}
+
+/// The strong-pair pass's cost rule, restated. A masked task with n
+/// available candidates can fill from the strong pairs only when n >= B
+/// and its n(n-1)/2 pairs exceed the K = 48 a list keeps; the pass prices
+/// the r(r-1)/2 pairs of the r workers such tasks list, and runs when
+/// that is fewer than those tasks' n(n-1)/2.
+struct PassCost {
+  int64_t workers = 0;  ///< r
+  int64_t pass_pairs = 0;
+  int64_t scan_pairs = 0;
+
+  bool takes_pass() const { return pass_pairs < scan_pairs; }
+  /// A pass's pair values: its cut's sample rows (at most 8, each of r
+  /// values) and then every pair once.
+  int64_t pass_priced() const {
+    return std::min<int64_t>(workers, 8) * workers + pass_pairs;
+  }
+};
+
+PassCost CostOf(const Instance& instance, const Assignment& start,
+                const std::vector<uint8_t>* task_mask) {
+  std::vector<bool> listed(static_cast<size_t>(instance.num_workers()));
+  PassCost cost;
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    if (task_mask != nullptr && (*task_mask)[static_cast<size_t>(t)] == 0) {
+      continue;
+    }
+    int64_t live = 0;
+    for (const WorkerIndex w : instance.Candidates(t)) {
+      if (start.TaskOf(w) == kNoTask) ++live;
+    }
+    if (live < instance.min_group_size() || live * (live - 1) / 2 <= 48) {
+      continue;
+    }
+    cost.scan_pairs += live * (live - 1) / 2;
+    for (const WorkerIndex w : instance.Candidates(t)) {
+      if (start.TaskOf(w) == kNoTask) listed[static_cast<size_t>(w)] = true;
+    }
+  }
+  cost.workers = std::count(listed.begin(), listed.end(), true);
+  cost.pass_pairs = cost.workers * (cost.workers - 1) / 2;
+  return cost;
+}
+
+/// How one SeedTasks() call filled its pair lists.
+struct FillCounts {
+  bool pass = false;    ///< the cost rule took the strong-pair pass
+  int64_t strong = 0;   ///< lists filled from the strong pairs
+  int64_t scan = 0;     ///< lists filled by the per-task scan
+};
+
+/// Runs TPG's SeedTasks and the direct form from `start`, asserts equal
+/// output, and checks the path against the cost rule through
+/// seed_pairs_priced: a pass prices its sample and every pair, and only a
+/// pass fills lists from strong pairs.
+FillCounts ExpectSeedTasksMatchesOracle(const Instance& instance,
+                                        const TpgOptions& options,
+                                        const Assignment& start,
+                                        const std::vector<uint8_t>* mask,
+                                        TpgAssigner* tpg) {
+  Assignment expected = start;
+  OracleSeedTasks(instance, mask, options, &expected);
+  Assignment actual = start;
+  const int64_t priced_before = tpg->stats().seed_pairs_priced;
+  tpg->SeedTasks(instance, mask, &actual);
+  ExpectSameAssignment(instance, actual, expected);
+
+  const int64_t priced = tpg->stats().seed_pairs_priced - priced_before;
+  FillCounts fills{false, TpgAssignerTestPeer::StrongFills(*tpg),
+                   TpgAssignerTestPeer::ScanFills(*tpg)};
+  if (options.skip_stage_one) {
+    EXPECT_EQ(priced, 0);
+    EXPECT_EQ(fills.strong + fills.scan, 0);
+    return fills;
+  }
+  const PassCost cost = CostOf(instance, start, mask);
+  fills.pass = cost.takes_pass();
+  if (fills.pass) {
+    EXPECT_GE(priced, cost.pass_priced());
+  } else {
+    EXPECT_EQ(fills.strong, 0);
+  }
+  return fills;
+}
+
+TEST_P(TpgDifferentialTest, SeedTasksMatchesDirectFormByteForByte) {
+  const FuzzCase fuzz = MakeFuzzCase(GetParam());
+  SCOPED_TRACE(fuzz.label);
+  const FuzzStart start = MakeFuzzStart(fuzz, GetParam());
+  TpgAssigner tpg(fuzz.options);
+  ExpectSeedTasksMatchesOracle(fuzz.instance, fuzz.options, start.assignment,
+                               start.task_mask(), &tpg);
 }
 
 TEST_P(TpgDifferentialTest, GreedySeedSetMatchesDirectForm) {
@@ -661,9 +769,195 @@ TEST_P(TpgDifferentialTest, GreedySeedSetMatchesDirectForm) {
   }
 }
 
+constexpr uint64_t kFuzzCases = 120;
+
 INSTANTIATE_TEST_SUITE_P(
     Instances, TpgDifferentialTest,
-    ::testing::Range(uint64_t{1}, uint64_t{121}));
+    ::testing::Range(uint64_t{1}, kFuzzCases + 1));
+
+TEST(TpgDifferentialTest, FuzzCoversBothFillPaths) {
+  // The fuzz above is only a check of the strong-pair pass if enough of
+  // its cases take the pass, and enough fills inside those cases still
+  // fall back to the per-task scan.
+  int pass_cases = 0;
+  int64_t strong_fills = 0;
+  int64_t fallback_fills = 0;
+  for (uint64_t seed = 1; seed <= kFuzzCases; ++seed) {
+    const FuzzCase fuzz = MakeFuzzCase(seed);
+    const FuzzStart start = MakeFuzzStart(fuzz, seed);
+    TpgAssigner tpg(fuzz.options);
+    const FillCounts fills = ExpectSeedTasksMatchesOracle(
+        fuzz.instance, fuzz.options, start.assignment, start.task_mask(),
+        &tpg);
+    if (!fills.pass) continue;
+    ++pass_cases;
+    strong_fills += fills.strong;
+    fallback_fills += fills.scan;
+  }
+  // 65 cases, 523 strong fills and 679 fallbacks when this was written.
+  EXPECT_GE(pass_cases, 40);
+  EXPECT_GE(strong_fills, 300);
+  EXPECT_GE(fallback_fills, 300);
+}
+
+/// A symmetric dense matrix whose two-way pair values are 0.5, 1.0 or
+/// 2.0, drawn with probabilities `low`, 1 - low - `top` and `top`.
+CooperationMatrix TieHeavyMatrix(int m, double low, double top, Rng* rng) {
+  CooperationMatrix coop(m);
+  for (int i = 0; i < m; ++i) {
+    for (int k = i + 1; k < m; ++k) {
+      const double draw = rng->Uniform();
+      coop.SetSymmetric(i, k, draw < low ? 0.25 : draw < low + top ? 1.0 : 0.5);
+    }
+  }
+  return coop;
+}
+
+TEST(TpgDifferentialTest, TiedCutMatchesDirectForm) {
+  // 88% of the pairs are worth 1.0 and 1.2% are worth 2.0, so the cut
+  // lands on 1.0 with most pairs tied at it, and only the 2.0 pairs are
+  // strong. The workers sit on a line and each task reaches a window of
+  // it: the wide windows hold K strong pairs and take them, the narrow
+  // ones fall back to the scan, whose lists are mostly ties at the cut.
+  // A pass that also kept the pairs equal to the cut would hold most of
+  // the matrix, so its memory cap would drop part of those ties, and a
+  // narrow window's list would pick later ties than the scan does.
+  Rng rng(2027);
+  constexpr int kWorkers = 160;
+  std::vector<Worker> workers;
+  for (int i = 0; i < kWorkers; ++i) {
+    const double x = 0.1 + 0.8 * i / (kWorkers - 1.0);
+    workers.push_back(Worker{i, {x, 0.5}, 1.0, 0.45, 0.0});
+  }
+  std::vector<Task> tasks;
+  for (const double x : {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      tasks.push_back(Task{static_cast<int64_t>(tasks.size()),
+                           {x, 0.5},
+                           0.0,
+                           10.0,
+                           5});
+    }
+  }
+  Instance instance(std::move(workers), std::move(tasks),
+                    TieHeavyMatrix(kWorkers, 0.11, 0.012, &rng), 0.0, 3);
+  instance.ComputeValidPairs();
+  TpgAssigner tpg;
+  const FillCounts fills = ExpectSeedTasksMatchesOracle(
+      instance, TpgOptions{}, Assignment(instance), nullptr, &tpg);
+  EXPECT_TRUE(fills.pass);
+  EXPECT_GT(fills.strong, 0);
+  EXPECT_GT(fills.scan, 0);
+}
+
+TEST(TpgDifferentialTest, MisjudgedCutIsRaisedExactly) {
+  // The cut's sample rows are evenly spaced over the priced workers, here
+  // workers 0, 20, ..., 140, and those workers have no affinity to anyone.
+  // The sampled cut is then 0 and nearly every pair clears it, so the
+  // pass must raise its cut to stay under its memory cap, more than once,
+  // without losing a pair that a list needs.
+  Rng rng(77);
+  constexpr int kWorkers = 160;
+  CooperationMatrix coop(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    for (int k = 0; k < kWorkers; ++k) {
+      if (i != k && i % 20 != 0 && k % 20 != 0) {
+        coop.SetQuality(i, k, rng.Uniform());
+      }
+    }
+  }
+  const Instance instance =
+      AllValidInstance(kWorkers, 12, 5, 3, std::move(coop));
+  TpgAssigner tpg;
+  const FillCounts fills = ExpectSeedTasksMatchesOracle(
+      instance, TpgOptions{}, Assignment(instance), nullptr, &tpg);
+  EXPECT_TRUE(fills.pass);
+  EXPECT_GT(fills.strong, 0);
+}
+
+TEST(TpgDifferentialTest, MaskedWarmPatchMatchesDirectForm) {
+  // The warm start re-seeds its dirty tasks on top of a skeleton that
+  // holds workers on the clean ones. One assigner re-seeds two different
+  // masks over two different skeletons, so the second call's pass must
+  // price a different worker set rather than reuse the first's pairs.
+  Rng rng(4242);
+  constexpr int kWorkers = 110;
+  constexpr int kTasks = 16;
+  CooperationMatrix coop(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    for (int k = 0; k < kWorkers; ++k) {
+      if (i != k) coop.SetQuality(i, k, rng.Uniform());
+    }
+  }
+  const Instance instance =
+      AllValidInstance(kWorkers, kTasks, 5, 3, std::move(coop));
+  TpgAssigner tpg;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Round 0 re-seeds the odd tasks, and its skeleton holds workers
+    // 0..39 on the even ones; round 1 swaps both roles and holds workers
+    // 60..99 instead.
+    std::vector<uint8_t> mask(kTasks);
+    for (int t = 0; t < kTasks; ++t) {
+      mask[static_cast<size_t>(t)] = (t % 2 == 1) == (round == 0) ? 1 : 0;
+    }
+    Assignment skeleton(instance);
+    const int first = round == 0 ? 0 : 60;
+    for (int k = 0; k < 40; ++k) {
+      const TaskIndex t = 2 * (k % (kTasks / 2)) + (round == 0 ? 0 : 1);
+      skeleton.Assign(first + k, t);
+    }
+    const FillCounts fills = ExpectSeedTasksMatchesOracle(
+        instance, TpgOptions{}, skeleton, &mask, &tpg);
+    EXPECT_TRUE(fills.pass);
+    EXPECT_GT(fills.strong, 0);
+  }
+}
+
+TEST(TpgDifferentialTest, SkewCentreShardMatchesDirectForm) {
+  // The shape that dominates skew-s4: one centre cell of the 4x4 shard
+  // grid over a SKEW Table II batch at m = 5K, whose workers are a view
+  // of the batch's procedural matrix, as ShardExecutor builds a shard.
+  ExperimentSettings settings;
+  settings.num_workers = 5000;
+  settings.distribution = LocationDistribution::kSkewed;
+  const WorkerGenConfig worker_config = settings.MakeWorkerConfig();
+  const TaskGenConfig task_config = settings.MakeTaskConfig();
+  Rng rng(11);
+  const auto in_cell = [](const Point& p) {
+    return p.x >= 0.25 && p.x < 0.5 && p.y >= 0.25 && p.y < 0.5;
+  };
+  std::vector<Worker> workers;
+  std::vector<int> ids;
+  for (int i = 0; i < settings.num_workers; ++i) {
+    const Worker worker = GenerateWorker(i, worker_config, 0.0, &rng);
+    if (!in_cell(worker.location)) continue;
+    workers.push_back(worker);
+    ids.push_back(i);
+  }
+  std::vector<Task> tasks;
+  for (int j = 0; j < settings.num_tasks; ++j) {
+    const Task task = GenerateTask(j, task_config, 0.0, &rng);
+    if (in_cell(task.location)) tasks.push_back(task);
+  }
+  ASSERT_GE(workers.size(), 500u);
+  Instance instance(
+      std::move(workers), std::move(tasks),
+      CooperationMatrix::Procedural(settings.num_workers, 99).View(ids),
+      0.0, settings.min_group_size);
+  instance.ComputeValidPairs();
+
+  TpgAssigner tpg;
+  const Assignment start(instance);
+  const FillCounts fills = ExpectSeedTasksMatchesOracle(
+      instance, TpgOptions{}, start, nullptr, &tpg);
+  EXPECT_TRUE(fills.pass);
+  EXPECT_GT(fills.strong, 10 * fills.scan);
+  // The pass and every fill together price fewer pairs than the scan's
+  // first fills alone would.
+  EXPECT_LT(tpg.stats().seed_pairs_priced,
+            CostOf(instance, start, nullptr).scan_pairs);
+}
 
 TEST(TpgDifferentialTest, PairListRunsDryAndIsRebuilt) {
   // Task 0 reaches hubs 0..2 and ordinary workers 3..42. The hubs hold
