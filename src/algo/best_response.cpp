@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "model/objective.h"
 #include "model/objective_model.h"
 
@@ -67,6 +68,21 @@ MoveResult MoveAndMarkDirty(const Instance& instance, Assignment* assignment,
     }
   }
   return move;
+}
+
+/// The memo price of `w` joining `t`, a task other than w's own:
+/// kJoinInfeasible when the objective forbids the join, else the keeper
+/// StrategyUtility. The one pricing behind both the scan and the refresh,
+/// so a refreshed entry is the price the scan would compute.
+double PriceCandidate(const Instance& instance, const ScoreKeeper& keeper,
+                      const Assignment& assignment, WorkerIndex w,
+                      TaskIndex t, bool filter_joins,
+                      WorkerIndex* crowded_out) {
+  if (filter_joins && !instance.objective().JoinFeasible(
+                          instance, t, keeper.GroupOf(t), w)) {
+    return ScoreKeeper::kJoinInfeasible;
+  }
+  return StrategyUtility(instance, keeper, assignment, w, t, crowded_out);
 }
 
 }  // namespace
@@ -214,11 +230,8 @@ BestResponse ComputeBestResponse(const Instance& instance,
     WorkerIndex crowded = kNoWorker;
     const bool hit = keeper.TaskChangedAt(t) <= memo.scanned_at;
     if (!hit) {
-      price = filter_joins && !objective.JoinFeasible(
-                                  instance, t, keeper.GroupOf(t), w)
-                  ? ScoreKeeper::kJoinInfeasible
-                  : StrategyUtility(instance, keeper, assignment, w, t,
-                                    &crowded);
+      price = PriceCandidate(instance, keeper, assignment, w, t,
+                             filter_joins, &crowded);
     }
     if (price == ScoreKeeper::kJoinInfeasible) {
       if (counters != nullptr) ++counters->feasibility_rejects;
@@ -243,6 +256,37 @@ BestResponse ComputeBestResponse(const Instance& instance,
     best = BestResponse{kNoTask, 0.0, kNoWorker};
   }
   return best;
+}
+
+void RefreshMemo(const Instance& instance, const ScoreKeeper& keeper,
+                 const Assignment& assignment,
+                 std::span<const WorkerIndex> workers, ThreadPool* pool) {
+  keeper.PrepareSharedReads();
+  const bool filter_joins = !instance.objective().AlwaysJoinFeasible();
+  const auto refresh = [&](WorkerIndex w) {
+    const TaskIndex current = assignment.TaskOf(w);
+    const std::span<const TaskIndex> tasks = instance.ValidTasks(w);
+    const ScoreKeeper::MemoRow memo = keeper.Memo(w);
+    CASC_CHECK_EQ(memo.prices.size(), tasks.size())
+        << "keeper is bound to another instance";
+    for (size_t k = 0; k < tasks.size(); ++k) {
+      const TaskIndex t = tasks[k];
+      if (t == current || keeper.TaskChangedAt(t) <= memo.scanned_at) {
+        continue;
+      }
+      memo.prices[k] = PriceCandidate(instance, keeper, assignment, w, t,
+                                      filter_joins, nullptr);
+    }
+    keeper.MarkScanned(w);
+  };
+  const int64_t count = static_cast<int64_t>(workers.size());
+  ThreadPool::RunChunks(
+      pool, count, ThreadPool::ChunksFor(pool, count, 1),
+      [&](int, int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          refresh(workers[static_cast<size_t>(i)]);
+        }
+      });
 }
 
 MoveResult ApplyMove(const Instance& instance, Assignment* assignment,

@@ -12,6 +12,8 @@
 
 namespace casc {
 
+class ThreadPool;
+
 /// The game-theoretic strategy evaluation shared by the GT assigner, the
 /// sharded dispatch's phase-2 polish and the Nash-equilibrium property
 /// checks in the test suite (Section V-B).
@@ -82,14 +84,33 @@ struct ScanCounters {
 /// keeper's best-response memo, which reuses the price (or the
 /// JoinFeasible rejection) w's last scan stored for t while t has not
 /// changed since, so the result is bit-identical to pricing every
-/// candidate. The memo is written, so the keeper must not be shared
-/// across threads.
+/// candidate. The memo is written, so the scan runs on the keeper's own
+/// thread (RefreshMemo is the shared-read phase).
 /// `counters` (may be null) receives the scan's work tally; a memo hit
 /// counts as the evaluation or rejection it stands for.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,
                                  ScanCounters* counters = nullptr);
+
+/// Brings the best-response memo of every worker of `workers` up to
+/// date, so that their next scans find every candidate a hit: for each
+/// worker w it reprices each stale entry (a task other than w's own that
+/// changed since w's last scan) with the scan's own pricing, then marks
+/// w scanned. Exact by the memo argument of ScoreKeeper's class comment:
+/// a refreshed price is the one the scan would compute while its task
+/// stays unchanged, and the scan still prices w's current task fresh and
+/// reprices a memo winner for its crowded-out worker, so every later
+/// best response, move and counter is bit-identical to the scan alone.
+///
+/// With a pool of more than one thread the workers are split into
+/// contiguous chunks priced in parallel (ScoreKeeper's thread contract:
+/// PrepareSharedReads first, then each chunk writes only its own
+/// workers' memo rows); otherwise, or with a null pool, it runs inline.
+/// `workers` must be distinct, and `keeper` must mirror `assignment`.
+void RefreshMemo(const Instance& instance, const ScoreKeeper& keeper,
+                 const Assignment& assignment,
+                 std::span<const WorkerIndex> workers, ThreadPool* pool);
 
 /// Result of applying one strategy change.
 struct MoveResult {

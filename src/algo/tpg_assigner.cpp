@@ -596,10 +596,13 @@ void TpgAssigner::SeedTasks(const Instance& instance,
   const ObjectiveModel& objective = instance.objective();
   const bool filter_joins = !objective.AlwaysJoinFeasible();
 
-  // Every join is priced in one scratch vector, so pricing never allocates.
-  std::vector<WorkerIndex> joined;
+  // A task's group changes only when its version does, so its score and
+  // member pair values are priced once per version.
+  JoinGainCache gains;
+  gains.Reset(instance);
   auto pair_gain = [&](WorkerIndex w, TaskIndex t) {
-    return GainOfJoining(instance, t, assignment.GroupOf(t), w, &joined);
+    return gains.Gain(instance, t, assignment.GroupOf(t), w,
+                      task_version[static_cast<size_t>(t)]);
   };
   auto task_open = [&](TaskIndex t) {
     return assignment.GroupSize(t) <

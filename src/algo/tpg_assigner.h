@@ -53,7 +53,8 @@ struct TpgOptions {
 ///   (ValidTasks), which lose potential and, if their seed used it, are
 ///   re-seeded.
 /// The output is byte-identical to rescanning every task on every pick.
-/// Stage 2 uses a lazy max-heap keyed by per-task versions.
+/// Stage 2 uses a lazy max-heap keyed by per-task versions, and prices
+/// each join through a JoinGainCache keyed by the same versions.
 class TpgAssigner : public Assigner {
  public:
   explicit TpgAssigner(TpgOptions options = {});

@@ -23,6 +23,29 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
+int ThreadPool::ChunksFor(const ThreadPool* pool, int64_t count,
+                          int64_t min_chunk) {
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  return static_cast<int>(
+      std::clamp<int64_t>(count / std::max<int64_t>(min_chunk, 1), 1,
+                          int64_t{pool->num_threads()} * kChunksPerThread));
+}
+
+void ThreadPool::RunChunks(
+    ThreadPool* pool, int64_t count, int chunks,
+    const std::function<void(int, int64_t, int64_t)>& fn) {
+  if (chunks <= 1) {
+    fn(0, 0, count);
+    return;
+  }
+  CASC_CHECK(pool != nullptr);
+  pool->ParallelFor(chunks, [&](int64_t chunk) {
+    const auto [begin, end] =
+        ChunkBounds(count, chunks, static_cast<int>(chunk));
+    fn(static_cast<int>(chunk), begin, end);
+  });
+}
+
 int ThreadPool::DefaultThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -57,6 +57,25 @@ class ThreadPool {
     return {begin, end};
   }
 
+  /// Chunks per pool thread of ChunksFor(): the pool hands chunks out one
+  /// at a time, so a few per thread let the fast threads absorb a slow
+  /// chunk (a dense SKEW centre, a thread that wakes late).
+  static constexpr int kChunksPerThread = 4;
+
+  /// How many ChunkBounds chunks to split `count` items into on `pool`:
+  /// one when `pool` is null or has one thread, else as many as leave
+  /// each chunk at least `min_chunk` items, at most kChunksPerThread per
+  /// thread and at least one.
+  static int ChunksFor(const ThreadPool* pool, int64_t count,
+                       int64_t min_chunk);
+
+  /// Runs fn(chunk, begin, end) for each chunk of the ChunkBounds split of
+  /// [0, count) into `chunks`: inline for one chunk, else on `pool` (which
+  /// must then be non-null), under ParallelFor's contract.
+  static void RunChunks(
+      ThreadPool* pool, int64_t count, int chunks,
+      const std::function<void(int, int64_t, int64_t)>& fn);
+
   /// The hardware concurrency, at least 1.
   static int DefaultThreads();
 

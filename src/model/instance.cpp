@@ -1,12 +1,30 @@
 #include "model/instance.h"
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "geo/reachability.h"
 #include "model/batch_workspace.h"
 #include "model/objective_model.h"
 #include "spatial/grid_index.h"
 
 namespace casc {
+namespace {
+
+/// Fewest workers in a ComputeValidPairs() chunk: a smaller chunk's
+/// queries cost less than handing it to another thread.
+constexpr int64_t kMinWorkersPerChunk = 256;
+
+/// One chunk of ComputeValidPairs()'s two-pass build: the chunk's rows,
+/// concatenated in worker order, and its circle-query buffer.
+struct PairChunk {
+  std::vector<TaskIndex> tasks;
+  std::vector<int64_t> in_range;
+};
+
+}  // namespace
+
 Instance::Instance(std::vector<Worker> workers, std::vector<Task> tasks,
                    CooperationMatrix coop, double now, int min_group_size)
     : workers_(std::move(workers)),
@@ -69,13 +87,13 @@ bool Instance::IsValidPair(WorkerIndex w, TaskIndex t) const {
                              task_locations_[ti], now_, task_deadlines_[ti]);
 }
 
-void Instance::ComputeValidPairs(BatchWorkspace* workspace) {
+void Instance::ComputeValidPairs(BatchWorkspace* workspace,
+                                 ThreadPool* pool) {
   if (valid_pairs_ready_) return;
 
   if (workspace != nullptr) {
     pairs_ = workspace->AcquireValidPairIndex();
   }
-  pairs_.BeginBuild(num_workers(), num_tasks());
 
   // Index task locations once, then answer one working-area circle query
   // per worker (Algorithm 1 lines 4-5).
@@ -91,29 +109,58 @@ void Instance::ComputeValidPairs(BatchWorkspace* workspace) {
   GridIndex task_index;
   task_index.Build(items);
 
-  std::vector<int64_t> in_range;
-  for (int w = 0; w < num_workers(); ++w) {
-    const size_t wi = static_cast<size_t>(w);
-    if (worker_arrivals_[wi] > now_) {
-      pairs_.FinishWorker();
-      continue;
-    }
-    task_index.CircleQueryInto(worker_locations_[wi], worker_radii_[wi],
-                               &in_range);
-    for (const int64_t raw_t : in_range) {
-      const TaskIndex t = static_cast<TaskIndex>(raw_t);
-      const size_t ti = static_cast<size_t>(t);
-      if (task_create_times_[ti] > now_) continue;
-      if (!CanArriveByDeadline(worker_locations_[wi], worker_speeds_[wi],
-                               task_locations_[ti], now_,
-                               task_deadlines_[ti])) {
-        continue;
+  const int64_t count = num_workers();
+  const int chunks = ThreadPool::ChunksFor(pool, count, kMinWorkersPerChunk);
+  // Per-call buffers: freed before the task-major pass below, their
+  // memory is reused by what the batch allocates next. Pooled in the
+  // workspace they stayed resident and raised the benchmark's peak RSS.
+  std::vector<PairChunk> buffers(static_cast<size_t>(chunks));
+
+  // Pass 1: each chunk fills its buffer with its workers' rows (ascending
+  // tasks, as the query returns them) and writes each row's length where
+  // the prefix sum below turns it into the row's end offset.
+  int32_t* offsets = pairs_.StartParallelBuild(num_workers(), num_tasks());
+  offsets[0] = 0;
+  ThreadPool::RunChunks(pool, count, chunks, [&](int chunk, int64_t begin,
+                                                 int64_t end) {
+    PairChunk& buffer = buffers[static_cast<size_t>(chunk)];
+    for (int64_t w = begin; w < end; ++w) {
+      const size_t wi = static_cast<size_t>(w);
+      const size_t row_start = buffer.tasks.size();
+      if (worker_arrivals_[wi] <= now_) {
+        task_index.CircleQueryInto(worker_locations_[wi], worker_radii_[wi],
+                                   &buffer.in_range);
+        for (const int64_t raw_t : buffer.in_range) {
+          const size_t ti = static_cast<size_t>(raw_t);
+          if (task_create_times_[ti] > now_) continue;
+          if (!CanArriveByDeadline(worker_locations_[wi],
+                                   worker_speeds_[wi], task_locations_[ti],
+                                   now_, task_deadlines_[ti])) {
+            continue;
+          }
+          buffer.tasks.push_back(static_cast<TaskIndex>(raw_t));
+        }
       }
-      pairs_.AppendValidTask(t);
+      offsets[wi + 1] =
+          static_cast<int32_t>(buffer.tasks.size() - row_start);
     }
-    pairs_.FinishWorker();
+  });
+  for (size_t w = 0; w < static_cast<size_t>(count); ++w) {
+    offsets[w + 1] += offsets[w];
   }
-  pairs_.FinishBuild();
+
+  // Pass 2: a chunk's rows are contiguous in worker order, so its buffer
+  // is exactly its slice of the flat array.
+  TaskIndex* flat = pairs_.AllocateParallelFlat();
+  ThreadPool::RunChunks(
+      pool, count, chunks, [&](int chunk, int64_t begin, int64_t) {
+        const std::vector<TaskIndex>& rows =
+            buffers[static_cast<size_t>(chunk)].tasks;
+        std::copy(rows.begin(), rows.end(),
+                  flat + offsets[static_cast<size_t>(begin)]);
+      });
+  buffers = {};
+  pairs_.FinishParallelBuild();
   valid_pairs_ready_ = true;
 }
 

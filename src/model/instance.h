@@ -14,6 +14,7 @@ namespace casc {
 
 class BatchWorkspace;
 class ObjectiveModel;
+class ThreadPool;
 
 /// One batch of the CA-SC problem (Definition 4): the available workers
 /// W(phi), available tasks T(phi), their pairwise cooperation qualities,
@@ -87,7 +88,17 @@ class Instance {
   /// 1 lines 4-5): one working-area circle query per worker against a
   /// GridIndex over the task locations, built per call. Idempotent. With
   /// a workspace, its pooled CSR index and item scratch are reused.
-  void ComputeValidPairs(BatchWorkspace* workspace = nullptr);
+  ///
+  /// The rows are built in one chunked two-pass build: each contiguous
+  /// chunk of workers queries and filters its rows into its own buffer,
+  /// recording the row lengths; a prefix sum turns them into the CSR
+  /// offsets, and each chunk then copies its buffer into the flat array.
+  /// A row depends only on its worker, so the index is byte-identical at
+  /// any chunk count. A `pool` of more than one thread runs the chunks in
+  /// parallel (it must be idle for the call); a null pool runs one chunk
+  /// inline.
+  void ComputeValidPairs(BatchWorkspace* workspace = nullptr,
+                         ThreadPool* pool = nullptr);
 
   /// Installs a precomputed CSR index instead of running
   /// ComputeValidPairs(). The dispatch service uses this to derive a

@@ -265,6 +265,55 @@ double GainOfJoining(const Instance& instance, TaskIndex t,
   return GroupScore(instance, t, with) - GroupScore(instance, t, group);
 }
 
+void JoinGainCache::Reset(const Instance& instance) {
+  entries_.assign(static_cast<size_t>(instance.num_tasks()), Entry{});
+  values_.clear();
+}
+
+double JoinGainCache::Gain(const Instance& instance, TaskIndex t,
+                           std::span<const WorkerIndex> group, WorkerIndex w,
+                           uint64_t version) {
+  const size_t size = group.size();
+  CASC_CHECK_LT(static_cast<int>(size),
+                instance.tasks()[static_cast<size_t>(t)].capacity)
+      << "JoinGainCache prices joins into open tasks only";
+  const CooperationMatrix& coop = instance.coop();
+  Entry& entry = entries_[static_cast<size_t>(t)];
+  if (!entry.filled || entry.version != version) {
+    const size_t pairs = size * (size - 1) / 2;  // 0 for size 0
+    if (pairs > entry.reserved) {
+      entry.offset = values_.size();
+      entry.reserved = std::max(pairs, 2 * entry.reserved);
+      values_.resize(entry.offset + entry.reserved);
+    }
+    double* value = values_.data() + entry.offset;
+    for (size_t a = 0; a < size; ++a) {
+      for (size_t b = a + 1; b < size; ++b) {
+        *value++ = coop.Mutual(group[a], group[b]);
+      }
+    }
+    entry.size = size;
+    entry.version = version;
+    entry.filled = true;
+    entry.score = GroupScore(instance, t, group);
+  }
+  CASC_CHECK_EQ(entry.size, size)
+      << "JoinGainCache: task " << t << " changed without a new version";
+  if (static_cast<int>(size) + 1 < instance.min_group_size()) {
+    return 0.0 - entry.score;
+  }
+  const double* value = values_.data() + entry.offset;
+  double pair_sum = 0.0;
+  for (size_t a = 0; a < size; ++a) {
+    for (size_t b = a + 1; b < size; ++b) pair_sum += *value++;
+    pair_sum += coop.Mutual(group[a], w);
+  }
+  return instance.objective().ScoreGroup(instance, t, group, w, kNoWorker,
+                                         pair_sum,
+                                         static_cast<int>(size) + 1) -
+         entry.score;
+}
+
 double TotalScore(const Instance& instance, const Assignment& assignment) {
   double total = 0.0;
   for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {

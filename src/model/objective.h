@@ -2,6 +2,7 @@
 #define CASC_MODEL_OBJECTIVE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -110,6 +111,40 @@ double MarginalOfMember(const Instance& instance, TaskIndex t,
 double GainOfJoining(const Instance& instance, TaskIndex t,
                      std::span<const WorkerIndex> group, WorkerIndex w,
                      std::vector<WorkerIndex>* scratch = nullptr);
+
+/// GainOfJoining for a caller that prices many joins into groups that
+/// change rarely (TPG stage 2). Per task it keeps GroupScore(group) and
+/// the members' pair values in PairSum order, valid while the caller's
+/// version of the task is unchanged, so a join reads |group| fresh pair
+/// values instead of re-summing both groups. The sum of group + w adds,
+/// for each member a in order, a's cached pairs with the later members
+/// and then Mutual(group[a], w): PairSum's own term order over group + w,
+/// so every gain is bit-identical to GainOfJoining. The pair values of
+/// all tasks share one arena that only grows.
+class JoinGainCache {
+ public:
+  /// Forgets every entry and sizes the cache for `instance`'s tasks.
+  void Reset(const Instance& instance);
+
+  /// Exactly GainOfJoining(instance, t, group, w) for t's current group
+  /// (w not in it), which must be below t's capacity. `version` names the
+  /// group's state: the caller changes it whenever the group changes.
+  double Gain(const Instance& instance, TaskIndex t,
+              std::span<const WorkerIndex> group, WorkerIndex w,
+              uint64_t version);
+
+ private:
+  struct Entry {
+    size_t offset = 0;    ///< first pair value in values_
+    size_t reserved = 0;  ///< pair values the entry's region holds
+    size_t size = 0;      ///< members the entry was filled for
+    uint64_t version = 0;
+    bool filled = false;
+    double score = 0.0;  ///< GroupScore(group)
+  };
+  std::vector<Entry> entries_;
+  std::vector<double> values_;
+};
 
 /// Equation 3: total cooperation quality revenue of `assignment`.
 double TotalScore(const Instance& instance, const Assignment& assignment);

@@ -67,14 +67,31 @@ void ScoreKeeper::InvalidateMemo() {
   std::fill(changed_at_.begin(), changed_at_.end(), ++clock_);
 }
 
-ScoreKeeper::MemoRow ScoreKeeper::Memo(WorkerIndex w) const {
+void ScoreKeeper::SizeMemo() const {
   const size_t pairs = instance_->NumValidPairs();
   if (prices_.size() < pairs) prices_.resize(pairs);
   const size_t workers = static_cast<size_t>(instance_->num_workers());
   if (scanned_at_.size() < workers) scanned_at_.resize(workers);
+}
+
+ScoreKeeper::MemoRow ScoreKeeper::Memo(WorkerIndex w) const {
+  SizeMemo();
   return {{prices_.data() + instance_->ValidTaskOffset(w),
            instance_->ValidTasks(w).size()},
           scanned_at_[static_cast<size_t>(w)]};
+}
+
+void ScoreKeeper::PrepareSharedReads() const {
+  SizeMemo();
+  // Only a full task reaches CrowdIfJoined (StrategyUtility's crowding
+  // branch), so filling those entries leaves nothing for a query to write.
+  for (TaskIndex t = 0; t < instance_->num_tasks(); ++t) {
+    const std::span<const WorkerIndex> members = GroupOf(t);
+    if (static_cast<int>(members.size()) ==
+        instance_->tasks()[static_cast<size_t>(t)].capacity) {
+      CrowdTable(t, members);
+    }
+  }
 }
 
 double ScoreKeeper::AffinityOverGroup(std::span<const WorkerIndex> group,
@@ -222,13 +239,11 @@ double ScoreKeeper::LossIfLeft(WorkerIndex w, TaskIndex t) const {
   return scores_[static_cast<size_t>(t)] - new_score;
 }
 
-CrowdOut ScoreKeeper::CrowdIfJoined(WorkerIndex w, TaskIndex t) const {
-  const std::span<const WorkerIndex> members = GroupOf(t);
+std::span<const double> ScoreKeeper::CrowdTable(
+    TaskIndex t, std::span<const WorkerIndex> members) const {
   CrowdSlot& slot = crowd_slots_[static_cast<size_t>(t)];
   const size_t m = members.size();
-  if (m == 0 || m > static_cast<size_t>(slot.capacity)) {
-    return DropOneCrowding(instance_->coop(), members, w);
-  }
+  if (m == 0 || m > static_cast<size_t>(slot.capacity)) return {};
   const auto ids = crowd_ids_.begin() + static_cast<ptrdiff_t>(slot.ids);
   const std::span<double> table(crowd_values_.data() + slot.values,
                                 CrowdTableSize(m));
@@ -238,6 +253,14 @@ CrowdOut ScoreKeeper::CrowdIfJoined(WorkerIndex w, TaskIndex t) const {
     slot.size = static_cast<int>(m);
     FillCrowdTable(instance_->coop(), members, table);
   }
+  return table;
+}
+
+CrowdOut ScoreKeeper::CrowdIfJoined(WorkerIndex w, TaskIndex t) const {
+  const std::span<const WorkerIndex> members = GroupOf(t);
+  const std::span<const double> table = CrowdTable(t, members);
+  if (table.empty()) return DropOneCrowding(instance_->coop(), members, w);
+  const size_t m = members.size();
   std::array<double, kCrowdTableGroup> row;
   const std::span<double> newcomer_row(row.data(), m);
   instance_->coop().MutualRow(w, members, newcomer_row);

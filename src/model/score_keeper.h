@@ -50,10 +50,16 @@ namespace casc {
 /// derives from it. An entry is valid only while its ids equal GroupOf(t)
 /// element by element, so any change to the group, a reorder included,
 /// rebuilds it on the next query; Add/Remove never touch it and Rebind
-/// empties it. The cache is `mutable` and filled by const queries, so a
-/// keeper must stay confined to one thread. Every keeper belongs to one
-/// solver (a shard's workspace, the sharded assigner's phase-2 keeper, the
-/// net coordinator's), which keeps that true.
+/// empties it. The cache is `mutable` and filled by const queries.
+///
+/// Thread contract: every keeper belongs to one solver (a shard's
+/// workspace, the sharded assigner's phase-2 keeper, the net
+/// coordinator's), and mutations and ordinary queries run on that
+/// solver's thread. The one shared phase is a memo refresh
+/// (RefreshMemo in algo/best_response.h): after PrepareSharedReads(),
+/// and until the next mutation, const queries read only shared state,
+/// so several threads may price candidates at once as long as each
+/// writes only its own workers' memo rows and MarkScanned slots.
 ///
 /// The keeper also holds the best-response memo: one price per valid
 /// (worker, task) pair, indexed by Instance::ValidTaskOffset, a clock
@@ -188,7 +194,24 @@ class ScoreKeeper {
     scanned_at_[static_cast<size_t>(w)] = clock_;
   }
 
+  /// Sizes the memo arenas and fills the crowding cache entry of every
+  /// full task, so that until the next mutation no const query writes
+  /// shared state: Memo() resizes nothing and CrowdIfJoined (reached only
+  /// for a full task) finds its entry current. Call on the owning thread
+  /// before handing the keeper to several readers.
+  void PrepareSharedReads() const;
+
  private:
+  /// Grows the memo arenas to the bound instance's valid pairs and
+  /// workers (they never shrink).
+  void SizeMemo() const;
+
+  /// Task t's crowding table for `members` (its current group), refilled
+  /// first if the cached entry was built for another group; empty when
+  /// the group is empty or too large for the slot.
+  std::span<const double> CrowdTable(
+      TaskIndex t, std::span<const WorkerIndex> members) const;
+
   /// Objective-routed score of task `t`'s (corrected) group: the live
   /// assignment membership plus the extra/without corrections, with the
   /// cooperation term precomputed as `pair_sum` over `size` members.

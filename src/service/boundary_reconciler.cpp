@@ -5,6 +5,7 @@
 
 #include "algo/best_response.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "model/objective_model.h"
 
 namespace casc {
@@ -218,7 +219,8 @@ int BoundaryReconciler::PassSeed(const Instance& global,
 int BoundaryReconciler::PassPolish(const Instance& global,
                                    const std::vector<WorkerIndex>& boundary,
                                    Assignment* assignment, ScoreKeeper* keeper,
-                                   std::vector<AssignedPair>* placed) const {
+                                   std::vector<AssignedPair>* placed,
+                                   ThreadPool* pool) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(keeper != nullptr);
   int polish_moves = 0;
@@ -234,8 +236,16 @@ int BoundaryReconciler::PassPolish(const Instance& global,
                               false);
   for (const WorkerIndex w : active) in_active[static_cast<size_t>(w)] = true;
   std::vector<AppliedMove> moves;
+  const bool pooled = pool != nullptr && pool->num_threads() > 1;
   for (int round = 0; round < options_.polish_rounds; ++round) {
     moves.clear();
+    if (pooled) {
+      size_t pairs = 0;
+      for (const WorkerIndex w : active) pairs += global.ValidTasks(w).size();
+      if (pairs >= kPolishRefreshMinPairs) {
+        RefreshMemo(global, *keeper, *assignment, active, pool);
+      }
+    }
     BestResponseRound(global, active, assignment, keeper, /*dirty=*/nullptr,
                       /*stats=*/nullptr, &moves);
     polish_moves += static_cast<int>(moves.size());
@@ -261,8 +271,8 @@ int BoundaryReconciler::PassPolish(const Instance& global,
 
 ReconcileStats BoundaryReconciler::Reconcile(
     const Instance& global, const std::vector<WorkerIndex>& boundary,
-    Assignment* assignment, const SolveDelta* delta,
-    ScoreKeeper* keeper) const {
+    Assignment* assignment, const SolveDelta* delta, ScoreKeeper* keeper,
+    ThreadPool* pool) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(global.valid_pairs_ready())
       << "compute the global valid pairs before reconciling";
@@ -280,7 +290,8 @@ ReconcileStats BoundaryReconciler::Reconcile(
     stats.seeded = PassSeed(global, boundary, assignment, keeper);
   }
   if (options_.polish_rounds > 0) {
-    stats.polish_moves = PassPolish(global, boundary, assignment, keeper);
+    stats.polish_moves =
+        PassPolish(global, boundary, assignment, keeper, nullptr, pool);
   }
   return stats;
 }

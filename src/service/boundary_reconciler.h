@@ -1,6 +1,7 @@
 #ifndef CASC_SERVICE_BOUNDARY_RECONCILER_H_
 #define CASC_SERVICE_BOUNDARY_RECONCILER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "model/assignment.h"
@@ -9,6 +10,15 @@
 #include "model/solve_delta.h"
 
 namespace casc {
+
+class ThreadPool;
+
+/// Active-set valid pairs from which a pooled polish round first
+/// refreshes the best-response memo in parallel (RefreshMemo). Measured
+/// per round: 54-62K pairs on skew-s4, where a round's pricing is worth
+/// spreading over the idle shard threads, and 0.2-7K (mean 3.7K) on the
+/// gap-warm stream, where the fan-out costs more than it saves.
+inline constexpr size_t kPolishRefreshMinPairs = 16384;
 
 /// Knobs of the phase-2 protocol.
 struct ReconcileOptions {
@@ -55,7 +65,10 @@ struct ReconcileStats {
 ///      TPG stage 1's seed sets.
 ///   3. *Polish* (optional): up to `polish_rounds` best-response rounds
 ///      (BestResponseRound, the GT assigner's round) over the boundary
-///      workers plus every worker a move crowds out.
+///      workers plus every worker a move crowds out. Given a pool of
+///      more than one thread, a round over at least
+///      kPolishRefreshMinPairs valid pairs first refreshes its workers'
+///      memo in parallel (RefreshMemo); the round's moves are unchanged.
 /// Every mutation goes through ApplyMove/ScoreKeeper, so capacity,
 /// reachability and one-task-per-worker validity are preserved exactly
 /// as on the monolithic path.
@@ -75,12 +88,13 @@ class BoundaryReconciler {
   /// workers on their retained groups before the greedy passes. A
   /// non-null `keeper` is the one rebound and used, so a caller that
   /// reconciles every batch keeps its arenas across batches; null uses a
-  /// local keeper.
+  /// local keeper. `pool` (may be null) is lent to PassPolish.
   ReconcileStats Reconcile(const Instance& global,
                            const std::vector<WorkerIndex>& boundary,
                            Assignment* assignment,
                            const SolveDelta* delta = nullptr,
-                           ScoreKeeper* keeper = nullptr) const;
+                           ScoreKeeper* keeper = nullptr,
+                           ThreadPool* pool = nullptr) const;
 
   /// Pass 0 (warm-start adoption): re-seats each still-idle boundary
   /// worker on its retained previous-equilibrium task (ascending worker
@@ -115,11 +129,15 @@ class BoundaryReconciler {
 
   /// Pass 3 (best-response polish over the active set). Returns the
   /// number of moves; `placed` records each mover's new task (kNoTask for
-  /// a move to idle). Call only when options().polish_rounds > 0.
+  /// a move to idle). Call only when options().polish_rounds > 0. A
+  /// `pool` of more than one thread (idle for the call; may be null)
+  /// prices large rounds' candidates ahead in parallel, with moves
+  /// bit-identical to a null pool.
   int PassPolish(const Instance& global,
                  const std::vector<WorkerIndex>& boundary,
                  Assignment* assignment, ScoreKeeper* keeper,
-                 std::vector<AssignedPair>* placed = nullptr) const;
+                 std::vector<AssignedPair>* placed = nullptr,
+                 ThreadPool* pool = nullptr) const;
 
   const ReconcileOptions& options() const { return options_; }
 

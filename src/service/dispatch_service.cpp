@@ -184,7 +184,8 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   watch.Restart();
   const ReconcileStats reconcile =
       reconciler_.Reconcile(instance, partition.map.boundary_workers(),
-                            &assignment, partition.delta, &reconcile_keeper_);
+                            &assignment, partition.delta, &reconcile_keeper_,
+                            executor_.pool());
   metrics_.phase2_seconds = watch.ElapsedSeconds();
   FoldSolveTelemetry(shard_stats, reconcile, instance.num_workers(),
                      &metrics_);
@@ -262,7 +263,9 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
                     config_.min_group_size);
   instance.set_objective(objective_);
   Stopwatch build_watch;
-  instance.ComputeValidPairs(&build_workspace_);
+  // The built-in engine's pool is idle between batches, whichever solver
+  // runs this one.
+  instance.ComputeValidPairs(&build_workspace_, sharded_.pool());
   const double index_build_seconds = build_watch.ElapsedSeconds();
 
   BatchMetrics batch;

@@ -196,8 +196,9 @@ class ShardedBatchSolver {
 ///
 /// Determinism contract: for a fixed instance and options, the produced
 /// assignment is identical regardless of num_threads (shard problems
-/// are solved independently and folded in shard order; phase 2 is
-/// serial in ascending worker order). With shards_per_side == 1 the
+/// are solved independently and folded in shard order; phase 2 moves
+/// workers serially in ascending worker order, and the memo refresh it
+/// runs on the pool only prices ahead). With shards_per_side == 1 the
 /// result is bit-identical to running the factory's assigner directly.
 class ShardedAssigner : public Assigner, public ShardedBatchSolver {
  public:
@@ -225,6 +226,11 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
 
   const ShardedOptions& options() const { return options_; }
 
+  /// The shard executor's pool, idle outside Run(). Run() lends it to
+  /// the phase-2 polish; DispatchService::RunBatch lends it to the
+  /// batch's valid-pair build.
+  ThreadPool* pool() { return executor_.pool(); }
+
  private:
   ShardedOptions options_;
   AssignerFactory factory_;
@@ -232,7 +238,8 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
   BoundaryReconciler reconciler_;
   /// Phase 2's keeper, rebound every Run() so its crowding cache and
   /// best-response memo keep their arenas across batches. Only the thread
-  /// running Run() touches it.
+  /// running Run() mutates it; the polish's memo refresh reads it from
+  /// the executor's pool (ScoreKeeper's thread contract).
   ScoreKeeper reconcile_keeper_;
   ServiceMetrics metrics_;
   std::string name_;

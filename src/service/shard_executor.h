@@ -132,6 +132,10 @@ class ShardExecutor {
 
   int num_threads() const { return pool_.num_threads(); }
 
+  /// The executor's pool. Outside BuildProblems() and Run() its threads
+  /// are idle, and the serial stages around them may borrow it.
+  ThreadPool* pool() { return &pool_; }
+
  private:
   /// Grows workspaces_ to `count` slots (serial; call before the pool).
   void EnsureWorkspaces(int count);

@@ -9,6 +9,7 @@
 #include "algo/best_response.h"
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gen/synthetic.h"
 #include "keeper_scan_oracle.h"
 #include "model/objective.h"
@@ -431,6 +432,154 @@ TEST_P(MemoDifferentialTest, MatchesUnmemoizedScanUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---------------------------------------------------------------------------
+// RefreshMemo: the pooled memo refresh against the un-memoized scan
+// ---------------------------------------------------------------------------
+
+class MemoRefreshTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemoRefreshTest, RefreshedScansMatchTheOracleAtAnyThreadCount) {
+  const uint64_t seed = GetParam();
+  for (const bool multiskill : {false, true}) {
+    const int capacity = 3 + static_cast<int>(seed % 3);
+    const Instance instance = ChurnInstance(seed, seed % 2 == 0, multiskill,
+                                            capacity, /*min_group=*/2);
+    // Every worker on a random valid task: most tasks are full, so most
+    // joins crowd a member out.
+    Rng start_rng(seed * 31 + (multiskill ? 1 : 0));
+    Assignment start(instance);
+    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+      const TaskIndex t = RandomValidTask(instance, w, &start_rng);
+      if (t != kNoTask) ApplyMove(instance, &start, w, t);
+    }
+    const ObjectiveModel& objective = instance.objective();
+    for (const int threads : {1, 2, 4}) {
+      const std::string base = "seed " + std::to_string(seed) +
+                               (multiskill ? " multiskill" : " casc") +
+                               " threads " + std::to_string(threads);
+      ThreadPool pool(threads);
+      Assignment assignment = start;
+      ScoreKeeper keeper(instance, assignment);
+      Rng rng(seed * 7919 + (multiskill ? 1 : 0));
+      MemoCoverage coverage;
+      int64_t refreshed_rejects = 0;
+      for (int step = 0; step < 12; ++step) {
+        const std::string label = base + " step " + std::to_string(step);
+        // Churn, then refresh a random subset (every worker every third
+        // step) in ascending order.
+        for (int moves = 0; moves < 6; ++moves) {
+          const WorkerIndex mover = static_cast<WorkerIndex>(rng.UniformInt(
+              static_cast<uint64_t>(instance.num_workers())));
+          ApplyMove(instance, &assignment, &keeper, mover,
+                    RandomValidTask(instance, mover, &rng));
+        }
+        std::vector<WorkerIndex> workers;
+        for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+          if (step % 3 == 0 || rng.Bernoulli(0.5)) workers.push_back(w);
+        }
+        RefreshMemo(instance, keeper, assignment, workers, &pool);
+
+        // A refreshed row holds the price of every candidate but w's own
+        // task, bit for bit.
+        for (const WorkerIndex w : workers) {
+          const ScoreKeeper::MemoRow memo = keeper.Memo(w);
+          const std::span<const TaskIndex> tasks = instance.ValidTasks(w);
+          for (size_t k = 0; k < tasks.size(); ++k) {
+            const TaskIndex t = tasks[k];
+            if (t == assignment.TaskOf(w)) continue;
+            ASSERT_LE(keeper.TaskChangedAt(t), memo.scanned_at)
+                << label << " worker " << w << " task " << t;
+            double want = ScoreKeeper::kJoinInfeasible;
+            if (objective.AlwaysJoinFeasible() ||
+                objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
+              want = StrategyUtility(instance, keeper, assignment, w, t,
+                                     nullptr);
+            } else {
+              ++refreshed_rejects;
+            }
+            ASSERT_EQ(std::bit_cast<uint64_t>(memo.prices[k]),
+                      std::bit_cast<uint64_t>(want))
+                << label << " worker " << w << " task " << t;
+          }
+        }
+        // Scans after the refresh: best responses and counters as the
+        // oracle's, crowded-out workers included.
+        ASSERT_NO_FATAL_FAILURE(ExpectMemoMatchesOracle(
+            instance, keeper, assignment, label, &coverage));
+      }
+      EXPECT_GT(coverage.hits, 0) << base;
+      EXPECT_GT(coverage.crowd_outs, 0) << base;
+      if (multiskill) {
+        EXPECT_GT(refreshed_rejects, 0) << base;
+      }
+    }
+  }
+}
+
+TEST_P(MemoRefreshTest, RefreshedRoundsMoveLikeUnrefreshedOnes) {
+  const uint64_t seed = GetParam();
+  for (const bool multiskill : {false, true}) {
+    const Instance instance =
+        ChurnInstance(seed + 500, seed % 2 == 1, multiskill,
+                      3 + static_cast<int>(seed % 4), /*min_group=*/3);
+    Rng rng(seed);
+    Assignment start(instance);
+    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+      const TaskIndex t = RandomValidTask(instance, w, &rng);
+      if (t != kNoTask) ApplyMove(instance, &start, w, t);
+    }
+    std::vector<WorkerIndex> order(
+        static_cast<size_t>(instance.num_workers()));
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<WorkerIndex>(i);
+    }
+
+    Assignment expected = start;
+    ScoreKeeper expected_keeper(instance, expected);
+    std::vector<AppliedMove> expected_log;
+    AssignerStats expected_stats;
+    for (int round = 0; round < 3; ++round) {
+      BestResponseRound(instance, order, &expected, &expected_keeper,
+                        nullptr, &expected_stats, &expected_log);
+    }
+    EXPECT_GT(expected_stats.moves, 0);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      Assignment actual = start;
+      ScoreKeeper keeper(instance, actual);
+      std::vector<AppliedMove> log;
+      AssignerStats stats;
+      for (int round = 0; round < 3; ++round) {
+        RefreshMemo(instance, keeper, actual, order, &pool);
+        BestResponseRound(instance, order, &actual, &keeper, nullptr, &stats,
+                          &log);
+      }
+      const std::string label = "seed " + std::to_string(seed) +
+                                (multiskill ? " multiskill" : " casc") +
+                                " threads " + std::to_string(threads);
+      ASSERT_EQ(actual.Pairs(), expected.Pairs()) << label;
+      ASSERT_EQ(log.size(), expected_log.size()) << label;
+      for (size_t i = 0; i < log.size(); ++i) {
+        ASSERT_EQ(log[i].worker, expected_log[i].worker) << label;
+        ASSERT_EQ(log[i].task, expected_log[i].task) << label;
+        ASSERT_EQ(log[i].crowded_out, expected_log[i].crowded_out) << label;
+      }
+      EXPECT_EQ(stats.moves, expected_stats.moves) << label;
+      EXPECT_EQ(stats.candidates_evaluated,
+                expected_stats.candidates_evaluated)
+          << label;
+      EXPECT_EQ(stats.feasibility_rejects, expected_stats.feasibility_rejects)
+          << label;
+      EXPECT_EQ(std::bit_cast<uint64_t>(keeper.TotalScore()),
+                std::bit_cast<uint64_t>(expected_keeper.TotalScore()))
+          << label;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoRefreshTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 // ---------------------------------------------------------------------------
 // Asymmetric cooperation matrices (Equation 1 allows q_i(k) != q_k(i))

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gen/synthetic.h"
 #include "model/batch_workspace.h"
 #include "model/instance.h"
@@ -180,6 +181,77 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ValidPairsTest::ParamType>& info) {
       return std::get<0>(info.param).name +
              (std::get<1>(info.param) ? "_workspace" : "_fresh");
+    });
+
+// ---------------------------------------------------------------------------
+// The pooled valid-pair build against the inline one
+// ---------------------------------------------------------------------------
+
+/// `base` rebuilt with its valid pairs not yet computed; every `future`-th
+/// worker arrives, and every `future`-th task is created, after `now`.
+Instance CopyWithFuture(const Instance& base, int future) {
+  std::vector<Worker> workers = base.workers();
+  std::vector<Task> tasks = base.tasks();
+  if (future > 0) {
+    for (size_t i = 0; i < workers.size(); i += static_cast<size_t>(future)) {
+      workers[i].arrival_time = base.now() + 1.0;
+    }
+    for (size_t j = 1; j < tasks.size(); j += static_cast<size_t>(future)) {
+      tasks[j].create_time = base.now() + 0.5;
+    }
+  }
+  return Instance(std::move(workers), std::move(tasks), base.coop(),
+                  base.now(), base.min_group_size());
+}
+
+/// (case, every how many workers and tasks lie in the future; 0 = none)
+class PooledValidPairsTest
+    : public ::testing::TestWithParam<std::tuple<ValidPairCase, int>> {};
+
+TEST_P(PooledValidPairsTest, EveryPoolBuildsTheInlineIndex) {
+  const auto& [param, future] = GetParam();
+  const Instance base = MakeValidPairInstance(param);
+  Instance inline_build = CopyWithFuture(base, future);
+  inline_build.ComputeValidPairs();
+  const ValidPairIndex want = inline_build.ReleaseValidPairs();
+  if (param.workers > 0 && param.tasks > 0) {
+    EXPECT_GT(want.NumValidPairs(), 0u) << "no pair would check little";
+  }
+
+  // One workspace across every pool: each pooled build refills the index
+  // the build before it recycled.
+  BatchWorkspace workspace;
+  for (const int threads : {1, 2, 3, 4, 7}) {
+    ThreadPool pool(threads);
+    for (BatchWorkspace* use : {static_cast<BatchWorkspace*>(nullptr),
+                                &workspace}) {
+      Instance pooled = CopyWithFuture(base, future);
+      pooled.ComputeValidPairs(use, &pool);
+      ValidPairIndex got = pooled.ReleaseValidPairs();
+      EXPECT_TRUE(got.SameAs(want))
+          << "threads=" << threads << (use != nullptr ? " workspace" : "");
+      if (use != nullptr) use->Recycle(std::move(got));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomInstances, PooledValidPairsTest,
+    ::testing::Combine(
+        ::testing::Values(
+            // At least 256 workers per chunk, so 7 threads run 7 chunks.
+            ValidPairCase{"unif", 1900, 300, 11},
+            ValidPairCase{"skew", 1900, 500, 12, /*skewed=*/true},
+            ValidPairCase{"far", 1900, 300, 13, false, 1000.0, -5000.0},
+            // Fewer workers than a chunk needs: one chunk at any width.
+            ValidPairCase{"small", 300, 80, 14},
+            ValidPairCase{"no_workers", 0, 50, 15},
+            ValidPairCase{"no_tasks", 600, 0, 16}),
+        ::testing::Values(0, 3)),
+    [](const ::testing::TestParamInfo<PooledValidPairsTest::ParamType>&
+           info) {
+      return std::get<0>(info.param).name +
+             (std::get<1>(info.param) > 0 ? "_future" : "_present");
     });
 
 TEST(InstanceTest, ComputeValidPairsIsIdempotent) {

@@ -10,7 +10,9 @@
 
 #include "algo/best_response.h"
 #include "algo/gt_assigner.h"
+#include "bench_util/settings.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gen/synthetic.h"
 #include "keeper_scan_oracle.h"
 #include "model/objective.h"
@@ -459,6 +461,99 @@ TEST(PolishOracleTest, MatchesOriginalLoopOn120Instances) {
   EXPECT_GT(with_growth, 5);
   EXPECT_GT(multiskill_moved, 20);
   EXPECT_GT(skew_moved, 25);
+}
+
+// ---------------------------------------------------------------------------
+// The pooled memo refresh on a skew-s4-shaped batch
+// ---------------------------------------------------------------------------
+
+/// A Table II batch at m = 5K with SKEW locations over a procedural
+/// matrix, the shape whose polish rounds cross kPolishRefreshMinPairs.
+Instance SkewTableTwoBatch(uint64_t seed) {
+  ExperimentSettings settings;
+  settings.num_workers = 5000;
+  settings.distribution = LocationDistribution::kSkewed;
+  const WorkerGenConfig worker_config = settings.MakeWorkerConfig();
+  const TaskGenConfig task_config = settings.MakeTaskConfig();
+  Rng rng(seed);
+  std::vector<Worker> workers;
+  for (int i = 0; i < settings.num_workers; ++i) {
+    workers.push_back(GenerateWorker(i, worker_config, 0.0, &rng));
+  }
+  std::vector<Task> tasks;
+  for (int j = 0; j < settings.num_tasks; ++j) {
+    tasks.push_back(GenerateTask(j, task_config, 0.0, &rng));
+  }
+  Instance instance(std::move(workers), std::move(tasks),
+                    CooperationMatrix::Procedural(settings.num_workers, seed),
+                    0.0, settings.min_group_size);
+  instance.ComputeValidPairs();
+  return instance;
+}
+
+TEST(PolishRefreshTest, SkewS4BatchIsIdenticalAtAnyThreadCount) {
+  const Instance instance = SkewTableTwoBatch(1);
+  ASSERT_EQ(instance.num_tasks(), 500);
+  GtOptions gt;
+  gt.use_tsi = true;
+  gt.use_lub = true;
+  gt.epsilon = ExperimentSettings{}.epsilon;
+  const AssignerFactory factory = [gt] {
+    return std::make_unique<GtAssigner>(gt);
+  };
+
+  // The state the polish starts from (phase 1, insertion and seeding),
+  // and its first round's active set: the boundary workers.
+  ShardedOptions unpolished = MakeOptions(4, 1);
+  unpolished.reconcile.polish_rounds = 0;
+  const Assignment start = ShardedAssigner(unpolished, factory).Run(instance);
+  ShardMapConfig map_config;
+  map_config.shards_per_side = 4;
+  const std::vector<WorkerIndex> boundary =
+      ShardMap(instance.workers(), instance.tasks(), map_config)
+          .boundary_workers();
+  size_t active_pairs = 0;
+  for (const WorkerIndex w : boundary) {
+    active_pairs += instance.ValidTasks(w).size();
+  }
+  EXPECT_GE(active_pairs, kPolishRefreshMinPairs)
+      << "the first polish round must take the pooled refresh";
+
+  const BoundaryReconciler reconciler{ReconcileOptions{}};
+  Assignment expected = start;
+  ScoreKeeper expected_keeper(instance, expected);
+  std::vector<AssignedPair> expected_placed;
+  const int expected_moves = reconciler.PassPolish(
+      instance, boundary, &expected, &expected_keeper, &expected_placed);
+  EXPECT_GT(expected_moves, 0);
+
+  std::optional<Assignment> engine_baseline;
+  int engine_polish_moves = 0;
+  for (const int threads : {1, 3, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ThreadPool pool(threads);
+    Assignment actual = start;
+    ScoreKeeper keeper(instance, actual);
+    std::vector<AssignedPair> placed;
+    const int moves = reconciler.PassPolish(instance, boundary, &actual,
+                                            &keeper, &placed, &pool);
+    EXPECT_EQ(actual.Pairs(), expected.Pairs()) << label;
+    EXPECT_EQ(placed, expected_placed) << label;
+    EXPECT_EQ(moves, expected_moves) << label;
+    EXPECT_EQ(keeper.TotalScore(), expected_keeper.TotalScore()) << label;
+
+    // The whole engine, whose polish borrows its executor's pool.
+    ShardedAssigner engine(MakeOptions(4, threads), factory);
+    const Assignment solved = engine.Run(instance);
+    if (!engine_baseline.has_value()) {
+      engine_baseline = solved;
+      engine_polish_moves = engine.metrics().polish_moves;
+      EXPECT_GT(engine_polish_moves, 0);
+      continue;
+    }
+    EXPECT_EQ(solved.Pairs(), engine_baseline->Pairs()) << label;
+    EXPECT_EQ(engine.metrics().polish_moves, engine_polish_moves) << label;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1021,5 +1021,66 @@ TEST(TpgDifferentialTest, PairListRunsDryAndIsRebuilt) {
             HexFloat(TotalScore(instance, expected)));
 }
 
+// ---------------------------------------------------------------------------
+// Stage 2's JoinGainCache against GainOfJoining
+// ---------------------------------------------------------------------------
+
+TEST(JoinGainCacheTest, MatchesGainOfJoiningOnRandomGroups) {
+  for (const bool multiskill : {false, true}) {
+    for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+      SyntheticInstanceConfig config;
+      config.num_workers = 60;
+      config.num_tasks = 12;
+      config.task.capacity = 3 + static_cast<int>(seed % 4);
+      config.min_group_size = 2 + static_cast<int>(seed % 3);
+      if (multiskill) {
+        config.worker.num_skills = 8;
+        config.task.num_skills = 8;
+        config.task.skills_per_task = 2;
+      }
+      Rng rng(seed);
+      Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
+      if (multiskill) instance.set_objective(&GetMultiSkillObjective());
+      const std::string label = (multiskill ? "multiskill" : "casc") +
+                                std::string(" seed ") + std::to_string(seed);
+
+      // Open groups grow one random worker at a time, each growth a new
+      // version; every state is priced for several joiners, so entries
+      // are both filled and reused.
+      JoinGainCache cache;
+      cache.Reset(instance);
+      std::vector<std::vector<WorkerIndex>> groups(
+          static_cast<size_t>(instance.num_tasks()));
+      std::vector<uint64_t> versions(groups.size(), 0);
+      int64_t priced = 0;
+      for (int step = 0; step < 600; ++step) {
+        const TaskIndex t = static_cast<TaskIndex>(
+            rng.UniformInt(static_cast<uint64_t>(instance.num_tasks())));
+        std::vector<WorkerIndex>& group = groups[static_cast<size_t>(t)];
+        const int capacity =
+            instance.tasks()[static_cast<size_t>(t)].capacity;
+        const WorkerIndex w = static_cast<WorkerIndex>(
+            rng.UniformInt(static_cast<uint64_t>(instance.num_workers())));
+        if (static_cast<int>(group.size()) == capacity ||
+            std::find(group.begin(), group.end(), w) != group.end()) {
+          continue;
+        }
+        const double want = GainOfJoining(instance, t, group, w);
+        const double got = cache.Gain(instance, t, group, w,
+                                      versions[static_cast<size_t>(t)]);
+        ASSERT_EQ(HexFloat(got), HexFloat(want))
+            << label << " step " << step << " task " << t;
+        ++priced;
+        if (static_cast<int>(group.size()) + 1 < capacity &&
+            rng.Bernoulli(0.3)) {
+          group.push_back(w);
+          ++versions[static_cast<size_t>(t)];
+        }
+      }
+      EXPECT_GT(priced, 400) << label;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace casc
