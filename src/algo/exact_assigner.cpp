@@ -116,12 +116,10 @@ void Search(SearchState* state, WorkerIndex w) {
 
 }  // namespace
 
-ExactAssigner::ExactAssigner(ExactOptions options) : options_(options) {}
-
 Assignment ExactAssigner::Run(const Instance& instance) {
   CASC_CHECK(instance.valid_pairs_ready())
       << "EXACT requires Instance::ComputeValidPairs()";
-  CASC_CHECK_LE(instance.num_workers(), options_.max_workers)
+  CASC_CHECK_LE(instance.num_workers(), kExactMaxWorkers)
       << "ExactAssigner is exponential; instance too large";
   stats_ = AssignerStats{};
 

@@ -7,15 +7,9 @@
 
 namespace casc {
 
-/// Default cap on the exact solver's instance size (see ExactOptions).
-inline constexpr int kExactDefaultMaxWorkers = 16;
-
-/// Options for the exact solver.
-struct ExactOptions {
-  /// Refuses instances with more workers than this (CA-SC is NP-hard;
-  /// the search is exponential in the worker count).
-  int max_workers = kExactDefaultMaxWorkers;
-};
+/// Largest instance the exact solver accepts: CA-SC is NP-hard and the
+/// search is exponential in the worker count.
+inline constexpr int kExactMaxWorkers = 16;
 
 /// Exact CA-SC solver by branch-and-bound over per-worker strategy
 /// choices (each worker picks a valid task with remaining capacity, or
@@ -24,16 +18,11 @@ struct ExactOptions {
 ///
 /// Exponential — only for the small instances used by the optimality-gap
 /// tests and the EXACT-gap ablation bench. CHECK-fails beyond
-/// `max_workers`.
+/// kExactMaxWorkers.
 class ExactAssigner : public Assigner {
  public:
-  explicit ExactAssigner(ExactOptions options = {});
-
   std::string Name() const override { return "EXACT"; }
   Assignment Run(const Instance& instance) override;
-
- private:
-  ExactOptions options_;
 };
 
 }  // namespace casc

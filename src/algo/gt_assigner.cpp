@@ -11,6 +11,12 @@
 #include "model/objective.h"
 
 namespace casc {
+namespace {
+
+// Safety cap on best-response rounds.
+constexpr int kMaxRounds = 100000;
+
+}  // namespace
 
 GtAssigner::GtAssigner(GtOptions options) : options_(options) {}
 
@@ -56,7 +62,6 @@ Assignment GtAssigner::Run(const Instance& instance) {
     stats_.dirty_workers = delta->num_dirty;
   } else {
     switch (options_.init) {
-    case GtInit::kWarmStart:  // no usable delta: cold-fall back to TPG
     case GtInit::kTpg: {
       TpgAssigner tpg;
       tpg.set_workspace(workspace());
@@ -110,18 +115,17 @@ Assignment GtAssigner::Run(const Instance& instance) {
     }
   }
 
+  // Algorithm 3 leaves the move order open; workers move in index order.
   std::vector<WorkerIndex> order(
       static_cast<size_t>(instance.num_workers()));
   for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
     order[static_cast<size_t>(w)] = w;
   }
-  Rng order_rng(options_.order_seed);
 
   double score = stats_.init_score;
   bool reached_equilibrium = false;
-  while (stats_.rounds < options_.max_rounds) {
+  while (stats_.rounds < kMaxRounds) {
     ++stats_.rounds;
-    if (options_.order == GtOrder::kShuffled) order_rng.Shuffle(order);
     int64_t moves;
     if (use_dirty) {
       moves = BestResponseRound(instance, order, &assignment, &keeper,

@@ -9,7 +9,9 @@
 
 namespace casc {
 
-/// How Algorithm 3 seeds the best-response dynamic.
+/// How Algorithm 3 seeds the best-response dynamic when no usable
+/// SolveDelta is attached. With one attached (Assigner::set_solve_delta),
+/// every init warm-starts from the previous batch's equilibrium skeleton.
 enum class GtInit {
   /// TPG assignment (Algorithm 3 line 1) — the paper's choice.
   kTpg,
@@ -22,26 +24,6 @@ enum class GtInit {
   /// equilibrium (no unilateral move crosses the B-threshold), so the
   /// dynamic never moves; kept for the initialization ablation.
   kEmpty,
-  /// Seed from the previous batch's equilibrium skeleton carried in the
-  /// attached SolveDelta (see Assigner::set_solve_delta), re-form groups
-  /// on the dirty tasks with a restricted TPG pass, and run the first
-  /// rounds over the dirty frontier only. Sound because the CA-SC game
-  /// is a potential game (Theorem V.1): best-response dynamics converge
-  /// from any initial profile, and the full verification pass still
-  /// certifies the equilibrium. Falls back to kTpg when no usable delta
-  /// is attached (first batch, zero carry-over, kill switch), so
-  /// zero-carry-over batches are bit-identical to a cold run. Note any
-  /// init warm-starts when a delta is attached; this value just states
-  /// the intent explicitly for streaming drivers.
-  kWarmStart,
-};
-
-/// Order in which workers are offered their best response within a round.
-/// The paper leaves this unspecified; potential-game convergence holds
-/// for any order, but the reached equilibrium can differ.
-enum class GtOrder {
-  kIndex,     ///< ascending worker index (deterministic default)
-  kShuffled,  ///< fresh uniform permutation every round (seeded)
 };
 
 /// Options for the game-theoretic approach and its two optimizations
@@ -65,15 +47,6 @@ struct GtOptions {
 
   /// Seed for GtInit::kRandom.
   uint64_t init_seed = 1;
-
-  /// Best-response processing order within each round.
-  GtOrder order = GtOrder::kIndex;
-
-  /// Seed for GtOrder::kShuffled.
-  uint64_t order_seed = 1;
-
-  /// Safety cap on best-response rounds.
-  int max_rounds = 100000;
 };
 
 /// The game-theoretic approach (GT), Algorithm 3 of the paper.

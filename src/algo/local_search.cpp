@@ -9,10 +9,15 @@
 #include "model/objective.h"
 
 namespace casc {
+namespace {
 
-LocalSearchAssigner::LocalSearchAssigner(std::unique_ptr<Assigner> base,
-                                         LocalSearchOptions options)
-    : base_(std::move(base)), options_(options) {
+// Cap on improvement passes over all task pairs.
+constexpr int kMaxPasses = 50;
+
+}  // namespace
+
+LocalSearchAssigner::LocalSearchAssigner(std::unique_ptr<Assigner> base)
+    : base_(std::move(base)) {
   CASC_CHECK(base_ != nullptr);
 }
 
@@ -116,7 +121,7 @@ Assignment LocalSearchAssigner::Run(const Instance& instance) {
     const std::span<const WorkerIndex> group = assignment.GroupOf(t);
     mirror[static_cast<size_t>(t)].assign(group.begin(), group.end());
   }
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     const int64_t swaps =
         ImprovementPass(instance, &assignment, &keeper, &mirror);
     swaps_applied_ += swaps;

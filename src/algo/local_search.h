@@ -10,16 +10,11 @@
 
 namespace casc {
 
-/// Options for the swap-based local search.
-struct LocalSearchOptions {
-  /// Maximum improvement passes over all task pairs.
-  int max_passes = 50;
-};
-
 /// SWAP post-optimizer: runs a base assigner, then repeatedly applies
 /// profitable *pairwise exchanges* — two workers on different tasks
 /// trading places when both directions are valid and the total
-/// cooperation score strictly increases.
+/// cooperation score strictly increases, for at most 50 passes over all
+/// task pairs.
 ///
 /// A Nash equilibrium only rules out unilateral deviations; a swap is a
 /// coordinated deviation by two players, so GT+SWAP can strictly improve
@@ -28,8 +23,7 @@ struct LocalSearchOptions {
 class LocalSearchAssigner : public Assigner {
  public:
   /// Wraps `base`; its output is the starting point of the search.
-  LocalSearchAssigner(std::unique_ptr<Assigner> base,
-                      LocalSearchOptions options = {});
+  explicit LocalSearchAssigner(std::unique_ptr<Assigner> base);
 
   std::string Name() const override;
   Assignment Run(const Instance& instance) override;
@@ -48,7 +42,6 @@ class LocalSearchAssigner : public Assigner {
                           std::vector<std::vector<WorkerIndex>>* mirror);
 
   std::unique_ptr<Assigner> base_;
-  LocalSearchOptions options_;
   int64_t swaps_applied_ = 0;
 };
 

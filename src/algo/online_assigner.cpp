@@ -11,8 +11,6 @@
 
 namespace casc {
 
-OnlineAssigner::OnlineAssigner(OnlineOptions options) : options_(options) {}
-
 Assignment OnlineAssigner::Run(const Instance& instance) {
   CASC_CHECK(instance.valid_pairs_ready())
       << "ONLINE requires Instance::ComputeValidPairs()";
@@ -55,7 +53,7 @@ Assignment OnlineAssigner::Run(const Instance& instance) {
         best_task = t;
       }
     }
-    if (best_task == kNoTask && options_.optimistic_join) {
+    if (best_task == kNoTask) {
       // No immediately-profitable join: park the worker on the
       // below-threshold task where it fits best (largest raw affinity to
       // the current members; emptiest task as the tie-break) so teams

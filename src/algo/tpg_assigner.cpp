@@ -454,8 +454,6 @@ struct GainEntry {
 
 }  // namespace
 
-TpgAssigner::TpgAssigner(TpgOptions options) : options_(options) {}
-
 std::vector<WorkerIndex> TpgAssigner::GreedySeedSet(
     const Instance& instance, TaskIndex t,
     const std::vector<bool>& available) {
@@ -499,9 +497,10 @@ void TpgAssigner::SeedTasks(const Instance& instance,
 
   // ---------------------------------------------------------------------
   // Stage 1 (Algorithm 2, lines 2-13): seed each task with its best
-  // B-worker set, best-scoring task first.
+  // B-worker set, best-scoring task first. Its state goes out of scope
+  // before stage 2.
   // ---------------------------------------------------------------------
-  if (!options_.skip_stage_one) {
+  {
     std::vector<SeedEntry> seeds(static_cast<size_t>(num_tasks));
     std::vector<PairList> pair_lists(static_cast<size_t>(num_tasks));
     std::vector<bool> task_seeded(static_cast<size_t>(num_tasks), false);
@@ -642,12 +641,8 @@ void TpgAssigner::SeedTasks(const Instance& instance,
     }
     // Adding a poorly-matched worker can lower a group's score (the
     // denominator of Equation 2 grows), so gains may be negative; stop at
-    // the first non-improving pair (or first negative one when zero-gain
-    // pairs are allowed, which tops groups up toward B — mandatory when
-    // stage 1 was skipped, since every group starts below B).
-    const bool zero_gain_ok =
-        options_.allow_zero_gain || options_.skip_stage_one;
-    if (zero_gain_ok ? top.gain < 0.0 : top.gain <= 0.0) break;
+    // the first non-improving pair.
+    if (top.gain <= 0.0) break;
 
     assignment.Assign(top.worker, top.task);
     worker_available[static_cast<size_t>(top.worker)] = false;

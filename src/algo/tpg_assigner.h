@@ -9,21 +9,6 @@
 
 namespace casc {
 
-/// Options for the task-priority greedy approach.
-struct TpgOptions {
-  /// When true, stage 2 also commits zero-gain pairs (workers added to
-  /// groups still below B). The paper's greedy only takes pairs with the
-  /// "maximum total cooperation quality increase", so this is off by
-  /// default.
-  bool allow_zero_gain = false;
-
-  /// Ablation switch: skip stage 1 (the task-priority B-set seeding) and
-  /// run only the pairwise greedy of stage 2 with zero-gain pairs
-  /// allowed. Isolates how much the seeding contributes — the "task
-  /// priority" in TPG's name.
-  bool skip_stage_one = false;
-};
-
 /// Task-priority greedy (TPG), Algorithm 2 of the paper.
 ///
 /// Stage 1 repeatedly computes, for every still-unseeded task, the best
@@ -57,11 +42,7 @@ struct TpgOptions {
 /// each join through a JoinGainCache keyed by the same versions.
 class TpgAssigner : public Assigner {
  public:
-  explicit TpgAssigner(TpgOptions options = {});
-
-  std::string Name() const override {
-    return options_.skip_stage_one ? "TPG-S1" : "TPG";
-  }
+  std::string Name() const override { return "TPG"; }
   Assignment Run(const Instance& instance) override;
 
   /// Runs both greedy stages on top of an existing (possibly non-empty)
@@ -87,7 +68,6 @@ class TpgAssigner : public Assigner {
  private:
   friend class TpgAssignerTestPeer;
 
-  TpgOptions options_;
   // Stage-1 pair-list fills of the last SeedTasks() call, from the
   // strong pairs and by the per-task scan. Only tests read them.
   int64_t strong_fills_ = 0;

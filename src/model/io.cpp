@@ -224,6 +224,13 @@ Result<Assignment> LoadAssignment(const Instance& instance,
                                      ": worker " + std::to_string(worker) +
                                      " listed twice");
     }
+    const int capacity = instance.tasks()[static_cast<size_t>(task)].capacity;
+    if (assignment.GroupSize(static_cast<TaskIndex>(task)) >= capacity) {
+      return Status::InvalidArgument(
+          "pair record " + std::to_string(i) + ": task " +
+          std::to_string(task) + " is already at its capacity " +
+          std::to_string(capacity));
+    }
     assignment.Assign(static_cast<WorkerIndex>(worker),
                       static_cast<TaskIndex>(task));
   }

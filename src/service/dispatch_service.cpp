@@ -173,12 +173,9 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
 
   Stopwatch watch;
   std::vector<AssignerStats> shard_stats;
-  std::vector<int> dropped_shards;
-  Assignment assignment = executor_.Run(
-      instance, partition.problems, factory_, &metrics_.shard_seconds,
-      workspace(), &shard_stats, options_.fault_hook, batch_index_++,
-      &dropped_shards);
-  metrics_.lost_shards = static_cast<int>(dropped_shards.size());
+  Assignment assignment =
+      executor_.Run(instance, partition.problems, factory_,
+                    &metrics_.shard_seconds, workspace(), &shard_stats);
   metrics_.phase1_seconds = watch.ElapsedSeconds();
 
   watch.Restart();

@@ -14,7 +14,10 @@
 
 namespace casc {
 
-/// Options of the sharded assignment path.
+/// Options of the sharded assignment path, shared by the in-process
+/// ShardedAssigner and the networked NetShardedAssigner. Only the net
+/// path can lose a shard, under DistributedConfig's crash and drop
+/// schedule.
 struct ShardedOptions {
   /// S: the world is split into S x S shards. S = 1 reproduces the
   /// monolithic assigner bit-for-bit.
@@ -29,11 +32,6 @@ struct ShardedOptions {
 
   /// Phase-2 knobs.
   ReconcileOptions reconcile;
-
-  /// Test/fuzz fault hook forwarded to ShardExecutor::Run (see
-  /// ShardFaultHook): non-null drops the flagged shards' phase-1 results
-  /// before the fold, leaving their workers idle for carry-over.
-  ShardFaultHook fault_hook;
 };
 
 /// Observability of one dispatched batch: shard loads, boundary-worker
@@ -111,10 +109,10 @@ struct ServiceMetrics {
   /// prune_evals.
   int64_t feasibility_rejects = 0;
 
-  /// Shards whose phase-1 result was lost this batch — dropped by the
-  /// fault hook on the in-process path, or declared unrecoverable after
-  /// exhausting failover on the distributed path. The lost shards'
-  /// workers stay idle and carry over to the next batch.
+  /// Shards the distributed path declared unrecoverable after exhausting
+  /// failover this batch (always 0 in process). The lost shards' workers
+  /// go through phase 2 like boundary workers; those still idle carry
+  /// over to the next batch.
   int lost_shards = 0;
 
   /// Distributed-mode (simulated network) observability; all zero on the
@@ -243,7 +241,6 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
   ScoreKeeper reconcile_keeper_;
   ServiceMetrics metrics_;
   std::string name_;
-  int batch_index_ = 0;  ///< Run() counter handed to the fault hook
 };
 
 /// Per-batch configuration of the dispatch service.

@@ -212,10 +212,7 @@ Assignment ShardExecutor::Run(const Instance& global,
                               const AssignerFactory& factory,
                               std::vector<double>* shard_seconds,
                               BatchWorkspace* global_workspace,
-                              std::vector<AssignerStats>* shard_stats,
-                              const ShardFaultHook& fault_hook,
-                              int batch_index,
-                              std::vector<int>* dropped_shards) {
+                              std::vector<AssignerStats>* shard_stats) {
   CASC_CHECK(factory != nullptr);
   const int num_shards = static_cast<int>(problems.size());
   EnsureWorkspaces(num_shards);
@@ -237,19 +234,13 @@ Assignment ShardExecutor::Run(const Instance& global,
   // Deterministic fold: ascending shard order, local insertion order.
   // Shards are disjoint in both workers and tasks, so group insertion
   // order within any task matches the local solver's order exactly.
-  // The fault hook fires here (serial, ascending) so the dropped set is
-  // deterministic too.
   Assignment assignment = global_workspace != nullptr
                               ? global_workspace->AcquireAssignment(global)
                               : Assignment(global);
   for (int s = 0; s < num_shards; ++s) {
     if (!locals[static_cast<size_t>(s)].has_value()) continue;
     Assignment& local = *locals[static_cast<size_t>(s)];
-    if (fault_hook != nullptr && fault_hook(batch_index, s)) {
-      if (dropped_shards != nullptr) dropped_shards->push_back(s);
-    } else {
-      FoldProblem(problems[static_cast<size_t>(s)], local, &assignment);
-    }
+    FoldProblem(problems[static_cast<size_t>(s)], local, &assignment);
     workspaces_[static_cast<size_t>(s)]->Recycle(std::move(local));
   }
   if (shard_seconds != nullptr) *shard_seconds = std::move(seconds);

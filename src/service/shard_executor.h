@@ -22,13 +22,6 @@ namespace casc {
 /// where they ran.
 using AssignerFactory = std::function<std::unique_ptr<Assigner>()>;
 
-/// Test/fuzz fault hook: returns true when shard `shard` of batch `batch`
-/// must be dropped *after* solving — the result vanishes before the fold,
-/// exactly as if the network lost it. Used to exercise carry-over replay
-/// (dropped shards' workers stay idle and re-enter the next batch's
-/// admission) without standing up the simulated network.
-using ShardFaultHook = std::function<bool(int batch, int shard)>;
-
 /// One shard's self-contained CA-SC sub-instance plus the index maps
 /// back into the global instance. The local instance holds the shard's
 /// interior workers and tasks under local indices, a zero-copy
@@ -87,19 +80,12 @@ class ShardExecutor {
   /// skipped shards). The solvers draw their scratch state from this
   /// executor's per-shard workspaces; a non-null `global_workspace`
   /// additionally pools the folded global assignment.
-  /// A non-null `fault_hook` is consulted per shard (with `batch_index`)
-  /// during the serial fold: a dropped shard's local result is discarded
-  /// — its workers stay idle in the returned assignment — and the shard
-  /// index is appended to `dropped_shards` (if non-null).
   Assignment Run(const Instance& global,
                  const std::vector<ShardProblem>& problems,
                  const AssignerFactory& factory,
                  std::vector<double>* shard_seconds,
                  BatchWorkspace* global_workspace = nullptr,
-                 std::vector<AssignerStats>* shard_stats = nullptr,
-                 const ShardFaultHook& fault_hook = nullptr,
-                 int batch_index = 0,
-                 std::vector<int>* dropped_shards = nullptr);
+                 std::vector<AssignerStats>* shard_stats = nullptr);
 
   /// Solves one shard problem with a factory-made assigner — the unit of
   /// work a simulated shard node performs on dispatch. Returns nullopt

@@ -90,17 +90,6 @@ TEST(OnlineTest, NeverBeatsBatchByMuchAndUsuallyTrails) {
   EXPECT_LT(online_total, tpg_total);
 }
 
-TEST(OnlineTest, WithoutOptimisticJoinNothingForms) {
-  // All gains are zero until a group reaches B, so a purely
-  // profit-driven online rule never assigns anyone.
-  const Instance instance =
-      AllValidInstance(6, 2, 3, 3, CooperationMatrix(6, 0.5));
-  OnlineOptions options;
-  options.optimistic_join = false;
-  OnlineAssigner online(options);
-  EXPECT_EQ(online.Run(instance).NumAssigned(), 0);
-}
-
 TEST(OnlineTest, OptimisticJoinFormsTeams) {
   const Instance instance =
       AllValidInstance(6, 2, 3, 3, CooperationMatrix(6, 0.5));

@@ -385,47 +385,6 @@ TEST(GtInitTest, EmptyAssignmentIsATrivialNashEquilibriumForBAtLeastTwo) {
   EXPECT_DOUBLE_EQ(TotalScore(instance, assignment), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Processing order (unspecified by the paper; convergence must hold for
-// any order)
-// ---------------------------------------------------------------------------
-
-TEST(GtOrderTest, ShuffledOrderStillReachesNash) {
-  const Instance instance = RandomInstance(80, 30, 606);
-  for (const uint64_t order_seed : {1u, 2u, 3u}) {
-    GtOptions options;
-    options.order = GtOrder::kShuffled;
-    options.order_seed = order_seed;
-    GtAssigner gt(options);
-    const Assignment assignment = gt.Run(instance);
-    EXPECT_TRUE(gt.stats().converged) << "order seed " << order_seed;
-    EXPECT_TRUE(IsNashEquilibrium(instance, assignment, 1e-9));
-    EXPECT_TRUE(assignment.Validate(instance).ok());
-  }
-}
-
-TEST(GtOrderTest, ShuffledOrderIsSeedDeterministic) {
-  const Instance instance = RandomInstance(60, 20, 607);
-  GtOptions options;
-  options.order = GtOrder::kShuffled;
-  options.order_seed = 42;
-  GtAssigner a(options), b(options);
-  EXPECT_EQ(a.Run(instance).Pairs(), b.Run(instance).Pairs());
-}
-
-TEST(GtOrderTest, DifferentOrdersMayReachDifferentEquilibriaOfSimilarQuality) {
-  const Instance instance = RandomInstance(120, 40, 608);
-  GtAssigner index_order;
-  GtOptions options;
-  options.order = GtOrder::kShuffled;
-  options.order_seed = 9;
-  GtAssigner shuffled(options);
-  const double score_index = TotalScore(instance, index_order.Run(instance));
-  const double score_shuffled = TotalScore(instance, shuffled.Run(instance));
-  // Both are equilibria above the same TPG warm start; quality gap small.
-  EXPECT_NEAR(score_index, score_shuffled, 0.05 * score_index);
-}
-
 TEST(GtInitTest, RandomInitializationReachesNash) {
   const Instance instance = RandomInstance(70, 25, 609);
   GtOptions options;

@@ -324,6 +324,27 @@ TEST(AssignmentIoTest, RejectsOutOfRangeIndices) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(AssignmentIoTest, RejectsATaskOverCapacity) {
+  const Instance instance = RandomInstance(12, 2, 9);
+  const int capacity = instance.tasks()[0].capacity;
+  for (const int extra : {1, 3}) {
+    const int pairs = capacity + extra;
+    ASSERT_LE(pairs, instance.num_workers());
+    std::string text =
+        "casc-assignment v1\npairs " + std::to_string(pairs) + "\n";
+    for (int w = 0; w < pairs; ++w) text += std::to_string(w) + " 0\n";
+    text += "end\n";
+    std::stringstream stream(text);
+    const Result<Assignment> loaded = LoadAssignment(instance, &stream);
+    ASSERT_FALSE(loaded.ok()) << "capacity + " << extra;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(loaded.status().message(),
+              "pair record " + std::to_string(capacity) +
+                  ": task 0 is already at its capacity " +
+                  std::to_string(capacity));
+  }
+}
+
 /// One malformed assignment file and the message its rejection must carry.
 struct MalformedAssignment {
   const char* label;

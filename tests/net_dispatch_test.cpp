@@ -306,6 +306,43 @@ TEST(NetDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
   EXPECT_TRUE(saw_warm);
 }
 
+TEST(NetDispatchServiceTest, LostShardWorkersReplayNextBatch) {
+  // All workers arrive at t=0, there is a single shard and its only
+  // solver node is down from the start, so batch 0's phase-1 result is
+  // lost. The lost shard's workers go through the reconcile passes; every
+  // worker those leave idle must re-enter batch 1's admission, while the
+  // batch-0 assignees stay busy (task_duration > batch_interval).
+  ServiceFixture fixture(36, 16, 2.0, 91);
+  for (Worker& worker : fixture.workers) worker.arrival_time = 0.0;
+  for (int j = 0; j < 16; ++j) {
+    fixture.tasks[j].create_time = j < 8 ? 0.0 : 1.0;
+    fixture.tasks[j].deadline = fixture.tasks[j].create_time + 3.0;
+  }
+  const EventStream stream(fixture.workers, fixture.tasks);
+
+  DispatchConfig config;
+  config.sharded = MakeOptions(1);
+  config.batch_interval = 1.0;
+  config.task_duration = 5.0;
+  DistributedConfig dist;
+  dist.num_nodes = 1;
+  dist.network.crashes.push_back({/*node=*/1, /*time=*/0.0,
+                                  /*restart_time=*/-1.0});
+  dist.protocol.retry_timeout = 0.05;
+  dist.protocol.max_attempts = 2;
+  NetShardedAssigner net(config.sharded, dist, GtFactory());
+  DispatchService service(config, &fixture.coop, GtFactory());
+  service.set_batch_solver(&net);
+  const RunSummary summary = service.Run(stream);
+  const std::vector<ServiceMetrics>& metrics = service.batch_metrics();
+
+  ASSERT_GE(summary.batches.size(), 2u);
+  EXPECT_GT(metrics[0].lost_shards, 0);
+  EXPECT_GT(summary.batches[0].assigned_workers, 0);  // placed by phase 2
+  EXPECT_EQ(summary.batches[1].num_workers,
+            36 - summary.batches[0].assigned_workers);
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injection fuzz: validity, termination, retention
 // ---------------------------------------------------------------------------

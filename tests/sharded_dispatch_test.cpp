@@ -764,55 +764,6 @@ TEST(ShardedAssignerTest, ShardResultArrivalOrderDoesNotMatter) {
   }
 }
 
-TEST(DispatchServiceTest, DroppedShardResultReplaysItsWorkersNextBatch) {
-  // All workers arrive at t=0 and there is a single shard. The fault
-  // hook swallows that shard's batch-0 result — exactly as if the
-  // network lost it — so nobody starts a task and every worker must
-  // re-enter batch 1's admission. The fault-free run keeps its batch-0
-  // assignees busy (task_duration > batch_interval) and fields fewer
-  // workers in batch 1.
-  ServiceFixture fixture(36, 16, 2.0, 91);
-  for (Worker& worker : fixture.workers) worker.arrival_time = 0.0;
-  for (int j = 0; j < 16; ++j) {
-    fixture.tasks[j].create_time = j < 8 ? 0.0 : 1.0;
-    fixture.tasks[j].deadline = fixture.tasks[j].create_time + 3.0;
-  }
-  const EventStream stream(fixture.workers, fixture.tasks);
-
-  const auto run = [&](bool fault) {
-    DispatchConfig config;
-    config.sharded = MakeOptions(1, 1);
-    config.batch_interval = 1.0;
-    config.task_duration = 5.0;  // batch-0 assignees stay busy in batch 1
-    if (fault) {
-      config.sharded.fault_hook = [](int batch, int shard) {
-        return batch == 0 && shard == 0;
-      };
-    }
-    DispatchService service(config, &fixture.coop, GtFactory());
-    const RunSummary summary = service.Run(stream);
-    return std::make_pair(summary, service.batch_metrics());
-  };
-  const auto [clean, clean_metrics] = run(false);
-  const auto [faulty, fault_metrics] = run(true);
-
-  ASSERT_GE(clean.batches.size(), 2u);
-  ASSERT_GE(faulty.batches.size(), 2u);
-  ASSERT_GT(clean.batches[0].assigned_workers, 0);
-
-  // The dropped shard assigned nobody and was reported lost.
-  EXPECT_EQ(faulty.batches[0].assigned_workers, 0);
-  EXPECT_EQ(fault_metrics[0].lost_shards, 1);
-  EXPECT_EQ(clean_metrics[0].lost_shards, 0);
-
-  // Carry-over replay: every worker re-enters batch 1 after the loss,
-  // whereas the clean run's batch-0 assignees are still out working.
-  EXPECT_EQ(faulty.batches[1].num_workers, 36);
-  EXPECT_EQ(clean.batches[1].num_workers,
-            36 - clean.batches[0].assigned_workers);
-  EXPECT_GT(faulty.batches[1].num_workers, clean.batches[1].num_workers);
-}
-
 TEST(DispatchServiceDeathTest, StreamingRejectsNonDenseWorkerIds) {
   std::vector<Worker> workers = {Worker{5, {0.5, 0.5}, 1.0, 1.0, 0.0}};
   std::vector<Task> tasks = {Task{0, {0.5, 0.5}, 0.0, 9.0, 3}};

@@ -78,21 +78,17 @@ TEST(WorkspaceNeutralityFuzzTest, GtVariantsOn200Instances) {
     switch (seed % 4) {
       case 0:  // plain GT from TPG
         break;
-      case 1:  // both paper optimizations, shuffled order
+      case 1:  // both paper optimizations
         options.use_tsi = true;
         options.use_lub = true;
-        options.order = GtOrder::kShuffled;
-        options.order_seed = seed + 7;
         break;
       case 2:  // random init + LUB
         options.init = GtInit::kRandom;
         options.init_seed = seed + 3;
         options.use_lub = true;
         break;
-      case 3:  // TSI alone, shuffled order
+      case 3:  // TSI alone
         options.use_tsi = true;
-        options.order = GtOrder::kShuffled;
-        options.order_seed = seed + 11;
         break;
     }
     GtAssigner pooled(options);

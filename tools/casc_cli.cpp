@@ -130,10 +130,10 @@ int RunSolve(const casc::FlagParser& flags) {
       casc::MakeApproachFromName(flags.GetString("approach"), settings);
   if (!assigner.ok()) return Fail(assigner.status());
   if ((*assigner)->Name().find("EXACT") != std::string::npos &&
-      instance->num_workers() > casc::kExactDefaultMaxWorkers) {
+      instance->num_workers() > casc::kExactMaxWorkers) {
     return Fail(casc::Status::InvalidArgument(
         "EXACT is exponential and capped at " +
-        std::to_string(casc::kExactDefaultMaxWorkers) +
+        std::to_string(casc::kExactMaxWorkers) +
         " workers; this instance has " +
         std::to_string(instance->num_workers())));
   }
