@@ -46,8 +46,6 @@ struct AssignerStats {
   /// True when the run was seeded from a prior-batch equilibrium skeleton
   /// (cross-batch warm start) rather than a cold init.
   bool warm_started = false;
-  /// Workers adopted from the skeleton on a warm start (0 when cold).
-  int64_t seeded_workers = 0;
   /// Size of the initial dirty frontier on a warm start (0 when cold).
   int64_t dirty_workers = 0;
   /// Objective value after each best-response round (GT family): the

@@ -35,7 +35,7 @@ Assignment GtAssigner::Run(const Instance& instance) {
   // Cross-batch warm start: when the streaming driver attached a usable
   // SolveDelta, adopt the previous equilibrium's skeleton instead of a
   // cold init — sound from any profile (Theorem V.1). A null or empty
-  // delta (first batch, zero carry-over, CASC_NO_WARM_START) takes the
+  // delta (first batch, zero carry-over, warm start off) takes the
   // cold path below bit-identically.
   const SolveDelta* delta =
       UsableSolveDelta(solve_delta(), instance.num_workers());
@@ -58,7 +58,6 @@ Assignment GtAssigner::Run(const Instance& instance) {
       stats_.seed_pairs_priced = patch.stats().seed_pairs_priced;
     }
     stats_.warm_started = true;
-    stats_.seeded_workers = delta->num_seeded;
     stats_.dirty_workers = delta->num_dirty;
   } else {
     switch (options_.init) {

@@ -299,15 +299,13 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   batch_metrics_.clear();
   run_latency_ = RunLatencyStats{};
 
-  // Effective streaming-plane knobs: config combined with the remaining
-  // process-wide switches (audit, warm start, retry epoch).
-  StreamingPlaneConfig plane_config = StreamingPlaneConfig::FromEnv();
-  plane_config.audit |= config_.audit_streaming;
-  plane_config.warm_start &= config_.enable_warm_start;
   // Pool-slice policy: when the pipeline is on, ingest runs concurrently
   // with the shard solvers, so the plane gets its own slice of the host
   // (what the shard executor does not use) instead of competing for the
   // same cores. An explicit ingest_threads always wins.
+  StreamingPlaneConfig plane_config;
+  plane_config.audit = config_.audit_streaming;
+  plane_config.warm_start = config_.enable_warm_start;
   plane_config.ingest_threads = config_.ingest_threads;
   if (plane_config.ingest_threads == 0) {
     const int hw = ThreadPool::DefaultThreads();
@@ -386,11 +384,11 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       instance.set_objective(objective_);
       plane.BuildValidPairs(&instance, &build_workspace_);
       const double index_build_seconds = build_watch.ElapsedSeconds();
-      const StreamingEmitStats emit_stats = plane.emit_stats();
+      const double csr_emit_seconds = plane.csr_emit_seconds();
 
       // Cross-batch warm start: export the previous equilibrium's
       // retained skeleton plus the dirty frontier (null when cold —
-      // first batch, zero carry-over, CASC_NO_WARM_START). Built
+      // first batch, zero carry-over, enable_warm_start off). Built
       // serially here, before the overlap below: the pipelined ingest of
       // batch N+1 mutates only the plane's pools, never the exported
       // delta (a self-contained snapshot), so the solver may read it
@@ -447,7 +445,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       metrics.ingest_splice_seconds = ingest_stats.splice_seconds;
       metrics.ingest_fresh_rows_seconds = ingest_stats.fresh_rows_seconds;
       metrics.ingest_spatial_seconds = ingest_stats.spatial_insert_seconds;
-      metrics.csr_emit_seconds = emit_stats.csr_emit_seconds;
+      metrics.csr_emit_seconds = csr_emit_seconds;
       metrics.ingest_threads = plane.ingest_threads();
       metrics.pipelined = was_overlapped;
       // Critical path: ingest counts only when it did not ride along a
@@ -470,24 +468,21 @@ RunSummary DispatchService::Run(const EventStream& stream) {
 
   // Run-level latency distribution over the batches' critical paths.
   if (!batch_metrics_.empty()) {
-    double worst = 0.0;
+    QuantileSketch seconds_sketch;
+    QuantileSketch rounds_sketch;
     double total = 0.0;
     for (const ServiceMetrics& metrics : batch_metrics_) {
-      worst = std::max(worst, metrics.batch_seconds);
+      run_latency_.max_seconds =
+          std::max(run_latency_.max_seconds, metrics.batch_seconds);
       total += metrics.batch_seconds;
-    }
-    Histogram histogram(0.0, std::max(worst * (1.0 + 1e-9), 1e-9), 1000);
-    QuantileSketch rounds_sketch;
-    for (const ServiceMetrics& metrics : batch_metrics_) {
-      histogram.Add(metrics.batch_seconds);
+      seconds_sketch.Add(metrics.batch_seconds);
       rounds_sketch.Add(static_cast<double>(metrics.solve_rounds));
     }
     run_latency_.batches = static_cast<int64_t>(batch_metrics_.size());
     run_latency_.mean_seconds =
         total / static_cast<double>(batch_metrics_.size());
-    run_latency_.p50_seconds = histogram.Quantile(0.5);
-    run_latency_.p99_seconds = histogram.Quantile(0.99);
-    run_latency_.max_seconds = worst;
+    run_latency_.p50_seconds = seconds_sketch.Quantile(0.5);
+    run_latency_.p99_seconds = seconds_sketch.Quantile(0.99);
     run_latency_.solve_rounds_p50 = rounds_sketch.Quantile(0.5);
     run_latency_.solve_rounds_p99 = rounds_sketch.Quantile(0.99);
   }

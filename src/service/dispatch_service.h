@@ -284,14 +284,13 @@ struct DispatchConfig {
   bool enable_pipeline = true;
 
   /// Differentially check every incrementally-built valid-pair index
-  /// against a from-scratch build (or'ed with CASC_STREAM_AUDIT).
+  /// against a from-scratch build (slow; a test and debugging tool).
   bool audit_streaming = false;
 
   /// Seed each streaming batch's solve from the previous batch's
   /// committed equilibrium restricted to the still-present players, and
   /// converge only the dirty frontier (fresh workers / changed tasks).
-  /// Anded with the CASC_NO_WARM_START kill switch at Run() time; either
-  /// side restores the cold per-batch solve exactly. The warm output is
+  /// Off restores the cold per-batch solve exactly. The warm output is
   /// still a certified Nash equilibrium (the GT family's full
   /// verification pass runs unchanged), and batches with zero carry-over
   /// are bit-identical to the cold path.
@@ -300,7 +299,7 @@ struct DispatchConfig {
 
 /// Run-level latency distribution of a streaming Run(): per-batch
 /// critical-path seconds (ServiceMetrics::batch_seconds) folded through
-/// a histogram, so the service reports tail latency, not just means.
+/// a QuantileSketch, so the service reports tail latency, not just means.
 struct RunLatencyStats {
   int64_t batches = 0;
   double mean_seconds = 0.0;

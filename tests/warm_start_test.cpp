@@ -4,13 +4,11 @@
 // bit-identical to a cold run, and the warm path must be bit-identical
 // across shard threads, ingest threads and both pipeline modes. On a
 // multiskill feasibility-gap trace warm must also keep most of cold's
-// score. The CASC_NO_WARM_START kill switch must restore cold behavior
-// exactly, and a malformed CASC_WARM_RETRY_EPOCH must be rejected.
+// score.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,38 +21,9 @@
 #include "model/cooperation_matrix.h"
 #include "service/dispatch_service.h"
 #include "sim/event_stream.h"
-#include "sim/streaming_plane.h"
 
 namespace casc {
 namespace {
-
-// Scoped environment override; restores the prior state on destruction
-// so env-driven kill switches never leak across tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_;
-  std::string old_;
-};
 
 /// GtAssigner wrapper that certifies every returned batch assignment
 /// with the full Nash-equilibrium check and records the assignment as
@@ -379,7 +348,6 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
 TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   const StreamFixture fixture = MakeLongFixture(703, /*horizon=*/140.0);
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  ScopedEnv no_warm("CASC_NO_WARM_START", nullptr);
 
   auto run = [&](bool warm, bool pipeline, int threads, int ingest_threads) {
     DispatchConfig config;
@@ -472,7 +440,6 @@ TEST(WarmStartTest, FeasibilityGapTraceKeepsWarmQualityAndIdentity) {
   const CooperationMatrix coop = CooperationMatrix::Procedural(
       static_cast<int>(trace.workers.size()), kSeed ^ 0x9E3779B9u);
   const EventStream stream(trace.workers, trace.tasks);
-  ScopedEnv no_warm("CASC_NO_WARM_START", nullptr);
 
   auto run = [&](bool warm, bool pipeline, int threads) {
     DispatchConfig config;
@@ -508,63 +475,6 @@ TEST(WarmStartTest, FeasibilityGapTraceKeepsWarmQualityAndIdentity) {
   EXPECT_GT(warm.summary.TotalScore(), 0.8 * cold.summary.TotalScore());
   ExpectIdenticalBatches(warm, warm_pipelined,
                          "warm sequential t1 vs warm pipelined t4");
-}
-
-// ---------------------------------------------------------------------------
-// Kill switch: CASC_NO_WARM_START is exactly enable_warm_start = false.
-// ---------------------------------------------------------------------------
-
-TEST(WarmStartTest, KillSwitchMatchesConfigOff) {
-  const StreamFixture fixture = MakeLongFixture(704, /*horizon=*/40.0);
-  const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-
-  auto run = [&](bool config_warm) {
-    DispatchConfig config;
-    config.sharded.shards_per_side = 2;
-    config.min_group_size = 3;
-    config.task_duration = 2.0;
-    config.enable_warm_start = config_warm;
-    DispatchService service(
-        config, &fixture.coop,
-        [] { return std::make_unique<GtAssigner>(); });
-    return RunService(&service, stream);
-  };
-
-  StreamRun env_off;
-  {
-    ScopedEnv off("CASC_NO_WARM_START", "1");
-    env_off = run(/*config_warm=*/true);
-  }
-  StreamRun config_off;
-  {
-    ScopedEnv on("CASC_NO_WARM_START", nullptr);
-    config_off = run(/*config_warm=*/false);
-  }
-  ASSERT_FALSE(env_off.summary.batches.empty());
-  for (const ServiceMetrics& metrics : env_off.service) {
-    EXPECT_FALSE(metrics.warm_started);
-  }
-  ExpectIdenticalBatches(config_off, env_off, "env kill switch vs config");
-}
-
-// ---------------------------------------------------------------------------
-// CASC_WARM_RETRY_EPOCH: a positive integer or a CHECK failure naming it.
-// ---------------------------------------------------------------------------
-
-TEST(WarmStartTest, RetryEpochParsedFromEnv) {
-  ScopedEnv epoch("CASC_WARM_RETRY_EPOCH", "7");
-  EXPECT_EQ(StreamingPlaneConfig::FromEnv().warm_retry_epoch, 7);
-}
-
-TEST(WarmStartDeathTest, MalformedRetryEpochIsRejected) {
-  for (const char* bad : {"abc", "4x", "", "0", "-3", "99999999999"}) {
-    ScopedEnv epoch("CASC_WARM_RETRY_EPOCH", bad);
-    EXPECT_DEATH((void)StreamingPlaneConfig::FromEnv(),
-                 std::string("CASC_WARM_RETRY_EPOCH must be a positive "
-                             "integer, got '") +
-                     bad + "'")
-        << "value '" << bad << "'";
-  }
 }
 
 // ---------------------------------------------------------------------------
