@@ -98,75 +98,4 @@ void QuantileSketch::Reset() {
   sorted_valid_ = false;
 }
 
-Histogram::Histogram(double lo, double hi, int buckets) : lo_(lo), hi_(hi) {
-  CASC_CHECK_LT(lo, hi);
-  CASC_CHECK_GE(buckets, 1);
-  counts_.assign(static_cast<size_t>(buckets), 0);
-}
-
-void Histogram::Add(double value) {
-  const double fraction = (value - lo_) / (hi_ - lo_);
-  int bucket = static_cast<int>(fraction * num_buckets());
-  bucket = std::clamp(bucket, 0, num_buckets() - 1);
-  ++counts_[static_cast<size_t>(bucket)];
-  ++total_;
-}
-
-int64_t Histogram::BucketCount(int bucket) const {
-  CASC_CHECK_GE(bucket, 0);
-  CASC_CHECK_LT(bucket, num_buckets());
-  return counts_[static_cast<size_t>(bucket)];
-}
-
-std::pair<double, double> Histogram::BucketBounds(int bucket) const {
-  CASC_CHECK_GE(bucket, 0);
-  CASC_CHECK_LT(bucket, num_buckets());
-  const double width = (hi_ - lo_) / num_buckets();
-  return {lo_ + bucket * width, lo_ + (bucket + 1) * width};
-}
-
-double Histogram::Quantile(double quantile) const {
-  CASC_CHECK_GE(quantile, 0.0);
-  CASC_CHECK_LE(quantile, 1.0);
-  CASC_CHECK_GT(total_, 0);
-  const double target = quantile * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (int b = 0; b < num_buckets(); ++b) {
-    const double next =
-        cumulative + static_cast<double>(counts_[static_cast<size_t>(b)]);
-    if (next >= target) {
-      const auto [bucket_lo, bucket_hi] = BucketBounds(b);
-      const int64_t in_bucket = counts_[static_cast<size_t>(b)];
-      if (in_bucket == 0) return bucket_lo;
-      const double within =
-          (target - cumulative) / static_cast<double>(in_bucket);
-      return bucket_lo + within * (bucket_hi - bucket_lo);
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString(int bar_width) const {
-  int64_t peak = 1;
-  for (const int64_t count : counts_) peak = std::max(peak, count);
-  std::string out;
-  for (int b = 0; b < num_buckets(); ++b) {
-    const auto [bucket_lo, bucket_hi] = BucketBounds(b);
-    const int64_t count = counts_[static_cast<size_t>(b)];
-    const int bar = static_cast<int>(
-        static_cast<double>(count) / static_cast<double>(peak) * bar_width);
-    out += '[';
-    out += FormatDouble(bucket_lo, 2);
-    out += ", ";
-    out += FormatDouble(bucket_hi, 2);
-    out += ") ";
-    out.append(static_cast<size_t>(bar), '#');
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace casc

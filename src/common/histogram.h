@@ -43,8 +43,7 @@ class SummaryStats {
 /// sample count stays at or below the capacity, which covers the
 /// intended uses (per-batch network round-trip times: tens to a few
 /// thousand observations). Companion to SummaryStats where a mean and
-/// extremes are not enough and a full Histogram's fixed range is
-/// unknown up front.
+/// extremes are not enough.
 class QuantileSketch {
  public:
   /// `capacity` >= 1 samples are retained.
@@ -71,37 +70,6 @@ class QuantileSketch {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;  ///< lazily rebuilt scratch
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-range linear histogram for diagnosing distributions (e.g. the
-/// per-worker valid-task counts of a batch). Out-of-range samples clamp
-/// into the edge buckets.
-class Histogram {
- public:
-  /// Buckets of equal width covering [lo, hi). Requires lo < hi,
-  /// buckets >= 1.
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double value);
-
-  int64_t TotalCount() const { return total_; }
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  int64_t BucketCount(int bucket) const;
-  /// [inclusive lower, exclusive upper) bounds of a bucket.
-  std::pair<double, double> BucketBounds(int bucket) const;
-
-  /// Value below which `quantile` of the mass lies (linear within the
-  /// bucket). Requires quantile in [0, 1] and at least one sample.
-  double Quantile(double quantile) const;
-
-  /// Multi-line ASCII rendering with proportional bars.
-  std::string ToString(int bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace casc

@@ -12,7 +12,8 @@ void Assignment::Reset(const Instance& instance) {
   task_of_.assign(static_cast<size_t>(instance.num_workers()), kNoTask);
   // One slack slot per task lets GT transiently overfill a group while
   // the crowding rule picks the best-subset loser.
-  groups_.Reset(instance.task_capacities(), /*slack=*/1);
+  groups_.Reset(instance.task_capacities(), instance.num_workers(),
+                /*slack=*/1);
   num_assigned_ = 0;
 }
 

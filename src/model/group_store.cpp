@@ -1,6 +1,8 @@
 #include "model/group_store.h"
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "common/check.h"
 
@@ -18,18 +20,22 @@ void NoteGrowth(const std::vector<T>& v, size_t upcoming) {
 
 }  // namespace
 
-void GroupStore::Reset(std::span<const int> capacities, int slack) {
+void GroupStore::Reset(std::span<const int> capacities, int max_members,
+                       int slack) {
+  CASC_CHECK_GE(max_members, 0);
   CASC_CHECK_GE(slack, 0);
   const size_t n = capacities.size();
   NoteGrowth(offsets_, n + 1);
   offsets_.clear();
   offsets_.reserve(n + 1);
   offsets_.push_back(0);
-  int32_t total = 0;
+  int64_t total = 0;
   for (const int capacity : capacities) {
     CASC_CHECK_GE(capacity, 0);
-    total += static_cast<int32_t>(capacity + slack);
-    offsets_.push_back(total);
+    total += int64_t{std::min(capacity, max_members)} + slack;
+    CASC_CHECK_LE(total, std::numeric_limits<int32_t>::max())
+        << "group slabs exceed the int32 slot range";
+    offsets_.push_back(static_cast<int32_t>(total));
   }
   NoteGrowth(sizes_, n);
   sizes_.assign(n, 0);

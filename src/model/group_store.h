@@ -10,11 +10,12 @@
 namespace casc {
 
 /// Slab-backed storage for per-task worker groups. Every group g gets a
-/// fixed slab of `capacities[g] + slack` contiguous slots in one flat
-/// array (capacity a_j is known per task, so slabs never move and no
-/// per-group heap allocation ever happens). The extra `slack` slot lets
-/// the GT crowding rule transiently overfill a group by one while
-/// deciding whom to evict.
+/// fixed slab of `min(capacities[g], max_members) + slack` contiguous
+/// slots in one flat array (capacity a_j is known per task, so slabs
+/// never move and no per-group heap allocation ever happens). A group
+/// never holds more than the batch's workers, so a capacity beyond them
+/// costs no memory. The extra `slack` slot lets the GT crowding rule
+/// transiently overfill a full group by one while deciding whom to evict.
 ///
 /// PushBack appends; Erase shifts the suffix left one slot, preserving
 /// insertion order — group order is part of the determinism contract
@@ -27,8 +28,10 @@ class GroupStore {
  public:
   GroupStore() = default;
 
-  /// Lays out one empty slab per group. `capacities[g] >= 0`.
-  void Reset(std::span<const int> capacities, int slack);
+  /// Lays out one empty slab per group. `capacities[g] >= 0`;
+  /// `max_members` bounds every group's size (the batch's worker count).
+  /// The slots must total at most INT32_MAX.
+  void Reset(std::span<const int> capacities, int max_members, int slack);
 
   int num_groups() const { return static_cast<int>(sizes_.size()); }
 

@@ -164,7 +164,14 @@ Result<Instance> LoadInstance(std::istream* in) {
       if (!ReadDouble(in, &q)) {
         return Status::InvalidArgument("bad coop cell");
       }
-      if (i == k) continue;  // diagonal is fixed at 0
+      if (i == k) {
+        // q_i(w_i) is fixed at 0: a worker does not cooperate with itself.
+        if (q != 0.0) {
+          return Status::InvalidArgument(
+              "coop diagonal cell " + std::to_string(i) + " must be 0");
+        }
+        continue;
+      }
       if (q < 0.0 || q > 1.0) {
         return Status::InvalidArgument("coop quality out of [0,1]");
       }

@@ -565,7 +565,7 @@ TEST(CheckDeathTest, ResultValueOnErrorAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// SummaryStats / Histogram
+// SummaryStats
 // ---------------------------------------------------------------------------
 
 TEST(SummaryStatsTest, EmptyIsAllZero) {
@@ -614,45 +614,6 @@ TEST(SummaryStatsTest, ToStringMentionsFields) {
   const std::string text = stats.ToString(1);
   EXPECT_NE(text.find("2.0"), std::string::npos);  // mean
   EXPECT_NE(text.find("n=2"), std::string::npos);
-}
-
-TEST(HistogramTest, BucketAssignment) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.Add(0.5);   // bucket 0
-  histogram.Add(3.0);   // bucket 1
-  histogram.Add(9.99);  // bucket 4
-  histogram.Add(-5.0);  // clamps to bucket 0
-  histogram.Add(42.0);  // clamps to bucket 4
-  EXPECT_EQ(histogram.TotalCount(), 5);
-  EXPECT_EQ(histogram.BucketCount(0), 2);
-  EXPECT_EQ(histogram.BucketCount(1), 1);
-  EXPECT_EQ(histogram.BucketCount(4), 2);
-}
-
-TEST(HistogramTest, BucketBounds) {
-  Histogram histogram(0.0, 1.0, 4);
-  const auto [lo, hi] = histogram.BucketBounds(2);
-  EXPECT_DOUBLE_EQ(lo, 0.5);
-  EXPECT_DOUBLE_EQ(hi, 0.75);
-}
-
-TEST(HistogramTest, QuantilesOfUniformData) {
-  Histogram histogram(0.0, 1.0, 100);
-  Rng rng(72);
-  for (int i = 0; i < 50000; ++i) histogram.Add(rng.Uniform());
-  EXPECT_NEAR(histogram.Quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(histogram.Quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(histogram.Quantile(0.1), 0.1, 0.02);
-}
-
-TEST(HistogramTest, ToStringRendersBars) {
-  Histogram histogram(0.0, 2.0, 2);
-  histogram.Add(0.5);
-  histogram.Add(0.6);
-  histogram.Add(1.5);
-  const std::string text = histogram.ToString(10);
-  EXPECT_NE(text.find("##########"), std::string::npos);  // peak bucket
-  EXPECT_NE(text.find("2"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,7 +86,7 @@ TEST(ValidPairIndexTest, ClearKeepsCapacityAndAllowsRebuild) {
 TEST(GroupStoreTest, PushEraseKeepsInsertionOrder) {
   GroupStore store;
   const std::vector<int> capacities = {3, 2};
-  store.Reset(capacities, /*slack=*/1);
+  store.Reset(capacities, /*max_members=*/8, /*slack=*/1);
   ASSERT_EQ(store.num_groups(), 2);
 
   store.PushBack(0, 7);
@@ -107,7 +108,7 @@ TEST(GroupStoreTest, PushEraseKeepsInsertionOrder) {
 TEST(GroupStoreTest, SlackSlotAbsorbsTransientOverfill) {
   GroupStore store;
   const std::vector<int> capacities = {1};
-  store.Reset(capacities, /*slack=*/1);
+  store.Reset(capacities, /*max_members=*/8, /*slack=*/1);
   store.PushBack(0, 0);
   store.PushBack(0, 1);  // capacity + 1: the GT crowding probe
   EXPECT_EQ(store.size(0), 2);
@@ -115,6 +116,32 @@ TEST(GroupStoreTest, SlackSlotAbsorbsTransientOverfill) {
   const std::span<const WorkerIndex> g = store.Group(0);
   EXPECT_EQ(std::vector<WorkerIndex>(g.begin(), g.end()),
             (std::vector<WorkerIndex>{1}));
+}
+
+TEST(GroupStoreTest, SlabCappedAtMaxMembers) {
+  // A group never holds more than the batch's workers, so a huge capacity
+  // costs max_members + slack slots, and the slot total cannot overflow.
+  GroupStore store;
+  const int huge = std::numeric_limits<int>::max();
+  const std::vector<int> capacities = {huge, huge, 2};
+  store.Reset(capacities, /*max_members=*/4, /*slack=*/1);
+  for (WorkerIndex w = 0; w < 5; ++w) store.PushBack(0, w);  // 4 + slack
+  for (WorkerIndex w = 0; w < 5; ++w) store.PushBack(1, w);
+  store.PushBack(2, 0);
+  store.PushBack(2, 1);
+  store.PushBack(2, 2);  // capacity 2 + slack
+  EXPECT_EQ(store.size(0), 5);
+  EXPECT_EQ(store.size(1), 5);
+  EXPECT_EQ(store.size(2), 3);
+  EXPECT_DEATH(store.PushBack(0, 5), "slab overflow");
+}
+
+TEST(GroupStoreDeathTest, SlotTotalBeyondInt32IsRejected) {
+  GroupStore store;
+  const int huge = std::numeric_limits<int>::max();
+  const std::vector<int> capacities = {huge, huge};
+  EXPECT_DEATH(store.Reset(capacities, /*max_members=*/huge, /*slack=*/1),
+               "int32 slot range");
 }
 
 // ---------------------------------------------------------------------------

@@ -125,6 +125,50 @@ TEST(InstanceIoTest, RejectsOutOfRangeQuality) {
   ASSERT_FALSE(loaded.ok());
 }
 
+TEST(InstanceIoTest, RejectsNonZeroDiagonal) {
+  std::stringstream stream(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 2\n"
+      "0 0.1 0.1 0.5 0.5 0\n"
+      "1 0.2 0.2 0.5 0.5 0\n"
+      "tasks 1\n"
+      "0 0.15 0.15 0 5 2\n"
+      "coop\n"
+      "7.5 0.5\n"
+      "0.5 0\n"
+      "end\n");
+  const Result<Instance> loaded = LoadInstance(&stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("diagonal"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(InstanceIoTest, HugeCapacitySolvesInBoundedMemory) {
+  // Capacity 10^9 with three workers: group slabs are sized by the worker
+  // count, not the capacity, so solving allocates a few slots, not 4 GB.
+  std::stringstream stream(
+      "casc-instance v1\n"
+      "now 0 min_group 3\n"
+      "workers 3\n"
+      "0 0.5 0.5 0.05 0.3 0\n"
+      "1 0.5 0.5 0.05 0.3 0\n"
+      "2 0.5 0.5 0.05 0.3 0\n"
+      "tasks 1\n"
+      "0 0.5 0.5 0 3 1000000000\n"
+      "coop\n"
+      "0 0.6 0.1\n"
+      "0.6 0 0.1\n"
+      "0.1 0.1 0\n"
+      "end\n");
+  const Result<Instance> loaded = LoadInstance(&stream);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  TpgAssigner tpg;
+  const Assignment assignment = tpg.Run(loaded.value());
+  EXPECT_EQ(assignment.GroupSize(0), 3);
+  EXPECT_TRUE(assignment.Validate(loaded.value()).ok());
+}
+
 TEST(InstanceIoTest, RejectsCapacityBelowMinGroup) {
   std::stringstream stream(
       "casc-instance v1\n"

@@ -2,7 +2,8 @@
 // delta-maintained StreamingPlane must emit exactly the valid pairs of a
 // from-scratch build on every batch (audited), and the dispatch loop must
 // produce identical outputs in both pipeline modes and at any shard or
-// ingest thread count.
+// ingest thread count. Each identity holds with the cross-batch warm start
+// on and off.
 
 #include <gtest/gtest.h>
 
@@ -179,12 +180,13 @@ TEST(StreamingIncrementalTest, AuditedStreamMatchesScratchBuildEveryBatch) {
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
 
-  auto run = [&](bool audit) {
+  auto run = [&](bool audit, bool warm) {
     DispatchConfig config;
     config.sharded.shards_per_side = 1;
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.audit_streaming = audit;
+    config.enable_warm_start = warm;
     DispatchService service(config, &fixture.coop,
                             [] { return std::make_unique<TpgAssigner>(); });
     return service.Run(stream);
@@ -194,11 +196,15 @@ TEST(StreamingIncrementalTest, AuditedStreamMatchesScratchBuildEveryBatch) {
   // against Instance::ComputeValidPairs() inside the run, so a pass means
   // every batch solved exactly the instance a per-batch rebuild would
   // have produced.
-  const RunSummary audited = run(true);
-  ASSERT_GE(audited.batches.size(), 200u) << "trace too short for the test";
-  EXPECT_GT(audited.TotalScore(), 0.0);
-  // The audit only reads: the audited run's outputs equal a plain run's.
-  ExpectIdenticalBatches(run(false), audited, "audited-vs-plain");
+  for (const bool warm : {true, false}) {
+    const std::string label =
+        std::string("audited-vs-plain warm=") + (warm ? "1" : "0");
+    const RunSummary audited = run(true, warm);
+    ASSERT_GE(audited.batches.size(), 200u) << "trace too short for the test";
+    EXPECT_GT(audited.TotalScore(), 0.0) << label;
+    // The audit only reads: the audited run's outputs equal a plain run's.
+    ExpectIdenticalBatches(run(false, warm), audited, label);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
 
-  auto run = [&](bool pipeline, int threads, bool audit,
+  auto run = [&](bool warm, bool pipeline, int threads, bool audit,
                  std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
@@ -221,6 +227,7 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
     config.enable_pipeline = pipeline;
     config.audit_streaming = audit;
+    config.enable_warm_start = warm;
     DispatchService service(
         config, &fixture.coop,
         [] { return std::make_unique<GtAssigner>(); });
@@ -228,11 +235,6 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
     if (service_out != nullptr) *service_out = service.batch_metrics();
     return summary;
   };
-
-  // Sequential, single-threaded and audited against the scratch build.
-  std::vector<ServiceMetrics> baseline_service;
-  const RunSummary baseline = run(false, 1, true, &baseline_service);
-  ASSERT_GE(baseline.batches.size(), 200u) << "trace too short";
 
   struct Combo {
     bool pipeline;
@@ -243,26 +245,34 @@ TEST(StreamingIncrementalTest, DispatchRunIdenticalAcrossAllCombos) {
       {false, 4},  // multi-threaded shards alone
       {true, 4},   // both
   };
-  for (const Combo& combo : combos) {
-    const std::string label =
-        std::string("pipe=") + (combo.pipeline ? "1" : "0") +
-        " threads=" + std::to_string(combo.threads);
-    std::vector<ServiceMetrics> service_metrics;
-    const RunSummary actual =
-        run(combo.pipeline, combo.threads, false, &service_metrics);
-    ExpectIdenticalBatches(baseline, actual, label);
-    // Admission-queue state must also carry over identically.
-    ASSERT_EQ(service_metrics.size(), baseline_service.size()) << label;
-    for (size_t i = 0; i < service_metrics.size(); ++i) {
-      ASSERT_EQ(service_metrics[i].admitted_tasks,
-                baseline_service[i].admitted_tasks)
-          << label << " batch " << i;
-      ASSERT_EQ(service_metrics[i].deferred_tasks,
-                baseline_service[i].deferred_tasks)
-          << label << " batch " << i;
-      ASSERT_EQ(service_metrics[i].queue_depth,
-                baseline_service[i].queue_depth)
-          << label << " batch " << i;
+  for (const bool warm : {true, false}) {
+    // Sequential, single-threaded and audited against the scratch build.
+    std::vector<ServiceMetrics> baseline_service;
+    const RunSummary baseline = run(warm, false, 1, true, &baseline_service);
+    ASSERT_GE(baseline.batches.size(), 200u) << "trace too short";
+
+    for (const Combo& combo : combos) {
+      const std::string label =
+          std::string("warm=") + (warm ? "1" : "0") +
+          " pipe=" + (combo.pipeline ? "1" : "0") +
+          " threads=" + std::to_string(combo.threads);
+      std::vector<ServiceMetrics> service_metrics;
+      const RunSummary actual =
+          run(warm, combo.pipeline, combo.threads, false, &service_metrics);
+      ExpectIdenticalBatches(baseline, actual, label);
+      // Admission-queue state must also carry over identically.
+      ASSERT_EQ(service_metrics.size(), baseline_service.size()) << label;
+      for (size_t i = 0; i < service_metrics.size(); ++i) {
+        ASSERT_EQ(service_metrics[i].admitted_tasks,
+                  baseline_service[i].admitted_tasks)
+            << label << " batch " << i;
+        ASSERT_EQ(service_metrics[i].deferred_tasks,
+                  baseline_service[i].deferred_tasks)
+            << label << " batch " << i;
+        ASSERT_EQ(service_metrics[i].queue_depth,
+                  baseline_service[i].queue_depth)
+            << label << " batch " << i;
+      }
     }
   }
 }
@@ -306,7 +316,7 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
   // The audit CHECKs every incrementally-built CSR index byte-for-byte
   // against a from-scratch build inside each run, so a sweep pass means
   // the parallel emission produced the exact serial bytes.
-  auto run = [&](int ingest_threads, bool pipeline,
+  auto run = [&](bool warm, int ingest_threads, bool pipeline,
                  std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
@@ -316,6 +326,7 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
     config.ingest_threads = ingest_threads;
     config.enable_pipeline = pipeline;
     config.audit_streaming = true;
+    config.enable_warm_start = warm;
     DispatchService service(config, &fixture.coop,
                             [] { return std::make_unique<GtAssigner>(); });
     RunSummary summary = service.Run(stream);
@@ -323,21 +334,25 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
     return summary;
   };
 
-  // Serial reference: width 1 runs every ingest loop inline, no pool.
-  std::vector<ServiceMetrics> serial_service;
-  const RunSummary serial = run(1, false, &serial_service);
-  ASSERT_GE(serial.batches.size(), 200u) << "trace too short for the test";
+  for (const bool warm : {true, false}) {
+    // Serial reference: width 1 runs every ingest loop inline, no pool.
+    std::vector<ServiceMetrics> serial_service;
+    const RunSummary serial = run(warm, 1, false, &serial_service);
+    ASSERT_GE(serial.batches.size(), 200u) << "trace too short for the test";
 
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const bool pipeline : {false, true}) {
-      const std::string label = "ingest_threads=" + std::to_string(threads) +
-                                " pipe=" + (pipeline ? "1" : "0");
-      std::vector<ServiceMetrics> service_metrics;
-      const RunSummary actual = run(threads, pipeline, &service_metrics);
-      ExpectIdenticalBatches(serial, actual, label);
-      ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
-      for (const ServiceMetrics& metrics : service_metrics) {
-        ASSERT_EQ(metrics.ingest_threads, threads) << label;
+    for (const int threads : {1, 2, 4, 8}) {
+      for (const bool pipeline : {false, true}) {
+        const std::string label = std::string("warm=") + (warm ? "1" : "0") +
+                                  " ingest_threads=" + std::to_string(threads) +
+                                  " pipe=" + (pipeline ? "1" : "0");
+        std::vector<ServiceMetrics> service_metrics;
+        const RunSummary actual =
+            run(warm, threads, pipeline, &service_metrics);
+        ExpectIdenticalBatches(serial, actual, label);
+        ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
+        for (const ServiceMetrics& metrics : service_metrics) {
+          ASSERT_EQ(metrics.ingest_threads, threads) << label;
+        }
       }
     }
   }

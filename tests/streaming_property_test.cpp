@@ -2,12 +2,14 @@
 // dispatch service's streaming loop at one shard with no admission budget
 // — driven by generated Poisson traces: conservation of workers, deadline
 // and capacity discipline, and consistency between metrics and
-// commitments.
+// commitments. Every property holds in three modes: the defaults, with the
+// differential CSR audit on, and with the cross-batch warm start off.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/gt_assigner.h"
@@ -20,13 +22,34 @@
 namespace casc {
 namespace {
 
+/// How the streaming loop runs: the defaults, audited (every emitted CSR
+/// index CHECKed against a from-scratch build) or cold (no warm start).
+enum class StreamMode { kDefault, kAudited, kCold };
+
+const StreamMode kModes[] = {StreamMode::kDefault, StreamMode::kAudited,
+                             StreamMode::kCold};
+
+std::string ModeName(StreamMode mode) {
+  switch (mode) {
+    case StreamMode::kDefault:
+      return "default";
+    case StreamMode::kAudited:
+      return "audited";
+    case StreamMode::kCold:
+      return "cold";
+  }
+  return "";
+}
+
 RunSummary RunStream(const EventStream& stream, const CooperationMatrix& coop,
-                     AssignerFactory factory, int min_group = 3,
-                     double task_duration = 1.0) {
+                     AssignerFactory factory, StreamMode mode,
+                     int min_group = 3, double task_duration = 1.0) {
   DispatchConfig config;
   config.sharded.shards_per_side = 1;
   config.min_group_size = min_group;
   config.task_duration = task_duration;
+  config.audit_streaming = mode == StreamMode::kAudited;
+  config.enable_warm_start = mode != StreamMode::kCold;
   DispatchService service(config, &coop, std::move(factory));
   return service.Run(stream);
 }
@@ -45,10 +68,14 @@ struct StreamCase {
   uint64_t seed;
 };
 
-class StreamingPropertyTest : public ::testing::TestWithParam<StreamCase> {
+class StreamingPropertyTest
+    : public ::testing::TestWithParam<std::tuple<StreamCase, StreamMode>> {
  protected:
+  const StreamCase& Case() const { return std::get<0>(GetParam()); }
+  StreamMode Mode() const { return std::get<1>(GetParam()); }
+
   Trace MakeTrace() const {
-    const StreamCase& param = GetParam();
+    const StreamCase& param = Case();
     Rng rng(param.seed);
     TraceConfig config;
     config.horizon = param.horizon;
@@ -76,7 +103,7 @@ class StreamingPropertyTest : public ::testing::TestWithParam<StreamCase> {
 };
 
 TEST_P(StreamingPropertyTest, ConservationAndDiscipline) {
-  const StreamCase& param = GetParam();
+  const StreamCase& param = Case();
   const Trace trace = MakeTrace();
   if (trace.workers.empty() || trace.tasks.empty()) {
     GTEST_SKIP() << "degenerate trace";
@@ -85,8 +112,8 @@ TEST_P(StreamingPropertyTest, ConservationAndDiscipline) {
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC0);
   const EventStream stream(trace.workers, trace.tasks);
 
-  const RunSummary summary = RunStream(stream, coop, Tpg(), param.min_group,
-                                       param.task_duration);
+  const RunSummary summary = RunStream(stream, coop, Tpg(), Mode(),
+                                       param.min_group, param.task_duration);
 
   int64_t total_started_tasks = 0;
   for (const auto& batch : summary.batches) {
@@ -113,7 +140,7 @@ TEST_P(StreamingPropertyTest, BusyWorkersNeverDoubleBook) {
   // sum over all batches of (workers present + workers busy) never
   // exceeds arrivals — checked via the per-batch pool ceiling:
   // pool(t) <= arrivals(t) - busy(t).
-  const StreamCase& param = GetParam();
+  const StreamCase& param = Case();
   const Trace trace = MakeTrace();
   if (trace.workers.empty() || trace.tasks.empty()) {
     GTEST_SKIP() << "degenerate trace";
@@ -121,8 +148,8 @@ TEST_P(StreamingPropertyTest, BusyWorkersNeverDoubleBook) {
   const CooperationMatrix coop =
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC1);
   const EventStream stream(trace.workers, trace.tasks);
-  const RunSummary summary = RunStream(stream, coop, Tpg(), param.min_group,
-                                       param.task_duration);
+  const RunSummary summary = RunStream(stream, coop, Tpg(), Mode(),
+                                       param.min_group, param.task_duration);
 
   // Reconstruct the busy ledger from the metrics: workers assigned at
   // batch time T are busy for ceil(task_duration) subsequent batches.
@@ -146,14 +173,18 @@ TEST_P(StreamingPropertyTest, BusyWorkersNeverDoubleBook) {
 
 INSTANTIATE_TEST_SUITE_P(
     Traces, StreamingPropertyTest,
-    ::testing::Values(
-        StreamCase{"light", 10.0, 5.0, 8.0, 1.0, 3, 1},
-        StreamCase{"heavy", 60.0, 25.0, 6.0, 1.0, 3, 2},
-        StreamCase{"long_tasks", 25.0, 10.0, 8.0, 3.0, 3, 3},
-        StreamCase{"pairs", 20.0, 10.0, 8.0, 1.0, 2, 4},
-        StreamCase{"big_teams", 50.0, 8.0, 6.0, 1.0, 4, 5}),
-    [](const ::testing::TestParamInfo<StreamCase>& info) {
-      return info.param.name;
+    ::testing::Combine(
+        ::testing::Values(
+            StreamCase{"light", 10.0, 5.0, 8.0, 1.0, 3, 1},
+            StreamCase{"heavy", 60.0, 25.0, 6.0, 1.0, 3, 2},
+            StreamCase{"long_tasks", 25.0, 10.0, 8.0, 3.0, 3, 3},
+            StreamCase{"pairs", 20.0, 10.0, 8.0, 1.0, 2, 4},
+            StreamCase{"big_teams", 50.0, 8.0, 6.0, 1.0, 4, 5}),
+        ::testing::ValuesIn(kModes)),
+    [](const ::testing::TestParamInfo<std::tuple<StreamCase, StreamMode>>&
+           info) {
+      return std::get<0>(info.param).name + "_" +
+             ModeName(std::get<1>(info.param));
     });
 
 TEST(StreamingGtTest, GtAndTpgBothRunTheFramework) {
@@ -175,14 +206,18 @@ TEST(StreamingGtTest, GtAndTpgBothRunTheFramework) {
   }
   const EventStream stream(trace.workers, trace.tasks);
 
-  const double tpg_score = RunStream(stream, coop, Tpg()).TotalScore();
-  const double gt_score =
-      RunStream(stream, coop, [] { return std::make_unique<GtAssigner>(); })
-          .TotalScore();
-  EXPECT_GT(tpg_score, 0.0);
-  // GT's per-batch refinement can shift carry-over between batches, so
-  // day totals are close but not strictly ordered; allow a small band.
-  EXPECT_GT(gt_score, 0.8 * tpg_score);
+  for (const StreamMode mode : kModes) {
+    const double tpg_score =
+        RunStream(stream, coop, Tpg(), mode).TotalScore();
+    const double gt_score =
+        RunStream(stream, coop,
+                  [] { return std::make_unique<GtAssigner>(); }, mode)
+            .TotalScore();
+    EXPECT_GT(tpg_score, 0.0) << ModeName(mode);
+    // GT's per-batch refinement can shift carry-over between batches, so
+    // day totals are close but not strictly ordered; allow a small band.
+    EXPECT_GT(gt_score, 0.8 * tpg_score) << ModeName(mode);
+  }
 }
 
 }  // namespace
