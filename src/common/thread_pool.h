@@ -12,6 +12,14 @@
 
 namespace casc {
 
+/// Per-chunk scratch of a fanned-out loop, one cache line each: chunks
+/// that append to neighbouring vectors would otherwise write their
+/// headers into shared lines on every append.
+template <typename T>
+struct alignas(64) CacheLinePadded {
+  T value;
+};
+
 /// Fixed-size thread pool for deterministic data parallelism.
 ///
 /// ParallelFor(count, fn) runs fn(i) for every i in [0, count) and blocks
