@@ -2,8 +2,7 @@
 // loop as sharded_city, but every batch runs as one epoch of the
 // coordinator/shard-node protocol over the deterministic simulated
 // network — dispatch messages out, per-shard results back, the boundary
-// reconciliation passes as coordinator round-trips, and a commit
-// broadcast. A lossy network and a mid-run node crash show retries,
+// reconciliation at the coordinator, and an acked commit broadcast. A lossy network and a mid-run node crash show retries,
 // failover and (when unlucky) lost-shard carry-over in action; rerunning
 // with the same seed replays the exact same story.
 //

@@ -8,19 +8,22 @@
 #include "model/objective_model.h"
 
 namespace casc {
+namespace {
 
-CoordinatorNode::CoordinatorNode(ReconcileOptions reconcile,
-                                 ProtocolConfig protocol, int num_shard_nodes)
-    : reconcile_options_(reconcile),
-      reconciler_(reconcile),
-      protocol_(protocol),
-      num_shard_nodes_(num_shard_nodes) {
+/// Exponential backoff factor: retransmission k waits timeout * 2^k.
+constexpr double kRetryBackoff = 2.0;
+
+/// Consecutive unanswered heartbeats before a node is suspected.
+constexpr int kHeartbeatMissLimit = 3;
+
+}  // namespace
+
+CoordinatorNode::CoordinatorNode(ProtocolConfig protocol, int num_shard_nodes)
+    : protocol_(protocol), num_shard_nodes_(num_shard_nodes) {
   CASC_CHECK_GE(num_shard_nodes_, 1);
   CASC_CHECK_GT(protocol_.retry_timeout, 0.0);
-  CASC_CHECK_GE(protocol_.retry_backoff, 1.0);
   CASC_CHECK_GE(protocol_.max_attempts, 1);
   CASC_CHECK_GE(protocol_.heartbeat_interval, 0.0);
-  CASC_CHECK_GE(protocol_.heartbeat_miss_limit, 1);
 }
 
 int CoordinatorNode::RegisterTimer(const TimerRecord& record) {
@@ -30,7 +33,7 @@ int CoordinatorNode::RegisterTimer(const TimerRecord& record) {
 
 double CoordinatorNode::RetryDelay(int attempt) const {
   double delay = protocol_.retry_timeout;
-  for (int i = 0; i < attempt; ++i) delay *= protocol_.retry_backoff;
+  for (int i = 0; i < attempt; ++i) delay *= kRetryBackoff;
   return delay;
 }
 
@@ -41,17 +44,15 @@ int CoordinatorNode::num_suspected() const {
 }
 
 void CoordinatorNode::StartBatch(
-    NetContext& net, const Instance* instance, const ShardMap* map,
+    NetContext& net, const Instance* instance,
     std::shared_ptr<const std::vector<ShardProblem>> problems,
     Assignment assignment, const SolveDelta* delta) {
   CASC_CHECK(phase_ == Phase::kIdle || phase_ == Phase::kDone)
       << "a batch is still in flight";
   CASC_CHECK(instance != nullptr);
-  CASC_CHECK(map != nullptr);
   CASC_CHECK(problems != nullptr);
   ++epoch_;
   instance_ = instance;
-  map_ = map;
   delta_ = UsableSolveDelta(delta, instance->num_workers());
   problems_ = std::move(problems);
   assignment_ = std::move(assignment);
@@ -60,6 +61,7 @@ void CoordinatorNode::StartBatch(
   const int num_shards = static_cast<int>(problems_->size());
   stats_.shard_seconds.assign(static_cast<size_t>(num_shards), 0.0);
   stats_.shard_stats.assign(static_cast<size_t>(num_shards), AssignerStats{});
+  stats_.shard_lost.assign(static_cast<size_t>(num_shards), 0);
   shards_.assign(static_cast<size_t>(num_shards), ShardState{});
   wait_ = AckWait{};
   // Suspicion does not carry across batches: a node that was silent last
@@ -91,11 +93,11 @@ void CoordinatorNode::StartBatch(
     beat.epoch = epoch_;
     net.SetTimer(protocol_.heartbeat_interval, RegisterTimer(beat));
   }
-  if (outstanding_shards_ == 0) EnterReconcile(net);
+  if (outstanding_shards_ == 0) Fold();
 }
 
-Assignment CoordinatorNode::TakeAssignment() {
-  CASC_CHECK(phase_ == Phase::kDone);
+Assignment CoordinatorNode::TakeFolded() {
+  CASC_CHECK(phase_ == Phase::kFolded);
   return std::move(assignment_);
 }
 
@@ -138,11 +140,11 @@ void CoordinatorNode::SuspectNode(NetContext& net, NodeId node) {
     }
   }
   for (const int s : to_move) FailoverShard(net, s);
-  // An open broadcast round stops waiting for the suspect.
+  // An open commit round stops waiting for the suspect.
   if (wait_.outstanding > 0 && wait_.acked[slot] == 0) {
     wait_.acked[slot] = 1;
     --wait_.outstanding;
-    if (wait_.outstanding == 0) OnRoundAcked(net);
+    if (wait_.outstanding == 0) FinishBatch();
   }
 }
 
@@ -172,15 +174,12 @@ void CoordinatorNode::FailoverShard(NetContext& net, int s) {
   }
   if (target < 0) {
     // Every node tried or suspected: the shard is lost. Its workers stay
-    // idle through the fold and are re-admitted by the reconcile passes
-    // (see EnterReconcile), so the batch still commits.
+    // idle through the fold and join phase 2's boundary set, so the
+    // batch still commits.
     state.resolved = true;
-    state.lost = true;
-    ++stats_.lost_shards;
+    stats_.shard_lost[static_cast<size_t>(s)] = 1;
     --outstanding_shards_;
-    if (outstanding_shards_ == 0 && phase_ == Phase::kSolve) {
-      EnterReconcile(net);
-    }
+    if (outstanding_shards_ == 0 && phase_ == Phase::kSolve) Fold();
     return;
   }
   state.node = target;
@@ -190,13 +189,13 @@ void CoordinatorNode::FailoverShard(NetContext& net, int s) {
   DispatchShard(net, s);
 }
 
-void CoordinatorNode::EnterReconcile(NetContext& net) {
-  // Fold in ascending shard order, replaying each buffered result's
-  // pairs in their recorded (ForEachPair) order — bit-identical to
-  // ShardExecutor::Run's fold no matter when each result arrived.
+void CoordinatorNode::Fold() {
+  // Ascending shard order, replaying each buffered result's pairs in
+  // their recorded (ForEachPair) order — bit-identical to
+  // ShardExecutor::Run's fold no matter when each result arrived. Lost
+  // and empty shards hold no pairs and default stats.
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ShardState& state = shards_[s];
-    if (state.lost || state.empty) continue;
     const ShardProblem& problem = (*problems_)[s];
     for (const AssignedPair& pair : state.pairs) {
       assignment_.Assign(
@@ -206,51 +205,15 @@ void CoordinatorNode::EnterReconcile(NetContext& net) {
     stats_.shard_seconds[s] = state.solve_seconds;
     stats_.shard_stats[s] = state.stats;
   }
-
-  boundary_ = map_->boundary_workers();
-  bool augmented = false;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].lost) continue;
-    const std::vector<WorkerIndex>& home =
-        map_->HomeWorkersOf(static_cast<int>(s));
-    boundary_.insert(boundary_.end(), home.begin(), home.end());
-    augmented = true;
-  }
-  if (augmented) {
-    // Lost shards' home workers join the boundary set (their boundary
-    // members are already in it — dedup) so the insert/seed/polish
-    // passes can still place them somewhere valid.
-    std::sort(boundary_.begin(), boundary_.end());
-    boundary_.erase(std::unique(boundary_.begin(), boundary_.end()),
-                    boundary_.end());
-  }
-
-  keeper_.Rebind(*instance_);
-  keeper_.Sync(assignment_);
-
-  phase_ = Phase::kInsert;
-  std::vector<AssignedPair> placements;
-  // Warm batches re-seat idle boundary workers on their retained groups
-  // before the greedy insertion — the same pass order as the in-process
-  // Reconcile, with the adoptions riding the insert-stage broadcast (no
-  // extra round trip).
-  if (delta_ != nullptr) {
-    stats_.reconcile.adopted = reconciler_.PassAdopt(
-        *instance_, boundary_, *delta_, &assignment_, &keeper_,
-        &placements);
-  }
-  stats_.reconcile.inserted = reconciler_.PassInsert(
-      *instance_, boundary_, &assignment_, &keeper_, &placements);
-  Broadcast(net, MessageType::kReconcile, kStageReconcileInsert,
-            std::move(placements));
+  phase_ = Phase::kFolded;
 }
 
-void CoordinatorNode::Broadcast(NetContext& net, MessageType type, int stage,
-                                std::vector<AssignedPair> payload) {
+void CoordinatorNode::Commit(NetContext& net,
+                             std::vector<AssignedPair> pairs) {
+  CASC_CHECK(phase_ == Phase::kFolded);
+  phase_ = Phase::kCommit;
   wait_ = AckWait{};
-  wait_.stage = stage;
-  wait_.type = type;
-  wait_.payload = std::move(payload);
+  wait_.payload = std::move(pairs);
   wait_.acked.assign(static_cast<size_t>(num_shard_nodes_), 0);
   wait_.attempts.assign(static_cast<size_t>(num_shard_nodes_), 0);
   wait_.tokens.assign(static_cast<size_t>(num_shard_nodes_), 0);
@@ -260,63 +223,27 @@ void CoordinatorNode::Broadcast(NetContext& net, MessageType type, int stage,
       wait_.acked[slot] = 1;  // the round completes without the suspect
       continue;
     }
-    Message msg;
-    msg.type = type;
-    msg.epoch = epoch_;
-    msg.stage = stage;
-    msg.pairs = wait_.payload;
-    net.Send(n, std::move(msg));
-    TimerRecord retry;
-    retry.kind = TimerRecord::kAckRetry;
-    retry.epoch = epoch_;
-    retry.node = n;
-    retry.stage = stage;
-    retry.attempt = 0;
-    wait_.tokens[slot] = net.SetTimer(RetryDelay(0), RegisterTimer(retry));
+    SendCommit(net, n);
     ++wait_.outstanding;
   }
-  if (wait_.outstanding == 0) OnRoundAcked(net);
+  if (wait_.outstanding == 0) FinishBatch();
 }
 
-void CoordinatorNode::OnRoundAcked(NetContext& net) {
-  switch (wait_.stage) {
-    case kStageReconcileInsert: {
-      if (reconcile_options_.seed_underfilled) {
-        phase_ = Phase::kSeed;
-        std::vector<AssignedPair> delta;
-        stats_.reconcile.seeded = reconciler_.PassSeed(
-            *instance_, boundary_, &assignment_, &keeper_, &delta);
-        Broadcast(net, MessageType::kReconcile, kStageReconcileSeed,
-                  std::move(delta));
-        return;
-      }
-      [[fallthrough]];
-    }
-    case kStageReconcileSeed: {
-      if (reconcile_options_.polish_rounds > 0) {
-        phase_ = Phase::kPolish;
-        std::vector<AssignedPair> delta;
-        stats_.reconcile.polish_moves = reconciler_.PassPolish(
-            *instance_, boundary_, &assignment_, &keeper_, &delta);
-        Broadcast(net, MessageType::kReconcile, kStageReconcilePolish,
-                  std::move(delta));
-        return;
-      }
-      [[fallthrough]];
-    }
-    case kStageReconcilePolish: {
-      phase_ = Phase::kCommit;
-      Broadcast(net, MessageType::kCommit, kStageCommit,
-                assignment_.Pairs());
-      return;
-    }
-    case kStageCommit: {
-      FinishBatch();
-      return;
-    }
-    default:
-      CASC_CHECK(false) << "unknown broadcast stage " << wait_.stage;
-  }
+void CoordinatorNode::SendCommit(NetContext& net, NodeId node) {
+  const size_t slot = static_cast<size_t>(node - 1);
+  Message msg;
+  msg.type = MessageType::kCommit;
+  msg.epoch = epoch_;
+  msg.attempt = wait_.attempts[slot];
+  msg.pairs = wait_.payload;
+  net.Send(node, std::move(msg));
+  TimerRecord retry;
+  retry.kind = TimerRecord::kAckRetry;
+  retry.epoch = epoch_;
+  retry.node = node;
+  retry.attempt = wait_.attempts[slot];
+  wait_.tokens[slot] =
+      net.SetTimer(RetryDelay(retry.attempt), RegisterTimer(retry));
 }
 
 void CoordinatorNode::FinishBatch() {
@@ -342,18 +269,17 @@ void CoordinatorNode::OnMessage(NetContext& net, NodeId from,
       net.CancelTimer(state.timer_token);
       rtt_.Add(net.now() - state.dispatch_time);
       --outstanding_shards_;
-      if (outstanding_shards_ == 0) EnterReconcile(net);
+      if (outstanding_shards_ == 0) Fold();
       return;
     }
     case MessageType::kAck: {
       if (msg.epoch != epoch_ || wait_.outstanding == 0) return;
-      if (msg.stage != wait_.stage) return;  // ack of an earlier round
       const size_t slot = static_cast<size_t>(from - 1);
       if (wait_.acked[slot] != 0) return;
       wait_.acked[slot] = 1;
       net.CancelTimer(wait_.tokens[slot]);
       --wait_.outstanding;
-      if (wait_.outstanding == 0) OnRoundAcked(net);
+      if (wait_.outstanding == 0) FinishBatch();
       return;
     }
     case MessageType::kHeartbeatAck: {
@@ -365,7 +291,6 @@ void CoordinatorNode::OnMessage(NetContext& net, NodeId from,
       return;
     }
     case MessageType::kDispatch:
-    case MessageType::kReconcile:
     case MessageType::kCommit:
     case MessageType::kHeartbeat:
       return;  // node-bound traffic; ignore if misrouted
@@ -395,24 +320,14 @@ void CoordinatorNode::OnTimer(NetContext& net, int timer_id) {
       return;
     }
     case TimerRecord::kAckRetry: {
-      if (wait_.outstanding == 0 || record.stage != wait_.stage) return;
+      if (wait_.outstanding == 0) return;
       const size_t slot = static_cast<size_t>(record.node - 1);
       if (wait_.acked[slot] != 0) return;
       if (record.attempt != wait_.attempts[slot]) return;  // superseded
       ++wait_.attempts[slot];
       if (wait_.attempts[slot] < protocol_.max_attempts) {
         ++stats_.retries;
-        Message msg;
-        msg.type = wait_.type;
-        msg.epoch = epoch_;
-        msg.stage = wait_.stage;
-        msg.attempt = wait_.attempts[slot];
-        msg.pairs = wait_.payload;
-        net.Send(record.node, std::move(msg));
-        TimerRecord retry = record;
-        retry.attempt = wait_.attempts[slot];
-        wait_.tokens[slot] = net.SetTimer(RetryDelay(retry.attempt),
-                                          RegisterTimer(retry));
+        SendCommit(net, record.node);
       } else {
         SuspectNode(net, record.node);
       }
@@ -424,7 +339,7 @@ void CoordinatorNode::OnTimer(NetContext& net, int timer_id) {
         const size_t slot = static_cast<size_t>(n - 1);
         if (heard_since_beat_[slot] == 0) {
           ++heartbeat_misses_[slot];
-          if (heartbeat_misses_[slot] >= protocol_.heartbeat_miss_limit &&
+          if (heartbeat_misses_[slot] >= kHeartbeatMissLimit &&
               suspected_[slot] == 0) {
             SuspectNode(net, n);
           }

@@ -8,55 +8,49 @@
 #include "common/histogram.h"
 #include "model/assignment.h"
 #include "model/instance.h"
-#include "model/score_keeper.h"
 #include "net/node.h"
-#include "service/boundary_reconciler.h"
 #include "service/shard_executor.h"
-#include "service/shard_map.h"
 
 namespace casc {
 
 /// Retry/timeout/liveness knobs of the coordinator protocol. Every wait
 /// is timer-driven and every retry counter is bounded, so a batch always
 /// terminates: a shard exhausts max_attempts per node, fails over at
-/// most once per node, and is then declared lost (its workers fall back
-/// to the reconcile passes); an unacked broadcast marks the silent node
-/// suspected and completes without it.
+/// most once per node, and is then declared lost (its workers join phase
+/// 2's boundary set); an unacked commit marks the silent node suspected
+/// and completes without it. Retransmission k waits retry_timeout * 2^k,
+/// and three consecutive unanswered heartbeats suspect a node.
 struct ProtocolConfig {
-  /// Base wait before a dispatch/broadcast is retransmitted.
+  /// Base wait before a dispatch/commit is retransmitted.
   double retry_timeout = 1.0;
 
-  /// Exponential backoff factor: attempt k waits timeout * backoff^k.
-  double retry_backoff = 2.0;
-
-  /// Transmissions per (shard, node) or (broadcast, node) before the
-  /// node is suspected (>= 1).
+  /// Transmissions per (shard, node) or (commit, node) before the node
+  /// is suspected (>= 1).
   int max_attempts = 3;
 
   /// Period of the coordinator's liveness probes; 0 disables heartbeats
   /// (the retry path still detects failures, just later).
   double heartbeat_interval = 0.0;
-
-  /// Consecutive unanswered heartbeats before a node is suspected.
-  int heartbeat_miss_limit = 3;
 };
 
 /// What one distributed batch cost, from the coordinator's seat.
 struct NetBatchStats {
   int retries = 0;        ///< retransmissions after a timeout
   int failovers = 0;      ///< shards re-dispatched to another node
-  int lost_shards = 0;    ///< shards no node could solve (workers absorbed)
   double rtt_p50_seconds = 0.0;  ///< dispatch -> result round trips
   double rtt_p99_seconds = 0.0;
-  ReconcileStats reconcile;
   std::vector<double> shard_seconds;  ///< reported per-shard solve times
   /// Per shard: the solver's AssignerStats as its node reported them
   /// (default for empty and lost shards).
   std::vector<AssignerStats> shard_stats;
+  /// Per shard: 1 if no node could solve it. Its home workers stay idle
+  /// through the fold; the driver adds them to phase 2's boundary set.
+  std::vector<char> shard_lost;
 };
 
 /// The coordinator node of the distributed dispatch protocol. Owns the
-/// batch state machine:
+/// batch state machine around phase 2, which the driver runs between
+/// the fold and the commit (NetShardedAssigner::Solve):
 ///
 ///   kSolve:    kDispatch every non-empty shard to its node (shard s ->
 ///              node 1 + s mod N), buffer kShardResult replies (the ack),
@@ -64,49 +58,47 @@ struct NetBatchStats {
 ///              exhausting max_attempts is suspected and its shards fail
 ///              over to the alive node with the fewest outstanding
 ///              shards (ties: lowest id). A shard that failed over on
-///              every node is lost: its home workers are merged into the
-///              reconcile boundary set so the batch still commits a
-///              valid (if smaller) assignment.
-///   fold:      buffered results are folded in ascending shard order —
+///              every node is lost.
+///   kFolded:   buffered results are folded in ascending shard order —
 ///              arrival order cannot matter, which is what makes the
 ///              zero-delay zero-loss run bit-identical to the in-process
-///              ShardedAssigner.
-///   kInsert/kSeed/kPolish: the BoundaryReconciler passes run *at the
-///              coordinator* (the same pass code as in-process), each
-///              followed by a broadcast of the placement delta to all
-///              unsuspected nodes and an acked round trip.
-///   kCommit:   the final assignment is broadcast and acked; done() turns
-///              true and the driver collects the assignment and stats.
+///              ShardedAssigner. The driver takes the folded assignment
+///              and reconciles it.
+///   kCommit:   Commit() broadcasts the final assignment, acked by every
+///              unsuspected node; done() then turns true.
 ///
 /// The coordinator is durable by assumption (no crash events may target
 /// node 0); shard nodes may crash, restart, lag or vanish at any point.
 class CoordinatorNode : public Node {
  public:
   /// `num_shard_nodes` >= 1 solver nodes live at ids 1..num_shard_nodes.
-  CoordinatorNode(ReconcileOptions reconcile, ProtocolConfig protocol,
-                  int num_shard_nodes);
+  CoordinatorNode(ProtocolConfig protocol, int num_shard_nodes);
 
   /// Kicks off one batch (driver API, called between simulator events
-  /// via MakeContext). `instance`, `map` must outlive the batch;
-  /// `problems` is shared so in-flight dispatches can never dangle.
-  /// `assignment` is the (empty, pooled) output the batch fills. A
-  /// non-null `delta` (the batch's cross-batch warm-start export over
-  /// the global instance; must outlive the batch) warm-dispatches the
-  /// shards — each kDispatch stamps the skeleton epoch so the nodes use
-  /// the problems' pre-sliced deltas — and drives the reconciler's
-  /// adoption pass at the coordinator. Shards re-dispatched after a
-  /// failover fall back to a cold solve (skeleton epoch -1).
+  /// via MakeContext). `instance` must outlive the batch; `problems` is
+  /// shared so in-flight dispatches can never dangle. `assignment` is
+  /// the (empty, pooled) assignment the fold fills. A non-null `delta`
+  /// (the batch's cross-batch warm-start export over the global
+  /// instance) warm-dispatches the shards: each kDispatch stamps the
+  /// skeleton epoch so the nodes use the problems' pre-sliced deltas.
+  /// Shards re-dispatched after a failover fall back to a cold solve
+  /// (skeleton epoch -1).
   void StartBatch(NetContext& net, const Instance* instance,
-                  const ShardMap* map,
                   std::shared_ptr<const std::vector<ShardProblem>> problems,
                   Assignment assignment, const SolveDelta* delta = nullptr);
 
+  /// True once every shard is resolved and folded, until Commit().
+  bool folded() const { return phase_ == Phase::kFolded; }
+
+  /// Moves the folded assignment out (once per batch, when folded()).
+  Assignment TakeFolded();
+
+  /// Broadcasts the batch's final `pairs` to every unsuspected node and
+  /// waits for their acks (call once per batch, after TakeFolded()).
+  void Commit(NetContext& net, std::vector<AssignedPair> pairs);
+
   /// True once the commit round of the current batch is acked.
   bool done() const { return phase_ == Phase::kDone; }
-
-  /// Moves the committed assignment out (call once per batch, after
-  /// done()).
-  Assignment TakeAssignment();
 
   const NetBatchStats& batch_stats() const { return stats_; }
 
@@ -117,14 +109,13 @@ class CoordinatorNode : public Node {
   void OnTimer(NetContext& net, int timer_id) override;
 
  private:
-  enum class Phase { kIdle, kSolve, kInsert, kSeed, kPolish, kCommit, kDone };
+  enum class Phase { kIdle, kSolve, kFolded, kCommit, kDone };
 
   struct ShardState {
     NodeId node = 0;     ///< current assignee
     int attempt = 0;     ///< transmissions to the current assignee
     int failovers = 0;   ///< distinct nodes tried so far
     bool resolved = false;
-    bool lost = false;
     bool empty = false;  ///< no workers or no tasks; nothing to solve
     /// Failed over at least once: re-dispatches go out cold (skeleton
     /// epoch -1) so the replacement node's solve never depends on a warm
@@ -137,10 +128,8 @@ class CoordinatorNode : public Node {
     AssignerStats stats;
   };
 
-  /// One acked broadcast round (reconcile pass delta or commit).
+  /// The acked commit round.
   struct AckWait {
-    int stage = 0;
-    MessageType type = MessageType::kReconcile;
     std::vector<AssignedPair> payload;
     std::vector<char> acked;      ///< by node - 1
     std::vector<int> attempts;    ///< by node - 1
@@ -154,7 +143,6 @@ class CoordinatorNode : public Node {
     int shard = -1;
     NodeId node = 0;
     int attempt = 0;
-    int stage = 0;
   };
 
   int RegisterTimer(const TimerRecord& record);
@@ -163,41 +151,32 @@ class CoordinatorNode : public Node {
   /// (Re)transmits shard `s` to its current assignee and arms the retry.
   void DispatchShard(NetContext& net, int s);
 
-  /// Marks `node` failed: pending broadcast slots complete without it and
-  /// its unresolved shards fail over.
+  /// Marks `node` failed: its pending commit slot completes without it
+  /// and its unresolved shards fail over.
   void SuspectNode(NetContext& net, NodeId node);
 
   /// Moves shard `s` to the best surviving node, or declares it lost.
   void FailoverShard(NetContext& net, int s);
 
-  /// All shards resolved: fold ascending, sync the keeper, run pass 1
-  /// and open its broadcast round.
-  void EnterReconcile(NetContext& net);
+  /// All shards resolved: fold the buffered results in ascending shard
+  /// order into the batch's assignment.
+  void Fold();
 
-  /// Opens an acked broadcast of `payload` to every unsuspected node.
-  void Broadcast(NetContext& net, MessageType type, int stage,
-                 std::vector<AssignedPair> payload);
+  /// (Re)transmits the commit to `node` and arms its retry.
+  void SendCommit(NetContext& net, NodeId node);
 
-  /// The current broadcast round fully acked: run the next pass / commit.
-  void OnRoundAcked(NetContext& net);
-
+  /// The commit round fully acked (or abandoned per suspect): done.
   void FinishBatch();
 
-  ReconcileOptions reconcile_options_;
-  BoundaryReconciler reconciler_;
   ProtocolConfig protocol_;
   int num_shard_nodes_;
 
   Phase phase_ = Phase::kIdle;
   int epoch_ = -1;
   const Instance* instance_ = nullptr;
-  const ShardMap* map_ = nullptr;
   const SolveDelta* delta_ = nullptr;  ///< warm-start export; null = cold
   std::shared_ptr<const std::vector<ShardProblem>> problems_;
   Assignment assignment_;
-  /// Phase 2's keeper, rebound per batch so its arenas are kept.
-  ScoreKeeper keeper_;
-  std::vector<WorkerIndex> boundary_;
   std::vector<ShardState> shards_;
   int outstanding_shards_ = 0;
   AckWait wait_;

@@ -27,28 +27,20 @@ inline constexpr NodeId kCoordinatorNode = 0;
 enum class MessageType : uint8_t {
   kDispatch,      ///< coordinator -> shard node: solve this shard problem
   kShardResult,   ///< shard node -> coordinator: local assignment (the ack)
-  kReconcile,     ///< coordinator -> nodes: one reconcile pass's placements
   kCommit,        ///< coordinator -> nodes: the batch's final assignment
-  kAck,           ///< node -> coordinator: ack of kReconcile / kCommit
+  kAck,           ///< node -> coordinator: ack of kCommit
   kHeartbeat,     ///< coordinator -> node: liveness probe
   kHeartbeatAck,  ///< node -> coordinator: liveness reply
 };
 
-/// Ack/round tags: reconcile passes ack stages 1..3, commit acks stage 4.
-inline constexpr int kStageReconcileInsert = 1;
-inline constexpr int kStageReconcileSeed = 2;
-inline constexpr int kStageReconcilePolish = 3;
-inline constexpr int kStageCommit = 4;
-
 /// One simulated network message. A single struct (not a class hierarchy)
 /// keeps the event queue flat and copyable; fields unused by a type stay
-/// at their defaults. `pairs` carries local (worker, task) placements for
-/// results, reconcile deltas and the commit snapshot.
+/// at their defaults. `pairs` carries the (worker, task) placements of
+/// shard results and of the commit snapshot.
 struct Message {
   MessageType type = MessageType::kAck;
   int epoch = 0;    ///< batch epoch (stale cross-epoch messages are ignored)
   int shard = -1;   ///< kDispatch / kShardResult: shard problem id
-  int stage = 0;    ///< kReconcile: pass; kAck: stage being acked
   int attempt = 0;  ///< retransmission counter (diagnostics only)
 
   /// kDispatch: epoch of the previous-equilibrium skeleton the carried
@@ -76,8 +68,7 @@ struct Message {
   /// two different games.
   std::string objective_id;
 
-  /// kShardResult: the local assignment; kReconcile: the pass's placement
-  /// delta ((w, kNoTask) encodes "left idle"); kCommit: the final pairs.
+  /// kShardResult: the local assignment; kCommit: the final pairs.
   std::vector<AssignedPair> pairs;
 
   /// kShardResult: the shard solver's wall time and its AssignerStats,

@@ -1,11 +1,40 @@
 #include "net/net_dispatch.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
 
 namespace casc {
+namespace {
+
+/// Simulator events one run may process; a batch runs twice, to the fold
+/// and then to the commit. The livelock backstop behind the termination
+/// guarantee: a run exceeding it is a protocol bug and fails a CHECK.
+constexpr int64_t kMaxEventsPerRun = 10'000'000;
+
+/// Phase 2's workers: the boundary workers plus the home workers of every
+/// lost shard, ascending and unique.
+std::vector<WorkerIndex> PhaseTwoWorkers(const ShardMap& map,
+                                         const std::vector<char>& shard_lost) {
+  std::vector<WorkerIndex> workers = map.boundary_workers();
+  for (size_t s = 0; s < shard_lost.size(); ++s) {
+    if (shard_lost[s] == 0) continue;
+    const std::vector<WorkerIndex>& home =
+        map.HomeWorkersOf(static_cast<int>(s));
+    workers.insert(workers.end(), home.begin(), home.end());
+  }
+  if (workers.size() > map.boundary_workers().size()) {
+    // A lost shard's boundary members are already in the set.
+    std::sort(workers.begin(), workers.end());
+    workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  }
+  return workers;
+}
+
+}  // namespace
 
 NetShardedAssigner::NetShardedAssigner(ShardedOptions options,
                                        DistributedConfig config,
@@ -14,11 +43,11 @@ NetShardedAssigner::NetShardedAssigner(ShardedOptions options,
       config_(config),
       factory_(std::move(factory)),
       executor_(options.num_threads),
+      reconciler_(options.reconcile),
       sim_(config.network),
-      coordinator_(options.reconcile, config.protocol, config.num_nodes) {
+      coordinator_(config.protocol, config.num_nodes) {
   CASC_CHECK(factory_ != nullptr);
   CASC_CHECK_GE(config_.num_nodes, 1);
-  CASC_CHECK_GT(config_.max_events_per_batch, 0);
   for (const CrashEvent& crash : config_.network.crashes) {
     CASC_CHECK_NE(crash.node, kCoordinatorNode)
         << "the coordinator is durable by assumption; crash a shard node";
@@ -48,29 +77,40 @@ Assignment NetShardedAssigner::Solve(const Instance& instance) {
       std::move(partition.problems));
 
   const NetStats before = sim_.stats();
+  const auto run_until = [this](const std::function<bool()>& reached) {
+    CASC_CHECK(sim_.RunUntil(reached, kMaxEventsPerRun))
+        << "distributed batch did not terminate: the protocol stalled or "
+           "exceeded the event budget";
+  };
   Assignment assignment = workspace_ != nullptr
                               ? workspace_->AcquireAssignment(instance)
                               : Assignment(instance);
   NodeContext context = sim_.MakeContext(kCoordinatorNode);
-  Stopwatch watch;
-  coordinator_.StartBatch(context, &instance, &partition.map, problems_,
-                          std::move(assignment), partition.delta);
-  const bool finished = sim_.RunUntil(
-      [this] { return coordinator_.done(); }, config_.max_events_per_batch);
-  CASC_CHECK(finished)
-      << "distributed batch did not terminate: the protocol stalled or "
-         "exceeded the per-batch event budget";
-  // The whole message-driven solve + reconcile rounds count as phase 1;
-  // phase 2 has no separate wall time here (its passes run inside the
-  // round trips).
-  metrics_.phase1_seconds = watch.ElapsedSeconds();
-  Assignment result = coordinator_.TakeAssignment();
 
+  // Phase 1 over the network: dispatch, retries, failover and the fold.
+  Stopwatch watch;
+  coordinator_.StartBatch(context, &instance, problems_,
+                          std::move(assignment), partition.delta);
+  run_until([this] { return coordinator_.folded(); });
+  metrics_.phase1_seconds = watch.ElapsedSeconds();
+  assignment = coordinator_.TakeFolded();
   const NetBatchStats& batch = coordinator_.batch_stats();
+
+  watch.Restart();
+  const ReconcileStats reconcile = reconciler_.Reconcile(
+      instance, PhaseTwoWorkers(partition.map, batch.shard_lost),
+      &assignment, partition.delta, executor_.pool());
+  metrics_.phase2_seconds = watch.ElapsedSeconds();
+
+  // The commit round is transport; neither phase's time covers it.
+  coordinator_.Commit(context, assignment.Pairs());
+  run_until([this] { return coordinator_.done(); });
+
   metrics_.shard_seconds = batch.shard_seconds;
-  FoldSolveTelemetry(batch.shard_stats, batch.reconcile,
-                     instance.num_workers(), &metrics_);
-  metrics_.lost_shards = batch.lost_shards;
+  FoldSolveTelemetry(batch.shard_stats, reconcile, instance.num_workers(),
+                     &metrics_);
+  metrics_.lost_shards = static_cast<int>(
+      std::count(batch.shard_lost.begin(), batch.shard_lost.end(), 1));
   metrics_.net_retries = batch.retries;
   metrics_.net_failovers = batch.failovers;
   metrics_.net_rtt_p50_seconds = batch.rtt_p50_seconds;
@@ -79,7 +119,7 @@ Assignment NetShardedAssigner::Solve(const Instance& instance) {
   metrics_.net_messages = after.messages_sent - before.messages_sent;
   metrics_.net_bytes = after.bytes_sent - before.bytes_sent;
   metrics_.net_dropped = after.TotalDropped() - before.TotalDropped();
-  return result;
+  return assignment;
 }
 
 }  // namespace casc

@@ -9,6 +9,7 @@
 #include "net/network_config.h"
 #include "net/shard_node.h"
 #include "net/simulator.h"
+#include "service/boundary_reconciler.h"
 #include "service/dispatch_service.h"
 
 namespace casc {
@@ -23,11 +24,6 @@ struct DistributedConfig {
 
   NetworkConfig network;
   ProtocolConfig protocol;
-
-  /// Per-batch simulator event budget — the livelock backstop behind the
-  /// termination guarantee (a batch exceeding it is a protocol bug and
-  /// fails a CASC_CHECK).
-  int64_t max_events_per_batch = 10'000'000;
 };
 
 /// The message-driven ShardedBatchSolver: runs each batch as one epoch
@@ -37,12 +33,19 @@ struct DistributedConfig {
 /// node that crashes in batch 3 is still down in batch 4 until its
 /// scheduled restart.
 ///
+/// Solve() follows ShardedAssigner::Run step for step: PartitionBatch;
+/// phase 1 over the network (the coordinator dispatches, retries, fails
+/// over and folds); one BoundaryReconciler::Reconcile at the coordinator
+/// over the boundary workers plus every lost shard's home workers; an
+/// acked commit round; FoldSolveTelemetry.
+///
 /// Determinism: for a fixed (options, config, factory) and instance
 /// sequence, every run produces bit-identical assignments and identical
-/// NetStats. With a zero-delay, zero-loss network the assignments are
-/// additionally bit-identical to the in-process ShardedAssigner: shard
-/// results are folded in ascending shard order regardless of arrival
-/// order, and the reconcile passes are literally the same code.
+/// NetStats. The assignments are also bit-identical to the in-process
+/// ShardedAssigner whatever the delays and drops, as long as no shard is
+/// lost and, in a warm batch, none fails over (a failed-over shard
+/// re-solves cold): shard results are folded in ascending shard order
+/// regardless of arrival order, and phase 2 is the same call.
 ///
 /// To stream over the network, hand one to
 /// DispatchService::set_batch_solver: admission, carry-over and commit
@@ -76,7 +79,9 @@ class NetShardedAssigner : public ShardedBatchSolver {
   ShardedOptions options_;
   DistributedConfig config_;
   AssignerFactory factory_;
-  ShardExecutor executor_;  ///< problem building/recycling only
+  /// Builds and recycles the problems; its pool serves phase 2's polish.
+  ShardExecutor executor_;
+  BoundaryReconciler reconciler_;
   NetworkSimulator sim_;
   CoordinatorNode coordinator_;
   std::vector<std::unique_ptr<ShardSolverNode>> nodes_;
@@ -88,8 +93,8 @@ class NetShardedAssigner : public ShardedBatchSolver {
   ServiceMetrics metrics_;
   /// Next batch's cross-batch warm-start export (null = cold); sliced
   /// per shard into the problem table, stamped on every kDispatch and
-  /// driven through the coordinator's adoption pass. Not owned; the
-  /// streaming loop re-attaches a fresh delta every batch.
+  /// handed to Reconcile. Not owned; the streaming loop re-attaches a
+  /// fresh delta every batch.
   const SolveDelta* delta_ = nullptr;
 };
 

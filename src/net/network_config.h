@@ -8,14 +8,6 @@
 
 namespace casc {
 
-/// Directional delay override for one link; both directions need their
-/// own entry. Overrides replace (not add to) the base delay.
-struct LinkDelay {
-  NodeId from = 0;
-  NodeId to = 0;
-  double seconds = 0.0;
-};
-
 /// A partition window: during [start, end) every message crossing the
 /// island boundary (in either direction) is dropped. Several windows may
 /// overlap; a message is dropped if any active window separates its
@@ -40,15 +32,12 @@ struct CrashEvent {
 /// orders events by (time, sequence number) and one seeded Rng drives
 /// every random draw (drops, jitter) in schedule order.
 struct NetworkConfig {
-  /// One-way delivery delay applied to every link without an override.
+  /// One-way delivery delay applied to every link.
   double base_delay = 0.0;
 
   /// Extra per-message delay drawn uniformly from [0, jitter). Zero keeps
-  /// the delay matrix exact.
+  /// every delay at base_delay.
   double jitter = 0.0;
-
-  /// Per-link delay matrix entries (sparse; overrides base_delay).
-  std::vector<LinkDelay> link_delays;
 
   /// I.i.d. probability that a delivery is dropped (drawn per message
   /// from the seeded Rng).

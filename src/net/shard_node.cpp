@@ -70,16 +70,6 @@ void ShardSolverNode::OnMessage(NetContext& net, NodeId from,
     case MessageType::kDispatch:
       HandleDispatch(net, from, msg);
       return;
-    case MessageType::kReconcile: {
-      // The node's assignment view only matters at commit; reconcile
-      // deltas are acknowledged so the coordinator's round completes.
-      Message ack;
-      ack.type = MessageType::kAck;
-      ack.epoch = msg.epoch;
-      ack.stage = msg.stage;
-      net.Send(from, std::move(ack));
-      return;
-    }
     case MessageType::kCommit: {
       if (msg.epoch >= committed_epoch_) {
         committed_pairs_ = msg.pairs;
@@ -93,7 +83,6 @@ void ShardSolverNode::OnMessage(NetContext& net, NodeId from,
       Message ack;
       ack.type = MessageType::kAck;
       ack.epoch = msg.epoch;
-      ack.stage = kStageCommit;
       net.Send(from, std::move(ack));
       return;
     }

@@ -39,8 +39,6 @@ std::string ToString(MessageType type) {
       return "DISPATCH";
     case MessageType::kShardResult:
       return "RESULT";
-    case MessageType::kReconcile:
-      return "RECONCILE";
     case MessageType::kCommit:
       return "COMMIT";
     case MessageType::kAck:
@@ -114,14 +112,8 @@ bool NetworkSimulator::IsAlive(NodeId id) const {
   return alive_[static_cast<size_t>(id)];
 }
 
-double NetworkSimulator::DelayFor(NodeId from, NodeId to) {
+double NetworkSimulator::DrawDelay() {
   double delay = config_.base_delay;
-  for (const LinkDelay& link : config_.link_delays) {
-    if (link.from == from && link.to == to) {
-      delay = link.seconds;
-      break;
-    }
-  }
   if (config_.jitter > 0.0) delay += rng_.Uniform(0.0, config_.jitter);
   return delay;
 }
@@ -159,7 +151,7 @@ void NetworkSimulator::SendAfter(double delay, NodeId from, NodeId to,
     return;
   }
   Event event;
-  event.time = now_ + delay + DelayFor(from, to);
+  event.time = now_ + delay + DrawDelay();
   event.seq = next_seq_++;
   event.kind = Event::kDeliver;
   event.node = to;

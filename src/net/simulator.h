@@ -51,9 +51,9 @@ struct NetStats {
 };
 
 /// Deterministic discrete-event network simulator: one virtual clock, a
-/// (time, sequence) priority queue, per-link delay matrix, seeded
-/// RNG-driven drops, partition windows and node crash/restart events —
-/// all replayable bit-identically from a NetworkConfig + seed.
+/// (time, sequence) priority queue, one base link delay plus jitter,
+/// seeded RNG-driven drops, partition windows and node crash/restart
+/// events — all replayable bit-identically from a NetworkConfig + seed.
 ///
 /// Single-threaded by construction: node callbacks run one at a time in
 /// event order, so nodes need no locks and every run with the same config
@@ -120,8 +120,8 @@ class NetworkSimulator {
     }
   };
 
-  /// One-way delay of the link (override, else base) plus jitter draw.
-  double DelayFor(NodeId from, NodeId to);
+  /// One-way link delay: the base delay plus a jitter draw.
+  double DrawDelay();
 
   /// True when an active partition window separates `a` and `b` at `time`.
   bool Partitioned(NodeId a, NodeId b, double time) const;

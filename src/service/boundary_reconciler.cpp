@@ -30,8 +30,8 @@ BoundaryReconciler::BoundaryReconciler(ReconcileOptions options)
 int BoundaryReconciler::PassAdopt(const Instance& global,
                                   const std::vector<WorkerIndex>& boundary,
                                   const SolveDelta& delta,
-                                  Assignment* assignment, ScoreKeeper* keeper,
-                                  std::vector<AssignedPair>* placed) const {
+                                  Assignment* assignment,
+                                  ScoreKeeper* keeper) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(keeper != nullptr);
   CASC_CHECK_EQ(static_cast<int>(delta.seed_task.size()),
@@ -58,7 +58,6 @@ int BoundaryReconciler::PassAdopt(const Instance& global,
     }
     assignment->Assign(w, t);
     keeper->Add(w, t);
-    if (placed != nullptr) placed->push_back({w, t});
     ++adopted;
   }
   return adopted;
@@ -66,8 +65,8 @@ int BoundaryReconciler::PassAdopt(const Instance& global,
 
 int BoundaryReconciler::PassInsert(const Instance& global,
                                    const std::vector<WorkerIndex>& boundary,
-                                   Assignment* assignment, ScoreKeeper* keeper,
-                                   std::vector<AssignedPair>* placed) const {
+                                   Assignment* assignment,
+                                   ScoreKeeper* keeper) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(keeper != nullptr);
   int inserted = 0;
@@ -131,7 +130,6 @@ int BoundaryReconciler::PassInsert(const Instance& global,
     }
     assignment->Assign(top.worker, top.task);
     keeper->Add(top.worker, top.task);
-    if (placed != nullptr) placed->push_back({top.worker, top.task});
     ++inserted;
   }
   return inserted;
@@ -139,8 +137,8 @@ int BoundaryReconciler::PassInsert(const Instance& global,
 
 int BoundaryReconciler::PassSeed(const Instance& global,
                                  const std::vector<WorkerIndex>& boundary,
-                                 Assignment* assignment, ScoreKeeper* keeper,
-                                 std::vector<AssignedPair>* placed) const {
+                                 Assignment* assignment,
+                                 ScoreKeeper* keeper) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(keeper != nullptr);
   int seeded = 0;
@@ -209,8 +207,7 @@ int BoundaryReconciler::PassSeed(const Instance& global,
     for (const WorkerIndex w : chosen) {
       assignment->Assign(w, t);
       keeper->Add(w, t);
-      if (placed != nullptr) placed->push_back({w, t});
-      ++seeded;
+        ++seeded;
     }
   }
   return seeded;
@@ -219,7 +216,6 @@ int BoundaryReconciler::PassSeed(const Instance& global,
 int BoundaryReconciler::PassPolish(const Instance& global,
                                    const std::vector<WorkerIndex>& boundary,
                                    Assignment* assignment, ScoreKeeper* keeper,
-                                   std::vector<AssignedPair>* placed,
                                    ThreadPool* pool) const {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(keeper != nullptr);
@@ -252,7 +248,6 @@ int BoundaryReconciler::PassPolish(const Instance& global,
     if (moves.empty()) break;
     std::vector<WorkerIndex> evicted;
     for (const AppliedMove& move : moves) {
-      if (placed != nullptr) placed->push_back({move.worker, move.task});
       if (move.crowded_out != kNoWorker &&
           !in_active[static_cast<size_t>(move.crowded_out)]) {
         in_active[static_cast<size_t>(move.crowded_out)] = true;
@@ -271,27 +266,24 @@ int BoundaryReconciler::PassPolish(const Instance& global,
 
 ReconcileStats BoundaryReconciler::Reconcile(
     const Instance& global, const std::vector<WorkerIndex>& boundary,
-    Assignment* assignment, const SolveDelta* delta, ScoreKeeper* keeper,
-    ThreadPool* pool) const {
+    Assignment* assignment, const SolveDelta* delta, ThreadPool* pool) {
   CASC_CHECK(assignment != nullptr);
   CASC_CHECK(global.valid_pairs_ready())
       << "compute the global valid pairs before reconciling";
   ReconcileStats stats;
-  ScoreKeeper local;
-  if (keeper == nullptr) keeper = &local;
-  keeper->Rebind(global);
-  keeper->Sync(*assignment);
+  keeper_.Rebind(global);
+  keeper_.Sync(*assignment);
 
   if (delta != nullptr && delta->num_seeded > 0) {
-    stats.adopted = PassAdopt(global, boundary, *delta, assignment, keeper);
+    stats.adopted = PassAdopt(global, boundary, *delta, assignment, &keeper_);
   }
-  stats.inserted = PassInsert(global, boundary, assignment, keeper);
+  stats.inserted = PassInsert(global, boundary, assignment, &keeper_);
   if (options_.seed_underfilled) {
-    stats.seeded = PassSeed(global, boundary, assignment, keeper);
+    stats.seeded = PassSeed(global, boundary, assignment, &keeper_);
   }
   if (options_.polish_rounds > 0) {
     stats.polish_moves =
-        PassPolish(global, boundary, assignment, keeper, nullptr, pool);
+        PassPolish(global, boundary, assignment, &keeper_, pool);
   }
   return stats;
 }

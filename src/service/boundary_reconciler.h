@@ -77,24 +77,17 @@ class BoundaryReconciler {
   explicit BoundaryReconciler(ReconcileOptions options = {});
 
   /// Merges `boundary` (ascending global worker indices; members may be
-  /// idle or already placed) into `assignment`. Requires global valid
-  /// pairs. Equivalent to rebinding a keeper to `global`, syncing it to
-  /// `assignment` and running PassAdopt (warm batches only) / PassInsert /
-  /// PassSeed / PassPolish in order — the message-driven coordinator
-  /// calls the passes individually so it can interleave them with network
-  /// round-trips, and both paths produce bit-identical assignments by
-  /// construction. A non-null `delta` (the batch's cross-batch
-  /// warm-start export over the global instance) re-seats idle boundary
-  /// workers on their retained groups before the greedy passes. A
-  /// non-null `keeper` is the one rebound and used, so a caller that
-  /// reconciles every batch keeps its arenas across batches; null uses a
-  /// local keeper. `pool` (may be null) is lent to PassPolish.
+  /// idle or already placed) into `assignment`: rebinds the reconciler's
+  /// keeper to `global`, syncs it and runs PassAdopt (warm batches only),
+  /// PassInsert, PassSeed and PassPolish in order; both sharded solvers
+  /// call this. Requires global valid pairs. A non-null `delta` (the
+  /// batch's warm-start export) drives PassAdopt. `pool` (may be null) is
+  /// lent to PassPolish.
   ReconcileStats Reconcile(const Instance& global,
                            const std::vector<WorkerIndex>& boundary,
                            Assignment* assignment,
                            const SolveDelta* delta = nullptr,
-                           ScoreKeeper* keeper = nullptr,
-                           ThreadPool* pool = nullptr) const;
+                           ThreadPool* pool = nullptr);
 
   /// Pass 0 (warm-start adoption): re-seats each still-idle boundary
   /// worker on its retained previous-equilibrium task (ascending worker
@@ -108,41 +101,39 @@ class BoundaryReconciler {
   int PassAdopt(const Instance& global,
                 const std::vector<WorkerIndex>& boundary,
                 const SolveDelta& delta, Assignment* assignment,
-                ScoreKeeper* keeper,
-                std::vector<AssignedPair>* placed = nullptr) const;
+                ScoreKeeper* keeper) const;
 
   /// Pass 1 (greedy best-marginal insertion) against a live keeper.
-  /// Returns the number of insertions; a non-null `placed` receives each
-  /// committed (worker, task) placement in commit order — the payload of
-  /// the coordinator's per-pass broadcast.
+  /// Returns the number of insertions.
   int PassInsert(const Instance& global,
                  const std::vector<WorkerIndex>& boundary,
-                 Assignment* assignment, ScoreKeeper* keeper,
-                 std::vector<AssignedPair>* placed = nullptr) const;
+                 Assignment* assignment, ScoreKeeper* keeper) const;
 
   /// Pass 2 (under-B seeding). Returns the number of seeded workers.
   /// Call only when options().seed_underfilled.
   int PassSeed(const Instance& global,
                const std::vector<WorkerIndex>& boundary,
-               Assignment* assignment, ScoreKeeper* keeper,
-               std::vector<AssignedPair>* placed = nullptr) const;
+               Assignment* assignment, ScoreKeeper* keeper) const;
 
   /// Pass 3 (best-response polish over the active set). Returns the
-  /// number of moves; `placed` records each mover's new task (kNoTask for
-  /// a move to idle). Call only when options().polish_rounds > 0. A
+  /// number of moves. Call only when options().polish_rounds > 0. A
   /// `pool` of more than one thread (idle for the call; may be null)
   /// prices large rounds' candidates ahead in parallel, with moves
   /// bit-identical to a null pool.
   int PassPolish(const Instance& global,
                  const std::vector<WorkerIndex>& boundary,
                  Assignment* assignment, ScoreKeeper* keeper,
-                 std::vector<AssignedPair>* placed = nullptr,
                  ThreadPool* pool = nullptr) const;
 
   const ReconcileOptions& options() const { return options_; }
 
  private:
   ReconcileOptions options_;
+  /// Reconcile's keeper, rebound every call so its crowding cache and
+  /// best-response memo keep their arenas across batches. Only the thread
+  /// running Reconcile mutates it; the polish's memo refresh reads it
+  /// from the lent pool (ScoreKeeper's thread contract).
+  ScoreKeeper keeper_;
 };
 
 }  // namespace casc

@@ -181,8 +181,7 @@ Assignment ShardedAssigner::Run(const Instance& instance) {
   watch.Restart();
   const ReconcileStats reconcile =
       reconciler_.Reconcile(instance, partition.map.boundary_workers(),
-                            &assignment, partition.delta, &reconcile_keeper_,
-                            executor_.pool());
+                            &assignment, partition.delta, executor_.pool());
   metrics_.phase2_seconds = watch.ElapsedSeconds();
   FoldSolveTelemetry(shard_stats, reconcile, instance.num_workers(),
                      &metrics_);

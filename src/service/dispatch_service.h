@@ -234,11 +234,6 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
   AssignerFactory factory_;
   ShardExecutor executor_;
   BoundaryReconciler reconciler_;
-  /// Phase 2's keeper, rebound every Run() so its crowding cache and
-  /// best-response memo keep their arenas across batches. Only the thread
-  /// running Run() mutates it; the polish's memo refresh reads it from
-  /// the executor's pool (ScoreKeeper's thread contract).
-  ScoreKeeper reconcile_keeper_;
   ServiceMetrics metrics_;
   std::string name_;
 };

@@ -7,6 +7,7 @@
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
+#include "gen/trace.h"
 #include "model/objective.h"
 #include "net/net_dispatch.h"
 #include "sim/event_stream.h"
@@ -92,7 +93,7 @@ TEST(NetDispatchTest, ZeroFaultNetworkBitIdenticalToInProcess) {
 }
 
 TEST(NetDispatchTest, DelaysAndJitterReorderArrivalsButNotTheResult) {
-  // Jittered per-link delays permute the order shard results reach the
+  // Jittered delays permute the order shard results reach the
   // coordinator; the ascending-shard fold makes the assignment identical
   // anyway — the end-to-end order-independence property.
   const Instance instance = SmallInstance(260, 90, 5);
@@ -183,9 +184,9 @@ TEST(NetDispatchTest, DeadNodeFailsOverAndTheBatchStillMatches) {
 }
 
 TEST(NetDispatchTest, AllNodesDeadLosesShardsButCommitsAValidBatch) {
-  // Every solver node is gone: all shards are lost and their workers are
-  // absorbed into the coordinator's reconcile passes, which still commit
-  // a valid assignment (degraded, not deadlocked).
+  // Every solver node is gone: all shards are lost and their workers go
+  // through phase 2, which still commits a valid assignment (degraded,
+  // not deadlocked).
   const Instance instance = SmallInstance(150, 50, 21);
   DistributedConfig dist;
   dist.num_nodes = 2;
@@ -197,8 +198,8 @@ TEST(NetDispatchTest, AllNodesDeadLosesShardsButCommitsAValidBatch) {
   const Assignment assignment = net.Solve(instance);
   EXPECT_TRUE(assignment.Validate(instance).ok());
   EXPECT_GT(net.metrics().lost_shards, 0);
-  // The reconcile passes (same-code greedy insert + seed + polish over
-  // the absorbed workers) recover real work even with zero solver nodes.
+  // Phase 2 (the in-process Reconcile call, over the lost shards'
+  // workers) recovers real work even with zero solver nodes.
   EXPECT_GT(assignment.NumAssigned(), 0);
 }
 
@@ -261,49 +262,94 @@ struct ServiceFixture {
   }
 };
 
+/// A 30-batch warm stream with short reaches and a rush, so phase 2
+/// finds idle boundary workers for every one of its passes.
+Trace WarmTrace() {
+  TraceConfig config;
+  config.horizon = 30.0;
+  config.worker_rate = 12.0;
+  config.task_rate = 5.0;
+  config.rush_windows.push_back({0.0, 9.0, 3.0});
+  config.worker.radius_min = 0.10;
+  config.worker.radius_max = 0.20;
+  config.worker.speed_min = 0.05;
+  config.worker.speed_max = 0.10;
+  config.task.remaining_time = 6.0;
+  config.task.capacity = 4;
+  Rng rng(2019);
+  return GenerateTrace(config, &rng);
+}
+
 TEST(NetDispatchServiceTest, StreamingMatchesInProcessAtZeroFaults) {
-  const ServiceFixture fixture(60, 24, 4.0, 71);
-  const EventStream stream(fixture.workers, fixture.tasks);
-  DispatchConfig config;
-  config.sharded = MakeOptions(2);
-  config.min_group_size = 3;
+  // Both paths run phase 2 through the same Reconcile call, so on a warm
+  // stream the net path's reconcile counts equal the in-process ones at
+  // any shard-thread count, and it times its phase 2.
+  const Trace trace = WarmTrace();
+  const CooperationMatrix coop = CooperationMatrix::Procedural(
+      static_cast<int>(trace.workers.size()), 2019);
+  const EventStream stream(trace.workers, trace.tasks);
+  for (const int threads : {1, 4}) {
+    DispatchConfig config;
+    config.sharded = MakeOptions(2, threads);
+    config.min_group_size = 3;
+    config.task_duration = 2.0;
+    config.max_tasks_per_batch = 30;
+    const std::string label = "threads " + std::to_string(threads);
 
-  DispatchService in_process(config, &fixture.coop, GtFactory());
-  const RunSummary expected = in_process.Run(stream);
+    DispatchService in_process(config, &coop, GtFactory());
+    const RunSummary expected = in_process.Run(stream);
 
-  DistributedConfig dist;
-  dist.num_nodes = 3;
-  NetShardedAssigner net(config.sharded, dist, GtFactory());
-  DispatchService distributed(config, &fixture.coop, GtFactory());
-  distributed.set_batch_solver(&net);
-  const RunSummary actual = distributed.Run(stream);
+    DistributedConfig dist;
+    dist.num_nodes = 3;
+    NetShardedAssigner net(config.sharded, dist, GtFactory());
+    DispatchService distributed(config, &coop, GtFactory());
+    distributed.set_batch_solver(&net);
+    const RunSummary actual = distributed.Run(stream);
 
-  ASSERT_EQ(actual.batches.size(), expected.batches.size());
-  for (size_t i = 0; i < expected.batches.size(); ++i) {
-    EXPECT_DOUBLE_EQ(actual.batches[i].score, expected.batches[i].score);
-    EXPECT_EQ(actual.batches[i].assigned_workers,
-              expected.batches[i].assigned_workers);
-    EXPECT_EQ(actual.batches[i].completed_tasks,
-              expected.batches[i].completed_tasks);
-    EXPECT_EQ(actual.batches[i].gt_rounds, expected.batches[i].gt_rounds);
+    ASSERT_EQ(actual.batches.size(), expected.batches.size()) << label;
+    for (size_t i = 0; i < expected.batches.size(); ++i) {
+      EXPECT_DOUBLE_EQ(actual.batches[i].score, expected.batches[i].score);
+      EXPECT_EQ(actual.batches[i].assigned_workers,
+                expected.batches[i].assigned_workers);
+      EXPECT_EQ(actual.batches[i].completed_tasks,
+                expected.batches[i].completed_tasks);
+      EXPECT_EQ(actual.batches[i].gt_rounds, expected.batches[i].gt_rounds);
+    }
+    const std::vector<ServiceMetrics>& net_metrics =
+        distributed.batch_metrics();
+    const std::vector<ServiceMetrics>& local_metrics =
+        in_process.batch_metrics();
+    ASSERT_EQ(net_metrics.size(), local_metrics.size()) << label;
+    bool saw_messages = false;
+    bool saw_warm = false;
+    int phase2_timed = 0;
+    ReconcileStats phase2;  // summed over the stream, for non-vacuity
+    for (size_t i = 0; i < local_metrics.size(); ++i) {
+      ExpectSameDeterministicMetrics(
+          net_metrics[i], local_metrics[i],
+          label + " batch " + std::to_string(i));
+      saw_messages = saw_messages || net_metrics[i].net_messages > 0;
+      saw_warm = saw_warm || local_metrics[i].warm_started;
+      if (local_metrics[i].phase2_seconds > 0.0) {
+        EXPECT_GT(net_metrics[i].phase2_seconds, 0.0)
+            << label << " batch " << i;
+        ++phase2_timed;
+      }
+      phase2.adopted += local_metrics[i].adopted_boundary;
+      phase2.inserted += local_metrics[i].inserted_boundary;
+      phase2.seeded += local_metrics[i].seeded_boundary;
+      phase2.polish_moves += local_metrics[i].polish_moves;
+    }
+    // The network path reported real traffic, the stream exercised the
+    // warm-start handoff on both paths, and phase 2 did work of each kind.
+    EXPECT_TRUE(saw_messages) << label;
+    EXPECT_TRUE(saw_warm) << label;
+    EXPECT_GT(phase2_timed, 0) << label;
+    EXPECT_GT(phase2.adopted, 0) << label;
+    EXPECT_GT(phase2.inserted, 0) << label;
+    EXPECT_GT(phase2.seeded, 0) << label;
+    EXPECT_GT(phase2.polish_moves, 0) << label;
   }
-  const std::vector<ServiceMetrics>& net_metrics =
-      distributed.batch_metrics();
-  const std::vector<ServiceMetrics>& local_metrics =
-      in_process.batch_metrics();
-  ASSERT_EQ(net_metrics.size(), local_metrics.size());
-  bool saw_messages = false;
-  bool saw_warm = false;
-  for (size_t i = 0; i < local_metrics.size(); ++i) {
-    ExpectSameDeterministicMetrics(net_metrics[i], local_metrics[i],
-                                   "batch " + std::to_string(i));
-    saw_messages = saw_messages || net_metrics[i].net_messages > 0;
-    saw_warm = saw_warm || local_metrics[i].warm_started;
-  }
-  // The network path reported real traffic, and the stream exercised
-  // the warm-start handoff on both paths.
-  EXPECT_TRUE(saw_messages);
-  EXPECT_TRUE(saw_warm);
 }
 
 TEST(NetDispatchServiceTest, LostShardWorkersReplayNextBatch) {
@@ -387,7 +433,9 @@ TEST(NetDispatchFuzzTest, SeededFaultsPreserveValidityTerminationRetention) {
     // Arbitrary timeout/retry settings: termination must not depend on
     // them being tuned.
     dist.protocol.retry_timeout = rng.Uniform(0.02, 0.5);
-    dist.protocol.retry_backoff = rng.Bernoulli(0.5) ? 1.0 : 2.0;
+    // Spare draw: each seed keeps the attempt and heartbeat draws the
+    // retention floor was set against.
+    (void)rng.Bernoulli(0.5);
     dist.protocol.max_attempts = 1 + static_cast<int>(rng.Uniform(0.0, 6.0));
     dist.protocol.heartbeat_interval =
         rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0.05, 0.3);

@@ -208,25 +208,5 @@ TEST(NetworkSimulatorTest, RunUntilReportsStallAndBudgetExhaustion) {
   EXPECT_EQ(sim2.stats().timers_fired, 50);
 }
 
-TEST(NetworkSimulatorTest, LinkDelayOverridesBaseDelay) {
-  NetworkConfig config;
-  config.base_delay = 1.0;
-  config.link_delays.push_back({0, 1, 0.25});
-  NetworkSimulator sim(config);
-  RecorderNode a;
-  RecorderNode b;
-  sim.AddNode(0, &a);
-  sim.AddNode(1, &b);
-  Message m;
-  m.type = MessageType::kHeartbeat;
-  sim.MakeContext(0).Send(1, m);   // override: arrives at 0.25
-  sim.MakeContext(1).Send(0, m);   // base: arrives at 1.0
-  (void)sim.RunUntil([&] { return false; }, 100);
-  ASSERT_EQ(b.log().size(), 1u);
-  EXPECT_NE(b.log()[0].find("@0.25"), std::string::npos) << b.log()[0];
-  ASSERT_EQ(a.log().size(), 1u);
-  EXPECT_NE(a.log()[0].find("@1.0"), std::string::npos) << a.log()[0];
-}
-
 }  // namespace
 }  // namespace casc

@@ -340,7 +340,6 @@ struct OracleCoverage {
 int OraclePolish(const Instance& global,
                  const std::vector<WorkerIndex>& boundary, int polish_rounds,
                  Assignment* assignment, ScoreKeeper* keeper,
-                 std::vector<AssignedPair>* placed,
                  OracleCoverage* coverage) {
   int polish_moves = 0;
   std::vector<WorkerIndex> active = boundary;  // ascending
@@ -357,7 +356,6 @@ int OraclePolish(const Instance& global,
       const MoveResult result =
           ApplyMove(global, assignment, keeper, w, response.task);
       ++moves_this_round;
-      placed->push_back({w, response.task});
       if (result.crowded_out != kNoWorker) ++coverage->crowd_outs;
       if (result.crowded_out != kNoWorker &&
           !in_active[static_cast<size_t>(result.crowded_out)]) {
@@ -428,23 +426,20 @@ TEST(PolishOracleTest, MatchesOriginalLoopOn120Instances) {
     Assignment expected = start;
     ScoreKeeper expected_keeper(instance);
     expected_keeper.Sync(expected);
-    std::vector<AssignedPair> expected_placed;
     OracleCoverage coverage;
     const int expected_moves =
         OraclePolish(instance, boundary, polish_rounds, &expected,
-                     &expected_keeper, &expected_placed, &coverage);
+                     &expected_keeper, &coverage);
 
     Assignment actual = start;
     ScoreKeeper actual_keeper(instance);
     actual_keeper.Sync(actual);
-    std::vector<AssignedPair> actual_placed;
     ReconcileOptions reconcile;
     reconcile.polish_rounds = polish_rounds;
     const int actual_moves = BoundaryReconciler(reconcile).PassPolish(
-        instance, boundary, &actual, &actual_keeper, &actual_placed);
+        instance, boundary, &actual, &actual_keeper);
 
     ASSERT_EQ(actual.Pairs(), expected.Pairs()) << label;
-    ASSERT_EQ(actual_placed, expected_placed) << label;
     ASSERT_EQ(actual_moves, expected_moves) << label;
     ASSERT_EQ(actual_keeper.TotalScore(), expected_keeper.TotalScore())
         << label;
@@ -522,9 +517,8 @@ TEST(PolishRefreshTest, SkewS4BatchIsIdenticalAtAnyThreadCount) {
   const BoundaryReconciler reconciler{ReconcileOptions{}};
   Assignment expected = start;
   ScoreKeeper expected_keeper(instance, expected);
-  std::vector<AssignedPair> expected_placed;
-  const int expected_moves = reconciler.PassPolish(
-      instance, boundary, &expected, &expected_keeper, &expected_placed);
+  const int expected_moves =
+      reconciler.PassPolish(instance, boundary, &expected, &expected_keeper);
   EXPECT_GT(expected_moves, 0);
 
   std::optional<Assignment> engine_baseline;
@@ -534,11 +528,9 @@ TEST(PolishRefreshTest, SkewS4BatchIsIdenticalAtAnyThreadCount) {
     ThreadPool pool(threads);
     Assignment actual = start;
     ScoreKeeper keeper(instance, actual);
-    std::vector<AssignedPair> placed;
-    const int moves = reconciler.PassPolish(instance, boundary, &actual,
-                                            &keeper, &placed, &pool);
+    const int moves =
+        reconciler.PassPolish(instance, boundary, &actual, &keeper, &pool);
     EXPECT_EQ(actual.Pairs(), expected.Pairs()) << label;
-    EXPECT_EQ(placed, expected_placed) << label;
     EXPECT_EQ(moves, expected_moves) << label;
     EXPECT_EQ(keeper.TotalScore(), expected_keeper.TotalScore()) << label;
 
@@ -747,7 +739,7 @@ TEST(ShardedAssignerTest, ShardResultArrivalOrderDoesNotMatter) {
 
   std::vector<int> order(problems.size());
   std::iota(order.begin(), order.end(), 0);
-  const BoundaryReconciler reconciler(options.reconcile);
+  BoundaryReconciler reconciler(options.reconcile);
   for (int variant = 0; variant < 3; ++variant) {
     if (variant == 1) std::reverse(order.begin(), order.end());
     if (variant == 2) std::rotate(order.begin(), order.begin() + 1,
