@@ -85,6 +85,26 @@ double PriceCandidate(const Instance& instance, const ScoreKeeper& keeper,
   return StrategyUtility(instance, keeper, assignment, w, t, crowded_out);
 }
 
+/// The stay utility of `w` on its current task `current` (0 when idle),
+/// kept in the task's own memo slot: priced again with LossIfLeft only
+/// when the task changed since w's last scan. Exact, because w joining
+/// `current`, leaving it or being crowded out of it all stamp the task.
+double CurrentPrice(const ScoreKeeper& keeper,
+                    std::span<const TaskIndex> tasks,
+                    const ScoreKeeper::MemoRow& memo, WorkerIndex w,
+                    TaskIndex current) {
+  if (current == kNoTask) return 0.0;
+  const auto slot = std::lower_bound(tasks.begin(), tasks.end(), current);
+  CASC_CHECK(slot != tasks.end() && *slot == current)
+      << "worker " << w << " plays task " << current
+      << ", which is not one of its valid tasks";
+  double& price = memo.prices[static_cast<size_t>(slot - tasks.begin())];
+  if (keeper.TaskChangedAt(current) > memo.scanned_at) {
+    price = keeper.LossIfLeft(w, current);
+  }
+  return price;
+}
+
 }  // namespace
 
 double StrategyUtility(const Instance& instance,
@@ -204,10 +224,13 @@ BestResponse ComputeBestResponse(const Instance& instance,
                                  const Assignment& assignment, WorkerIndex w,
                                  ScanCounters* counters) {
   const TaskIndex current = assignment.TaskOf(w);
+  const std::span<const TaskIndex> tasks = instance.ValidTasks(w);
+  const ScoreKeeper::MemoRow memo = keeper.Memo(w);
+  CASC_CHECK_EQ(memo.prices.size(), tasks.size())
+      << "keeper is bound to another instance";
   BestResponse best;
   best.task = current;
-  best.utility = StrategyUtility(instance, keeper, assignment, w, current,
-                                 &best.crowded_out);
+  best.utility = CurrentPrice(keeper, tasks, memo, w, current);
   const ObjectiveModel& objective = instance.objective();
   // Hoisted so the default objective pays no per-candidate virtual call
   // for a predicate that is constantly true.
@@ -218,10 +241,6 @@ BestResponse ComputeBestResponse(const Instance& instance,
   // whose task has not changed since w's last scan reuses the price that
   // scan stored (the memo of ScoreKeeper's class comment); a hit counts
   // like the pricing it replaces.
-  const std::span<const TaskIndex> tasks = instance.ValidTasks(w);
-  const ScoreKeeper::MemoRow memo = keeper.Memo(w);
-  CASC_CHECK_EQ(memo.prices.size(), tasks.size())
-      << "keeper is bound to another instance";
   bool best_is_hit = false;
   for (size_t k = 0; k < tasks.size(); ++k) {
     const TaskIndex t = tasks[k];
@@ -271,11 +290,11 @@ void RefreshMemo(const Instance& instance, const ScoreKeeper& keeper,
         << "keeper is bound to another instance";
     for (size_t k = 0; k < tasks.size(); ++k) {
       const TaskIndex t = tasks[k];
-      if (t == current || keeper.TaskChangedAt(t) <= memo.scanned_at) {
-        continue;
-      }
-      memo.prices[k] = PriceCandidate(instance, keeper, assignment, w, t,
-                                      filter_joins, nullptr);
+      if (keeper.TaskChangedAt(t) <= memo.scanned_at) continue;
+      memo.prices[k] = t == current
+                           ? keeper.LossIfLeft(w, t)
+                           : PriceCandidate(instance, keeper, assignment, w,
+                                            t, filter_joins, nullptr);
     }
     keeper.MarkScanned(w);
   };

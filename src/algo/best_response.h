@@ -79,13 +79,14 @@ struct ScanCounters {
 /// ComputeBestResponse with the same tie-breaking contract. The scan
 /// keeps the CSR ascending task order and prices every feasible
 /// candidate with the keeper StrategyUtility (one ScoreKeeper marginal
-/// below capacity, ScoreKeeper::CrowdIfJoined on a full task). The
-/// current task is priced fresh; every other candidate goes through the
-/// keeper's best-response memo, which reuses the price (or the
-/// JoinFeasible rejection) w's last scan stored for t while t has not
-/// changed since, so the result is bit-identical to pricing every
-/// candidate. The memo is written, so the scan runs on the keeper's own
-/// thread (RefreshMemo is the shared-read phase).
+/// below capacity, ScoreKeeper::CrowdIfJoined on a full task). Every
+/// candidate goes through the keeper's best-response memo, which reuses
+/// the price (or the JoinFeasible rejection) w's last scan stored for t
+/// while t has not changed since, so the result is bit-identical to
+/// pricing every candidate. The current task's slot holds w's stay
+/// utility (ScoreKeeper::LossIfLeft) under the same rule. The memo is
+/// written, so the scan runs on the keeper's own thread (RefreshMemo is
+/// the shared-read phase).
 /// `counters` (may be null) receives the scan's work tally; a memo hit
 /// counts as the evaluation or rejection it stands for.
 BestResponse ComputeBestResponse(const Instance& instance,
@@ -95,13 +96,13 @@ BestResponse ComputeBestResponse(const Instance& instance,
 
 /// Brings the best-response memo of every worker of `workers` up to
 /// date, so that their next scans find every candidate a hit: for each
-/// worker w it reprices each stale entry (a task other than w's own that
-/// changed since w's last scan) with the scan's own pricing, then marks
-/// w scanned. Exact by the memo argument of ScoreKeeper's class comment:
-/// a refreshed price is the one the scan would compute while its task
-/// stays unchanged, and the scan still prices w's current task fresh and
-/// reprices a memo winner for its crowded-out worker, so every later
-/// best response, move and counter is bit-identical to the scan alone.
+/// worker w it reprices each stale entry (a task that changed since w's
+/// last scan, w's own task included) with the scan's own pricing, then
+/// marks w scanned. Exact by the memo argument of ScoreKeeper's class
+/// comment: a refreshed price is the one the scan would compute while its
+/// task stays unchanged, and the scan reprices a memo winner for its
+/// crowded-out worker, so every later best response, move and counter is
+/// bit-identical to the scan alone.
 ///
 /// With a pool of more than one thread the workers are split into
 /// contiguous chunks priced in parallel (ScoreKeeper's thread contract:

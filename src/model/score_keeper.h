@@ -66,14 +66,16 @@ namespace casc {
 /// value per task for its last change and one per worker for its last
 /// best-response scan. Add, Remove and ApplyDelta stamp their task with a
 /// fresh clock value; Rebind and Sync stamp every task. The keeper-backed
-/// ComputeBestResponse prices every candidate of w except its current
-/// task, so after a scan each such price stays valid while its task's
-/// stamp is not newer than the scan. That is exact: the price of a task w
-/// is not on reads only the task's members in order, its cached pair sum
-/// and score and w's static attributes, and only those mutations change
-/// them. (A task w was on at its last scan has no stored price, but w
-/// leaving it was a Remove, so it is newer than the scan.) The memo is
-/// `mutable` like the crowding cache and sized on first use.
+/// ComputeBestResponse prices every valid task of w, so after a scan each
+/// price stays valid while its task's stamp is not newer than the scan.
+/// That is exact: a price reads only the task's members in order, its
+/// cached pair sum and score and w's static attributes, and only those
+/// mutations change them. The slot of the task w is on holds w's stay
+/// utility (LossIfLeft) instead of a join price; w joining that task,
+/// leaving it or being crowded out of it is an Add or Remove, so each
+/// switch between the two meanings stamps the task after the scan that
+/// stored the other. The memo is `mutable` like the crowding cache and
+/// sized on first use.
 class ScoreKeeper {
  public:
   /// The memo price of a join ObjectiveModel::JoinFeasible rejected; a
@@ -188,8 +190,7 @@ class ScoreKeeper {
   /// binding is stale because Rebind/Sync stamped every task after it.
   MemoRow Memo(WorkerIndex w) const;
 
-  /// Records a scan of `w` that left every price of its row current,
-  /// except the one of the task w is on.
+  /// Records a scan of `w` that left every price of its row current.
   void MarkScanned(WorkerIndex w) const {
     scanned_at_[static_cast<size_t>(w)] = clock_;
   }

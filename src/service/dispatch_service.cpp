@@ -301,7 +301,9 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   // Pool-slice policy: when the pipeline is on, ingest runs concurrently
   // with the shard solvers, so the plane gets its own slice of the host
   // (what the shard executor does not use) instead of competing for the
-  // same cores. An explicit ingest_threads always wins.
+  // same cores. An explicit ingest_threads always wins. The CSR emission
+  // is not part of that overlap: it runs after the solve ∥ ingest fan-out
+  // has joined, so it borrows the engine's idle pool when that is wider.
   StreamingPlaneConfig plane_config;
   plane_config.audit = config_.audit_streaming;
   plane_config.warm_start = config_.enable_warm_start;
@@ -381,7 +383,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
                         global_coop_->View(std::move(ids)), now,
                         config_.min_group_size);
       instance.set_objective(objective_);
-      plane.BuildValidPairs(&instance, &build_workspace_);
+      plane.BuildValidPairs(&instance, &build_workspace_, sharded_.pool());
       const double index_build_seconds = build_watch.ElapsedSeconds();
       const double csr_emit_seconds = plane.csr_emit_seconds();
 

@@ -1,5 +1,7 @@
 #include "service/shard_executor.h"
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -223,8 +225,18 @@ Assignment ShardExecutor::Run(const Instance& global,
     shard_stats->assign(static_cast<size_t>(num_shards), AssignerStats{});
   }
 
-  pool_.ParallelFor(num_shards, [&](int64_t s) {
-    const size_t i = static_cast<size_t>(s);
+  // Heaviest first: threads claim shards in descending order of valid
+  // pairs (ties by shard index), so a dense shard does not start last and
+  // run alone at the end. Every result stays indexed by shard, so the
+  // claim order changes no output.
+  std::vector<int> claim_order(static_cast<size_t>(num_shards));
+  std::iota(claim_order.begin(), claim_order.end(), 0);
+  std::stable_sort(claim_order.begin(), claim_order.end(), [&](int a, int b) {
+    return problems[static_cast<size_t>(a)].instance.NumValidPairs() >
+           problems[static_cast<size_t>(b)].instance.NumValidPairs();
+  });
+  pool_.ParallelFor(num_shards, [&](int64_t k) {
+    const size_t i = static_cast<size_t>(claim_order[static_cast<size_t>(k)]);
     locals[i] = SolveProblem(problems[i], factory, workspaces_[i].get(),
                              &seconds[i],
                              shard_stats != nullptr ? &(*shard_stats)[i]

@@ -71,9 +71,11 @@ class ShardExecutor {
                                           const ShardMap& map,
                                           const SolveDelta* delta = nullptr);
 
-  /// Runs a factory-made assigner over every problem in parallel and
-  /// folds the local assignments into a global assignment (ascending
-  /// shard order; boundary workers stay idle for phase 2). Shards with
+  /// Runs a factory-made assigner over every problem in parallel, threads
+  /// claiming shards heaviest first (descending valid pairs, ties by shard
+  /// index), and folds the local assignments into a global assignment
+  /// (ascending shard order; boundary workers stay idle for phase 2).
+  /// Every output is indexed by shard, never by claim. Shards with
   /// no workers or no tasks are skipped. A non-null `shard_seconds`
   /// receives per-shard solver wall times; a non-null `shard_stats`
   /// receives each shard solver's AssignerStats (default-constructed for

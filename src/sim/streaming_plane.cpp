@@ -242,15 +242,21 @@ void StreamingPlane::EmitWorkerRow(WorkerIndex w, double now,
   for (const int32_t task_handle : row) {
     const int32_t slot = slot_of_handle_[static_cast<size_t>(task_handle)];
     if (slot < 0) continue;  // task left the pool: drop the entry
+    const int32_t instance_index =
+        instance_index_of_slot_[static_cast<size_t>(slot)];
+    if (instance_index < 0) {
+      // Deferred this batch: kept untested. The deadline test is monotone
+      // in now, so the batch that admits the task drops the entry exactly
+      // when a test now would have.
+      row[keep++] = task_handle;
+      continue;
+    }
     const Task& task = pool_tasks_[static_cast<size_t>(slot)];
     if (!CanArriveByDeadline(worker.location, worker.speed, task.location,
                              now, task.deadline)) {
       continue;  // monotone in now: the pair is dead forever, drop it
     }
     row[keep++] = task_handle;
-    const int32_t instance_index =
-        instance_index_of_slot_[static_cast<size_t>(slot)];
-    if (instance_index < 0) continue;     // alive but deferred this batch
     if (task.create_time > now) continue;  // sub-epsilon window edge
     emit->push_back(instance_index);
   }
@@ -262,7 +268,8 @@ void StreamingPlane::EmitWorkerRow(WorkerIndex w, double now,
 }
 
 void StreamingPlane::BuildValidPairs(Instance* instance,
-                                     BatchWorkspace* workspace) {
+                                     BatchWorkspace* workspace,
+                                     ThreadPool* pool) {
   CASC_CHECK(instance != nullptr);
   CASC_CHECK_EQ(instance->num_workers(),
                 static_cast<int>(pool_worker_handles_.size()));
@@ -280,11 +287,15 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   // Each chunk prunes its own contiguous range of worker slots in place
   // while emitting their (sorted) rows into its buffer.
   Stopwatch emit_watch;
+  ThreadPool* emit_pool =
+      pool != nullptr && pool->num_threads() > ingest_pool_.num_threads()
+          ? pool
+          : &ingest_pool_;
   const int num_workers = instance->num_workers();
   const int chunks =
-      ThreadPool::ChunksFor(&ingest_pool_, num_workers, kMinRowsPerChunk);
-  index.BuildChunked(num_workers, instance->num_tasks(), &ingest_pool_,
-                     chunks, &emit_buffers_,
+      ThreadPool::ChunksFor(emit_pool, num_workers, kMinRowsPerChunk);
+  index.BuildChunked(num_workers, instance->num_tasks(), emit_pool, chunks,
+                     &emit_buffers_,
                      [&](int, WorkerIndex w, std::vector<TaskIndex>* emit) {
                        EmitWorkerRow(w, now, emit);
                      });

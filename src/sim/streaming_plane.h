@@ -26,9 +26,10 @@ struct StreamingPlaneConfig {
   /// DispatchConfig::audit_streaming.
   bool audit = false;
 
-  /// Width (>= 1) of the owned pool the per-worker splice, fresh-row and
-  /// CSR-emission loops fan out over; 1 runs every loop inline. Outputs
-  /// are bit-identical at any width (the partition only decides where a
+  /// Width (>= 1) of the owned pool the per-worker splice and fresh-row
+  /// loops fan out over, and the CSR emission too unless the pool lent to
+  /// BuildValidPairs() is wider; 1 runs those loops inline. Outputs are
+  /// bit-identical at any width (the partition only decides where a
   /// worker's row is processed, never what it contains). Set from the
   /// resolved DispatchConfig::ingest_threads.
   int ingest_threads = 1;
@@ -66,12 +67,16 @@ struct StreamingIngestStats {
 ///   No task index outlives the Ingest() that built it, so departures
 ///   and expiries cost nothing beyond the row entries they kill.
 /// * Surviving row entries only need a deadline re-check at emission,
-///   because the two non-trivial validity conditions of Definition 3
-///   behave monotonically: the working-area test is time-invariant, and
-///   CanArriveByDeadline(now) implies CanArriveByDeadline(now') for every
-///   now' < now — so a pair that is valid at emission time was valid when
-///   the row was spliced, and a pair that fails the deadline re-check can
-///   never become valid again (the entry is dropped permanently).
+///   and only when their task is admitted, because the two non-trivial
+///   validity conditions of Definition 3 behave monotonically: the
+///   working-area test is time-invariant, and CanArriveByDeadline(now)
+///   implies CanArriveByDeadline(now') for every now' < now — so a pair
+///   that is valid at emission time was valid when the row was spliced,
+///   and a pair that fails the deadline re-check can never become valid
+///   again (the entry is dropped permanently). An entry whose task the
+///   budget defers stays in the row untested until a batch admits the
+///   task or the task leaves the pool; the test at that later `now`
+///   drops it exactly when an earlier test would have.
 ///
 /// Rows are keyed by internal task *handles* (dense, monotonically
 /// increasing), not pool slots or task ids: slots move on compaction and
@@ -89,7 +94,7 @@ struct StreamingIngestStats {
 ///   if (HasWork()) {
 ///     Admit(budget);             // EDF under the batch budget
 ///     MaterializeWorkers/MaterializeAdmittedTasks -> Instance
-///     BuildValidPairs(&instance, &workspace);
+///     BuildValidPairs(&instance, &workspace, engine_pool);
 ///     ... solve ...
 ///     Commit(instance, assignment, now + task_duration);
 ///   }
@@ -103,16 +108,18 @@ struct StreamingIngestStats {
 /// [survivors][arrivals][earlier releases][just-returned workers]
 /// exactly; overlapping therefore never changes any output.
 ///
-/// Parallel ingest (config.ingest_threads): the splice, fresh-row and
-/// CSR-emission loops fan out over an owned pool in ThreadPool::RunChunks
-/// chunks, each processing a deterministic contiguous range of worker
-/// slots and writing only its own rows / buffers; the emission is
-/// ValidPairIndex::BuildChunked. Every per-row computation is independent
-/// of every other row, so the outputs are bit-identical to the serial
-/// loops for any thread count. The plane owns all its ingest scratch
-/// (per-chunk buffers) — it never touches the service's BatchWorkspaces,
-/// which is what lets an overlapped Ingest(N+1) run concurrently with
-/// solve(N) without sharing a single allocation.
+/// Parallel ingest (config.ingest_threads): the splice and fresh-row
+/// loops fan out over an owned pool in ThreadPool::RunChunks chunks, each
+/// processing a deterministic contiguous range of worker slots and
+/// writing only its own rows / buffers. The CSR emission
+/// (ValidPairIndex::BuildChunked) runs the same way on the wider of that
+/// pool and the one the caller lends BuildValidPairs(). Every per-row
+/// computation is independent of every other row, so the outputs are
+/// bit-identical to the serial loops for any thread count. The plane owns
+/// all its ingest scratch (per-chunk buffers) — it never touches the
+/// service's BatchWorkspaces, which is what lets an overlapped
+/// Ingest(N+1) run concurrently with solve(N) without sharing a single
+/// allocation.
 ///
 /// Not thread-safe beyond that contract: at most one mutating call at a
 /// time.
@@ -184,9 +191,15 @@ class StreamingPlane {
   /// Fills `instance`'s valid pairs by emission from the maintained rows
   /// (audited against Instance::ComputeValidPairs() when configured). The
   /// instance must have been materialized from this plane's current
-  /// pools/admission. The emitted CSR is byte-identical to the
-  /// from-scratch build.
-  void BuildValidPairs(Instance* instance, BatchWorkspace* workspace);
+  /// pools/admission. Only row entries of admitted tasks are
+  /// deadline-tested; entries of deferred tasks are kept as they are. The
+  /// emission fans out on the wider of `pool` (may be null; the caller
+  /// lends an idle pool, e.g. the shard engine's between solves) and the
+  /// plane's ingest pool, so `pool` must not be running anything else.
+  /// The emitted CSR is byte-identical to the from-scratch build at any
+  /// width.
+  void BuildValidPairs(Instance* instance, BatchWorkspace* workspace,
+                       ThreadPool* pool);
 
   /// Publishes the cross-batch warm-start delta for the instance about to
   /// be solved: the previous equilibrium's skeleton remapped through the
@@ -239,7 +252,8 @@ class StreamingPlane {
                   double now);
 
   /// Prunes rows_[handle of worker slot w] in place and appends the
-  /// emitted instance indexes (sorted ascending) to `emit`.
+  /// emitted instance indexes (sorted ascending) to `emit`. Entries of
+  /// deferred tasks are kept without a deadline test.
   void EmitWorkerRow(WorkerIndex w, double now, std::vector<TaskIndex>* emit);
 
   StreamingPlaneConfig config_;
@@ -300,8 +314,9 @@ class StreamingPlane {
 
   /// Parallel-ingest machinery: an owned pool (ThreadPool(1) runs every
   /// loop inline) and, per chunk, a circle-query buffer and an emission
-  /// buffer, both kept across batches. Chunk k of a fanned-out loop owns
-  /// entry k exclusively.
+  /// buffer, both kept across batches (the emission's chunk count follows
+  /// whichever pool it ran on). Chunk k of a fanned-out loop owns entry k
+  /// exclusively.
   ThreadPool ingest_pool_;
   std::vector<CacheLinePadded<std::vector<int64_t>>> query_buffers_;
   std::vector<std::vector<TaskIndex>> emit_buffers_;

@@ -548,6 +548,89 @@ TEST(PolishRefreshTest, SkewS4BatchIsIdenticalAtAnyThreadCount) {
   }
 }
 
+/// GT that appends each shard problem's valid-pair count to `claims` (if
+/// non-null) as it starts solving it: on a one-thread executor, the claim
+/// order.
+class ClaimRecordingGt : public Assigner {
+ public:
+  ClaimRecordingGt(GtOptions options, std::vector<size_t>* claims)
+      : inner_(options), claims_(claims) {}
+
+  std::string Name() const override { return inner_.Name(); }
+
+  Assignment Run(const Instance& instance) override {
+    if (claims_ != nullptr) claims_->push_back(instance.NumValidPairs());
+    inner_.set_workspace(workspace());
+    inner_.set_solve_delta(solve_delta());
+    Assignment result = inner_.Run(instance);
+    inner_.set_solve_delta(nullptr);
+    inner_.set_workspace(nullptr);
+    stats_ = inner_.stats();
+    return result;
+  }
+
+ private:
+  GtAssigner inner_;
+  std::vector<size_t>* claims_;
+};
+
+TEST(ShardedAssignerTest, HeaviestFirstClaimsKeepShardIndexedResults) {
+  const Instance instance = SkewTableTwoBatch(1);
+  GtOptions gt;
+  gt.use_tsi = true;
+  gt.use_lub = true;
+  gt.epsilon = ExperimentSettings{}.epsilon;
+  ShardMapConfig map_config;
+  map_config.shards_per_side = 4;
+  const ShardMap map(instance.workers(), instance.tasks(), map_config);
+
+  std::optional<Assignment> baseline;
+  ServiceMetrics baseline_metrics;
+  double baseline_score = 0.0;
+  for (const int threads : {1, 2, 3, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    std::vector<size_t> claims;
+    ShardedAssigner engine(MakeOptions(4, threads), [&gt, &claims, threads] {
+      return std::make_unique<ClaimRecordingGt>(
+          gt, threads == 1 ? &claims : nullptr);
+    });
+    const Assignment solved = engine.Run(instance);
+    const ServiceMetrics& metrics = engine.metrics();
+
+    // Per-shard outputs stay indexed by shard, whatever claimed them.
+    ASSERT_EQ(metrics.shard_seconds.size(), 16u) << label;
+    int solved_shards = 0;
+    for (int s = 0; s < 16; ++s) {
+      const size_t i = static_cast<size_t>(s);
+      EXPECT_EQ(metrics.shard_workers[i],
+                static_cast<int>(map.HomeWorkersOf(s).size()))
+          << label << " shard " << s;
+      const bool has_work =
+          metrics.shard_workers[i] > 0 && metrics.shard_tasks[i] > 0;
+      solved_shards += has_work ? 1 : 0;
+      EXPECT_EQ(metrics.shard_seconds[i] > 0.0, has_work)
+          << label << " shard " << s;
+    }
+    EXPECT_GE(solved_shards, 2) << label;
+
+    if (!baseline.has_value()) {
+      // One thread claims in order: heaviest shard first, never a lighter
+      // shard before a heavier one.
+      ASSERT_EQ(static_cast<int>(claims.size()), solved_shards);
+      EXPECT_TRUE(std::is_sorted(claims.rbegin(), claims.rend()));
+      EXPECT_GT(claims.front(), claims.back());
+      baseline = solved;
+      baseline_metrics = metrics;
+      baseline_score = engine.stats().final_score;
+      continue;
+    }
+    EXPECT_EQ(solved.Pairs(), baseline->Pairs()) << label;
+    EXPECT_EQ(metrics.solve_moves, baseline_metrics.solve_moves) << label;
+    EXPECT_EQ(metrics.polish_moves, baseline_metrics.polish_moves) << label;
+    EXPECT_EQ(engine.stats().final_score, baseline_score) << label;  // bitwise
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DispatchService: admission queue & streaming
 // ---------------------------------------------------------------------------

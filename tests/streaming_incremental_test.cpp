@@ -207,6 +207,112 @@ TEST(StreamingIncrementalTest, AuditedStreamMatchesScratchBuildEveryBatch) {
   }
 }
 
+/// Solves every batch with the service's own engine and counts, for one
+/// watched task, the batches that admitted it and the batches whose
+/// instance held each of two watched workers' pairs with it.
+class PairWatch : public ShardedBatchSolver {
+ public:
+  PairWatch(ShardedAssigner* engine, int64_t task_id, int64_t near_id,
+            int64_t far_id)
+      : engine_(engine),
+        task_id_(task_id),
+        near_id_(near_id),
+        far_id_(far_id) {}
+
+  Assignment Solve(const Instance& instance) override {
+    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+      if (instance.tasks()[static_cast<size_t>(t)].id != task_id_) continue;
+      ++admitted;
+      for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+        const int64_t id = instance.workers()[static_cast<size_t>(w)].id;
+        if (!instance.IsValidPair(w, t)) continue;
+        if (id == near_id_) ++near_pairs;
+        if (id == far_id_) ++far_pairs;
+      }
+    }
+    return engine_->Solve(instance);
+  }
+  const ServiceMetrics& metrics() const override {
+    return engine_->metrics();
+  }
+  void AttachWorkspace(BatchWorkspace* workspace) override {
+    engine_->AttachWorkspace(workspace);
+  }
+  void SetSolveDelta(const SolveDelta* delta) override {
+    engine_->SetSolveDelta(delta);
+  }
+
+  int admitted = 0;
+  int near_pairs = 0;
+  int far_pairs = 0;
+
+ private:
+  ShardedAssigner* engine_;
+  int64_t task_id_;
+  int64_t near_id_;
+  int64_t far_id_;
+};
+
+TEST(StreamingIncrementalTest, PairThatDiesWhileDeferredIsNeverEmitted) {
+  // A budget of one task per batch admits the unreachable task 0 (deadline
+  // 3) ahead of task 1 (deadline 5) until task 0 expires at now = 4. The
+  // far worker 1 (0.45 away at speed 0.1) reaches task 1 at now = 0, so
+  // the pair enters its row, and dies at now = 1 while task 1 is
+  // deferred. Task 1 is admitted at now = 4 and 5; only the near worker 0
+  // still reaches it, at now = 4. Worker 2 arrives late to stretch the
+  // stream and reaches nothing.
+  const std::vector<Worker> workers = {
+      Worker{0, {0.5, 0.5}, 0.1, 0.5, 0.0},
+      Worker{1, {0.1, 0.5}, 0.1, 0.5, 0.0},
+      Worker{2, {0.9, 0.1}, 0.1, 0.05, 6.0},
+  };
+  const std::vector<Task> tasks = {
+      Task{0, {0.95, 0.95}, 0.0, 3.0, 2},
+      Task{1, {0.55, 0.5}, 0.0, 5.0, 2},
+  };
+  const EventStream stream(workers, tasks);
+  CooperationMatrix coop(3);
+  coop.SetSymmetric(0, 1, 0.5);
+  coop.SetSymmetric(0, 2, 0.25);
+  coop.SetSymmetric(1, 2, 0.75);
+
+  auto watch = [&](int budget, bool pipeline, int shard_threads) {
+    DispatchConfig config;
+    config.sharded.shards_per_side = 1;
+    config.sharded.num_threads = shard_threads;
+    config.min_group_size = 2;
+    config.max_tasks_per_batch = budget;
+    config.enable_pipeline = pipeline;
+    config.ingest_threads = 1;
+    config.audit_streaming = true;  // CHECKs SameAs on every batch
+    DispatchService service(config, &coop,
+                            [] { return std::make_unique<GtAssigner>(); });
+    PairWatch pairs(&service.sharded_assigner(), /*task_id=*/1,
+                    /*near_id=*/0, /*far_id=*/1);
+    service.set_batch_solver(&pairs);
+    (void)service.Run(stream);
+    return pairs;
+  };
+
+  // Without the budget, task 1 is admitted at now = 0, and the far pair is
+  // emitted there: it really was in the worker's row.
+  const PairWatch unbudgeted = watch(0, false, 1);
+  EXPECT_GE(unbudgeted.admitted, 1);
+  EXPECT_EQ(unbudgeted.far_pairs, 1);
+
+  for (const bool pipeline : {false, true}) {
+    for (const int shard_threads : {1, 4}) {
+      const std::string label = std::string("pipe=") +
+                                (pipeline ? "1" : "0") + " shard_threads=" +
+                                std::to_string(shard_threads);
+      const PairWatch budgeted = watch(1, pipeline, shard_threads);
+      EXPECT_EQ(budgeted.admitted, 2) << label;
+      EXPECT_EQ(budgeted.near_pairs, 1) << label;
+      EXPECT_EQ(budgeted.far_pairs, 0) << label;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DispatchService::Run: {pipeline} x shard threads (200+ batches)
 // ---------------------------------------------------------------------------
@@ -353,6 +459,66 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
         for (const ServiceMetrics& metrics : service_metrics) {
           ASSERT_EQ(metrics.ingest_threads, threads) << label;
         }
+      }
+    }
+  }
+}
+
+TEST(ParallelIngestTest, EmissionOnWiderEnginePoolBitIdentical) {
+  // A one-thread ingest pool: the CSR emission fans out on the engine's
+  // pool whenever that is wider, which must change no output.
+  const StreamFixture fixture =
+      MakeLongFixture(607, /*horizon=*/80.0, /*worker_rate=*/12.0);
+  ASSERT_FALSE(fixture.trace.workers.empty());
+  ASSERT_FALSE(fixture.trace.tasks.empty());
+  const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
+
+  auto run = [&](int shard_threads, bool pipeline,
+                 std::vector<ServiceMetrics>* service_out) {
+    DispatchConfig config;
+    config.sharded.shards_per_side = 2;
+    config.sharded.num_threads = shard_threads;
+    config.min_group_size = 3;
+    config.task_duration = 2.0;
+    config.max_tasks_per_batch = 4;  // exercise deferral carry-over
+    config.ingest_threads = 1;
+    config.enable_pipeline = pipeline;
+    config.audit_streaming = true;
+    DispatchService service(config, &fixture.coop,
+                            [] { return std::make_unique<GtAssigner>(); });
+    RunSummary summary = service.Run(stream);
+    if (service_out != nullptr) *service_out = service.batch_metrics();
+    return summary;
+  };
+
+  std::vector<ServiceMetrics> serial_service;
+  const RunSummary serial = run(1, false, &serial_service);
+  ASSERT_GE(serial.batches.size(), 60u) << "trace too short for the test";
+  // Pools of two kMinRowsPerChunk (256) rows or more split the emission
+  // into several chunks on a pool of two or more threads.
+  int wide_batches = 0;
+  for (const BatchMetrics& batch : serial.batches) {
+    if (batch.num_workers >= 512) ++wide_batches;
+  }
+  EXPECT_GT(wide_batches, 0);
+
+  for (const int shard_threads : {1, 3, 4}) {
+    for (const bool pipeline : {false, true}) {
+      const std::string label = "shard_threads=" +
+                                std::to_string(shard_threads) +
+                                " pipe=" + (pipeline ? "1" : "0");
+      std::vector<ServiceMetrics> service_metrics;
+      const RunSummary actual = run(shard_threads, pipeline, &service_metrics);
+      ExpectIdenticalBatches(serial, actual, label);
+      ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
+      for (size_t i = 0; i < service_metrics.size(); ++i) {
+        ASSERT_EQ(service_metrics[i].ingest_threads, 1) << label;
+        ASSERT_EQ(service_metrics[i].deferred_tasks,
+                  serial_service[i].deferred_tasks)
+            << label << " batch " << i;
+        ASSERT_EQ(service_metrics[i].queue_depth,
+                  serial_service[i].queue_depth)
+            << label << " batch " << i;
       }
     }
   }
