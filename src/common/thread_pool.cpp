@@ -46,10 +46,6 @@ void ThreadPool::RunChunks(
   });
 }
 
-int ThreadPool::DefaultThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 void ThreadPool::RunClaimed() {
   // count_ and fn_ were published under mutex_ before this epoch began;
   // the claim itself needs only atomicity, not ordering.

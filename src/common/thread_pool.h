@@ -31,7 +31,7 @@ struct alignas(64) CacheLinePadded {
 /// must write only state owned by index i and read only state no other
 /// index writes. Every result is then a function of the index alone,
 /// never of the thread or the claim order, which is what the shard
-/// executor, the ingest fan-out and the replication fan-out rely on for
+/// executor, the valid-pair builds and the replication fan-out rely on for
 /// bit-identical results at any thread count.
 ///
 /// The calling thread claims indices too; the pool spawns
@@ -83,9 +83,6 @@ class ThreadPool {
   static void RunChunks(
       ThreadPool* pool, int64_t count, int chunks,
       const std::function<void(int, int64_t, int64_t)>& fn);
-
-  /// The hardware concurrency, at least 1.
-  static int DefaultThreads();
 
  private:
   void WorkerLoop();

@@ -23,6 +23,15 @@ struct Task {
   SkillMask required_skills = 0;  ///< skills the assigned group must cover
 };
 
+/// The dispatch service's admission order under a batch budget: earliest
+/// deadline first, ties by id. DispatchService::RunBatch and
+/// StreamingPlane::Admit stable-sort under it, so both admit the same
+/// prefix of the same open tasks.
+inline bool EarliestDeadlineFirst(const Task& a, const Task& b) {
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return a.id < b.id;
+}
+
 /// Renders a one-line description for logs.
 std::string ToString(const Task& task);
 

@@ -36,6 +36,22 @@ void AppendDoubleArray(std::ostringstream& out, const char* key,
   out << "]";
 }
 
+/// The rows of `coop` a batch over `workers` views: their ids, CHECKed to
+/// index the matrix.
+std::vector<int> CoopRowsOf(const std::vector<Worker>& workers,
+                            const CooperationMatrix& coop) {
+  std::vector<int> ids;
+  ids.reserve(workers.size());
+  for (const Worker& worker : workers) {
+    CASC_CHECK_GE(worker.id, 0)
+        << "worker ids index the service's global cooperation matrix";
+    CASC_CHECK_LT(worker.id, coop.num_workers())
+        << "worker id beyond the global cooperation matrix";
+    ids.push_back(static_cast<int>(worker.id));
+  }
+  return ids;
+}
+
 }  // namespace
 
 std::string ServiceMetrics::ToJson() const {
@@ -83,8 +99,7 @@ std::string ServiceMetrics::ToJson() const {
       << ",\"ingest_splice_seconds\":" << ingest_splice_seconds
       << ",\"ingest_fresh_rows_seconds\":" << ingest_fresh_rows_seconds
       << ",\"ingest_spatial_seconds\":" << ingest_spatial_seconds
-      << ",\"csr_emit_seconds\":" << csr_emit_seconds
-      << ",\"ingest_threads\":" << ingest_threads << "}";
+      << ",\"csr_emit_seconds\":" << csr_emit_seconds << "}";
   return out.str();
 }
 
@@ -208,7 +223,6 @@ DispatchService::DispatchService(DispatchConfig config,
       sharded_(config.sharded, std::move(factory)) {
   CASC_CHECK(global_coop_ != nullptr);
   CASC_CHECK_GE(config_.max_tasks_per_batch, 0);
-  CASC_CHECK_GE(config_.ingest_threads, 0);
   CASC_CHECK_GT(config_.batch_interval, 0.0);
   if (config_.objective.empty()) {
     objective_ = &ProcessDefaultObjective();
@@ -233,26 +247,12 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
   std::vector<Task> deferred;
   const int budget = config_.max_tasks_per_batch;
   if (budget > 0 && static_cast<int>(tasks.size()) > budget) {
-    std::stable_sort(tasks.begin(), tasks.end(),
-                     [](const Task& a, const Task& b) {
-                       if (a.deadline != b.deadline) {
-                         return a.deadline < b.deadline;
-                       }
-                       return a.id < b.id;
-                     });
+    std::stable_sort(tasks.begin(), tasks.end(), EarliestDeadlineFirst);
     deferred.assign(tasks.begin() + budget, tasks.end());
     tasks.resize(static_cast<size_t>(budget));
   }
 
-  std::vector<int> ids;
-  ids.reserve(workers.size());
-  for (const Worker& worker : workers) {
-    CASC_CHECK_GE(worker.id, 0)
-        << "worker ids index the service's global cooperation matrix";
-    CASC_CHECK_LT(worker.id, global_coop_->num_workers())
-        << "worker id beyond the global cooperation matrix";
-    ids.push_back(static_cast<int>(worker.id));
-  }
+  std::vector<int> ids = CoopRowsOf(workers, *global_coop_);
   const int num_admitted = static_cast<int>(tasks.size());
   Instance instance(std::move(workers), std::move(tasks),
                     global_coop_->View(std::move(ids)), now,
@@ -298,24 +298,12 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   batch_metrics_.clear();
   run_latency_ = RunLatencyStats{};
 
-  // Pool-slice policy: when the pipeline is on, ingest runs concurrently
-  // with the shard solvers, so the plane gets its own slice of the host
-  // (what the shard executor does not use) instead of competing for the
-  // same cores. An explicit ingest_threads always wins. The CSR emission
-  // is not part of that overlap: it runs after the solve ∥ ingest fan-out
-  // has joined, so it borrows the engine's idle pool when that is wider.
+  // Cross-batch pools and delta-maintained valid-pair rows. The plane owns
+  // no threads: ingest runs inline on whichever pipeline slot calls it, and
+  // the CSR emission borrows the engine's pool, idle between solves.
   StreamingPlaneConfig plane_config;
   plane_config.audit = config_.audit_streaming;
   plane_config.warm_start = config_.enable_warm_start;
-  plane_config.ingest_threads = config_.ingest_threads;
-  if (plane_config.ingest_threads == 0) {
-    const int hw = ThreadPool::DefaultThreads();
-    plane_config.ingest_threads =
-        config_.enable_pipeline ? std::max(1, hw - config_.sharded.num_threads)
-                                : hw;
-  }
-
-  // Cross-batch pools and delta-maintained valid-pair rows.
   StreamingPlane plane(plane_config);
   EventStream::Cursor cursor = stream.NewCursor();
   // Two-slot pipeline: chunk 0 (the caller) solves batch N while chunk 1
@@ -336,12 +324,15 @@ RunSummary DispatchService::Run(const EventStream& stream) {
   int round = 0;
   double window_start = -std::numeric_limits<double>::infinity();
   // Set when the previous iteration's overlap already ingested this
-  // batch's arrivals (and staged its pre-existing releases).
+  // batch's arrivals (and staged its pre-existing releases), together
+  // with that ingest's time and the time of the solve it rode along.
   bool ingested_ahead = false;
   double overlapped_ingest_seconds = 0.0;
+  double overlapped_solve_seconds = 0.0;
 
   while (now < end) {
     double ingest_seconds = 0.0;
+    double ingest_on_path = 0.0;  // what the critical path waited for
     const bool was_overlapped = ingested_ahead;
     if (!ingested_ahead) {
       Stopwatch ingest_watch;
@@ -352,8 +343,13 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       window_start = now + 1e-12;
       plane.Ingest(now, arrived_workers, arrived_tasks);
       ingest_seconds = ingest_watch.ElapsedSeconds();
+      ingest_on_path = ingest_seconds;
     } else {
+      // The ingest rode along the previous solve, so the join waited only
+      // for the time it outlasted that solve.
       ingest_seconds = overlapped_ingest_seconds;
+      ingest_on_path =
+          std::max(0.0, overlapped_ingest_seconds - overlapped_solve_seconds);
       ingested_ahead = false;
     }
     // Snapshot the phase split before the overlap chunk's Ingest of the
@@ -369,15 +365,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       plane.Admit(config_.max_tasks_per_batch);
       plane.MaterializeWorkers(&batch_workers);
       plane.MaterializeAdmittedTasks(&batch_tasks);
-      std::vector<int> ids;
-      ids.reserve(batch_workers.size());
-      for (const Worker& worker : batch_workers) {
-        CASC_CHECK_GE(worker.id, 0)
-            << "worker ids index the service's global cooperation matrix";
-        CASC_CHECK_LT(worker.id, global_coop_->num_workers())
-            << "worker id beyond the global cooperation matrix";
-        ids.push_back(static_cast<int>(worker.id));
-      }
+      std::vector<int> ids = CoopRowsOf(batch_workers, *global_coop_);
       Stopwatch build_watch;
       Instance instance(batch_workers, batch_tasks,
                         global_coop_->View(std::move(ids)), now,
@@ -419,6 +407,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
           }
         });
         ingested_ahead = true;
+        overlapped_solve_seconds = solve_seconds;
       } else {
         Stopwatch solve_watch;
         assignment = solver_->Solve(instance);
@@ -447,12 +436,9 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       metrics.ingest_fresh_rows_seconds = ingest_stats.fresh_rows_seconds;
       metrics.ingest_spatial_seconds = ingest_stats.spatial_insert_seconds;
       metrics.csr_emit_seconds = csr_emit_seconds;
-      metrics.ingest_threads = plane.ingest_threads();
       metrics.pipelined = was_overlapped;
-      // Critical path: ingest counts only when it did not ride along a
-      // previous solve.
-      metrics.batch_seconds = (was_overlapped ? 0.0 : ingest_seconds) +
-                              index_build_seconds + solve_seconds;
+      metrics.batch_seconds =
+          ingest_on_path + index_build_seconds + solve_seconds;
       batch_metrics_.push_back(metrics);
       summary.batches.push_back(batch);
 

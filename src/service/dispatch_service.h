@@ -23,8 +23,11 @@ struct ShardedOptions {
   /// monolithic assigner bit-for-bit.
   int shards_per_side = 4;
 
-  /// Threads for per-shard problem building and solving (1 = inline).
-  /// The output is independent of this value.
+  /// Threads of the engine's pool (1 = inline), the one pool every
+  /// fan-out of the dispatch service runs on: per-shard problem building
+  /// and solving, the phase-2 memo refresh, the valid-pair builds and the
+  /// streaming CSR emission. The streaming pipeline adds one thread for
+  /// the overlapped ingest. The output is independent of this value.
   int num_threads = 1;
 
   /// The partitioned area.
@@ -68,9 +71,11 @@ struct ServiceMetrics {
   /// Streaming data-plane timings. `ingest_seconds` covers arrival
   /// ingest plus incremental row maintenance (overlapped with the
   /// previous solve when the pipeline is on — `pipelined` records where
-  /// it ran); `index_build_seconds` covers the valid-pair build;
-  /// `batch_seconds` is the batch's critical path (non-overlapped ingest
-  /// + build + solve), the quantity the run-level p50/p99 summarize.
+  /// it ran); `index_build_seconds` covers the valid-pair build (in
+  /// Run(), the instance construction too); `batch_seconds` is the
+  /// batch's critical path, the quantity the run-level p50/p99 summarize:
+  /// ingest + build + solve, where an overlapped ingest counts only the
+  /// time it outlasted the solve it rode along.
   double ingest_seconds = 0.0;
   double index_build_seconds = 0.0;
   double batch_seconds = 0.0;
@@ -80,14 +85,12 @@ struct ServiceMetrics {
   /// splice into known rows (arrival grid included), fresh rows for new
   /// workers, and ingest_spatial_seconds, the build of the open-pool grid
   /// those fresh rows query, are parts of ingest_seconds;
-  /// csr_emit_seconds is the parallel CSR emission inside
-  /// index_build_seconds. `ingest_threads` is the plane's resolved
-  /// fan-out width (1 = serial).
+  /// csr_emit_seconds is the CSR emission (on the engine's pool) inside
+  /// index_build_seconds.
   double ingest_splice_seconds = 0.0;
   double ingest_fresh_rows_seconds = 0.0;
   double ingest_spatial_seconds = 0.0;
   double csr_emit_seconds = 0.0;
-  int ingest_threads = 1;
 
   /// Candidate-scan work across the phase-1 shard solvers: exact
   /// marginal evaluations performed (AssignerStats::candidates_evaluated).
@@ -225,8 +228,8 @@ class ShardedAssigner : public Assigner, public ShardedBatchSolver {
   const ShardedOptions& options() const { return options_; }
 
   /// The shard executor's pool, idle outside Run(). Run() lends it to
-  /// the phase-2 polish; DispatchService::RunBatch lends it to the
-  /// batch's valid-pair build.
+  /// the phase-2 polish; DispatchService lends it to every batch's
+  /// valid-pair build (RunBatch) and CSR emission (Run).
   ThreadPool* pool() { return executor_.pool(); }
 
  private:
@@ -263,13 +266,6 @@ struct DispatchConfig {
   /// Overflow tasks stay queued and carry to the next batch until their
   /// deadlines expire.
   int max_tasks_per_batch = 0;
-
-  /// Width of the streaming plane's ingest fan-out (splice, fresh rows,
-  /// CSR emission). 0 picks automatically: with the pipeline on, the
-  /// host's cores minus the shard threads (ingest then runs alongside the
-  /// solvers); with it off, all cores. 1 runs ingest serially. Outputs are
-  /// bit-identical at any width.
-  int ingest_threads = 0;
 
   /// Overlap batch N+1's ingest + incremental index maintenance with
   /// batch N's solve on a two-slot pipeline. The solved outputs are
@@ -350,7 +346,7 @@ class DispatchService {
   /// the spatial index and valid-pair rows; batch N+1's ingest overlaps
   /// batch N's solve when enable_pipeline is set. Assignments, scores and
   /// carry-over are bit-identical in both pipeline modes and at any
-  /// shard or ingest thread count.
+  /// shard thread count.
   RunSummary Run(const EventStream& stream);
 
   /// Per-batch service metrics of the most recent Run()/RunBatch()

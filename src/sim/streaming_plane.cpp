@@ -34,50 +34,30 @@ constexpr int kWarmRetryEpoch = 4;
 }  // namespace
 
 StreamingPlane::StreamingPlane(StreamingPlaneConfig config)
-    : config_(config), ingest_pool_(config.ingest_threads) {
-  CASC_CHECK_GE(config_.ingest_threads, 1);
-}
+    : config_(config) {}
 
 StreamingPlane::~StreamingPlane() = default;
 
-void StreamingPlane::SpliceRow(int32_t handle, const GridIndex& tasks,
-                               double now, std::vector<int64_t>* query) {
-  const Worker& worker = worker_store_[static_cast<size_t>(handle)];
-  std::vector<int32_t>& row = rows_[static_cast<size_t>(handle)];
-  tasks.CircleQueryInto(worker.location, worker.radius, query);
-  for (const int64_t task_handle : *query) {
-    const int32_t slot = slot_of_handle_[static_cast<size_t>(task_handle)];
-    const Task& task = pool_tasks_[static_cast<size_t>(slot)];
-    // The circle query already established the working-area condition
-    // (time-invariant). A pair failing the deadline test now can never
-    // pass it later, so it is correct to never record it.
-    if (!CanArriveByDeadline(worker.location, worker.speed, task.location,
-                             now, task.deadline)) {
-      continue;
-    }
-    row.push_back(static_cast<int32_t>(task_handle));
-  }
-}
-
 void StreamingPlane::SpliceRows(int32_t first, size_t count,
                                 const GridIndex& tasks, double now) {
-  const int chunks = ThreadPool::ChunksFor(
-      &ingest_pool_, static_cast<int64_t>(count), kMinRowsPerChunk);
-  if (query_buffers_.size() < static_cast<size_t>(chunks)) {
-    query_buffers_.resize(static_cast<size_t>(chunks));
+  for (size_t i = 0; i < count; ++i) {
+    const size_t handle = static_cast<size_t>(first) + i;
+    const Worker& worker = worker_store_[handle];
+    std::vector<int32_t>& row = rows_[handle];
+    tasks.CircleQueryInto(worker.location, worker.radius, &query_);
+    for (const int64_t task_handle : query_) {
+      const int32_t slot = slot_of_handle_[static_cast<size_t>(task_handle)];
+      const Task& task = pool_tasks_[static_cast<size_t>(slot)];
+      // The circle query already established the working-area condition
+      // (time-invariant). A pair failing the deadline test now can never
+      // pass it later, so it is correct to never record it.
+      if (!CanArriveByDeadline(worker.location, worker.speed, task.location,
+                               now, task.deadline)) {
+        continue;
+      }
+      row.push_back(static_cast<int32_t>(task_handle));
+    }
   }
-  // Each chunk writes only its own contiguous handle range's rows, so the
-  // fan-out is race-free and the per-row outcome is exactly the serial
-  // loop's.
-  ThreadPool::RunChunks(
-      &ingest_pool_, static_cast<int64_t>(count), chunks,
-      [&](int chunk, int64_t begin, int64_t end) {
-        std::vector<int64_t>* query =
-            &query_buffers_[static_cast<size_t>(chunk)].value;
-        for (int64_t i = begin; i < end; ++i) {
-          SpliceRow(first + static_cast<int32_t>(i), tasks, now, query);
-        }
-      });
 }
 
 void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
@@ -112,8 +92,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
   ingest_stats_.splice_seconds = phase.ElapsedSeconds();
 
   // New workers: one full circle query each against a grid over the open
-  // pool, this window's tasks included. The stores are resized up front
-  // so the parallel fill never reallocates under other chunks.
+  // pool, this window's tasks included.
   if (!workers.empty()) {
     phase.Restart();
     grid_items_.clear();
@@ -197,12 +176,9 @@ void StreamingPlane::Admit(int budget) {
     // admission exactly.
     std::stable_sort(admitted_.begin(), admitted_.end(),
                      [&](int32_t a, int32_t b) {
-                       const Task& ta = pool_tasks_[static_cast<size_t>(a)];
-                       const Task& tb = pool_tasks_[static_cast<size_t>(b)];
-                       if (ta.deadline != tb.deadline) {
-                         return ta.deadline < tb.deadline;
-                       }
-                       return ta.id < tb.id;
+                       return EarliestDeadlineFirst(
+                           pool_tasks_[static_cast<size_t>(a)],
+                           pool_tasks_[static_cast<size_t>(b)]);
                      });
     admitted_count_ = budget;
   }
@@ -287,14 +263,9 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   // Each chunk prunes its own contiguous range of worker slots in place
   // while emitting their (sorted) rows into its buffer.
   Stopwatch emit_watch;
-  ThreadPool* emit_pool =
-      pool != nullptr && pool->num_threads() > ingest_pool_.num_threads()
-          ? pool
-          : &ingest_pool_;
   const int num_workers = instance->num_workers();
-  const int chunks =
-      ThreadPool::ChunksFor(emit_pool, num_workers, kMinRowsPerChunk);
-  index.BuildChunked(num_workers, instance->num_tasks(), emit_pool, chunks,
+  const int chunks = ThreadPool::ChunksFor(pool, num_workers, kMinRowsPerChunk);
+  index.BuildChunked(num_workers, instance->num_tasks(), pool, chunks,
                      &emit_buffers_,
                      [&](int, WorkerIndex w, std::vector<TaskIndex>* emit) {
                        EmitWorkerRow(w, now, emit);

@@ -26,14 +26,6 @@ struct StreamingPlaneConfig {
   /// DispatchConfig::audit_streaming.
   bool audit = false;
 
-  /// Width (>= 1) of the owned pool the per-worker splice and fresh-row
-  /// loops fan out over, and the CSR emission too unless the pool lent to
-  /// BuildValidPairs() is wider; 1 runs those loops inline. Outputs are
-  /// bit-identical at any width (the partition only decides where a
-  /// worker's row is processed, never what it contains). Set from the
-  /// resolved DispatchConfig::ingest_threads.
-  int ingest_threads = 1;
-
   /// Track the cross-batch assignment skeleton and publish a SolveDelta
   /// each batch (BuildSolveDelta) so warm-capable solvers seed from the
   /// previous equilibrium. The delta is a pure function of the pool
@@ -108,16 +100,13 @@ struct StreamingIngestStats {
 /// [survivors][arrivals][earlier releases][just-returned workers]
 /// exactly; overlapping therefore never changes any output.
 ///
-/// Parallel ingest (config.ingest_threads): the splice and fresh-row
-/// loops fan out over an owned pool in ThreadPool::RunChunks chunks, each
-/// processing a deterministic contiguous range of worker slots and
-/// writing only its own rows / buffers. The CSR emission
-/// (ValidPairIndex::BuildChunked) runs the same way on the wider of that
-/// pool and the one the caller lends BuildValidPairs(). Every per-row
-/// computation is independent of every other row, so the outputs are
-/// bit-identical to the serial loops for any thread count. The plane owns
-/// all its ingest scratch (per-chunk buffers) — it never touches the
-/// service's BatchWorkspaces, which is what lets an overlapped
+/// The plane owns no threads. Ingest() runs inline on its caller (the
+/// pipeline slot that calls it). The CSR emission
+/// (ValidPairIndex::BuildChunked) fans out over deterministic contiguous
+/// ranges of worker slots on the pool the caller lends BuildValidPairs();
+/// every row is independent of every other, so the CSR is byte-identical
+/// at any width. The plane owns all its ingest scratch — it never touches
+/// the service's BatchWorkspaces, which is what lets an overlapped
 /// Ingest(N+1) run concurrently with solve(N) without sharing a single
 /// allocation.
 ///
@@ -193,10 +182,10 @@ class StreamingPlane {
   /// instance must have been materialized from this plane's current
   /// pools/admission. Only row entries of admitted tasks are
   /// deadline-tested; entries of deferred tasks are kept as they are. The
-  /// emission fans out on the wider of `pool` (may be null; the caller
-  /// lends an idle pool, e.g. the shard engine's between solves) and the
-  /// plane's ingest pool, so `pool` must not be running anything else.
-  /// The emitted CSR is byte-identical to the from-scratch build at any
+  /// emission fans out on `pool` (the caller lends an idle pool, e.g. the
+  /// shard engine's between solves, so it must not be running anything
+  /// else) and runs inline when `pool` is null or has one thread. The
+  /// emitted CSR is byte-identical to the from-scratch build at any
   /// width.
   void BuildValidPairs(Instance* instance, BatchWorkspace* workspace,
                        ThreadPool* pool);
@@ -222,9 +211,6 @@ class StreamingPlane {
   void Commit(const Instance& instance, const Assignment& assignment,
               double release_time);
 
-  /// Ingest-pool width (1 = every loop inline).
-  int ingest_threads() const { return ingest_pool_.num_threads(); }
-
   /// Phase timings of the most recent Ingest() call.
   const StreamingIngestStats& ingest_stats() const { return ingest_stats_; }
 
@@ -240,14 +226,9 @@ class StreamingPlane {
   /// Restores slot_of_handle_ after a pool compaction/reorder.
   void RefreshSlots();
 
-  /// Appends the row entries valid for the worker with `handle` at `now`
-  /// among `tasks` (a grid keyed by task handle) into rows_[handle], using
-  /// `query` (the calling chunk's buffer) for the circle query.
-  void SpliceRow(int32_t handle, const GridIndex& tasks, double now,
-                 std::vector<int64_t>* query);
-
-  /// Splices `tasks` into the rows of handles [first, first + count),
-  /// fanned out over the ingest pool.
+  /// Appends, for each worker handle in [first, first + count), the row
+  /// entries valid at `now` among `tasks` (a grid keyed by task handle)
+  /// into that worker's row.
   void SpliceRows(int32_t first, size_t count, const GridIndex& tasks,
                   double now);
 
@@ -281,6 +262,7 @@ class StreamingPlane {
   /// member only to reuse its storage; nothing reads it after Ingest().
   GridIndex task_grid_;
   std::vector<SpatialItem> grid_items_;  ///< its Build() input
+  std::vector<int64_t> query_;           ///< SpliceRows' circle query
 
   /// Admission state of the current batch.
   std::vector<int32_t> admitted_;  ///< permutation of slots (prefix used)
@@ -312,13 +294,8 @@ class StreamingPlane {
   std::vector<uint8_t> group_lost_;               ///< per-batch scratch
   SolveDelta delta_;
 
-  /// Parallel-ingest machinery: an owned pool (ThreadPool(1) runs every
-  /// loop inline) and, per chunk, a circle-query buffer and an emission
-  /// buffer, both kept across batches (the emission's chunk count follows
-  /// whichever pool it ran on). Chunk k of a fanned-out loop owns entry k
-  /// exclusively.
-  ThreadPool ingest_pool_;
-  std::vector<CacheLinePadded<std::vector<int64_t>>> query_buffers_;
+  /// Per-chunk emission buffers, kept across batches (their count follows
+  /// the lent pool). Chunk k of the emission owns entry k exclusively.
   std::vector<std::vector<TaskIndex>> emit_buffers_;
   StreamingIngestStats ingest_stats_;
   double csr_emit_seconds_ = 0.0;

@@ -232,7 +232,7 @@ struct StreamMode {
   bool warm = true;
   bool pipeline = true;
   bool audit = false;
-  int ingest_threads = 0;
+  int threads = 2;  ///< the engine's pool, which the CSR emission borrows
   std::optional<DistributedConfig> network;  ///< none: in process
 };
 
@@ -240,7 +240,7 @@ Fingerprint RunStream(std::string name, const StreamMode& mode) {
   static const StreamFixture fixture = MakeStream();
   DispatchConfig config;
   config.sharded.shards_per_side = 2;
-  config.sharded.num_threads = 2;
+  config.sharded.num_threads = mode.threads;
   config.min_group_size = 3;
   config.task_duration = 2.0;
   config.max_tasks_per_batch = 30;
@@ -248,7 +248,6 @@ Fingerprint RunStream(std::string name, const StreamMode& mode) {
   config.enable_warm_start = mode.warm;
   config.enable_pipeline = mode.pipeline;
   config.audit_streaming = mode.audit;
-  config.ingest_threads = mode.ingest_threads;
 
   Fingerprint row;
   row.name = std::move(name);
@@ -290,12 +289,11 @@ std::vector<Fingerprint> ComputeRows() {
   StreamMode audited;
   audited.audit = true;
   rows.push_back(RunStream("stream.s2.gt.casc.warm.pipe.audit", audited));
-  for (const int ingest_threads : {1, 3}) {
+  for (const int threads : {1, 3}) {
     StreamMode mode;
-    mode.ingest_threads = ingest_threads;
-    rows.push_back(RunStream("stream.s2.gt.casc.warm.pipe.ingest" +
-                                 std::to_string(ingest_threads),
-                             mode));
+    mode.threads = threads;
+    rows.push_back(RunStream(
+        "stream.s2.gt.casc.warm.pipe.t" + std::to_string(threads), mode));
   }
 
   rows.push_back(SolveBatch("batch.skew.s4.gtall.casc.t4.net",
@@ -362,13 +360,20 @@ TEST(GoldenTest, FingerprintsMatchCommittedFile) {
   }
 }
 
-TEST(GoldenTest, ZeroFaultNetworkRowsMatchInProcessRows) {
-  const std::string suffix = ".net";
-  std::map<std::string, std::string> bodies;  // name -> row after the name
+/// Every row's fingerprint without its name, by name: twin runs that must
+/// agree compare equal here.
+std::map<std::string, std::string> RowBodies() {
+  std::map<std::string, std::string> bodies;
   for (const Fingerprint& row : Rows()) {
     const std::string line = FormatRow(row);
     bodies[row.name] = line.substr(line.find(' '));
   }
+  return bodies;
+}
+
+TEST(GoldenTest, ZeroFaultNetworkRowsMatchInProcessRows) {
+  const std::string suffix = ".net";
+  const std::map<std::string, std::string> bodies = RowBodies();
   int compared = 0;
   for (const auto& [name, body] : bodies) {
     if (!name.ends_with(suffix)) continue;
@@ -378,6 +383,17 @@ TEST(GoldenTest, ZeroFaultNetworkRowsMatchInProcessRows) {
     ++compared;
   }
   EXPECT_EQ(compared, 2);
+}
+
+TEST(GoldenTest, EngineWidthRowsMatchDefaultWidthRow) {
+  const std::map<std::string, std::string> bodies = RowBodies();
+  const std::string base = "stream.s2.gt.casc.warm.pipe";
+  ASSERT_TRUE(bodies.contains(base));
+  for (const std::string width : {".t1", ".t3"}) {
+    const auto row = bodies.find(base + width);
+    ASSERT_NE(row, bodies.end()) << "no golden row " << base + width;
+    EXPECT_EQ(row->second, bodies.at(base)) << base + width;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Bit-identity tests for the incremental streaming data plane: the
 // delta-maintained StreamingPlane must emit exactly the valid pairs of a
 // from-scratch build on every batch (audited), and the dispatch loop must
-// produce identical outputs in both pipeline modes and at any shard or
-// ingest thread count. Each identity holds with the cross-batch warm start
-// on and off.
+// produce identical outputs in both pipeline modes and at any engine
+// thread count. Each identity holds with the cross-batch warm start on and
+// off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -283,7 +284,6 @@ TEST(StreamingIncrementalTest, PairThatDiesWhileDeferredIsNeverEmitted) {
     config.min_group_size = 2;
     config.max_tasks_per_batch = budget;
     config.enable_pipeline = pipeline;
-    config.ingest_threads = 1;
     config.audit_streaming = true;  // CHECKs SameAs on every batch
     DispatchService service(config, &coop,
                             [] { return std::make_unique<GtAssigner>(); });
@@ -410,7 +410,7 @@ TEST(StreamingIncrementalTest, PipelineFlagControlsOverlap) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel ingest: thread-count sweep x pipeline (200+ batches, audited)
+// Engine thread sweep x pipeline (200+ batches, audited)
 // ---------------------------------------------------------------------------
 
 TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
@@ -421,15 +421,15 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
 
   // The audit CHECKs every incrementally-built CSR index byte-for-byte
   // against a from-scratch build inside each run, so a sweep pass means
-  // the parallel emission produced the exact serial bytes.
-  auto run = [&](bool warm, int ingest_threads, bool pipeline,
+  // the emission on the engine's pool produced the exact serial bytes.
+  auto run = [&](bool warm, int threads, bool pipeline,
                  std::vector<ServiceMetrics>* service_out) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
+    config.sharded.num_threads = threads;
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.ingest_threads = ingest_threads;
     config.enable_pipeline = pipeline;
     config.audit_streaming = true;
     config.enable_warm_start = warm;
@@ -441,7 +441,7 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
   };
 
   for (const bool warm : {true, false}) {
-    // Serial reference: width 1 runs every ingest loop inline, no pool.
+    // Serial reference: one engine thread runs every loop inline.
     std::vector<ServiceMetrics> serial_service;
     const RunSummary serial = run(warm, 1, false, &serial_service);
     ASSERT_GE(serial.batches.size(), 200u) << "trace too short for the test";
@@ -449,24 +449,22 @@ TEST(ParallelIngestTest, ThreadSweepBitIdenticalAcrossPipelineCombos) {
     for (const int threads : {1, 2, 4, 8}) {
       for (const bool pipeline : {false, true}) {
         const std::string label = std::string("warm=") + (warm ? "1" : "0") +
-                                  " ingest_threads=" + std::to_string(threads) +
+                                  " threads=" + std::to_string(threads) +
                                   " pipe=" + (pipeline ? "1" : "0");
         std::vector<ServiceMetrics> service_metrics;
         const RunSummary actual =
             run(warm, threads, pipeline, &service_metrics);
         ExpectIdenticalBatches(serial, actual, label);
         ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
-        for (const ServiceMetrics& metrics : service_metrics) {
-          ASSERT_EQ(metrics.ingest_threads, threads) << label;
-        }
       }
     }
   }
 }
 
-TEST(ParallelIngestTest, EmissionOnWiderEnginePoolBitIdentical) {
-  // A one-thread ingest pool: the CSR emission fans out on the engine's
-  // pool whenever that is wider, which must change no output.
+TEST(ParallelIngestTest, WideEmissionOnEnginePoolBitIdentical) {
+  // The CSR emission fans out on the engine's pool; on batches of 512 or
+  // more workers it splits into several chunks, which must change no
+  // output.
   const StreamFixture fixture =
       MakeLongFixture(607, /*horizon=*/80.0, /*worker_rate=*/12.0);
   ASSERT_FALSE(fixture.trace.workers.empty());
@@ -481,7 +479,6 @@ TEST(ParallelIngestTest, EmissionOnWiderEnginePoolBitIdentical) {
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.ingest_threads = 1;
     config.enable_pipeline = pipeline;
     config.audit_streaming = true;
     DispatchService service(config, &fixture.coop,
@@ -512,7 +509,6 @@ TEST(ParallelIngestTest, EmissionOnWiderEnginePoolBitIdentical) {
       ExpectIdenticalBatches(serial, actual, label);
       ASSERT_EQ(service_metrics.size(), serial_service.size()) << label;
       for (size_t i = 0; i < service_metrics.size(); ++i) {
-        ASSERT_EQ(service_metrics[i].ingest_threads, 1) << label;
         ASSERT_EQ(service_metrics[i].deferred_tasks,
                   serial_service[i].deferred_tasks)
             << label << " batch " << i;
@@ -532,8 +528,8 @@ TEST(ParallelIngestTest, IngestPhaseSplitReported) {
 
   DispatchConfig config;
   config.sharded.shards_per_side = 1;
+  config.sharded.num_threads = 4;
   config.min_group_size = 3;
-  config.ingest_threads = 4;
   config.enable_pipeline = false;  // splits nest inside ingest_seconds
   DispatchService service(config, &fixture.coop,
                           [] { return std::make_unique<GtAssigner>(); });
@@ -541,7 +537,6 @@ TEST(ParallelIngestTest, IngestPhaseSplitReported) {
 
   ASSERT_FALSE(service.batch_metrics().empty());
   for (const ServiceMetrics& metrics : service.batch_metrics()) {
-    EXPECT_EQ(metrics.ingest_threads, 4);
     EXPECT_GE(metrics.ingest_splice_seconds, 0.0);
     EXPECT_GE(metrics.ingest_fresh_rows_seconds, 0.0);
     EXPECT_GE(metrics.ingest_spatial_seconds, 0.0);
@@ -557,8 +552,63 @@ TEST(ParallelIngestTest, IngestPhaseSplitReported) {
               metrics.index_build_seconds + 1e-9);
     const std::string json = metrics.ToJson();
     EXPECT_NE(json.find("\"ingest_splice_seconds\""), std::string::npos);
-    EXPECT_NE(json.find("\"ingest_threads\""), std::string::npos);
   }
+}
+
+/// Returns an empty assignment at once, so every overlapped ingest
+/// outlasts the solve it rides along.
+class InstantSolver : public ShardedBatchSolver {
+ public:
+  Assignment Solve(const Instance& instance) override {
+    return Assignment(instance);
+  }
+  const ServiceMetrics& metrics() const override { return metrics_; }
+  void AttachWorkspace(BatchWorkspace*) override {}
+
+ private:
+  ServiceMetrics metrics_;
+};
+
+TEST(StreamingIncrementalTest, OverlappedIngestChargesItsExcessOverTheSolve) {
+  const StreamFixture fixture = MakeLongFixture(608, /*horizon=*/40.0);
+  ASSERT_FALSE(fixture.trace.workers.empty());
+  ASSERT_FALSE(fixture.trace.tasks.empty());
+  const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
+
+  DispatchConfig config;
+  config.sharded.shards_per_side = 1;
+  config.min_group_size = 3;
+  DispatchService service(config, &fixture.coop,
+                          [] { return std::make_unique<GtAssigner>(); });
+  InstantSolver solver;
+  service.set_batch_solver(&solver);
+  const RunSummary summary = service.Run(stream);
+
+  const std::vector<ServiceMetrics>& metrics = service.batch_metrics();
+  ASSERT_EQ(metrics.size(), summary.batches.size());
+  int pipelined = 0;
+  int excess_batches = 0;
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    const ServiceMetrics& m = metrics[i];
+    const double solve = summary.batches[i].seconds;
+    if (!m.pipelined) {
+      EXPECT_EQ(m.batch_seconds,
+                m.ingest_seconds + m.index_build_seconds + solve)
+          << "batch " << i;
+      continue;
+    }
+    // The overlapped ingest rode along the previous batch's solve; the
+    // join waited for whatever it took beyond that solve.
+    ASSERT_GT(i, 0u);
+    ++pipelined;
+    const double excess =
+        std::max(0.0, m.ingest_seconds - summary.batches[i - 1].seconds);
+    if (excess > 0.0) ++excess_batches;
+    EXPECT_EQ(m.batch_seconds, excess + m.index_build_seconds + solve)
+        << "batch " << i;
+  }
+  EXPECT_GT(pipelined, 0);
+  EXPECT_GT(excess_batches, 0);
 }
 
 TEST(StreamingIncrementalTest, RunLatencyStatsSummarizeBatchSeconds) {

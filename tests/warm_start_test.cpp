@@ -2,7 +2,7 @@
 // must produce a certified Nash equilibrium, zero-churn batches must make
 // no moves and repeat the previous commit, zero-carry-over batches must be
 // bit-identical to a cold run, and the warm path must be bit-identical
-// across shard threads, ingest threads and both pipeline modes. On a
+// across shard threads and both pipeline modes. On a
 // multiskill feasibility-gap trace warm must also keep most of cold's
 // score.
 
@@ -341,22 +341,21 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// (d) Dispatch sweep: pipeline x shard threads {1,2,4,8} x ingest threads
-// x {warm on, warm off} — bit-identical within each warm mode.
+// (d) Dispatch sweep: pipeline x shard threads {1,2,4,8} x {warm on,
+// warm off} — bit-identical within each warm mode.
 // ---------------------------------------------------------------------------
 
 TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   const StreamFixture fixture = MakeLongFixture(703, /*horizon=*/140.0);
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
 
-  auto run = [&](bool warm, bool pipeline, int threads, int ingest_threads) {
+  auto run = [&](bool warm, bool pipeline, int threads) {
     DispatchConfig config;
     config.sharded.shards_per_side = 2;
     config.sharded.num_threads = threads;
     config.min_group_size = 3;
     config.task_duration = 2.0;
     config.max_tasks_per_batch = 4;  // exercise deferral carry-over
-    config.ingest_threads = ingest_threads;
     config.enable_pipeline = pipeline;
     config.enable_warm_start = warm;
     DispatchService service(
@@ -368,15 +367,14 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
   struct Combo {
     bool pipeline;
     int threads;
-    int ingest_threads;
   };
   const std::vector<Combo> combos = {
-      {true, 1, 1}, {false, 2, 2}, {false, 4, 4}, {true, 4, 1}, {true, 8, 8},
+      {true, 1}, {false, 2}, {false, 4}, {true, 4}, {true, 8},
   };
 
   for (const bool warm : {true, false}) {
     const StreamRun baseline =
-        run(warm, /*pipeline=*/false, /*threads=*/1, /*ingest_threads=*/1);
+        run(warm, /*pipeline=*/false, /*threads=*/1);
     ASSERT_GE(baseline.summary.batches.size(), 80u) << "trace too short";
 
     int warm_batches = 0;
@@ -393,10 +391,8 @@ TEST(WarmStartTest, DispatchSweepBitIdenticalWithinEachWarmMode) {
       const std::string label =
           std::string("warm=") + (warm ? "1" : "0") +
           " pipe=" + (combo.pipeline ? "1" : "0") +
-          " threads=" + std::to_string(combo.threads) +
-          " ingest_threads=" + std::to_string(combo.ingest_threads);
-      const StreamRun actual =
-          run(warm, combo.pipeline, combo.threads, combo.ingest_threads);
+          " threads=" + std::to_string(combo.threads);
+      const StreamRun actual = run(warm, combo.pipeline, combo.threads);
       ExpectIdenticalBatches(baseline, actual, label);
       for (size_t i = 0; i < actual.service.size(); ++i) {
         const ServiceMetrics& e = baseline.service[i];
